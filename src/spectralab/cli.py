@@ -38,7 +38,7 @@ from .reports import (
     write_summary_csv,
     write_thinness_csv,
 )
-from .sublevel import Region, measure, thinness
+from .sublevel import Region, check_radii, measure, thinness
 
 OUTPUT_DIR_ENV = "SPECTRALAB_OUTPUT_DIR"
 SUBCOMMANDS = ("spectrum", "sublevel", "thinness", "inequalities",
@@ -183,6 +183,8 @@ def _validate(config: RunConfig) -> None:
     for name in ("trials", "budget", "max_iters"):
         if getattr(config, name) < 1:
             raise ValueError(f"{name} must be >= 1")
+    if config.seed < 0:
+        raise ValueError("seed must be >= 0")
     needs_potential = config.subcommand != "inequalities"
     if needs_potential and not config.potential:
         raise ValueError(f"{config.subcommand} requires --potential")
@@ -199,8 +201,8 @@ def _validate(config: RunConfig) -> None:
             raise ValueError("M must be > 0")
     if config.subcommand in ("sublevel", "kernel-power") and config.R <= 0:
         raise ValueError("R must be > 0")
-    if config.subcommand == "thinness" and len(config.radii) < 2:
-        raise ValueError("thinness requires at least two radii")
+    if config.subcommand == "thinness":
+        check_radii(config.radii)
     if config.subcommand == "inequalities" and config.dim < 2:
         raise ValueError("dim must be >= 2")
     if config.subcommand in ("heat-diagnostics", "kernel-power") and not config.L:
@@ -395,7 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--budget", type=int, default=None,
                          help="Monte Carlo sample budget")
         sub.add_argument("--max-iters", dest="max_iters", type=int,
-                         default=None, help="Lanczos iteration cap")
+                         default=None,
+                         help="ARPACK restart cap per eigensolver run")
         sub.add_argument("--count-levels", dest="count_levels",
                          type=_float_tuple, default=None,
                          help="lambda values for the counting function")

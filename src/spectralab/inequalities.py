@@ -24,6 +24,7 @@ from .linalg import (
     compound_matrix,
     expm_sym,
     psd_product_spectrum,
+    require_psd,
     singular_values,
     spectral_norm,
 )
@@ -88,15 +89,6 @@ def _report(name, lhs, rhs, tol_rel, seed=None, dimension=None, equality=False,
                             inputs, equality)
 
 
-def _require_psd(M: np.ndarray, label: str) -> None:
-    lam = np.linalg.eigvalsh(M)
-    norm = max(abs(float(lam[0])), abs(float(lam[-1])))
-    if float(lam[0]) < -1e-10 * max(norm, 1e-300):
-        raise ValueError(
-            f"{label} must be positive semidefinite (smallest eigenvalue {lam[0]:.3e})"
-        )
-
-
 def segal(A, B, form: str = "plain", tol_rel: float = TOL_ALGEBRAIC,
           seed=None) -> InequalityReport:
     """Norm bound for the sum exponential against split products.
@@ -109,8 +101,8 @@ def segal(A, B, form: str = "plain", tol_rel: float = TOL_ALGEBRAIC,
         raise ValueError(f"form must be 'plain' or 'symmetric', got {form!r}")
     A = as_symmetric(A)
     B = as_symmetric(B)
-    _require_psd(A, "A")
-    _require_psd(B, "B")
+    require_psd(A, "A")
+    require_psd(B, "B")
     lhs = spectral_norm(expm_sym(A + B, -1.0))
     if form == "plain":
         rhs = spectral_norm(expm_sym(A, -1.0) @ expm_sym(B, -1.0))
@@ -140,8 +132,8 @@ def half_product_bound(A, B, tol_rel: float = TOL_ALGEBRAIC, seed=None) -> Inequ
     """
     A = as_symmetric(A)
     B = as_symmetric(B)
-    _require_psd(A, "A")
-    _require_psd(B, "B")
+    require_psd(A, "A")
+    require_psd(B, "B")
     lhs = spectral_norm(expm_sym(A, -0.5) @ expm_sym(B, -0.5)) ** 2
     rhs = spectral_norm(expm_sym(A, -1.0) @ expm_sym(B, -1.0))
     return _report("half-product-square", lhs, rhs, tol_rel, seed=seed,
@@ -230,8 +222,8 @@ def trotter_sequence(A, B, n_max: int = 12) -> TrotterSequence:
         raise ValueError(f"n_max must be between 0 and 14, got {n_max}")
     A = as_symmetric(A)
     B = as_symmetric(B)
-    _require_psd(A, "A")
-    _require_psd(B, "B")
+    require_psd(A, "A")
+    require_psd(B, "B")
     values = np.empty(n_max + 1)
     for n in range(n_max + 1):
         step = 2.0 ** (-n)
@@ -273,8 +265,8 @@ def wedge_segal_chain(A, B, n: int, tol_rel: float = 1e-9, seed=None) -> WedgeCh
     """
     A = as_symmetric(A)
     B = as_symmetric(B)
-    _require_psd(A, "A")
-    _require_psd(B, "B")
+    require_psd(A, "A")
+    require_psd(B, "B")
     d = A.shape[0]
     if math.comb(d, n) > CHAIN_BASIS_LIMIT:
         raise ValueError(

@@ -4,8 +4,9 @@ Covers the linear-algebra needs of the rest of the package: symmetric
 eigendecomposition, singular values, matrix exponentials through the
 eigenbasis, compound (antisymmetric power) matrices built from explicit
 minors, their generators, spectra of products of positive semidefinite
-matrices, and a deflated restarted Lanczos iteration for the smallest
-eigenvalues of an opaque symmetric linear map.
+matrices, and the smallest eigenvalues of an opaque symmetric linear map
+(ARPACK's implicitly restarted Lanczos through scipy's eigsh, followed by a
+deflated certificate pass that recovers repeated eigenvalues).
 
 Matrices serialize to a row-major text format (header line ``# rows cols``,
 one whitespace-separated row per line, %.17g so float64 round-trips).
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .sublevel import derived_rng
 
@@ -34,12 +35,17 @@ __all__ = [
     "wedge_generator",
     "lanczos_extremal",
     "psd_product_spectrum",
+    "require_psd",
     "save_matrix_text",
     "load_matrix_text",
 ]
 
 SYMMETRY_TOLERANCE = 1e-12
 WEDGE_BASIS_LIMIT = 10_000
+# Lanczos vectors ARPACK keeps between restarts.  Its default of 20 leaves
+# the certificate sweep on the 1-d Dirichlet Laplacian at h = 1e-3 (spectral
+# width 4e6 against a lowest gap of 30) unconverged after 999 restarts.
+ARPACK_BASIS = 40
 
 
 def _as_matrix(A, square: bool = False) -> np.ndarray:
@@ -191,7 +197,10 @@ class LanczosResult:
 
     eigenvalues are ascending; residuals[i] = |A x_i - lambda_i x_i| / |x_i|
     recomputed with the raw map.  converged is False when the iteration
-    stopped early (residual stagnation or budget); partial values are kept.
+    stopped early (restart cap or certificate budget); partial values are
+    kept.  After ARPACK's restart cap only the pairs it did converge exist,
+    and they are kept only once the certificate pass shows no lower value
+    was missed, so eigenvalues[i] is still the (i+1)-th smallest.
     """
 
     eigenvalues: np.ndarray
@@ -210,6 +219,8 @@ def _check_symmetry(matvec, dim: int, seed: int) -> int:
         y /= np.linalg.norm(y)
         ax = np.asarray(matvec(x), dtype=float)
         ay = np.asarray(matvec(y), dtype=float)
+        if not (np.all(np.isfinite(ax)) and np.all(np.isfinite(ay))):
+            raise ValueError("map returned non-finite values on a random probe")
         scale = max(1.0, float(np.linalg.norm(ax)), float(np.linalg.norm(ay)))
         gap = abs(float(ax @ y - x @ ay))
         if gap > 1e-8 * scale:
@@ -220,92 +231,73 @@ def _check_symmetry(matvec, dim: int, seed: int) -> int:
     return 6
 
 
-def _project_out(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    if basis.shape[1]:
-        w = w - basis @ (basis.T @ w)
-    return w
+def _arpack_smallest(apply, dim, k, v0, rng, max_iters, tol):
+    """ARPACK's k smallest pairs, ascending; partial pairs if it stops early."""
+    op = LinearOperator((dim, dim), matvec=apply, dtype=float)
+    try:
+        values, vectors = eigsh(op, k, which="SA", v0=v0,
+                                ncv=min(dim, max(2 * k + 1, ARPACK_BASIS)),
+                                maxiter=max_iters, tol=tol, rng=rng)
+        complete = True
+    except ArpackNoConvergence as exc:
+        values, vectors = exc.eigenvalues, exc.eigenvectors
+        complete = False
+    order = np.argsort(values, kind="stable")
+    return values[order], vectors[:, order], complete
 
 
-def _tridiag_eig(alphas: list, betas: list):
-    if len(alphas) == 1:
-        return np.asarray(alphas, dtype=float), np.ones((1, 1))
-    # The stev driver (QR iteration) is slower than stemr but does not give
-    # up on the clustered tridiagonals long Krylov chains produce.
-    return eigh_tridiagonal(np.asarray(alphas, dtype=float),
-                            np.asarray(betas, dtype=float),
-                            lapack_driver="stev")
+def _certify(apply, values, vectors, k, rng, max_iters, tol, sweeps):
+    """Recover repeated eigenvalues the first ARPACK run may have missed.
 
-
-def _lanczos_sweep(matvec, dim, deflation, rng, inner_cap, tol, need):
-    """One restarted pass on the deflation-projected map.
-
-    Returns (values, vectors, note, matvecs): the accepted ascending prefix
-    of Ritz pairs whose residual estimate beta*|s| cleared tol * scale.
+    Each sweep runs ARPACK with k = 1 on the map restricted to the
+    complement of the vectors found so far, with those directions lifted
+    above the current k-th value tau.  A value below tau - slack is a
+    missed eigenvalue and joins the found set; nothing below tau certifies.
+    Returns (values, vectors, certified, note).
     """
-    m_cap = min(inner_cap, dim - deflation.shape[1])
-    if m_cap < 1:
-        return np.zeros(0), np.zeros((dim, 0)), "deflation basis spans the space", 0
-    start = rng.standard_normal(dim)
-    for _ in range(2):
-        start = _project_out(start, deflation)
-    norm = float(np.linalg.norm(start))
-    if norm < 1e-10:
-        return np.zeros(0), np.zeros((dim, 0)), "start vector annihilated by deflation", 0
+    dim = vectors.shape[0]
+    for _ in range(sweeps):
+        if vectors.shape[1] >= dim:
+            return values, vectors, True, ""  # the whole space is resolved
+        tau = float(values[k - 1])
+        slack = 1e-10 * max(1.0, abs(tau))
+        lift = tau + max(1.0, abs(tau))
+        Q = vectors
 
-    V = np.empty((dim, m_cap))
-    V[:, 0] = start / norm
-    alphas: list[float] = []
-    betas: list[float] = []
-    matvecs = 0
-    check_every = 10
-    j = 0
-    theta = S = None
-    n_conv = 0
-    invariant = False
-    while True:
-        w = np.asarray(matvec(V[:, j]), dtype=float)
-        matvecs += 1
-        alpha = float(V[:, j] @ w)
-        alphas.append(alpha)
-        for _ in range(2):
-            w = _project_out(w, deflation)
-            w = _project_out(w, V[:, : j + 1])
-        beta = float(np.linalg.norm(w))
-        m = j + 1
-        scale_T = max(map(abs, alphas)) + max(betas, default=0.0)
-        invariant = beta <= 1e-13 * max(1.0, scale_T)
-        if m == m_cap or invariant or m % check_every == 0:
-            theta, S = _tridiag_eig(alphas, betas)
-            est = beta * np.abs(S[-1, :])
-            thresh = tol * max(1.0, float(np.max(np.abs(theta))))
-            n_conv = 0
-            while n_conv < m and est[n_conv] <= thresh:
-                n_conv += 1
-            if invariant:
-                n_conv = m
-            if n_conv >= need or invariant or m == m_cap:
-                break
-        betas.append(beta)
-        V[:, j + 1] = w / beta
-        j += 1
+        def deflated(x):
+            c = Q.T @ x
+            y = apply(x - Q @ c)
+            return y - Q @ (Q.T @ y) + lift * (Q @ c)
 
-    vals = theta[:n_conv].copy()
-    vecs = V[:, : len(alphas)] @ S[:, :n_conv]
-    note = "" if (n_conv >= need or invariant) else "inner iteration cap reached"
-    return vals, vecs, note, matvecs
+        start = rng.standard_normal(dim)
+        start -= Q @ (Q.T @ start)
+        found, vec, complete = _arpack_smallest(deflated, dim, 1, start, rng,
+                                                max_iters, tol)
+        if not complete:
+            return values, vectors, False, "inner iteration cap reached"
+        if found[0] >= tau - slack:
+            return values, vectors, True, ""
+        x = vec[:, 0] - Q @ (Q.T @ vec[:, 0])
+        x /= np.linalg.norm(x)
+        at = int(np.searchsorted(values, found[0]))
+        values = np.insert(values, at, found[0])
+        vectors = np.insert(vectors, at, x, axis=1)
+    return values, vectors, False, "restart budget exhausted before certification"
 
 
 def lanczos_extremal(matvec, dim: int, k: int, max_iters: int = 600, seed: int = 0,
                      tol: float = 1e-12) -> LanczosResult:
     """k smallest eigenvalues of a symmetric linear map, with residuals.
 
-    Restarted Lanczos with full reorthogonalization: each sweep runs on the
-    map with previously accepted eigenvectors projected out, accepts the
-    ascending prefix of converged Ritz pairs, and the iteration stops once a
-    fresh sweep finds nothing below the current k-th smallest value (so
-    repeated eigenvalues are recovered one copy per sweep).  The map is
-    checked for symmetry probabilistically before any work.  Residuals are
-    recomputed with the raw map; convergence claims rest on them.
+    ARPACK's implicitly restarted Lanczos (scipy's eigsh, which="SA", at
+    most max_iters restarts) finds k pairs; a deflated certificate pass
+    (see _certify) then recovers copies of repeated eigenvalues that a
+    single Krylov space cannot see.  Where ARPACK cannot run (k == dim) the
+    map is assembled from dim matvecs and solved densely.  tol is ARPACK's:
+    a Ritz pair converges once its residual estimate is <= tol * |theta|.
+    The map is checked for symmetry probabilistically before any work.
+    Residuals are recomputed with the raw map; convergence claims rest on
+    them.
     """
     dim = int(dim)
     k = int(k)
@@ -319,59 +311,49 @@ def lanczos_extremal(matvec, dim: int, k: int, max_iters: int = 600, seed: int =
         raise ValueError("max_iters must be >= 1")
 
     matvecs = _check_symmetry(matvec, dim, seed)
-    rng = derived_rng(seed, "lanczos-start")
-    deflation = np.zeros((dim, 0))
-    found_vals: list[float] = []
-    ok = True
-    note = ""
-    max_sweeps = 3 * k + 12
-    sweep = 0
-    while True:
-        sweep += 1
-        if sweep > max_sweeps:
-            ok = False
-            note = "restart budget exhausted before certification"
-            break
-        if deflation.shape[1] >= dim:
-            break  # the whole space is resolved
-        have = len(found_vals)
-        need = 1 if have >= k else k - have
-        vals, vecs, sweep_note, used = _lanczos_sweep(
-            matvec, dim, deflation, rng, max_iters, tol, need
-        )
-        matvecs += used
-        if have >= k:
-            tau = float(np.partition(np.asarray(found_vals), k - 1)[k - 1])
-            slack = 1e-10 * max(1.0, abs(tau))
-            if vals.size == 0:
-                ok = False
-                note = sweep_note or "certificate sweep found no converged pair"
-                break
-            if vals[0] >= tau - slack:
-                break  # nothing below the current k-th value remains
-            keep = vals < tau - slack
-            vals, vecs = vals[keep][:k], vecs[:, keep][:, :k]
-        else:
-            if vals.size == 0:
-                ok = False
-                note = sweep_note or "no Ritz pair converged (residual stagnation)"
-                break
-            cap = (k - have) + 2
-            vals, vecs = vals[:cap], vecs[:, :cap]
-        found_vals.extend(float(v) for v in vals)
-        deflation = np.concatenate([deflation, vecs], axis=1)
 
-    values = np.asarray(found_vals)
-    order = np.argsort(values, kind="stable")[: min(k, len(found_vals))]
-    eigenvalues = values[order]
-    residuals = np.empty(order.size)
-    for i, idx in enumerate(order):
-        x = deflation[:, idx]
-        ax = np.asarray(matvec(x), dtype=float)
+    def apply(x):
+        nonlocal matvecs
         matvecs += 1
-        residuals[i] = float(np.linalg.norm(ax - eigenvalues[i] * x) / np.linalg.norm(x))
-    converged = ok and order.size == k
+        return np.asarray(matvec(x), dtype=float)
+
+    rng = derived_rng(seed, "lanczos-start")
+    ok, note = True, ""
+    if k >= dim:
+        A = np.column_stack([apply(e) for e in np.eye(dim)])
+        values, vectors = np.linalg.eigh((A + A.T) / 2.0)
+        found = k
+    else:
+        values, vectors, complete = _arpack_smallest(apply, dim, k, rng.standard_normal(dim),
+                                                     rng, max_iters, tol)
+        # After the restart cap the converged pairs need not be the lowest
+        # ones, so the certificate also decides whether partial pairs stay.
+        found = values.size
+        ok = found > 0
+        if ok:
+            values, vectors, ok, note = _certify(apply, values, vectors, found, rng,
+                                                 max_iters, tol, 3 * k + 11)
+        if not complete:
+            found = found if ok else 0
+            ok, note = False, "inner iteration cap reached"
+
+    eigenvalues = values[:found]
+    residuals = np.empty(eigenvalues.size)
+    for i, value in enumerate(eigenvalues):
+        x = vectors[:, i]
+        residuals[i] = float(np.linalg.norm(apply(x) - value * x) / np.linalg.norm(x))
+    converged = ok and eigenvalues.size == k
     return LanczosResult(eigenvalues, residuals, converged, matvecs, note)
+
+
+def require_psd(M: np.ndarray, label: str) -> None:
+    """Reject a symmetric matrix whose smallest eigenvalue is below -1e-10 * |M|."""
+    lam = np.linalg.eigvalsh(M)
+    norm = max(abs(float(lam[0])), abs(float(lam[-1])))
+    if float(lam[0]) < -1e-10 * max(norm, 1e-300):
+        raise ValueError(
+            f"{label} is not positive semidefinite (smallest eigenvalue {lam[0]:.3e})"
+        )
 
 
 def psd_product_spectrum(C, D) -> np.ndarray:
@@ -385,14 +367,8 @@ def psd_product_spectrum(C, D) -> np.ndarray:
     D = as_symmetric(D)
     if C.shape != D.shape:
         raise ValueError(f"shape mismatch: {C.shape} vs {D.shape}")
-    for name, M in (("first", C), ("second", D)):
-        lam = np.linalg.eigvalsh(M)
-        norm = max(abs(float(lam[0])), abs(float(lam[-1])))
-        if float(lam[0]) < -1e-10 * max(norm, 1e-300):
-            raise ValueError(
-                f"{name} factor is not positive semidefinite "
-                f"(smallest eigenvalue {lam[0]:.3e})"
-            )
+    require_psd(C, "first factor")
+    require_psd(D, "second factor")
     lam, Q = np.linalg.eigh(C)
     root = (Q * np.sqrt(np.clip(lam, 0.0, None))) @ Q.T
     sym = root @ D @ root

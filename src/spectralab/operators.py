@@ -2,10 +2,13 @@
 
 Cell-centered grids on [-L, L]^nu with the 2*nu+1 point Dirichlet stencil:
 the grid has N = 2L/h points per axis at x_i = -L + (i + 1/2) h, which puts
-the homogeneous Dirichlet walls at +-(L + h/2).  Spectra come from the
-deflated Lanczos solver and are reported as box-stabilization evidence: a
-truncated box always has discrete spectrum, so discreteness claims rest on
-eigenvalues that stop moving as the box grows.
+the homogeneous Dirichlet walls at +-(L + h/2).  Potential values must be
+nonnegative and not NaN, and finite wherever they enter a Hamiltonian
+(potentials.guard_values).  Spectra come from
+linalg.lanczos_extremal (ARPACK plus a deflated certificate pass) on the
+sparse Hamiltonian's matvec and are reported as box-stabilization evidence:
+a truncated box always has discrete spectrum, so discreteness claims rest
+on eigenvalues that stop moving as the box grows.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import scipy.sparse as sparse
 import scipy.sparse.linalg  # noqa: F401  (registers sparse.linalg)
 
 from .linalg import lanczos_extremal
-from .potentials import PotentialExpr, evaluate
+from .potentials import PotentialExpr, evaluate, guard_values
 
 __all__ = [
     "Grid",
@@ -33,7 +36,6 @@ __all__ = [
 SPARSE_POINT_BUDGET = 4_000_000
 DENSE_POINT_BUDGET = 200_000
 DENSE_ENTRY_BUDGET = 250_000_000
-NEGATIVE_TOLERANCE = 1e-9
 RESIDUAL_TOLERANCE = 1e-6
 
 
@@ -139,24 +141,18 @@ def discrete_laplacian(grid: Grid) -> SparseOperator:
 
 
 def potential_on_grid(grid: Grid, V: PotentialExpr) -> np.ndarray:
-    """Values of V at the cell centers, guarded against negativity."""
+    """Values of V at the cell centers, guarded (see potentials.guard_values)."""
     if V.dimension != grid.nu:
         raise ValueError(
             f"potential has dimension {V.dimension}, grid has nu = {grid.nu}"
         )
-    values = evaluate(V, grid.points)
-    low = float(np.min(values))
-    if low < -NEGATIVE_TOLERANCE:
-        raise ValueError(
-            f"negative potential value {low:.6g} at a grid point "
-            f"(tolerance {NEGATIVE_TOLERANCE:g})"
-        )
-    return values
+    return guard_values(V, evaluate(V, grid.points), "at a grid point")
 
 
 def hamiltonian(grid: Grid, V: PotentialExpr) -> SparseOperator:
     """H = discrete Laplacian + multiplication by V at the cell centers."""
-    values = potential_on_grid(grid, V)
+    values = guard_values(V, potential_on_grid(grid, V), "at a grid point",
+                          finite=True)
     lap = discrete_laplacian(grid)
     H = lap.matrix + sparse.diags(values, format="csr")
     return SparseOperator(grid.size, H.tocsr(), symmetric=True)
@@ -196,7 +192,8 @@ def spectrum_study(V: PotentialExpr, schedule, h: float, k: int, seed: int = 0,
     The verdict is box-stabilization evidence, not a proof: "stabilized"
     means the lowest k eigenvalues moved by at most 1 percent between the
     two largest boxes and every kept value has residual below the
-    tolerance.  Lanczos failures are propagated as notes with partial data.
+    tolerance.  Eigensolver shortfalls are propagated as notes with partial
+    data.
     """
     schedule = tuple(float(L) for L in schedule)
     if len(schedule) < 2:
@@ -287,7 +284,8 @@ def truncation_monotonicity(V: PotentialExpr, levels, grid: Grid, eig_count: int
     residuals = np.empty((len(levels), eig_count))
     notes = []
     for row, level in enumerate(levels):
-        truncated = values if np.isinf(level) else np.minimum(values, level)
+        truncated = (guard_values(V, values, "at a grid point", finite=True)
+                     if np.isinf(level) else np.minimum(values, level))
         H = (lap + sparse.diags(truncated, format="csr")).tocsr()
         result = lanczos_extremal(lambda x: H @ x, grid.size, eig_count,
                                   max_iters=max_iters, seed=seed, tol=tol)

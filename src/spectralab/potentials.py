@@ -32,11 +32,13 @@ __all__ = [
     "DegeneracyVerdict",
     "parse_potential",
     "evaluate",
+    "guard_values",
     "to_polynomial",
     "degeneracy_direction",
 ]
 
 _FUNCTIONS = ("exp", "abs")
+NEGATIVE_TOLERANCE = 1e-9
 
 
 class ParseError(ValueError):
@@ -307,8 +309,8 @@ class PotentialExpr:
     """Parsed potential: AST root, dimension, source text, nonnegativity flag.
 
     `nonneg_certified` is a syntactic certificate (see `_certify_nonneg`);
-    consumers that require V >= 0 must still guard evaluated values at the
-    -1e-9 tolerance when the certificate is absent.
+    consumers that require V >= 0 must still guard evaluated values
+    (`guard_values`) when the certificate is absent.
     """
 
     dimension: int
@@ -342,6 +344,30 @@ def evaluate(expr: PotentialExpr, points) -> np.ndarray:
         raise ValueError(f"points must have shape (n, {expr.dimension}), got {np.shape(points)}")
     values = expr.root.eval(pts)
     return values[0] if single else values
+
+
+def guard_values(expr: PotentialExpr, values: np.ndarray, where: str,
+                 finite: bool = False) -> np.ndarray:
+    """Return evaluated values of `expr` once they are defined and V >= 0.
+
+    Values in [-1e-9, 0) are roundoff zeros and pass.  NaN (inf - inf from
+    two overflowing terms, for instance) is rejected by name.  +inf is a
+    correct value of an overflowing exp() term: it lies outside every
+    sublevel set and damps exp(-V) to 0, so it passes unless `finite` is
+    set, as it is for the Hamiltonian and its eigensolver.
+    """
+    bad = ~np.isfinite(values) if finite else np.isnan(values)
+    if bad.any():
+        raise ValueError(
+            f"potential {expr.source!r} is non-finite ({values[bad][0]}) {where}"
+        )
+    low = float(np.min(values)) if values.size else 0.0
+    if low < -NEGATIVE_TOLERANCE:
+        raise ValueError(
+            f"negative potential value {low:.6g} {where} "
+            f"(tolerance {NEGATIVE_TOLERANCE:g})"
+        )
+    return values
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .potentials import PotentialExpr, evaluate
+from .potentials import PotentialExpr, evaluate, guard_values
 
 __all__ = [
     "Region",
@@ -29,9 +29,8 @@ __all__ = [
     "decay_fit",
     "thinness",
     "growth_check",
+    "check_radii",
 ]
-
-NEGATIVE_TOLERANCE = 1e-9
 
 
 def derived_rng(master_seed: int, *key) -> np.random.Generator:
@@ -167,17 +166,9 @@ class DecayFit:
     local_measures: tuple
 
 
-def _values_with_guard(V: PotentialExpr, pts: np.ndarray) -> np.ndarray:
-    values = evaluate(V, pts)
-    worst = float(np.min(values)) if values.size else 0.0
-    if worst < -NEGATIVE_TOLERANCE:
-        raise ValueError(f"potential is negative ({worst:.3e}) beyond the -1e-9 tolerance")
-    return values
-
-
 def _membership(V: PotentialExpr, M: float, pts: np.ndarray) -> np.ndarray:
     # values within [-tol, 0) are roundoff zeros and count as inside
-    return _values_with_guard(V, pts) < M
+    return guard_values(V, evaluate(V, pts), "at a sample point") < M
 
 
 def indicator(V: PotentialExpr, M: float, x) -> bool:
@@ -316,6 +307,15 @@ def _omega_batch(V, M, centers, ell, sub_budget, rng) -> np.ndarray:
     return out
 
 
+def check_radii(radii) -> list:
+    """The radii as floats, once they are >= 3 strictly increasing positives."""
+    radii = [float(R) for R in radii]
+    if len(radii) < 3 or any(b <= a for a, b in zip(radii, radii[1:])) or radii[0] <= 0:
+        raise ValueError("radii must be at least three strictly increasing "
+                         "positive values")
+    return radii
+
+
 def thinness(
     V: PotentialExpr,
     M: float,
@@ -340,9 +340,7 @@ def thinness(
     both > 0.9 as divergent-evidence, anything else inconclusive.  This is
     numerical evidence about a truncated integral, not a proof.
     """
-    radii = [float(R) for R in radii]
-    if len(radii) < 3 or any(b <= a for a, b in zip(radii, radii[1:])) or radii[0] <= 0:
-        raise ValueError("radii must be >= 3 strictly increasing positive values")
+    radii = check_radii(radii)
     if r <= 0:
         raise ValueError("r must be > 0")
     if ell <= 0:

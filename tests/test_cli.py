@@ -10,6 +10,10 @@ the Python API with the same seed must match the CLI output exactly.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +31,15 @@ WELL = "x1^2 + x2^2"
 
 def run_cli(*args):
     return main(list(args))
+
+
+def run_cli_process(*args, **env):
+    """Run the CLI in a fresh interpreter with extra environment variables."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "spectralab.cli", *args],
+                          env={**os.environ, "PYTHONPATH": path, **env},
+                          capture_output=True, text=True, timeout=300)
 
 
 def read_json(path):
@@ -114,6 +127,10 @@ class TestResolveConfig:
             resolve_config("sublevel", {"potential": WELL, "M": 0.0}, {})
         with pytest.raises(ValueError):
             resolve_config("sublevel", {"potential": "x9^2"}, {})
+        with pytest.raises(ValueError, match="at least three"):
+            resolve_config("thinness", {"potential": WELL, "radii": (10.0, 20.0)}, {})
+        with pytest.raises(ValueError, match="seed must be"):
+            resolve_config("sublevel", {"potential": WELL, "seed": -3}, {})
 
 
 class TestExitCodes:
@@ -127,6 +144,32 @@ class TestExitCodes:
                        "--L", "8", "--output-dir", str(tmp_path)) == 2
         assert run_cli("sublevel", "--potential", "x1^(", "--nu", "1",
                        "--output-dir", str(tmp_path)) == 2
+
+    def test_invalid_config_creates_no_output_dir(self, tmp_path):
+        thin, seed = tmp_path / "thin", tmp_path / "seed"
+        assert run_cli("thinness", "--potential", "x1^2", "--radii", "10,20",
+                       "--output-dir", str(thin)) == 2
+        assert run_cli("sublevel", "--potential", WELL, "--seed", "-3",
+                       "--output-dir", str(seed)) == 2
+        assert not thin.exists() and not seed.exists()
+
+    def test_non_finite_potential_is_two_without_traceback(self, tmp_path):
+        proc = run_cli_process("spectrum", "--potential", "exp(x1^2)", "--nu", "1",
+                               "--L", "30,40", "--h", "0.1",
+                               "--output-dir", str(tmp_path))
+        assert proc.returncode == 2
+        assert "potential 'exp(x1^2)' is non-finite" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_overflowing_potential_runs_outside_the_spectrum(self, tmp_path):
+        # exp(x1^2) overflows to +inf past |x1| ~ 26.6, inside the default
+        # radii; such points lie outside every sublevel set.
+        code = run_cli("thinness", "--potential", "exp(x1^2) - 1", "--nu", "2",
+                       "--M", "1", "--r", "1", "--budget", "2000",
+                       "--output-dir", str(tmp_path))
+        assert code == 0
+        report = read_json(tmp_path / "thinness-report.json")
+        assert report["radii"][-1] > 27.0
 
     def test_kernel_power_guard_is_two(self, tmp_path, capsys):
         code = run_cli("kernel-power", "--potential", WELL, "--M", "1",
@@ -289,6 +332,19 @@ class TestReproducibility:
         man_b["config"].pop("output_dir")
         differing = {k for k in man_a if man_a[k] != man_b[k]}
         assert differing <= {"wall_clock_seconds"}
+
+    def test_spectrum_payload_same_bytes_across_blas_threads(self, tmp_path):
+        args = ("spectrum", "--potential", "x1^2*x2^2", "--nu", "2",
+                "--L", "3,4", "--h", "0.1", "--k", "5", "--seed", "0")
+        digests = set()
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads-{threads}"
+            proc = run_cli_process(*args, "--output-dir", str(out),
+                                   OPENBLAS_NUM_THREADS=threads)
+            assert proc.returncode == 0, proc.stderr
+            blob = (out / "spectrum-report.json").read_bytes()
+            digests.add(hashlib.sha256(blob).hexdigest())
+        assert len(digests) == 1
 
     def test_manifest_config_reruns_to_same_results(self, tmp_path):
         first = tmp_path / "first"

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from spectralab import linalg
 from spectralab.linalg import (
     LanczosResult,
     SpectralDecomposition,
@@ -275,6 +276,9 @@ def test_lanczos_degenerate_diagonal():
     res = lanczos_extremal(lambda v: diag * v, dim=8, k=3, seed=3)
     assert res.converged
     assert np.allclose(res.eigenvalues, [1.0, 1.0, 2.0], rtol=0, atol=1e-10)
+    full = lanczos_extremal(lambda v: diag * v, dim=8, k=8, seed=3)
+    assert full.converged
+    assert np.allclose(full.eigenvalues, np.sort(diag), rtol=0, atol=1e-12)
 
 
 def test_lanczos_dirichlet_laplacian_smallest_mode():
@@ -297,6 +301,8 @@ def test_lanczos_dirichlet_laplacian_smallest_mode():
 def test_lanczos_symmetry_check_rejects_nonsymmetric_map():
     with pytest.raises(ValueError, match="symmetry"):
         lanczos_extremal(lambda v: np.roll(v, 1), dim=50, k=1, seed=5)
+    with pytest.raises(ValueError, match="non-finite"):
+        lanczos_extremal(lambda v: v * np.nan, dim=50, k=1, seed=5)
 
 
 def test_lanczos_partial_results_on_tiny_budget():
@@ -312,6 +318,31 @@ def test_lanczos_partial_results_on_tiny_budget():
     assert not res.converged
     assert res.note != ""
     assert res.eigenvalues.size <= 5
+    # whatever is kept is the lowest part of the spectrum, index by index
+    exact = (2.0 - 2.0 * np.cos(np.pi * np.arange(1, 6) / 400.0)) / h**2
+    m = res.eigenvalues.size
+    assert np.allclose(res.eigenvalues, exact[:m], rtol=1e-9, atol=0)
+
+
+def test_lanczos_partial_pairs_missing_a_lower_value(monkeypatch):
+    # ARPACK stopped at its cap with the 2nd and 3rd pairs converged but
+    # not the lowest: the certificate must restore index order.
+    diag = np.arange(1.0, 41.0)
+    arpack = linalg._arpack_smallest
+    calls = []
+
+    def capped_first_run(apply, dim, k, v0, rng, max_iters, tol):
+        calls.append(k)
+        if len(calls) > 1:
+            return arpack(apply, dim, k, v0, rng, max_iters, tol)
+        return np.array([2.0, 3.0]), np.eye(dim)[:, 1:3], False
+
+    monkeypatch.setattr(linalg, "_arpack_smallest", capped_first_run)
+    res = lanczos_extremal(lambda v: diag * v, dim=40, k=5, seed=0)
+    assert not res.converged
+    assert res.note == "inner iteration cap reached"
+    assert np.allclose(res.eigenvalues, [1.0, 2.0], rtol=0, atol=1e-10)
+    assert np.all(res.residuals <= 1e-8)
 
 
 def test_lanczos_guards():

@@ -47,8 +47,12 @@ def test_indicator_guards():
     with pytest.raises(ValueError):
         indicator(CROSS, 0.0, (0.0, 0.0))
     negative = parse_potential("x1 - 100", 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="negative potential"):
         indicator(negative, 1.0, (0.0, 0.0))
+    # exp() overflowing to +inf is a correct value: the point lies outside
+    assert not indicator(parse_potential("exp(x1^2)", 2), 1.0, (40.0, 0.0))
+    with pytest.raises(ValueError, match="non-finite"):
+        indicator(parse_potential("exp(x1^2) - exp(x1^2)", 2), 1.0, (40.0, 0.0))
 
 
 def test_region_validation():
