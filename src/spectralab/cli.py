@@ -9,7 +9,9 @@ into the output directory.
 Exit codes: 0 when all enabled checks pass (verdicts such as
 "not-stabilized" or "divergent-evidence" are findings, not failures),
 1 when a mathematical check fails (the failing check is named on stderr),
-2 on usage or configuration errors.
+2 on usage or configuration errors ("configuration error: ...") and on
+numerical failures found during the run ("run failed: ..."); a failed run
+removes the output directory again if it created it.
 """
 
 from __future__ import annotations
@@ -282,7 +284,7 @@ def _run_heat_diagnostics(config: RunConfig, out: Path):
     grid = Grid(config.nu, config.L[0], config.h)
     mask = potential_on_grid(grid, V) < config.M
     kernel = heat_matrix(grid, config.s, config.mode)
-    diag = hs_diagnostics(kernel, mask, config.s)
+    diag = hs_diagnostics(kernel, mask, config.s, config.mode)
     files = [write_json(out / "heat-diagnostics-report.json", diag)]
     files += emit_plot_data("heat-diagnostics", diag, out)
     return _diagnostic_exit(diag), _diagnostic_checks(diag), "", files
@@ -325,9 +327,18 @@ _RUNNERS = {
 
 def execute(config: RunConfig) -> int:
     out = Path(config.output_dir)
+    created = [d for d in (out, *out.parents) if not d.exists()]
     out.mkdir(parents=True, exist_ok=True)
     started = time.time()
-    code, checks, verdict, files = _RUNNERS[config.subcommand](config, out)
+    try:
+        code, checks, verdict, files = _RUNNERS[config.subcommand](config, out)
+    except BaseException:
+        for directory in created:  # innermost first; rmdir spares any file
+            try:
+                directory.rmdir()
+            except OSError:
+                break
+        raise
     elapsed = time.time() - started
     inventory = tuple(
         {"name": p.name, "sha256": file_digest(p), "bytes": p.stat().st_size}
@@ -429,7 +440,7 @@ def main(argv=None) -> int:
     try:
         return execute(config)
     except ValueError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
+        print(f"run failed: {exc}", file=sys.stderr)
         return 2
 
 

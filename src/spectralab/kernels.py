@@ -11,6 +11,12 @@ slack, so pairs exactly on a ball boundary land inside consistently across
 every function here; that keeps the support bookkeeping exact: a chain of
 hops of lattice length <= R stays inside the lattice ball of the summed
 radius, with no floating-point fringe cases.
+
+Kernels cut down to the sublevel set {V < M} vanish outside it, so the
+proximity kernel, its powers and the product kernel C^T C are formed and
+checked on the block of grid points where they can be nonzero; entries off
+that block are exact zeros and enter each maximum as such.  Operator norms
+of large kernels come from ARPACK (Lanczos on M^T M) rather than an SVD.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .operators import Grid, potential_on_grid
 from .potentials import PotentialExpr
@@ -48,6 +55,10 @@ __all__ = [
 
 EXACT_SVD_LIMIT = 2048
 LATTICE_SLACK = 1e-9
+# Lanczos vectors ARPACK keeps for an operator norm.  The seven norms of the
+# criterion-7 kernel sequence take 97 Gram products in all at 10 (147 at
+# ARPACK's default of 20), each within 7e-16 of the SVD value.
+NORM_BASIS = 10
 
 
 @dataclass(frozen=True)
@@ -107,46 +118,42 @@ def kernel_singular_values(K: KernelMatrix) -> np.ndarray:
     return K.weight * np.linalg.svd(K.values, compute_uv=False)
 
 
-def _top_singular_value(M: np.ndarray, seed: int = 0, max_iters: int = 600,
-                        tol: float = 1e-13) -> float:
-    """Largest singular value by seeded power iteration on M^T M."""
-    rng = derived_rng(seed, "power-iteration")
-    v = rng.standard_normal(M.shape[1])
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    stagnant = 0
-    for _ in range(max_iters):
-        u = M @ v
-        su = np.linalg.norm(u)
-        if su == 0.0:
-            return 0.0
-        w = M.T @ (u / su)
-        sw = np.linalg.norm(w)
-        if sw == 0.0:
-            return 0.0
-        v = w / sw
-        if abs(sw - sigma) <= tol * max(sw, 1e-300):
-            stagnant += 1
-            if stagnant >= 2:
-                return sw
-        else:
-            stagnant = 0
-        sigma = sw
-    return sigma
+def _largest_singular_value(M: np.ndarray, seed: int = 0) -> float:
+    """sigma_max(M) from ARPACK's Lanczos on x -> M^T (M x).
+
+    The iteration runs over the nonzero columns of M only (the matrix is
+    read in place, never copied).  Raises ArpackNoConvergence rather than
+    return an unconverged lower bound.
+    """
+    cols = np.flatnonzero(np.any(M, axis=0))
+    if cols.size < 2:
+        return float(np.linalg.norm(M[:, cols]))
+    embedded = np.zeros(M.shape[1])
+
+    def gram(x):
+        embedded[cols] = x
+        return (M.T @ (M @ embedded))[cols]
+
+    v0 = derived_rng(seed, "operator-norm").standard_normal(cols.size)
+    top = eigsh(LinearOperator((cols.size, cols.size), matvec=gram, dtype=float),
+                k=1, which="LA", v0=v0, ncv=min(NORM_BASIS, cols.size),
+                return_eigenvectors=False)
+    return math.sqrt(max(float(top[0]), 0.0))
 
 
 def operator_norm(K: KernelMatrix, seed: int = 0) -> float:
     """Operator norm w * sigma_max(K).
 
-    Small matrices use an exact SVD; larger ones a seeded power iteration
-    (deterministic for a fixed seed), accurate far beyond the tolerances of
-    any norm bound checked here.
+    Matrices up to EXACT_SVD_LIMIT use an exact SVD; larger ones ARPACK on
+    the Gram map over the nonzero columns, converged to machine precision
+    from a start vector drawn from `seed` (ArpackNoConvergence is raised,
+    never a partial estimate).
     """
     if max(K.values.shape) <= EXACT_SVD_LIMIT:
         sigma = np.linalg.svd(K.values, compute_uv=False)
         top = float(sigma[0]) if sigma.size else 0.0
     else:
-        top = _top_singular_value(K.values, seed=seed)
+        top = _largest_singular_value(K.values, seed=seed)
     return K.weight * top
 
 
@@ -162,22 +169,28 @@ def _pairwise_sq_dist(points_a: np.ndarray, points_b: np.ndarray) -> np.ndarray:
     return d2
 
 
-def _axis_indices(grid: Grid) -> tuple:
-    shape = (grid.points_per_axis,) * grid.nu
-    return np.unravel_index(np.arange(grid.size), shape)
-
-
-def _lattice_ball_mask(grid: Grid, radius: float) -> np.ndarray:
-    """Boolean pair mask [|x_i - x_j| <= radius] on integer lattice offsets."""
+def _lattice_cutoff(grid: Grid, radius: float) -> float:
+    """Largest squared integer lattice offset inside the ball of `radius`."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
     cells_sq = (radius / grid.spacing) ** 2
-    cutoff = cells_sq * (1.0 + LATTICE_SLACK) + LATTICE_SLACK
-    d2int = np.zeros((grid.size, grid.size), dtype=np.int64)
-    for idx in _axis_indices(grid):
-        offs = idx.astype(np.int64)
-        d2int += (offs[:, None] - offs[None, :]) ** 2
-    return d2int <= cutoff
+    return cells_sq * (1.0 + LATTICE_SLACK) + LATTICE_SLACK
+
+
+def _lattice_ball_mask(grid: Grid, radius: float, rows=None, cols=None) -> np.ndarray:
+    """Boolean pair mask [|x_i - x_j| <= radius] on integer lattice offsets.
+
+    Covers the point pairs rows x cols (index arrays; all points by default).
+    """
+    everything = np.arange(grid.size)
+    rows = everything if rows is None else np.asarray(rows)
+    cols = everything if cols is None else np.asarray(cols)
+    shape = (grid.points_per_axis,) * grid.nu
+    d2 = np.zeros((rows.size, cols.size), dtype=np.int64)
+    for a, b in zip(np.unravel_index(rows, shape), np.unravel_index(cols, shape)):
+        offset = a.astype(np.int64)[:, None] - b.astype(np.int64)[None, :]
+        d2 += np.square(offset, out=offset)
+    return d2 <= _lattice_cutoff(grid, radius)
 
 
 def heat_matrix(grid: Grid, s: float = 1.0, mode: str = "gaussian-kernel") -> KernelMatrix:
@@ -205,9 +218,9 @@ def heat_matrix(grid: Grid, s: float = 1.0, mode: str = "gaussian-kernel") -> Ke
         E1 = (E1 + E1.T) / 2.0
         E = E1
         for _ in range(grid.nu - 1):
-            E = np.kron(E, E1)
-        E = (E + E.T) / 2.0
-        return KernelMatrix(grid, E / grid.weight)
+            E = np.kron(E, E1)  # exactly symmetric, as E1 is
+        E /= grid.weight
+        return KernelMatrix(grid, E)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -268,14 +281,40 @@ class CompactnessDiagnostics:
         return all(check.passed for check in self.checks)
 
 
-def hs_diagnostics(K: KernelMatrix, mask, s: float = 1.0) -> CompactnessDiagnostics:
+def _dominating_heat_kernel(grid: Grid, mask, s: float, mode: str) -> np.ndarray:
+    """Heat kernel that bounds heat_matrix(grid, s, mode) on columns `mask`.
+
+    The gaussian-kernel mode is bounded by the Gaussian itself.  The
+    Dirichlet semigroup of expm-of-laplacian is bounded, by domain
+    monotonicity, by the heat kernel of the infinite lattice h Z^nu:
+    prod_a (1/h) e^{-2s/h^2} I_{|n_a|}(2s/h^2) at lattice offset n.
+    """
+    if mode == "gaussian-kernel":
+        d2 = _pairwise_sq_dist(grid.points, grid.points[mask])
+        return (4.0 * math.pi * s) ** (-grid.nu / 2.0) * np.exp(-d2 / (4.0 * s))
+    from scipy.special import ive  # only this mode needs it
+
+    n = grid.points_per_axis
+    h = grid.spacing
+    per_offset = ive(np.arange(n), 2.0 * s / h**2) / h
+    cols = np.flatnonzero(mask)
+    dominating = np.ones((1, cols.size))
+    for col_axis in np.unravel_index(cols, (n,) * grid.nu):
+        factor = per_offset[np.abs(np.arange(n)[:, None] - col_axis[None, :])]
+        dominating = (dominating[:, None, :] * factor[None, :, :]).reshape(-1, cols.size)
+    return dominating
+
+
+def hs_diagnostics(K: KernelMatrix, mask, s: float = 1.0,
+                   mode: str = "gaussian-kernel") -> CompactnessDiagnostics:
     """Compactness evidence for the masked operator K chi.
 
-    Checks, in order: pointwise domination of |K chi| by the Gaussian at
-    time s (an equality when K came from the gaussian-kernel mode), row vs
-    column sup bounds of K and their gap, the sup-bound estimate of the HS
-    norm, and the sharper Gaussian-mass estimate
-    HS^2 <= |f|_{L2}^2 * |masked region|.
+    K is the heat kernel heat_matrix(grid, s, mode).  Checks, in order:
+    pointwise domination of |K chi| by the dominating heat kernel of that
+    mode (the Gaussian at time s, an equality for gaussian-kernel; the
+    infinite-lattice kernel for expm-of-laplacian), row vs column sup bounds
+    of K and their gap, the sup-bound estimate of the HS norm, and the
+    sharper Gaussian-mass estimate HS^2 <= |f|_{L2}^2 * |masked region|.
     """
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != (K.grid.size,):
@@ -292,8 +331,7 @@ def hs_diagnostics(K: KernelMatrix, mask, s: float = 1.0) -> CompactnessDiagnost
 
     coef = (4.0 * math.pi * s) ** (-nu / 2.0)
     if count:
-        d2 = _pairwise_sq_dist(K.grid.points, K.grid.points[mask])
-        dominating = coef * np.exp(-d2 / (4.0 * s))
+        dominating = _dominating_heat_kernel(K.grid, mask, s, mode)
         excess = float(np.max(np.abs(masked) - dominating))
     else:
         excess = 0.0
@@ -333,8 +371,8 @@ def truncated_convolution(grid: Grid, s: float, R: float):
     """
     if R <= 0:
         raise ValueError("R must be > 0")
-    heat = heat_matrix(grid, s)
     inside = _lattice_ball_mask(grid, R)
+    heat = heat_matrix(grid, s)
     F = KernelMatrix(grid, np.where(inside, heat.values, 0.0))
 
     n = grid.points_per_axis
@@ -344,9 +382,7 @@ def truncated_convolution(grid: Grid, s: float, R: float):
     d2int = np.zeros(mesh[0].shape, dtype=np.int64)
     for m in mesh:
         d2int += m * m
-    cells_sq = (R / h) ** 2
-    cutoff = cells_sq * (1.0 + LATTICE_SLACK) + LATTICE_SLACK
-    outside = d2int > cutoff
+    outside = d2int > _lattice_cutoff(grid, R)
     coef = (4.0 * math.pi * s) ** (-grid.nu / 2.0)
     gauss = coef * np.exp(-(d2int[outside] * h * h) / (4.0 * s))
     lattice_tail = grid.weight * float(np.sum(gauss))
@@ -359,9 +395,20 @@ def truncated_convolution(grid: Grid, s: float, R: float):
 def d_kernel(grid: Grid, V: PotentialExpr, M: float, R: float) -> KernelMatrix:
     """0/1 proximity kernel chi(x) [|x-y| <= 2R] chi(y) on the sublevel set."""
     grid.require_dense_budget()
-    chi = (potential_on_grid(grid, V) < M).astype(float)
-    ball = _lattice_ball_mask(grid, 2.0 * R).astype(float)
-    return KernelMatrix(grid, chi[:, None] * ball * chi[None, :])
+    inside = np.flatnonzero(potential_on_grid(grid, V) < M)
+    values = np.zeros((grid.size, grid.size))
+    values[np.ix_(inside, inside)] = _lattice_ball_mask(grid, 2.0 * R, inside, inside)
+    return KernelMatrix(grid, values)
+
+
+def _range_off_block(values: np.ndarray, idx: np.ndarray):
+    """(min, max) of a square matrix's entries outside the idx x idx block.
+
+    Returns (inf, -inf) when the block is the whole matrix.
+    """
+    off = ~(idx[:, None] & idx[None, :])
+    return (float(np.min(values, where=off, initial=np.inf)),
+            float(np.max(values, where=off, initial=-np.inf)))
 
 
 def domination_check(C_MR: KernelMatrix, D: KernelMatrix) -> CompactnessDiagnostics:
@@ -370,12 +417,20 @@ def domination_check(C_MR: KernelMatrix, D: KernelMatrix) -> CompactnessDiagnost
     Reports the smallest admissible c and verifies that the product kernel
     vanishes wherever D does; a violation is raised, since the truncation
     radii make off-support products impossible by construction.
+
+    The product kernel w C^T C vanishes outside the block of the nonzero
+    columns of C, so it is formed there only; D's entries off the block
+    meet a zero product.
     """
     if C_MR.grid != D.grid:
         raise ValueError("grid mismatch between the kernels")
-    product = compose(adjoint(C_MR), C_MR)
-    P = product.values
-    support = D.values != 0.0
+    cols = np.any(C_MR.values, axis=0)
+    C = C_MR.values[:, cols]
+    P = C_MR.weight * (C.T @ C)
+    D_block = D.values[np.ix_(cols, cols)]
+    support = D_block != 0.0
+    d_lo, d_hi = _range_off_block(D.values, cols)
+
     peak = float(np.max(P)) if P.size else 0.0
     off = P[~support]
     off_max = float(np.max(np.abs(off))) if off.size else 0.0
@@ -386,19 +441,22 @@ def domination_check(C_MR: KernelMatrix, D: KernelMatrix) -> CompactnessDiagnost
             "vanishes (implementation bug, not a tunable)"
         )
     on = P[support]
-    c = float(np.max(on)) if on.size else 0.0
+    c = 0.0
+    if on.size:
+        # where D is nonzero off the block, it meets a zero product
+        c = float(np.max(on, initial=0.0 if d_lo < 0.0 or d_hi > 0.0 else -np.inf))
+    # off the block P - c D = -c D, largest at an extreme entry of D there
+    off_block = [0.0 - c * d for d in (d_lo, d_hi) if math.isfinite(d)]
+    dominated = max([float(np.max(P - c * D_block, initial=-np.inf)), *off_block])
 
-    cols = np.any(C_MR.values != 0.0, axis=0)
-    block = P[np.ix_(cols, cols)]
-    if block.size:
-        sv = C_MR.weight * np.linalg.svd(block, compute_uv=False)
+    if P.size:
+        sv = C_MR.weight * np.linalg.svd(P, compute_uv=False)
     else:
         sv = np.zeros(0)
     hs = C_MR.weight * float(np.linalg.norm(P, "fro"))
     checks = (
         _bound("support-containment", off_max, 0.0, tol_support),
-        _bound("dominated-by-c-D", float(np.max(P - c * D.values)) if P.size else 0.0,
-               0.0, 1e-12 * max(1.0, c)),
+        _bound("dominated-by-c-D", dominated, 0.0, 1e-12 * max(1.0, c)),
     )
     return CompactnessDiagnostics(sv, hs, checks, {"c": c})
 
@@ -413,30 +471,46 @@ def kernel_power_bound(D: KernelMatrix, k: int, V: PotentialExpr, M: float,
     2kR -- the same argument as the continuum one, restricted to grid sums,
     hence exact up to roundoff.  The HS norm of D^k is reported against the
     integral bound (sup ball measure) * integral of omega^{2k-2}.
+
+    Everything is computed on the block U of the nonzero rows and columns
+    of D together with the sublevel points: off U x U both D^k and the bound
+    times chi vanish, so those entries add exact zeros.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
     grid = D.grid
     grid.require_dense_budget()
     w = D.weight
-    P = D.values.copy()
+    chi_all = potential_on_grid(grid, V) < M
+    U = np.flatnonzero(np.any(D.values, axis=0) | np.any(D.values, axis=1) | chi_all)
+    D_U = D.values[np.ix_(U, U)]
+    P = D_U.copy()
     for _ in range(k - 1):
-        P = w * (P @ D.values)
+        P = w * (P @ D_U)
 
-    chi = (potential_on_grid(grid, V) < M).astype(float)
-    reach = _lattice_ball_mask(grid, 2.0 * k * R).astype(float)
-    omega = w * (reach @ chi)
-    bound_matrix = reach * (omega ** (k - 1))[None, :] * chi[None, :]
+    radius = 2.0 * k * R
+    chi = chi_all[U].astype(float)
+    reach = _lattice_ball_mask(grid, radius, U, U).astype(float)
+    omega = w * (reach @ chi)   # every sublevel point lies in U: exact counts
+    bound_matrix = reach * (omega ** (k - 1) * chi)[None, :]
 
     scale = np.maximum(bound_matrix, 1e-300)
-    rel_excess = float(np.max((P - bound_matrix) / scale))
+    # a column outside U (chi = 0 there) has P = bound = 0: excess 0
+    rel_excess = float(np.max((P - bound_matrix) / scale,
+                              initial=0.0 if U.size < grid.size else -np.inf))
     hs2 = w * w * float(np.sum(P**2))
-    ball_sup = w * float(np.max(np.sum(reach, axis=0)))
-    omega_integral = w * float(np.sum(chi * omega ** (2 * k - 2)))
+    # Column counts of the lattice ball within the box peak at the central
+    # point.  A column's count is a sum, over the offsets along the other
+    # axes, of 1-D counts #{o : |o| <= r, 0 <= j + o < n}, and each of those
+    # is largest at j = (n - 1) // 2 whatever r is; so centre every axis.
+    centre = np.ravel_multi_index(((grid.points_per_axis - 1) // 2,) * grid.nu,
+                                  (grid.points_per_axis,) * grid.nu)
+    ball_sup = w * float(np.count_nonzero(_lattice_ball_mask(grid, radius, [centre])))
+    inside = chi != 0.0
+    omega_integral = w * float(np.sum(omega[inside] ** (2 * k - 2)))
     hs_bound = ball_sup * omega_integral
 
-    idx = chi != 0.0
-    block = P[np.ix_(idx, idx)]
+    block = P[np.ix_(inside, inside)]
     if block.size:
         sv = w * np.linalg.svd(block, compute_uv=False)
     else:
@@ -448,8 +522,8 @@ def kernel_power_bound(D: KernelMatrix, k: int, V: PotentialExpr, M: float,
     )
     constants = {
         "ball_measure_sup": ball_sup,
-        "analytic_ball_volume": ball_volume(grid.nu, 2.0 * k * R),
+        "analytic_ball_volume": ball_volume(grid.nu, radius),
         "omega_integral": omega_integral,
-        "omega_max": float(np.max(omega * chi)) if chi.any() else 0.0,
+        "omega_max": float(np.max(omega[inside])) if inside.any() else 0.0,
     }
     return CompactnessDiagnostics(sv, math.sqrt(hs2), checks, constants)

@@ -4,7 +4,7 @@ Oracle routes: every emitted file is read back with the stdlib json/csv
 parsers; manifests are cross-checked by recomputing sha256 digests of the
 listed files; reproducibility is asserted at the byte level by running the
 same configuration twice; exit codes are pinned (0 findings, 1 failed
-check, 2 usage errors).  Library results (measure, thinness) re-run through
+check, 2 usage, configuration and mid-run numerical errors).  Library results (measure, thinness) re-run through
 the Python API with the same seed must match the CLI output exactly.
 """
 
@@ -161,6 +161,28 @@ class TestExitCodes:
         assert "potential 'exp(x1^2)' is non-finite" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_mid_run_failure_is_labelled_and_leaves_no_directory(self, tmp_path,
+                                                                 capsys):
+        # the configuration is valid; the potential overflows on the grid
+        out = tmp_path / "new" / "out"
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code = run_cli("spectrum", "--potential", "exp(x1^2)", "--nu", "1",
+                           "--L", "30,40", "--h", "0.1", "--output-dir", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("run failed: potential 'exp(x1^2)' is non-finite")
+        assert "configuration error" not in err
+        assert not (tmp_path / "new").exists()
+
+    def test_failed_run_keeps_an_existing_directory(self, tmp_path):
+        keep = tmp_path / "keep.txt"
+        keep.write_text("x")
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert run_cli("spectrum", "--potential", "exp(x1^2)", "--nu", "1",
+                           "--L", "30,40", "--h", "0.1",
+                           "--output-dir", str(tmp_path)) == 2
+        assert sorted(tmp_path.iterdir()) == [keep]
+
     def test_overflowing_potential_runs_outside_the_spectrum(self, tmp_path):
         # exp(x1^2) overflows to +inf past |x1| ~ 26.6, inside the default
         # radii; such points lie outside every sublevel set.
@@ -298,6 +320,18 @@ class TestHeatDiagnosticsRun:
         assert report["hs_norm"] > 0
         lines = (tmp_path / "heat-diagnostics-singular-values.dat").read_text()
         assert lines.splitlines()[0] == "# n mu_n"
+
+    def test_expm_mode_passes_its_domination_check(self, tmp_path):
+        # near the diagonal the Dirichlet kernel exceeds the Gaussian; it is
+        # checked against the infinite-lattice kernel instead
+        code = run_cli("heat-diagnostics", "--potential", "x1^2*x2^2", "--nu", "2",
+                       "--M", "1", "--L", "4", "--h", "0.1",
+                       "--mode", "expm-of-laplacian", "--output-dir", str(tmp_path))
+        assert code == 0
+        report = read_json(tmp_path / "heat-diagnostics-report.json")
+        domination = report["checks"][0]
+        assert domination["name"] == "pointwise-domination"
+        assert domination["lhs"] <= domination["tol"]
 
 
 class TestKernelPowerRun:

@@ -7,7 +7,11 @@ Oracle routes kept independent of the code under test:
   (2 pi s)^{nu/2} (4 pi s)^{-nu}, 2-D radial tail exp(-R^2/4s);
 - 0/1 kernels are recomputed entry by entry from scratch;
 - Hilbert-Schmidt norms from entries are compared with the singular-value
-  route, and the power iteration with a full SVD.
+  route, and the ARPACK operator norm with a full SVD;
+- the support-restricted kernel_power_bound and domination_check are
+  compared with their dense N x N formulas, written out here;
+- the Dirichlet heat kernel of the expm-of-laplacian mode is compared with
+  the infinite-lattice kernel written as a Fourier integral.
 """
 
 import math
@@ -15,9 +19,12 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.sparse.linalg import ArpackNoConvergence
 
+from spectralab import kernels
 from spectralab.inequalities import compactness_proxy
 from spectralab.kernels import (
+    EXACT_SVD_LIMIT,
     KernelMatrix,
     adjoint,
     apply_kernel,
@@ -35,7 +42,7 @@ from spectralab.kernels import (
     operator_norm,
     split_tail,
     truncated_convolution,
-    _top_singular_value,
+    _largest_singular_value,
 )
 from spectralab.operators import Grid, discrete_laplacian, potential_on_grid
 from spectralab.potentials import parse_potential
@@ -113,8 +120,39 @@ class TestKernelMatrix:
         rng = derived_rng(9, "power-check")
         M = rng.standard_normal((300, 180))
         expected = np.linalg.svd(M, compute_uv=False)[0]
-        got = _top_singular_value(M, seed=3)
-        assert abs(got - expected) <= 1e-9 * expected
+        got = _largest_singular_value(M, seed=3)
+        assert abs(got - expected) <= 1e-12 * expected
+
+    def test_operator_norm_above_the_svd_limit_matches_numpy_svd(self):
+        g = Grid(1, 103.0, 0.1)
+        assert g.size > EXACT_SVD_LIMIT
+        rng = derived_rng(10, "large-norm")
+        values = rng.standard_normal((g.size, g.size))
+        zero = rng.random(g.size) < 0.85   # skipped columns
+        values[:, zero] = 0.0
+        # zero columns add only zero singular values
+        expected = g.weight * np.linalg.svd(values[:, ~zero], compute_uv=False)[0]
+        got = operator_norm(KernelMatrix(g, values), seed=4)
+        assert abs(got - expected) <= 1e-12 * expected
+
+    def test_operator_norm_raises_instead_of_returning_a_partial_estimate(
+            self, monkeypatch):
+        g = Grid(1, 103.0, 0.1)
+        values = derived_rng(17, "capped-norm").standard_normal((g.size, g.size))
+        capped = kernels.eigsh
+        monkeypatch.setattr(kernels, "eigsh",
+                            lambda *args, **kw: capped(*args, maxiter=1, **kw))
+        with pytest.raises(ArpackNoConvergence):
+            operator_norm(KernelMatrix(g, values))
+
+    def test_operator_norm_above_the_svd_limit_with_fewer_than_two_columns(self):
+        g = Grid(1, 103.0, 0.1)
+        values = np.zeros((g.size, g.size))
+        assert operator_norm(KernelMatrix(g, values)) == 0.0
+        values[::3, 7] = 2.0
+        expected = g.weight * float(np.linalg.norm(values[:, 7]))
+        assert operator_norm(KernelMatrix(g, values)) == pytest.approx(
+            expected, rel=1e-15)
 
     def test_apply_kernel_weights_the_sum(self):
         g = Grid(1, 1.0, 0.5)
@@ -278,6 +316,33 @@ class TestHsDiagnostics:
         diag = hs_diagnostics(heat_matrix(g, 1.0), np.ones(g.size, bool))
         gap = {c.name: c for c in diag.checks}["row-column-gap"]
         assert gap.passed
+
+    def test_lattice_kernel_dominates_the_dirichlet_kernel(self):
+        # The Dirichlet kernel exceeds the Gaussian near the diagonal, but
+        # not the infinite-lattice kernel, which it approaches in the
+        # interior of a large box.
+        g = Grid(2, 4.0, 0.25)
+        K = heat_matrix(g, 1.0, "expm-of-laplacian")
+        mask = potential_on_grid(g, CROSS) < 1.0
+        against_gauss = hs_diagnostics(K, mask, 1.0).checks[0]
+        assert not against_gauss.passed
+        diag = hs_diagnostics(K, mask, 1.0, "expm-of-laplacian")
+        dom = diag.checks[0]
+        assert dom.name == "pointwise-domination" and dom.passed
+        assert diag.all_passed()
+        # independent lattice kernel: (1/h) (1/pi) int_0^pi
+        # exp(-2t(1 - cos theta)) cos(n theta) dtheta with t = s/h^2, per axis
+        t = 1.0 / g.spacing**2
+        theta = (np.arange(4000) + 0.5) * math.pi / 4000
+        per_axis = [float(np.mean(np.exp(-2.0 * t * (1.0 - np.cos(theta)))
+                                  * np.cos(n * theta))) / g.spacing
+                    for n in range(3)]
+        n = g.points_per_axis
+        centre = (n // 2) * n + n // 2
+        for offset, (a, b) in ((0, (0, 0)), (1, (0, 1)), (n + 2, (1, 2))):
+            lattice = per_axis[a] * per_axis[b]
+            assert K.values[centre, centre + offset] <= lattice * (1.0 + 1e-12)
+            assert K.values[centre, centre + offset] >= lattice * (1.0 - 1e-3)
 
     def test_mask_length_guard(self):
         g = Grid(1, 1.0, 0.5)
@@ -457,6 +522,156 @@ class TestKernelPowerBound:
         expected = (g.weight * np.max(reach.sum(axis=0))
                     * g.weight * np.sum(chi * omega**2))
         assert hs_check.rhs == pytest.approx(expected, rel=1e-12)
+
+
+def dense_domination(C_MR, D):
+    """domination_check's quantities from the full N x N product kernel."""
+    P = compose(adjoint(C_MR), C_MR).values
+    support = D.values != 0.0
+    off = P[~support]
+    on = P[support]
+    c = float(np.max(on)) if on.size else 0.0
+    cols = np.any(C_MR.values != 0.0, axis=0)
+    block = P[np.ix_(cols, cols)]
+    sv = (C_MR.weight * np.linalg.svd(block, compute_uv=False)
+          if block.size else np.zeros(0))
+    return {"off_max": float(np.max(np.abs(off))) if off.size else 0.0,
+            "dominated": float(np.max(P - c * D.values)), "c": c,
+            "hs": C_MR.weight * float(np.linalg.norm(P, "fro")), "sv": sv}
+
+
+def dense_power_bound(D, k, V, M, R):
+    """kernel_power_bound's quantities from full N x N matrices."""
+    g = D.grid
+    w = g.weight
+    P = D.values.copy()
+    for _ in range(k - 1):
+        P = w * (P @ D.values)
+    chi = (potential_on_grid(g, V) < M).astype(float)
+    idx = np.unravel_index(np.arange(g.size), (g.points_per_axis,) * g.nu)
+    d2 = sum((a[:, None] - a[None, :]) ** 2 for a in idx)
+    cutoff = (2.0 * k * R / g.spacing) ** 2 * (1.0 + 1e-9) + 1e-9
+    reach = (d2 <= cutoff).astype(float)
+    omega = w * (reach @ chi)
+    bound = reach * (omega ** (k - 1))[None, :] * chi[None, :]
+    inside = chi != 0.0
+    block = P[np.ix_(inside, inside)]
+    return {"rel_excess": float(np.max((P - bound) / np.maximum(bound, 1e-300))),
+            "hs2": w * w * float(np.sum(P**2)),
+            "ball_sup": w * float(np.max(reach.sum(axis=0))),
+            "omega_integral": w * float(np.sum(chi * omega ** (2 * k - 2))),
+            "omega_max": float(np.max(omega * chi)) if inside.any() else 0.0,
+            "sv": (w * np.linalg.svd(block, compute_uv=False)
+                   if block.size else np.zeros(0))}
+
+
+def assert_close(got, expected, rel=1e-12):
+    assert abs(got - expected) <= rel * max(abs(expected), 1e-300), (got, expected)
+
+
+def assert_singular_values_close(got, expected):
+    assert got.shape == expected.shape
+    if expected.size:
+        assert np.max(np.abs(got - expected)) <= 1e-12 * expected[0]
+
+
+DISC = parse_potential("x1^2 + x2^2", 2)
+
+
+class TestSupportRestrictedMatchesDense:
+    @staticmethod
+    def check_power(D, k, V, M, R):
+        diag = kernel_power_bound(D, k, V, M, R)
+        ref = dense_power_bound(D, k, V, M, R)
+        pointwise, hs = diag.checks
+        assert_close(pointwise.lhs, ref["rel_excess"])
+        assert_close(diag.hs_norm**2, ref["hs2"])
+        assert_close(hs.lhs, ref["hs2"])
+        assert_close(hs.rhs, ref["ball_sup"] * ref["omega_integral"])
+        assert diag.constants["ball_measure_sup"] == ref["ball_sup"]
+        assert_close(diag.constants["omega_integral"], ref["omega_integral"])
+        assert diag.constants["omega_max"] == ref["omega_max"]
+        assert_singular_values_close(diag.singular_values, ref["sv"])
+        return diag
+
+    @staticmethod
+    def check_domination(C_MR, D):
+        diag = domination_check(C_MR, D)
+        ref = dense_domination(C_MR, D)
+        containment, dominated = diag.checks
+        assert_close(containment.lhs, ref["off_max"])
+        assert_close(dominated.lhs, ref["dominated"])
+        assert_close(diag.constants["c"], ref["c"])
+        assert_close(diag.hs_norm, ref["hs"])
+        assert_singular_values_close(diag.singular_values, ref["sv"])
+        return diag
+
+    def test_power_random_nonsymmetric_with_zero_rows_and_columns(self):
+        for half_width in (1.5, 1.375):   # even and odd points per axis
+            g = Grid(2, half_width, 0.25)
+            rng = derived_rng(13, "sparse-power")
+            values = rng.standard_normal((g.size, g.size))
+            values[rng.random(g.size) < 0.5, :] = 0.0
+            values[:, rng.random(g.size) < 0.5] = 0.0
+            D = KernelMatrix(g, values)
+            # the disc covers points outside D's rows and columns, and D
+            # reaches points outside the disc
+            chi = potential_on_grid(g, DISC) < 1.0
+            assert np.any(chi & ~np.any(values, axis=0) & ~np.any(values, axis=1))
+            assert np.any(~chi & np.any(values, axis=0))
+            for k in (2, 3):
+                diag = self.check_power(D, k, DISC, 1.0, 0.25)
+                assert not diag.checks[0].passed  # random entries break the bound
+
+    def test_power_empty_support(self):
+        g = Grid(2, 1.5, 0.25)
+        D = KernelMatrix(g, np.zeros((g.size, g.size)))
+        diag = self.check_power(D, 3, DISC, 1e-12, 0.5)
+        assert diag.checks[0].lhs == 0.0
+        assert diag.singular_values.size == 0
+
+    def test_power_full_support(self):
+        g = Grid(2, 1.5, 0.25)
+        V = parse_potential("0", 2)
+        self.check_power(d_kernel(g, V, 1.0, 0.5), 2, V, 1.0, 0.5)
+        rng = derived_rng(14, "full-power")
+        D = KernelMatrix(g, rng.random((g.size, g.size)) + 0.1)
+        self.check_power(D, 3, DISC, 1.0, 0.5)
+
+    def test_power_cross_potential(self):
+        g = Grid(2, 3.0, 0.25)
+        self.check_power(d_kernel(g, CROSS, 1.0, 0.5), 3, CROSS, 1.0, 0.5)
+
+    def test_domination_random_with_zero_columns(self):
+        g = Grid(2, 1.5, 0.25)
+        rng = derived_rng(15, "sparse-domination")
+        for zero_share in (0.4, 0.0):   # some zero columns; full support
+            C = rng.standard_normal((g.size, g.size))
+            cols = rng.random(g.size) >= zero_share
+            C[:, ~cols] = 0.0
+            block = np.outer(cols, cols)
+            # nonzero on the product's block; signed entries and zeros off it
+            D = np.where(block, rng.random((g.size, g.size)) + 0.5,
+                         rng.standard_normal((g.size, g.size))
+                         * (rng.random((g.size, g.size)) < 0.5))
+            diag = self.check_domination(KernelMatrix(g, C), KernelMatrix(g, D))
+            assert diag.constants["c"] > 0.0
+
+    def test_domination_empty_support(self):
+        g = Grid(2, 1.5, 0.25)
+        rng = derived_rng(16, "empty-domination")
+        C = KernelMatrix(g, np.zeros((g.size, g.size)))
+        for D in (np.zeros((g.size, g.size)), rng.standard_normal((g.size, g.size))):
+            diag = self.check_domination(C, KernelMatrix(g, D))
+            assert diag.constants["c"] == 0.0
+
+    def test_domination_truncated_heat(self):
+        g = Grid(2, 3.0, 0.25)
+        F, _ = truncated_convolution(g, 1.0, 1.0)
+        chi = (potential_on_grid(g, CROSS) < 1.0).astype(float)
+        diag = self.check_domination(multiply_function(F, chi),
+                                     d_kernel(g, CROSS, 1.0, 1.0))
+        assert diag.all_passed()
 
 
 class TestBuiltKernelInvariants:
