@@ -368,17 +368,26 @@ class TestReproducibility:
         assert differing <= {"wall_clock_seconds"}
 
     def test_spectrum_payload_same_bytes_across_blas_threads(self, tmp_path):
-        args = ("spectrum", "--potential", "x1^2*x2^2", "--nu", "2",
-                "--L", "3,4", "--h", "0.1", "--k", "5", "--seed", "0")
-        digests = set()
-        for threads in ("1", "2"):
-            out = tmp_path / f"threads-{threads}"
-            proc = run_cli_process(*args, "--output-dir", str(out),
-                                   OPENBLAS_NUM_THREADS=threads)
-            assert proc.returncode == 0, proc.stderr
-            blob = (out / "spectrum-report.json").read_bytes()
-            digests.add(hashlib.sha256(blob).hexdigest())
-        assert len(digests) == 1
+        runs = (
+            ("spectrum", "--potential", "x1^2*x2^2", "--nu", "2",
+             "--L", "3,4", "--h", "0.1", "--k", "5", "--seed", "0"),
+            ("thinness", "--potential", "x1^2*x2^2", "--nu", "2", "--M", "1",
+             "--r", "2", "--radii", "5,10,20", "--budget", "20000", "--seed", "0"),
+            ("sublevel", "--potential", "x1^2+x2^2", "--nu", "2", "--M", "4",
+             "--R", "3", "--budget", "20000", "--seed", "0"),
+            ("inequalities", "--trials", "50", "--dim", "6", "--seed", "0"),
+        )
+        for args in runs:
+            payloads = []
+            for threads in ("1", "2"):
+                out = tmp_path / f"{args[0]}-threads-{threads}"
+                proc = run_cli_process(*args, "--output-dir", str(out),
+                                       OPENBLAS_NUM_THREADS=threads)
+                assert proc.returncode == 0, proc.stderr
+                # every file but the manifest, which records timings
+                payloads.append({p.name: p.read_bytes() for p in out.iterdir()
+                                 if not p.name.endswith("-manifest.json")})
+            assert payloads[0] and payloads[0] == payloads[1], args[0]
 
     def test_manifest_config_reruns_to_same_results(self, tmp_path):
         first = tmp_path / "first"

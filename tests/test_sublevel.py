@@ -10,10 +10,12 @@ inline comments) for the cross region {|x1*x2| < 1}:
 """
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from spectralab import sublevel
 from spectralab.potentials import parse_potential
 from spectralab.sublevel import (
     GrowthReport,
@@ -174,6 +176,100 @@ def test_thinness_budget_guard():
         thinness(CROSS, 1.0, 2.0, 1.0, [10.0, 5.0, 40.0], budget=10_000)
     with pytest.raises(ValueError):
         thinness(CROSS, 1.0, -1.0, 1.0, [10.0, 20.0, 40.0], budget=10_000)
+
+
+@pytest.mark.parametrize("budget, sub_budget, message", [
+    (0, 2_000, "^budget must be >= 1"),
+    (10_000, 0, "^sub_budget must be >= 1"),
+], ids=["budget", "sub_budget"])
+def test_thinness_rejects_empty_budgets(monkeypatch, budget, sub_budget, message):
+    def no_draws(*key):
+        raise AssertionError("drew samples before validating the budgets")
+
+    monkeypatch.setattr(sublevel, "derived_rng", no_draws)
+    with pytest.raises(ValueError, match=message):
+        thinness(STRIP, 1.0, 2.0, 1.0, [10.0, 20.0, 40.0], budget=budget, sub_budget=sub_budget)
+
+
+def test_thinness_report_independent_of_worker_count(monkeypatch):
+    # 5 threads: more than the cores of a small machine
+    reports = []
+    for workers in (1, 2, 5):
+        monkeypatch.setattr(sublevel, "_worker_count", lambda w=workers: w)
+        reports.append(thinness(CROSS, 1.0, 2.0, 1.0, [5.0, 10.0, 20.0], budget=20_000,
+                                sub_budget=500, seed=7))
+    assert reports[0] == reports[1] == reports[2]
+
+
+def omega_blocks(V, M, centers, ell, sub_budget, workers=2):
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return sublevel._omega_batch(V, M, np.asarray(centers, dtype=float), ell, sub_budget,
+                                     0, 0, pool, 2 * workers)
+
+
+def test_omega_blocks_exact_inside_and_outside():
+    # Omega_100(DISC) is the open disc of radius 10: the 0.5-balls around the
+    # even centers (|c| <= 8.5) lie inside it, those around the odd ones
+    # (|c| >= 11) outside.  1000 points per center span five blocks.
+    ell = 0.5
+    centers = np.empty((300, 2))
+    centers[0::2] = np.column_stack([np.linspace(-6.0, 6.0, 150)] * 2)
+    centers[1::2] = np.column_stack([np.linspace(11.0, 30.0, 150), np.linspace(-5.0, 5.0, 150)])
+    omega = omega_blocks(DISC, 100.0, centers, ell, 1_000)
+    assert np.all(omega[0::2] == math.pi * ell**2)
+    assert np.all(omega[1::2] == 0.0)
+
+
+def test_omega_blocks_half_plane_boundary():
+    # abs(x1) - x1 < 1e-12 exactly when x1 > -5e-13: a half-plane whose
+    # boundary runs through every center
+    V = parse_potential("abs(x1) - x1", 2)
+    sub_budget = 1_000
+    centers = np.column_stack([np.zeros(300), np.linspace(-50.0, 50.0, 300)])
+    omega = omega_blocks(V, 1e-12, centers, 1.0, sub_budget)
+    std_error = math.pi * math.sqrt(0.25 / (centers.shape[0] * sub_budget))
+    assert abs(omega.mean() - math.pi / 2) <= 4 * std_error
+
+
+def test_omega_blocks_raise_at_a_nan_sample_point():
+    # exp(x1^2) - exp(x1^2) is 0 until both terms overflow past |x1| ~ 26.64,
+    # then inf - inf = NaN; only the balls of the last block reach that far
+    V = parse_potential("exp(x1^2) - exp(x1^2)", 2)
+    centers = np.zeros((300, 2))
+    centers[-10:, 0] = 26.5
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match=r"non-finite \(nan\) at a sample point"):
+        omega_blocks(V, 1.0, centers, 1.0, 1_000)
+
+
+def test_shell_points_lie_in_the_shell():
+    rng = np.random.default_rng(4)
+    for nu in (1, 2, 3):
+        shell = np.linalg.norm(sublevel._shell_points(nu, 1.0, 2.0, 5_000, rng), axis=1)
+        assert np.all((shell > 1.0) & (shell <= 2.0))
+        ball = np.linalg.norm(sublevel._shell_points(nu, 0.0, 2.0, 5_000, rng), axis=1)
+        assert np.all(ball <= 2.0)
+
+
+def test_shell_points_resample_zero_normals():
+    class ZeroFirstDraw:
+        """Generator whose first normal draw is all zeros."""
+
+        def __init__(self):
+            self.rng = np.random.default_rng(5)
+            self.normal_draws = 0
+
+        def standard_normal(self, size):
+            self.normal_draws += 1
+            return np.zeros(size) if self.normal_draws == 1 else self.rng.standard_normal(size)
+
+        def random(self, size):
+            return self.rng.random(size)
+
+    rng = ZeroFirstDraw()
+    radii = np.linalg.norm(sublevel._shell_points(2, 1.0, 2.0, 50, rng), axis=1)
+    assert rng.normal_draws == 2
+    assert np.all((radii > 1.0) & (radii <= 2.0))
 
 
 def test_growth_check_examples():
