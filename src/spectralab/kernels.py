@@ -17,12 +17,22 @@ proximity kernel, its powers and the product kernel C^T C are formed and
 checked on the block of grid points where they can be nonzero; entries off
 that block are exact zeros and enter each maximum as such.  Operator norms
 of large kernels come from ARPACK (Lanczos on M^T M) rather than an SVD.
+
+Both heat kernels are separable on the tensor grid: K = k1 (x) ... (x) k1
+with one n x n factor k1 per axis (Van Loan, "The ubiquitous Kronecker
+product", 2000).  heat_matrix fills the dense values from k1 and also
+records (k1, column scale) on the kernel; multiply_function carries that
+record forward, so compose_C and split_tail pieces keep it.  Kernels built
+from user values, compose and adjoint have none.  operator_norm is the one
+reader: above EXACT_SVD_LIMIT it applies K as one n x n product per axis,
+O(N n) per Gram product instead of O(N^2).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, eigsh
@@ -61,12 +71,22 @@ LATTICE_SLACK = 1e-9
 NORM_BASIS = 10
 
 
+class _Separable(NamedTuple):
+    """values = (factor (x) ... (x) factor) diag(scale), up to rounding."""
+
+    factor: np.ndarray  # n x n, the same on every axis
+    scale: np.ndarray   # one entry per grid point (column)
+
+
 @dataclass(frozen=True)
 class KernelMatrix:
     """Dense kernel K(x_i, y_j) on a grid with quadrature weight w."""
 
     grid: Grid
     values: np.ndarray = field(repr=False, compare=False)
+    # set by heat_matrix and carried by multiply_function only
+    _separable: _Separable | None = field(default=None, init=False, repr=False,
+                                          compare=False)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -95,12 +115,20 @@ def compose(K1: KernelMatrix, K2: KernelMatrix) -> KernelMatrix:
     return KernelMatrix(K1.grid, K1.weight * (K1.values @ K2.values))
 
 
+def _with_separable(K: KernelMatrix, factor: np.ndarray, scale: np.ndarray) -> KernelMatrix:
+    object.__setattr__(K, "_separable", _Separable(factor, scale))
+    return K
+
+
 def multiply_function(K: KernelMatrix, values_on_grid) -> KernelMatrix:
     """Compose with a multiplication operator: scales columns, no weight."""
     g = np.asarray(values_on_grid, dtype=float)
     if g.shape != (K.grid.size,):
         raise ValueError("function values must match the grid size")
-    return KernelMatrix(K.grid, K.values * g[None, :])
+    out = KernelMatrix(K.grid, K.values * g[None, :])
+    if K._separable is not None:
+        _with_separable(out, K._separable.factor, K._separable.scale * g)
+    return out
 
 
 def apply_kernel(K: KernelMatrix, vec: np.ndarray) -> np.ndarray:
@@ -118,21 +146,21 @@ def kernel_singular_values(K: KernelMatrix) -> np.ndarray:
     return K.weight * np.linalg.svd(K.values, compute_uv=False)
 
 
-def _largest_singular_value(M: np.ndarray, seed: int = 0) -> float:
+def _arpack_sigma_max(matvec, rmatvec, cols: np.ndarray, size: int, seed: int) -> float:
     """sigma_max(M) from ARPACK's Lanczos on x -> M^T (M x).
 
-    The iteration runs over the nonzero columns of M only (the matrix is
-    read in place, never copied).  Raises ArpackNoConvergence rather than
-    return an unconverged lower bound.
+    M has `size` columns, of which only `cols` can be nonzero; matvec and
+    rmatvec apply M and M^T.  The iteration runs over `cols` only.  Raises
+    ArpackNoConvergence rather than return an unconverged lower bound.
     """
-    cols = np.flatnonzero(np.any(M, axis=0))
+    embedded = np.zeros(size)
     if cols.size < 2:
-        return float(np.linalg.norm(M[:, cols]))
-    embedded = np.zeros(M.shape[1])
+        embedded[cols] = 1.0
+        return float(np.linalg.norm(matvec(embedded)))
 
     def gram(x):
         embedded[cols] = x
-        return (M.T @ (M @ embedded))[cols]
+        return rmatvec(matvec(embedded))[cols]
 
     v0 = derived_rng(seed, "operator-norm").standard_normal(cols.size)
     top = eigsh(LinearOperator((cols.size, cols.size), matvec=gram, dtype=float),
@@ -141,17 +169,41 @@ def _largest_singular_value(M: np.ndarray, seed: int = 0) -> float:
     return math.sqrt(max(float(top[0]), 0.0))
 
 
+def _largest_singular_value(M: np.ndarray, seed: int = 0) -> float:
+    """sigma_max of a dense matrix, over its nonzero columns (read in place)."""
+    cols = np.flatnonzero(np.any(M, axis=0))
+    return _arpack_sigma_max(lambda x: M @ x, lambda y: M.T @ y, cols, M.shape[1], seed)
+
+
+def _kron_apply(factor: np.ndarray, nu: int, x: np.ndarray) -> np.ndarray:
+    """(factor (x) ... (x) factor) @ x, as one n x n product per axis."""
+    n = factor.shape[0]
+    t = x.reshape((n,) * nu)
+    for axis in range(nu):
+        t = np.moveaxis(np.tensordot(factor, t, axes=(1, axis)), 0, axis)
+    return t.reshape(-1)
+
+
 def operator_norm(K: KernelMatrix, seed: int = 0) -> float:
     """Operator norm w * sigma_max(K).
 
     Matrices up to EXACT_SVD_LIMIT use an exact SVD; larger ones ARPACK on
     the Gram map over the nonzero columns, converged to machine precision
     from a start vector drawn from `seed` (ArpackNoConvergence is raised,
-    never a partial estimate).
+    never a partial estimate).  A kernel that carries its separable form
+    (heat_matrix and multiply_function of it) is applied through the per-axis
+    factor and its column scale, without reading the dense values; any other
+    kernel through its dense values.
     """
     if max(K.values.shape) <= EXACT_SVD_LIMIT:
         sigma = np.linalg.svd(K.values, compute_uv=False)
         top = float(sigma[0]) if sigma.size else 0.0
+    elif K._separable is not None:
+        factor, scale = K._separable
+        nu = K.grid.nu
+        top = _arpack_sigma_max(lambda x: _kron_apply(factor, nu, scale * x),
+                                lambda y: scale * _kron_apply(factor.T, nu, y),
+                                np.flatnonzero(scale), scale.size, seed)
     else:
         top = _largest_singular_value(K.values, seed=seed)
     return K.weight * top
@@ -162,11 +214,31 @@ def gaussian_squared_mass(nu: int, s: float) -> float:
     return (2.0 * math.pi * s) ** (nu / 2.0) * (4.0 * math.pi * s) ** (-nu)
 
 
-def _pairwise_sq_dist(points_a: np.ndarray, points_b: np.ndarray) -> np.ndarray:
-    d2 = np.zeros((points_a.shape[0], points_b.shape[0]))
-    for c in range(points_a.shape[1]):
-        d2 += (points_a[:, c, None] - points_b[None, :, c]) ** 2
-    return d2
+def _heat_peak(nu: int, s: float) -> float:
+    """(4 pi s)^{-nu/2}, the Gaussian heat kernel at zero offset."""
+    return (4.0 * math.pi * s) ** (-nu / 2.0)
+
+
+def _gaussian_factor(grid: Grid, s: float) -> np.ndarray:
+    """One axis of the Gaussian heat kernel: exp(-(x_i - x_j)^2 / 4s)."""
+    offsets = grid.axis[:, None] - grid.axis[None, :]
+    return np.exp(-(offsets * offsets) / (4.0 * s))
+
+
+def _kron_columns(factor: np.ndarray, nu: int, cols=None) -> np.ndarray:
+    """Columns `cols` (all by default) of factor (x) ... (x) factor.
+
+    Each entry is the product of its nu per-axis factors taken in axis
+    order, as np.kron does, so any set of columns matches the full matrix
+    bit for bit.
+    """
+    n = factor.shape[0]
+    cols = np.arange(n**nu) if cols is None else cols
+    out = np.ones((1, cols.size))
+    for col_axis in np.unravel_index(cols, (n,) * nu):
+        out = np.multiply(out[:, None, :], factor[:, col_axis][None, :, :],
+                          order="C").reshape(-1, cols.size)
+    return out
 
 
 def _lattice_cutoff(grid: Grid, radius: float) -> float:
@@ -177,14 +249,14 @@ def _lattice_cutoff(grid: Grid, radius: float) -> float:
     return cells_sq * (1.0 + LATTICE_SLACK) + LATTICE_SLACK
 
 
-def _lattice_ball_mask(grid: Grid, radius: float, rows=None, cols=None) -> np.ndarray:
+def _lattice_ball_mask(grid: Grid, radius: float, rows, cols=None) -> np.ndarray:
     """Boolean pair mask [|x_i - x_j| <= radius] on integer lattice offsets.
 
-    Covers the point pairs rows x cols (index arrays; all points by default).
+    Covers the point pairs rows x cols (index arrays; cols is every point
+    by default).
     """
-    everything = np.arange(grid.size)
-    rows = everything if rows is None else np.asarray(rows)
-    cols = everything if cols is None else np.asarray(cols)
+    rows = np.asarray(rows)
+    cols = np.arange(grid.size) if cols is None else np.asarray(cols)
     shape = (grid.points_per_axis,) * grid.nu
     d2 = np.zeros((rows.size, cols.size), dtype=np.int64)
     for a, b in zip(np.unravel_index(rows, shape), np.unravel_index(cols, shape)):
@@ -196,32 +268,37 @@ def _lattice_ball_mask(grid: Grid, radius: float, rows=None, cols=None) -> np.nd
 def heat_matrix(grid: Grid, s: float = 1.0, mode: str = "gaussian-kernel") -> KernelMatrix:
     """Heat-semigroup kernel at time s.
 
-    gaussian-kernel fills K_ij = (4 pi s)^{-nu/2} exp(-|x_i-x_j|^2 / 4s)
-    literally; expm-of-laplacian exponentiates the discrete Dirichlet
-    Laplacian through its separable 1-D eigendecomposition and divides by w
-    so that apply_kernel reproduces the matrix exponential's action.
+    Both modes build a 1-D factor k1 and fill K = k1 (x) ... (x) k1.
+    gaussian-kernel takes k1_ij = exp(-(x_i - x_j)^2 / 4s) and multiplies
+    by (4 pi s)^{-nu/2} once at the end, so K_ij = (4 pi s)^{-nu/2}
+    exp(-|x_i - x_j|^2 / 4s) up to rounding and the diagonal is exactly the
+    peak; expm-of-laplacian takes k1 from the separable eigendecomposition
+    of the 1-D Dirichlet Laplacian and divides by w so that apply_kernel
+    reproduces the matrix exponential's action.  The kernel records k1 and
+    the constant column scale (peak, or 1/w) for operator_norm.
     """
     if s <= 0:
         raise ValueError("s must be > 0")
     grid.require_dense_budget()
     if mode == "gaussian-kernel":
-        d2 = _pairwise_sq_dist(grid.points, grid.points)
-        coef = (4.0 * math.pi * s) ** (-grid.nu / 2.0)
-        return KernelMatrix(grid, coef * np.exp(-d2 / (4.0 * s)))
-    if mode == "expm-of-laplacian":
+        factor = _gaussian_factor(grid, s)
+        scale = _heat_peak(grid.nu, s)
+        values = _kron_columns(factor, grid.nu)
+        values *= scale
+    elif mode == "expm-of-laplacian":
         n = grid.points_per_axis
         h = grid.spacing
         T = (np.diag(np.full(n, 2.0)) - np.diag(np.ones(n - 1), 1)
              - np.diag(np.ones(n - 1), -1)) / h**2
         lam, Q = np.linalg.eigh(T)
-        E1 = (Q * np.exp(-s * lam)) @ Q.T
-        E1 = (E1 + E1.T) / 2.0
-        E = E1
-        for _ in range(grid.nu - 1):
-            E = np.kron(E, E1)  # exactly symmetric, as E1 is
-        E /= grid.weight
-        return KernelMatrix(grid, E)
-    raise ValueError(f"unknown mode {mode!r}")
+        factor = (Q * np.exp(-s * lam)) @ Q.T
+        factor = (factor + factor.T) / 2.0
+        values = _kron_columns(factor, grid.nu)  # exactly symmetric, as factor is
+        values /= grid.weight
+        scale = 1.0 / grid.weight
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    return _with_separable(KernelMatrix(grid, values), factor, np.full(grid.size, scale))
 
 
 def compose_C(grid: Grid, V: PotentialExpr, s: float = 1.0,
@@ -284,25 +361,21 @@ class CompactnessDiagnostics:
 def _dominating_heat_kernel(grid: Grid, mask, s: float, mode: str) -> np.ndarray:
     """Heat kernel that bounds heat_matrix(grid, s, mode) on columns `mask`.
 
-    The gaussian-kernel mode is bounded by the Gaussian itself.  The
+    The gaussian-kernel mode is bounded by the Gaussian itself, built from
+    the same 1-D factor as heat_matrix, so the bound is an equality.  The
     Dirichlet semigroup of expm-of-laplacian is bounded, by domain
     monotonicity, by the heat kernel of the infinite lattice h Z^nu:
     prod_a (1/h) e^{-2s/h^2} I_{|n_a|}(2s/h^2) at lattice offset n.
     """
+    cols = np.flatnonzero(mask)
     if mode == "gaussian-kernel":
-        d2 = _pairwise_sq_dist(grid.points, grid.points[mask])
-        return (4.0 * math.pi * s) ** (-grid.nu / 2.0) * np.exp(-d2 / (4.0 * s))
+        return _heat_peak(grid.nu, s) * _kron_columns(_gaussian_factor(grid, s), grid.nu, cols)
     from scipy.special import ive  # only this mode needs it
 
     n = grid.points_per_axis
-    h = grid.spacing
-    per_offset = ive(np.arange(n), 2.0 * s / h**2) / h
-    cols = np.flatnonzero(mask)
-    dominating = np.ones((1, cols.size))
-    for col_axis in np.unravel_index(cols, (n,) * grid.nu):
-        factor = per_offset[np.abs(np.arange(n)[:, None] - col_axis[None, :])]
-        dominating = (dominating[:, None, :] * factor[None, :, :]).reshape(-1, cols.size)
-    return dominating
+    per_offset = ive(np.arange(n), 2.0 * s / grid.spacing**2) / grid.spacing
+    factor = per_offset[np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])]
+    return _kron_columns(factor, grid.nu, cols)
 
 
 def hs_diagnostics(K: KernelMatrix, mask, s: float = 1.0,
@@ -329,15 +402,16 @@ def hs_diagnostics(K: KernelMatrix, mask, s: float = 1.0,
     else:
         sv = np.zeros(0)
 
-    coef = (4.0 * math.pi * s) ** (-nu / 2.0)
+    coef = _heat_peak(nu, s)
     if count:
         dominating = _dominating_heat_kernel(K.grid, mask, s, mode)
         excess = float(np.max(np.abs(masked) - dominating))
     else:
         excess = 0.0
 
-    col_sums = w * np.sum(K.values**2, axis=0)
-    row_sums = w * np.sum(K.values**2, axis=1)
+    squared = K.values**2
+    col_sums = w * np.sum(squared, axis=0)
+    row_sums = w * np.sum(squared, axis=1)
     row_bound = float(np.max(row_sums))
     col_bound = float(np.max(col_sums))
     mass = gaussian_squared_mass(nu, s)
@@ -371,11 +445,22 @@ def truncated_convolution(grid: Grid, s: float, R: float):
     """
     if R <= 0:
         raise ValueError("R must be > 0")
-    inside = _lattice_ball_mask(grid, R)
     heat = heat_matrix(grid, s)
-    F = KernelMatrix(grid, np.where(inside, heat.values, 0.0))
-
     n = grid.points_per_axis
+    nu = grid.nu
+    index = np.arange(n)
+    axis_sq = (index[:, None] - index[None, :]) ** 2  # squared offsets on one axis
+
+    def on_axis(a):  # axis_sq on axis a of the (i_1..i_nu, j_1..j_nu) view of K
+        shape = [1] * (2 * nu)
+        shape[a] = shape[nu + a] = n
+        return axis_sq.reshape(shape)
+
+    # integer offsets d2 obey d2 <= cutoff exactly when d2 <= floor(cutoff)
+    room = math.floor(_lattice_cutoff(grid, R)) - sum(on_axis(a) for a in range(1, nu))
+    np.copyto(heat.values.reshape((n,) * (2 * nu)), 0.0, where=on_axis(0) > room)
+    F = KernelMatrix(grid, heat.values)  # no separable record: entries were cut
+
     h = grid.spacing
     offsets = np.arange(-(n - 1), n, dtype=np.int64)
     mesh = np.meshgrid(*([offsets] * grid.nu), indexing="ij")
@@ -383,7 +468,7 @@ def truncated_convolution(grid: Grid, s: float, R: float):
     for m in mesh:
         d2int += m * m
     outside = d2int > _lattice_cutoff(grid, R)
-    coef = (4.0 * math.pi * s) ** (-grid.nu / 2.0)
+    coef = _heat_peak(grid.nu, s)
     gauss = coef * np.exp(-(d2int[outside] * h * h) / (4.0 * s))
     lattice_tail = grid.weight * float(np.sum(gauss))
 

@@ -11,7 +11,10 @@ Oracle routes kept independent of the code under test:
 - the support-restricted kernel_power_bound and domination_check are
   compared with their dense N x N formulas, written out here;
 - the Dirichlet heat kernel of the expm-of-laplacian mode is compared with
-  the infinite-lattice kernel written as a Fourier integral.
+  the infinite-lattice kernel written as a Fourier integral;
+- the Gaussian heat kernel built from its 1-D factor is compared with the
+  literal pairwise formula, the norm taken through the Kronecker factor
+  with a full SVD, and the truncation mask with N x N integer offsets.
 """
 
 import math
@@ -178,6 +181,18 @@ class TestHeatMatrix:
             gap = np.max(np.abs(K.values - K.values.T))
             assert gap <= 1e-12 * np.max(np.abs(K.values))
 
+    def test_gaussian_matches_the_pairwise_formula(self):
+        for nu, L, h, s in ((1, 3.0, 0.25, 1.0), (2, 2.0, 0.25, 0.7),
+                            (3, 1.0, 0.25, 0.5)):
+            g = Grid(nu, L, h)
+            K = heat_matrix(g, s).values
+            d2 = np.zeros((g.size, g.size))
+            for c in range(nu):
+                d2 += (g.points[:, c, None] - g.points[None, :, c]) ** 2
+            literal = (4.0 * math.pi * s) ** (-nu / 2.0) * np.exp(-d2 / (4.0 * s))
+            assert np.max(np.abs(K - literal) / literal) <= 1e-15
+            np.testing.assert_array_equal(K, K.T)
+
     def test_discrete_squared_mass_1d(self):
         g = Grid(1, 6.0, 0.1)
         K = heat_matrix(g, 1.0)
@@ -311,6 +326,17 @@ class TestHsDiagnostics:
         assert mass.rhs == pytest.approx(
             gaussian_squared_mass(2, 1.0) * g.weight * mask.sum(), rel=1e-14)
 
+    def test_sup_bounds_are_the_squared_row_and_column_sums(self):
+        g = Grid(2, 2.0, 0.25)
+        for mode in ("gaussian-kernel", "expm-of-laplacian"):
+            K = heat_matrix(g, 0.8, mode)
+            diag = hs_diagnostics(K, potential_on_grid(g, CROSS) < 1.0, 0.8, mode)
+            w = g.weight
+            assert diag.constants["row_bound"] == float(
+                np.max(w * np.sum(K.values**2, axis=1)))
+            assert diag.constants["column_bound"] == float(
+                np.max(w * np.sum(K.values**2, axis=0)))
+
     def test_row_column_gap_for_symmetric_kernel(self):
         g = Grid(1, 4.0, 0.1)
         diag = hs_diagnostics(heat_matrix(g, 1.0), np.ones(g.size, bool))
@@ -382,6 +408,20 @@ class TestTruncatedConvolution:
     def test_radius_guard(self):
         with pytest.raises(ValueError, match="R must be"):
             truncated_convolution(Grid(1, 1.0, 0.5), 1.0, 0.0)
+
+    def test_cut_matches_the_integer_offset_mask(self):
+        # the N x N int64 offset mask, written out; radii on and between
+        # lattice shells
+        for nu, L, h in ((1, 3.0, 0.25), (2, 2.0, 0.25), (3, 1.0, 0.25)):
+            g = Grid(nu, L, h)
+            idx = np.unravel_index(np.arange(g.size), (g.points_per_axis,) * nu)
+            d2 = sum((a.astype(np.int64)[:, None] - a.astype(np.int64)[None, :]) ** 2
+                     for a in idx)
+            for R in (0.25, 0.5, 5 ** 0.5 * 0.25, 0.6, 1.0):
+                F, _ = truncated_convolution(g, 1.0, R)
+                cutoff = (R / h) ** 2 * (1.0 + 1e-9) + 1e-9
+                expected = np.where(d2 <= cutoff, heat_matrix(g, 1.0).values, 0.0)
+                np.testing.assert_array_equal(F.values, expected)
 
 
 class TestDKernel:
@@ -687,3 +727,134 @@ class TestBuiltKernelInvariants:
         g = Grid(1, 1.0, 0.25)
         K = random_kernel(g, 12)
         np.testing.assert_array_equal(adjoint(K).values, K.values.T)
+
+
+def shifted_bowl(g):
+    """sum_a (a + 1) (x_a - c)^2, c on the grid: zero at exactly one point.
+
+    The axis weights make it asymmetric, so an axis mix-up in the Kronecker
+    apply cannot hide behind a symmetry of the scale.
+    """
+    c = repr(float(g.axis[g.points_per_axis // 2]))
+    return parse_potential(" + ".join(f"{a + 1} * (x{a + 1} - {c})^2"
+                                      for a in range(g.nu)), g.nu)
+
+
+def svd_norm(K):
+    """w * sigma_max over the nonzero columns, by a full SVD."""
+    cols = np.any(K.values, axis=0)
+    if not cols.any():
+        return 0.0
+    return K.weight * float(np.linalg.svd(K.values[:, cols], compute_uv=False)[0])
+
+
+def dense_norm_forbidden(*args, **kwargs):
+    raise AssertionError("a separable kernel took the dense norm path")
+
+
+MODES = ("gaussian-kernel", "expm-of-laplacian")
+
+
+class TestSeparableKernels:
+    def test_heat_records_its_factor(self):
+        g = Grid(2, 2.0, 0.25)
+        for mode in MODES:
+            K = heat_matrix(g, 0.8, mode)
+            factor, scale = K._separable
+            assert factor.shape == (g.points_per_axis,) * 2
+            dense = np.kron(factor, factor) * scale[None, :]
+            np.testing.assert_allclose(dense, K.values, rtol=1e-15, atol=0.0)
+
+    def test_kronecker_apply_matches_the_dense_product(self):
+        rng = derived_rng(24, "kron")
+        factor = rng.standard_normal((5, 5))   # not symmetric
+        for nu in (1, 2, 3):
+            dense = factor
+            for _ in range(nu - 1):
+                dense = np.kron(dense, factor)
+            x = rng.standard_normal(5**nu)
+            np.testing.assert_allclose(kernels._kron_apply(factor, nu, x), dense @ x,
+                                       rtol=0.0, atol=1e-12 * np.max(np.abs(dense @ x)))
+
+    def test_record_dropped_by_values_compose_and_adjoint(self):
+        g = Grid(2, 2.0, 0.25)
+        heat = heat_matrix(g, 1.0)
+        assert heat._separable is not None
+        assert KernelMatrix(g, heat.values)._separable is None
+        assert compose(heat, heat)._separable is None
+        assert adjoint(heat)._separable is None
+        assert truncated_convolution(g, 1.0, 1.0)[0]._separable is None
+
+    def test_chained_multiply_function_multiplies_the_scales(self):
+        g = Grid(2, 2.0, 0.25)
+        heat = heat_matrix(g, 1.0, "expm-of-laplacian")
+        rng = derived_rng(21, "scales")
+        g1, g2 = rng.random(g.size), rng.standard_normal(g.size)
+        out = multiply_function(multiply_function(heat, g1), g2)
+        assert out._separable.factor is heat._separable.factor
+        np.testing.assert_array_equal(out._separable.scale,
+                                      heat._separable.scale * g1 * g2)
+        np.testing.assert_array_equal(heat._separable.scale, 1.0 / g.weight)
+
+    @pytest.mark.parametrize("nu, L, h", [(1, 4.0, 0.25), (2, 2.0, 0.25),
+                                          (3, 1.0, 0.25)])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_split_pieces_match_svd(self, monkeypatch, nu, L, h, mode):
+        # the limit lowered so that every piece takes the factored path;
+        # levels give C_m no column, one column, every column; then a
+        # random signed scale
+        monkeypatch.setattr(kernels, "EXACT_SVD_LIMIT", 0)
+        monkeypatch.setattr(kernels, "_largest_singular_value", dense_norm_forbidden)
+        g = Grid(nu, L, h)
+        V = shifted_bowl(g)
+        C = compose_C(g, V, 1.0, mode)
+        supports = []
+        for m in (0.0, 1e-3, 1e9):
+            C_m, D_m, norms = split_tail(C, V, m)
+            supports.append(int(np.count_nonzero(np.any(C_m.values, axis=0))))
+            for piece, name in ((C_m, "C_m"), (D_m, "D_m")):
+                expected = svd_norm(piece)
+                assert abs(norms[name] - expected) <= 1e-12 * expected
+        assert supports == [0, 1, g.size]
+        signed = multiply_function(C, derived_rng(23, "scale").standard_normal(g.size))
+        for K in (C, signed):
+            assert abs(operator_norm(K) - svd_norm(K)) <= 1e-12 * svd_norm(K)
+
+    @pytest.mark.parametrize("nu, L, h", [(1, 103.0, 0.1), (2, 5.75, 0.25),
+                                          (3, 3.25, 0.5)])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_norm_above_the_svd_limit_matches_svd(self, monkeypatch, nu, L, h, mode):
+        monkeypatch.setattr(kernels, "_largest_singular_value", dense_norm_forbidden)
+        g = Grid(nu, L, h)
+        assert g.size > EXACT_SVD_LIMIT
+        V = shifted_bowl(g)
+        C = compose_C(g, V, 1.0, mode)
+        supports = []
+        for m in (1e-3, 4.0):
+            C_m, _, norms = split_tail(C, V, m)
+            supports.append(int(np.count_nonzero(np.any(C_m.values, axis=0))))
+            expected = svd_norm(C_m)
+            assert abs(norms["C_m"] - expected) <= 1e-12 * expected
+        assert supports[0] == 1 and 1 < supports[1] < g.size // 4
+        assert operator_norm(multiply_function(C, np.zeros(g.size))) == 0.0
+
+    def test_factored_norm_raises_instead_of_a_partial_estimate(self, monkeypatch):
+        g = Grid(2, 5.75, 0.25)
+        capped = kernels.eigsh
+        monkeypatch.setattr(kernels, "eigsh",
+                            lambda *args, **kw: capped(*args, maxiter=1, **kw))
+        monkeypatch.setattr(kernels, "_largest_singular_value", dense_norm_forbidden)
+        # at a short time the factor is nearly the identity, so the Gram
+        # spectrum is the random squared scale: clustered at the top
+        K = multiply_function(heat_matrix(g, 1e-3), derived_rng(22, "scale").random(g.size))
+        with pytest.raises(ArpackNoConvergence):
+            operator_norm(K)
+
+    def test_factored_and_dense_paths_agree(self):
+        g = Grid(2, 5.75, 0.25)
+        C = compose_C(g, CROSS)
+        for m in (1.0, 4.0, 16.0):
+            C_m, D_m, norms = split_tail(C, CROSS, m)
+            for piece, name in ((C_m, "C_m"), (D_m, "D_m")):
+                dense = operator_norm(KernelMatrix(g, piece.values))
+                assert abs(norms[name] - dense) <= 1e-12 * dense
