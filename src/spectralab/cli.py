@@ -1,17 +1,23 @@
 """Command-line surface: configuration, orchestration, result persistence.
 
-Every run resolves its configuration from built-in defaults, then an
-optional flat key = value config file, then command-line flags (flags win),
-validates it fully before any computation, and writes a JSON report, CSV
-tables, two-column .dat plot series, and a manifest with content digests
-into the output directory.
+Every run field is declared once, as a RunConfig field whose metadata holds
+its parser, help text, bound and the subcommands that read it.  That table
+generates each subcommand's flags (only the fields it reads), the check of
+config-file keys, the bound checks and the manifest's `config` object.
+
+A run resolves its configuration from the defaults, then an optional flat
+key = value config file, then command-line flags (flags win), validates it
+fully before any computation, and writes a JSON report, CSV tables,
+two-column .dat plot series, and a manifest with content digests into the
+output directory.
 
 Exit codes: 0 when all enabled checks pass (verdicts such as
 "not-stabilized" or "divergent-evidence" are findings, not failures),
 1 when a mathematical check fails (the failing check is named on stderr),
-2 on usage or configuration errors ("configuration error: ...") and on
-numerical failures found during the run ("run failed: ..."); a failed run
-removes the output directory again if it created it.
+2 on usage or configuration errors ("configuration error: ...", including a
+flag or config key that the subcommand does not read) and on numerical
+failures found during the run ("run failed: ..."); a failed run removes the
+output directory again if it created it.
 """
 
 from __future__ import annotations
@@ -21,13 +27,20 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import __version__
 from .inequalities import batch_summary, inequality_batch
-from .kernels import d_kernel, heat_matrix, hs_diagnostics, kernel_power_bound
-from .operators import Grid, potential_on_grid, spectrum_study
+from .kernels import (
+    HEAT_MODES,
+    d_kernel,
+    heat_matrix,
+    hs_diagnostics,
+    kernel_power_bound,
+)
+from .linalg import MAX_EIGENPAIRS
+from .operators import Grid, check_schedule, potential_on_grid, spectrum_study
 from .potentials import parse_potential
 from .reports import (
     RunManifest,
@@ -43,8 +56,18 @@ from .reports import (
 from .sublevel import Region, check_radii, measure, thinness
 
 OUTPUT_DIR_ENV = "SPECTRALAB_OUTPUT_DIR"
-SUBCOMMANDS = ("spectrum", "sublevel", "thinness", "inequalities",
-               "heat-diagnostics", "kernel-power")
+SUBCOMMANDS = {
+    "spectrum": "eigenvalues across a growing-box schedule",
+    "sublevel": "Monte Carlo measure of a sublevel set in a ball",
+    "thinness": "partial integrals of the local-measure power",
+    "inequalities": "seeded semigroup inequality batch",
+    "heat-diagnostics": "Hilbert-Schmidt diagnostics of the masked heat kernel",
+    "kernel-power": "pointwise and HS bounds for powers of the proximity kernel",
+}
+_ALL = tuple(SUBCOMMANDS)
+_POTENTIAL = tuple(name for name in SUBCOMMANDS if name != "inequalities")
+_HEIGHT = ("sublevel", "thinness", "heat-diagnostics", "kernel-power")
+_BOX = ("spectrum", "heat-diagnostics", "kernel-power")
 
 
 def _float_tuple(raw) -> tuple:
@@ -54,54 +77,12 @@ def _float_tuple(raw) -> tuple:
     return tuple(float(p) for p in parts)
 
 
-def _str(raw) -> str:
-    return str(raw)
-
-
-_FIELD_TYPES = {
-    "subcommand": _str,
-    "potential": _str,
-    "nu": int,
-    "M": float,
-    "r": float,
-    "ell": float,
-    "radii": _float_tuple,
-    "L": _float_tuple,
-    "h": float,
-    "s": float,
-    "R": float,
-    "k": int,
-    "seed": int,
-    "trials": int,
-    "dim": int,
-    "budget": int,
-    "max_iters": int,
-    "count_levels": _float_tuple,
-    "mode": _str,
-    "output_dir": _str,
-}
-
-_DEFAULTS = {
-    "potential": None,
-    "nu": 2,
-    "M": 1.0,
-    "r": 2.0,
-    "ell": 1.0,
-    "radii": (10.0, 20.0, 40.0, 80.0),
-    "L": (4.0,),
-    "h": 0.1,
-    "s": 1.0,
-    "R": 1.0,
-    "k": None,
-    "seed": 0,
-    "trials": 100,
-    "dim": 8,
-    "budget": 100_000,
-    "max_iters": 600,
-    "count_levels": (),
-    "mode": "gaussian-kernel",
-    "output_dir": None,
-}
+def _field(default, parse, used_by, help, bound=None):
+    """A run field: its default, the parser of its text, the subcommands that
+    read it, help text, and a bound ("> x" or ">= x", per entry of a tuple,
+    or a tuple of allowed values)."""
+    return field(default=default, metadata={"parse": parse, "used_by": used_by,
+                                            "help": help, "bound": bound})
 
 
 @dataclass(frozen=True)
@@ -109,25 +90,50 @@ class RunConfig:
     """Fully resolved and validated inputs of one CLI run."""
 
     subcommand: str
-    potential: str
-    nu: int
-    M: float
-    r: float
-    ell: float
-    radii: tuple
-    L: tuple
-    h: float
-    s: float
-    R: float
-    k: int
-    seed: int
-    trials: int
-    dim: int
-    budget: int
-    max_iters: int
-    count_levels: tuple
-    mode: str
-    output_dir: str
+    potential: str = _field(None, str, _POTENTIAL,
+                            "potential expression, e.g. 'x1^2 * x2^2'")
+    nu: int = _field(2, int, _POTENTIAL, "space dimension", (1, 2, 3))
+    M: float = _field(1.0, float, _HEIGHT, "sublevel height", "> 0")
+    r: float = _field(2.0, float, ("thinness", "kernel-power"),
+                      "thinness exponent", "> 0")
+    ell: float = _field(1.0, float, ("thinness",), "local-measure ball radius",
+                        "> 0")
+    radii: tuple = _field((10.0, 20.0, 40.0, 80.0), _float_tuple, ("thinness",),
+                          "comma-separated radii, e.g. 10,20,40,80")
+    L: tuple = _field((4.0,), _float_tuple, _BOX,
+                      "comma-separated box half-widths", "> 0")
+    h: float = _field(0.1, float, _BOX, "grid spacing", "> 0")
+    s: float = _field(1.0, float, ("heat-diagnostics",), "heat time", "> 0")
+    R: float = _field(1.0, float, ("sublevel", "kernel-power"),
+                      "truncation / region radius", "> 0")
+    k: int = _field(None, int, ("spectrum", "kernel-power"),
+                    "eigenvalue count (spectrum, default 5) or kernel power "
+                    "(kernel-power, default the smallest with 2k - 2 > r)", ">= 1")
+    seed: int = _field(0, int, _ALL, "master seed", ">= 0")
+    trials: int = _field(100, int, ("inequalities",), "inequality batch size",
+                         ">= 1")
+    dim: int = _field(8, int, ("inequalities",),
+                      "largest matrix dimension in the batch", ">= 2")
+    budget: int = _field(100_000, int, ("sublevel", "thinness"),
+                         "Monte Carlo sample budget", ">= 1")
+    max_iters: int = _field(600, int, ("spectrum",),
+                            "ARPACK restart cap per eigensolver run", ">= 1")
+    count_levels: tuple = _field((), _float_tuple, ("spectrum",),
+                                 "lambda values for the counting function")
+    mode: str = _field("gaussian-kernel", str, ("heat-diagnostics",), "heat mode",
+                       HEAT_MODES)
+    output_dir: str = _field(None, str, _ALL,
+                             f"output directory (default ${OUTPUT_DIR_ENV} "
+                             "or ./spectralab-output)")
+
+
+_FIELDS = {f.name: f for f in fields(RunConfig) if f.metadata}
+
+
+def _used_fields(subcommand: str) -> list:
+    """Names of the fields `subcommand` reads, in declaration order."""
+    return [name for name, f in _FIELDS.items()
+            if subcommand in f.metadata["used_by"]]
 
 
 def parse_config_file(path) -> dict:
@@ -143,10 +149,10 @@ def parse_config_file(path) -> dict:
             raise ValueError(f"line {lineno}: expected key = value, got {line!r}")
         key = key.strip()
         raw = raw.strip()
-        if key not in _FIELD_TYPES:
+        if key not in _FIELDS:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
         try:
-            values[key] = _FIELD_TYPES[key](raw)
+            values[key] = _FIELDS[key].metadata["parse"](raw)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: bad value for {key!r}: {exc}")
     return values
@@ -158,58 +164,71 @@ def smallest_admissible_power(r: float) -> int:
 
 
 def resolve_config(subcommand: str, file_values: dict, flag_values: dict) -> RunConfig:
-    values = dict(_DEFAULTS)
-    values.update(file_values)
-    for key, flag in flag_values.items():
-        if flag is not None:
-            values[key] = flag
-    values["subcommand"] = subcommand
+    """Defaults, then file values, then flags that are set; then validation.
+
+    A key that `subcommand` does not read is a configuration error.
+    """
+    if subcommand not in SUBCOMMANDS:
+        raise ValueError(f"unknown subcommand {subcommand!r}")
+    used = _used_fields(subcommand)
+    values = {name: f.default for name, f in _FIELDS.items()}
+    for source in (file_values, flag_values):
+        for key, value in source.items():
+            if value is None:
+                continue
+            if key not in used:
+                raise ValueError(f"{key} is not used by {subcommand}")
+            values[key] = value
     if values["output_dir"] is None:
         values["output_dir"] = os.environ.get(OUTPUT_DIR_ENV, "spectralab-output")
-    if values["k"] is None:
+    if values["k"] is None and "k" in used:
         values["k"] = 5 if subcommand == "spectrum" \
             else smallest_admissible_power(values["r"])
-    config = RunConfig(**values)
-    _validate(config)
+    config = RunConfig(subcommand, **values)
+    _validate(config, used)
     return config
 
 
-def _validate(config: RunConfig) -> None:
-    if config.subcommand not in SUBCOMMANDS:
-        raise ValueError(f"unknown subcommand {config.subcommand!r}")
-    if config.nu not in (1, 2, 3):
-        raise ValueError("nu must be 1, 2, or 3")
-    for name in ("h", "s", "ell"):
-        if getattr(config, name) <= 0:
-            raise ValueError(f"{name} must be > 0")
-    for name in ("trials", "budget", "max_iters"):
-        if getattr(config, name) < 1:
-            raise ValueError(f"{name} must be >= 1")
-    if config.seed < 0:
-        raise ValueError("seed must be >= 0")
-    needs_potential = config.subcommand != "inequalities"
-    if needs_potential and not config.potential:
-        raise ValueError(f"{config.subcommand} requires --potential")
-    if config.potential:
+def _check_bound(name: str, value, bound) -> None:
+    if isinstance(bound, tuple):
+        if value not in bound:
+            raise ValueError(f"{name} must be one of "
+                             f"{', '.join(map(str, bound))}, got {value!r}")
+        return
+    op, limit = bound.split()
+    entries = value if isinstance(value, tuple) else (value,)
+    if not all(v > float(limit) if op == ">" else v >= float(limit)
+               for v in entries):
+        raise ValueError(f"{name} must be {bound}")
+
+
+def _validate(config: RunConfig, used: list) -> None:
+    sub = config.subcommand
+    for name in used:
+        bound = _FIELDS[name].metadata["bound"]
+        if bound is not None:
+            _check_bound(name, getattr(config, name), bound)
+    if "potential" in used:
+        if not config.potential:
+            raise ValueError(f"{sub} requires --potential")
         parse_potential(config.potential, config.nu)  # fail fast on bad text
-    if config.subcommand == "spectrum":
-        if len(config.L) < 2:
-            raise ValueError("spectrum requires at least two box sizes in --L")
-        if config.k < 1:
-            raise ValueError("k must be >= 1")
-    if config.subcommand in ("sublevel", "thinness", "heat-diagnostics",
-                             "kernel-power"):
-        if config.M <= 0:
-            raise ValueError("M must be > 0")
-    if config.subcommand in ("sublevel", "kernel-power") and config.R <= 0:
-        raise ValueError("R must be > 0")
-    if config.subcommand == "thinness":
+    if sub == "spectrum":
+        check_schedule(config.L)
+        if config.k > MAX_EIGENPAIRS:
+            raise ValueError(f"k must be <= {MAX_EIGENPAIRS}")
+    if "L" in used:
+        if not config.L:
+            raise ValueError(f"{sub} requires a box size in --L")
+        for L in config.L:
+            grid = Grid(config.nu, L, config.h)
+            if sub != "spectrum":
+                grid.require_dense_budget()
+            elif config.k > grid.size:
+                raise ValueError(f"k = {config.k} exceeds the {grid.size} "
+                                 f"points of the L = {L:g} grid")
+    if sub == "thinness":
         check_radii(config.radii)
-    if config.subcommand == "inequalities" and config.dim < 2:
-        raise ValueError("dim must be >= 2")
-    if config.subcommand in ("heat-diagnostics", "kernel-power") and not config.L:
-        raise ValueError(f"{config.subcommand} requires a box size in --L")
-    if config.subcommand == "kernel-power" and 2 * config.k - 2 <= config.r:
+    if sub == "kernel-power" and 2 * config.k - 2 <= config.r:
         raise ValueError(
             f"k = {config.k} violates 2k - 2 > r (r = {config.r:g}); "
             f"smallest admissible k is {smallest_admissible_power(config.r)}"
@@ -344,10 +363,12 @@ def execute(config: RunConfig) -> int:
         {"name": p.name, "sha256": file_digest(p), "bytes": p.stat().st_size}
         for p in sorted(files, key=lambda p: p.name)
     )
+    config_record = {"subcommand": config.subcommand}
+    for name in _used_fields(config.subcommand):
+        config_record[name] = to_jsonable(getattr(config, name))
     manifest = RunManifest(
         version=__version__,
-        config={f.name: to_jsonable(getattr(config, f.name))
-                for f in fields(config)},
+        config=config_record,
         master_seed=config.seed,
         wall_clock_seconds=elapsed,
         checks=tuple(checks),
@@ -368,72 +389,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
-    descriptions = {
-        "spectrum": "eigenvalues across a growing-box schedule",
-        "sublevel": "Monte Carlo measure of a sublevel set in a ball",
-        "thinness": "partial integrals of the local-measure power",
-        "inequalities": "seeded semigroup inequality batch",
-        "heat-diagnostics": "Hilbert-Schmidt diagnostics of the masked heat kernel",
-        "kernel-power": "pointwise and HS bounds for powers of the proximity kernel",
-    }
-    for name in SUBCOMMANDS:
-        sub = subparsers.add_parser(name, help=descriptions[name])
+    for name, description in SUBCOMMANDS.items():
+        # no abbreviations: "--s" must not stand for --seed where s is unread
+        sub = subparsers.add_parser(name, help=description, allow_abbrev=False)
         sub.add_argument("--config", default=None,
                          help="flat key = value config file")
-        sub.add_argument("--potential", default=None,
-                         help="potential expression, e.g. 'x1^2 * x2^2'")
-        sub.add_argument("--nu", type=int, default=None,
-                         help="space dimension (1, 2, or 3)")
-        sub.add_argument("--M", type=float, default=None,
-                         help="sublevel height")
-        sub.add_argument("--r", type=float, default=None,
-                         help="thinness exponent")
-        sub.add_argument("--ell", type=float, default=None,
-                         help="local-measure ball radius")
-        sub.add_argument("--radii", type=_float_tuple, default=None,
-                         help="comma-separated radii, e.g. 10,20,40,80")
-        sub.add_argument("--L", type=_float_tuple, default=None,
-                         help="comma-separated box half-widths")
-        sub.add_argument("--h", type=float, default=None, help="grid spacing")
-        sub.add_argument("--s", type=float, default=None, help="heat time")
-        sub.add_argument("--R", type=float, default=None,
-                         help="truncation / region radius")
-        sub.add_argument("--k", type=int, default=None,
-                         help="eigenvalue count (spectrum) or kernel power")
-        sub.add_argument("--seed", type=int, default=None, help="master seed")
-        sub.add_argument("--trials", type=int, default=None,
-                         help="inequality batch size")
-        sub.add_argument("--dim", type=int, default=None,
-                         help="largest matrix dimension in the batch")
-        sub.add_argument("--budget", type=int, default=None,
-                         help="Monte Carlo sample budget")
-        sub.add_argument("--max-iters", dest="max_iters", type=int,
-                         default=None,
-                         help="ARPACK restart cap per eigensolver run")
-        sub.add_argument("--count-levels", dest="count_levels",
-                         type=_float_tuple, default=None,
-                         help="lambda values for the counting function")
-        sub.add_argument("--mode", default=None,
-                         help="heat mode: gaussian-kernel | expm-of-laplacian")
-        sub.add_argument("--output-dir", dest="output_dir", default=None,
-                         help=f"output directory (default ${OUTPUT_DIR_ENV} "
-                              "or ./spectralab-output)")
+        for key in _used_fields(name):
+            meta = _FIELDS[key].metadata
+            bound = meta["bound"]
+            if isinstance(bound, tuple):
+                bound = ", ".join(map(str, bound))
+            sub.add_argument("--" + key.replace("_", "-"), dest=key,
+                             type=meta["parse"], default=None,
+                             help=f"{meta['help']} ({bound})" if bound else meta["help"])
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        flag_values = vars(parser.parse_args(argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    file_values = {}
+    subcommand = flag_values.pop("subcommand")
+    config_path = flag_values.pop("config")
     try:
-        if args.config:
-            file_values = parse_config_file(args.config)
-        flag_values = {key: getattr(args, key) for key in _FIELD_TYPES
-                       if key != "subcommand" and hasattr(args, key)}
-        config = resolve_config(args.subcommand, file_values, flag_values)
+        file_values = parse_config_file(config_path) if config_path else {}
+        config = resolve_config(subcommand, file_values, flag_values)
     except (OSError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -28,7 +28,7 @@ from .linalg import (
     singular_values,
     spectral_norm,
 )
-from .sublevel import derived_rng
+from .rng import derived_rng
 
 __all__ = [
     "InequalityReport",

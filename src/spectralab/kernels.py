@@ -39,9 +39,11 @@ from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .operators import Grid, potential_on_grid
 from .potentials import PotentialExpr
-from .sublevel import ball_volume, derived_rng
+from .rng import derived_rng
+from .sublevel import ball_volume
 
 __all__ = [
+    "HEAT_MODES",
     "BoundCheck",
     "CompactnessDiagnostics",
     "KernelMatrix",
@@ -63,6 +65,7 @@ __all__ = [
     "truncated_convolution",
 ]
 
+HEAT_MODES = ("gaussian-kernel", "expm-of-laplacian")
 EXACT_SVD_LIMIT = 2048
 LATTICE_SLACK = 1e-9
 # Lanczos vectors ARPACK keeps for an operator norm.  The seven norms of the

@@ -1,15 +1,11 @@
 """Dense symmetric linear algebra plus an iterative eigensolver.
 
-Covers the linear-algebra needs of the rest of the package: symmetric
-eigendecomposition, singular values, matrix exponentials through the
-eigenbasis, compound (antisymmetric power) matrices built from explicit
-minors, their generators, spectra of products of positive semidefinite
-matrices, and the smallest eigenvalues of an opaque symmetric linear map
-(ARPACK's implicitly restarted Lanczos through scipy's eigsh, followed by a
-deflated certificate pass that recovers repeated eigenvalues).
-
-Matrices serialize to a row-major text format (header line ``# rows cols``,
-one whitespace-separated row per line, %.17g so float64 round-trips).
+Covers the linear-algebra needs of the rest of the package: singular
+values, matrix exponentials through the eigenbasis, compound (antisymmetric
+power) matrices built from explicit minors, spectra of products of positive
+semidefinite matrices, and the smallest eigenvalues of an opaque symmetric
+linear map (ARPACK's implicitly restarted Lanczos through scipy's eigsh,
+followed by a deflated certificate pass that recovers repeated eigenvalues).
 """
 
 from __future__ import annotations
@@ -21,27 +17,24 @@ from itertools import combinations
 import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-from .sublevel import derived_rng
+from .rng import derived_rng
 
 __all__ = [
-    "SpectralDecomposition",
     "LanczosResult",
     "as_symmetric",
-    "sym_eig",
     "singular_values",
     "spectral_norm",
     "expm_sym",
     "compound_matrix",
-    "wedge_generator",
     "lanczos_extremal",
     "psd_product_spectrum",
     "require_psd",
-    "save_matrix_text",
-    "load_matrix_text",
 ]
 
 SYMMETRY_TOLERANCE = 1e-12
 WEDGE_BASIS_LIMIT = 10_000
+# Most eigenpairs one lanczos_extremal call computes.
+MAX_EIGENPAIRS = 30
 # Lanczos vectors ARPACK keeps between restarts.  Its default of 20 leaves
 # the certificate sweep on the 1-d Dirichlet Laplacian at h = 1e-3 (spectral
 # width 4e6 against a lowest gap of 30) unconverged after 999 restarts.
@@ -72,25 +65,6 @@ def as_symmetric(A) -> np.ndarray:
             f"exceeds {SYMMETRY_TOLERANCE:g} * max|A| = {SYMMETRY_TOLERANCE * scale:.3e}"
         )
     return (A + A.T) / 2.0
-
-
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigenvalues sorted descending; eigenvector column j pairs with value j."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        Q = self.eigenvectors
-        return (Q * self.eigenvalues) @ Q.T
-
-
-def sym_eig(A) -> SpectralDecomposition:
-    """Full eigendecomposition of a symmetric matrix, values descending."""
-    A = as_symmetric(A)
-    lam, Q = np.linalg.eigh(A)
-    return SpectralDecomposition(lam[::-1].copy(), Q[:, ::-1].copy())
 
 
 def singular_values(A) -> np.ndarray:
@@ -162,32 +136,6 @@ def compound_matrix(A, n: int) -> np.ndarray:
         ri = row_idx[start : start + chunk]
         minors = A[ri[:, None, :, None], col_idx[None, :, None, :]]
         out[start : start + chunk] = np.linalg.det(minors)
-    return out
-
-
-def wedge_generator(A, n: int) -> np.ndarray:
-    """Generator of the antisymmetric power semigroup.
-
-    Returns the matrix G on the lexicographic subset basis with
-    compound_matrix(expm_sym(A, t), n) == expm_sym(G, t): diagonal entries
-    are sums of A over the subset, off-diagonal entries connect subsets
-    differing in one index, with the alternating sign of the reordering.
-    """
-    A = as_symmetric(A)
-    d = A.shape[0]
-    subsets = _lexicographic_subsets(d, n)
-    index = {S: i for i, S in enumerate(subsets)}
-    out = np.zeros((len(subsets), len(subsets)))
-    for i, S in enumerate(subsets):
-        out[i, i] = float(sum(A[a, a] for a in S))
-        inside = set(S)
-        for pos_b, b in enumerate(S):
-            for a in range(d):
-                if a in inside:
-                    continue
-                T = tuple(sorted(inside - {b} | {a}))
-                sign = -1.0 if (pos_b + T.index(a)) % 2 else 1.0
-                out[index[T], i] = sign * A[a, b]
     return out
 
 
@@ -303,8 +251,8 @@ def lanczos_extremal(matvec, dim: int, k: int, max_iters: int = 600, seed: int =
     k = int(k)
     if dim < 1:
         raise ValueError("dimension must be >= 1")
-    if not 1 <= k <= 30:
-        raise ValueError(f"k must be between 1 and 30, got {k}")
+    if not 1 <= k <= MAX_EIGENPAIRS:
+        raise ValueError(f"k must be between 1 and {MAX_EIGENPAIRS}, got {k}")
     if k > dim:
         raise ValueError(f"k = {k} exceeds the dimension {dim}")
     if max_iters < 1:
@@ -373,29 +321,3 @@ def psd_product_spectrum(C, D) -> np.ndarray:
     root = (Q * np.sqrt(np.clip(lam, 0.0, None))) @ Q.T
     sym = root @ D @ root
     return np.linalg.eigvalsh((sym + sym.T) / 2.0)
-
-
-def save_matrix_text(path, A) -> None:
-    """Write a matrix in the row-major text fixture format.
-
-    First line ``# rows cols``, then one whitespace-separated row per line
-    at %.17g precision (float64 values survive a round trip exactly).
-    """
-    A = _as_matrix(A)
-    np.savetxt(path, A, fmt="%.17g", header=f"{A.shape[0]} {A.shape[1]}", comments="# ")
-
-
-def load_matrix_text(path) -> np.ndarray:
-    """Read a matrix written by save_matrix_text."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-    if not header.startswith("#"):
-        raise ValueError("missing '# rows cols' header line")
-    try:
-        rows, cols = (int(tok) for tok in header[1:].split())
-    except ValueError as exc:
-        raise ValueError(f"malformed header {header!r}") from exc
-    A = np.loadtxt(path, ndmin=2)
-    if A.shape != (rows, cols):
-        raise ValueError(f"header promises shape {(rows, cols)}, file holds {A.shape}")
-    return A

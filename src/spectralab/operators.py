@@ -26,11 +26,10 @@ __all__ = [
     "Grid",
     "SparseOperator",
     "SpectrumReport",
-    "TruncationTable",
+    "check_schedule",
     "discrete_laplacian",
     "hamiltonian",
     "spectrum_study",
-    "truncation_monotonicity",
 ]
 
 SPARSE_POINT_BUDGET = 4_000_000
@@ -184,6 +183,16 @@ class SpectrumReport:
     notes: tuple
 
 
+def check_schedule(schedule) -> tuple:
+    """The box half-widths as floats, once they are >= 2 strictly increasing values."""
+    schedule = tuple(float(L) for L in schedule)
+    if len(schedule) < 2:
+        raise ValueError("schedule needs at least two box sizes")
+    if any(b <= a for a, b in zip(schedule, schedule[1:])):
+        raise ValueError("schedule must be strictly increasing")
+    return schedule
+
+
 def spectrum_study(V: PotentialExpr, schedule, h: float, k: int, seed: int = 0,
                    max_iters: int = 600, tol: float = 3e-11, count_levels=(),
                    residual_tolerance: float = RESIDUAL_TOLERANCE) -> SpectrumReport:
@@ -195,11 +204,7 @@ def spectrum_study(V: PotentialExpr, schedule, h: float, k: int, seed: int = 0,
     tolerance.  Eigensolver shortfalls are propagated as notes with partial
     data.
     """
-    schedule = tuple(float(L) for L in schedule)
-    if len(schedule) < 2:
-        raise ValueError("schedule needs at least two box sizes")
-    if any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise ValueError("schedule must be strictly increasing")
+    schedule = check_schedule(schedule)
     count_levels = tuple(float(level) for level in count_levels)
 
     kept_values = []
@@ -252,48 +257,3 @@ def spectrum_study(V: PotentialExpr, schedule, h: float, k: int, seed: int = 0,
         verdict="stabilized" if stabilized else "not-stabilized",
         notes=tuple(notes),
     )
-
-
-@dataclass(frozen=True)
-class TruncationTable:
-    """Lowest eigenvalues of -Laplacian + min(V, level) per truncation level."""
-
-    levels: tuple
-    eigenvalues: np.ndarray
-    residuals: np.ndarray
-    notes: tuple
-
-
-def truncation_monotonicity(V: PotentialExpr, levels, grid: Grid, eig_count: int,
-                            seed: int = 0, max_iters: int = 600,
-                            tol: float = 3e-11) -> TruncationTable:
-    """Eigenvalue table of the truncated potentials min(V, level).
-
-    levels must be increasing; math.inf rows use V untruncated.  Each row is
-    computed with the same Lanczos seed, so rows at levels above max(V) are
-    float-identical.
-    """
-    levels = tuple(float(level) for level in levels)
-    if len(levels) < 1:
-        raise ValueError("need at least one truncation level")
-    if any(b <= a for a, b in zip(levels, levels[1:])):
-        raise ValueError("levels must be strictly increasing")
-    values = potential_on_grid(grid, V)
-    lap = discrete_laplacian(grid).matrix
-    table = np.empty((len(levels), eig_count))
-    residuals = np.empty((len(levels), eig_count))
-    notes = []
-    for row, level in enumerate(levels):
-        truncated = (guard_values(V, values, "at a grid point", finite=True)
-                     if np.isinf(level) else np.minimum(values, level))
-        H = (lap + sparse.diags(truncated, format="csr")).tocsr()
-        result = lanczos_extremal(lambda x: H @ x, grid.size, eig_count,
-                                  max_iters=max_iters, seed=seed, tol=tol)
-        if not result.converged:
-            notes.append(f"level={level:g}: {result.note or 'not converged'}")
-        got = result.eigenvalues.size
-        table[row, :got] = result.eigenvalues
-        table[row, got:] = np.nan
-        residuals[row, :got] = result.residuals
-        residuals[row, got:] = np.nan
-    return TruncationTable(levels, table, residuals, tuple(notes))

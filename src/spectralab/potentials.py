@@ -126,31 +126,6 @@ class _Call(_Node):
         return np.exp(v) if self.name == "exp" else np.abs(v)
 
 
-def _certify_nonneg(node: _Node) -> bool:
-    """Syntactic nonnegativity certificate.
-
-    True only for expressions that are provably >= 0 by structure: nonnegative
-    constants, even powers, abs/exp applications, and sums/products of such
-    terms.  Conservative: a False flag does not mean the potential is negative
-    anywhere, only that the structure does not certify it.
-    """
-    if isinstance(node, _Const):
-        return node.value >= 0.0
-    if isinstance(node, _Var):
-        return False
-    if isinstance(node, _BinOp):
-        if node.op in ("+", "*"):
-            return _certify_nonneg(node.left) and _certify_nonneg(node.right)
-        return False
-    if isinstance(node, _Pow):
-        return node.exponent % 2 == 0 or _certify_nonneg(node.base)
-    if isinstance(node, _Neg):
-        return False
-    if isinstance(node, _Call):
-        return True  # exp(t) > 0, abs(t) >= 0
-    raise TypeError(f"unknown node {node!r}")
-
-
 # ---------------------------------------------------------------------------
 # Tokenizer / parser
 # ---------------------------------------------------------------------------
@@ -306,17 +281,14 @@ class _Parser:
 
 @dataclass(frozen=True)
 class PotentialExpr:
-    """Parsed potential: AST root, dimension, source text, nonnegativity flag.
+    """Parsed potential: AST root, dimension and source text.
 
-    `nonneg_certified` is a syntactic certificate (see `_certify_nonneg`);
-    consumers that require V >= 0 must still guard evaluated values
-    (`guard_values`) when the certificate is absent.
+    Consumers that require V >= 0 guard evaluated values (`guard_values`).
     """
 
     dimension: int
     source: str
     root: _Node = field(repr=False)
-    nonneg_certified: bool
 
     def __call__(self, points) -> np.ndarray:
         return evaluate(self, points)
@@ -331,7 +303,7 @@ def parse_potential(source: str, dimension: int) -> PotentialExpr:
     tail = parser.peek()
     if tail.kind != "end":
         raise ParseError(f"unexpected trailing input {tail.text!r}", tail.position)
-    return PotentialExpr(int(dimension), source, root, _certify_nonneg(root))
+    return PotentialExpr(int(dimension), source, root)
 
 
 def evaluate(expr: PotentialExpr, points) -> np.ndarray:

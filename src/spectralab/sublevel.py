@@ -1,5 +1,5 @@
 """Sublevel-set geometry: measures of Omega_M = {0 <= V < M}, local measures
-omega_x^l, polynomial-thinness evidence, decay fits, and radial growth probes.
+omega_x^l, polynomial-thinness evidence, and decay fits.
 
 All Monte Carlo draws derive from one master seed through numpy SeedSequence
 spawn keys, so serial and parallel evaluation orders give identical reports.
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import os
-import zlib
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -24,12 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .potentials import PotentialExpr, evaluate, guard_values
+from .rng import derived_rng
 
 __all__ = [
     "Region",
     "MeasureEstimate",
     "ThinnessReport",
-    "GrowthReport",
     "DecayFit",
     "ball_volume",
     "indicator",
@@ -37,21 +36,8 @@ __all__ = [
     "local_measure",
     "decay_fit",
     "thinness",
-    "growth_check",
     "check_radii",
 ]
-
-
-def derived_rng(master_seed: int, *key) -> np.random.Generator:
-    """Child generator for task `key` under `master_seed` (deterministic).
-
-    String key parts are hashed with crc32 so that the derived stream is
-    stable across processes (builtin hash() is salted per interpreter run).
-    """
-    hashed = tuple(
-        zlib.crc32(k.encode()) if isinstance(k, str) else int(k) & 0xFFFFFFFF for k in key
-    )
-    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=hashed))
 
 
 def ball_volume(nu: int, radius: float) -> float:
@@ -163,16 +149,6 @@ class ThinnessReport:
     partial_integrals: tuple
     tail_ratios: tuple
     verdict: str  # 'convergent-evidence' | 'divergent-evidence' | 'inconclusive'
-
-
-@dataclass(frozen=True)
-class GrowthReport:
-    """min-of-V-on-spheres table; sampling evidence, never a proof."""
-
-    radii: tuple
-    min_values: tuple
-    increasing: bool
-    note: str = "sampling evidence only; probes include the coordinate axes"
 
 
 @dataclass(frozen=True)
@@ -436,34 +412,3 @@ def thinness(
     else:
         verdict = "inconclusive"
     return ThinnessReport(float(r), float(ell), tuple(radii), tuple(partials), tuple(ratios), verdict)
-
-
-def growth_check(
-    V: PotentialExpr,
-    radii,
-    probes_per_sphere: int = 64,
-    seed: int = 0,
-) -> GrowthReport:
-    """Minimum of V over probe points on each sphere |x| = R.
-
-    Probes always include the 2*nu coordinate-axis points, so potentials that
-    vanish along an axis report m(R) = 0 exactly; the remainder are seeded
-    uniform directions.  Increasing means strictly increasing across radii.
-    """
-    radii = [float(R) for R in radii]
-    if any(b <= a for a, b in zip(radii, radii[1:])) or any(R <= 0 for R in radii):
-        raise ValueError("radii must be strictly increasing positive values")
-    nu = V.dimension
-    axes = np.concatenate([np.eye(nu), -np.eye(nu)], axis=0)
-    extra = max(0, probes_per_sphere - axes.shape[0])
-    rng = derived_rng(seed, 3)
-    directions = rng.normal(size=(extra, nu))
-    norms = np.linalg.norm(directions, axis=1, keepdims=True)
-    keep = norms[:, 0] > 0
-    directions = np.concatenate([axes, directions[keep] / norms[keep]], axis=0)
-    mins = []
-    for R in radii:
-        values = evaluate(V, R * directions)
-        mins.append(float(np.min(values)))
-    increasing = all(b > a for a, b in zip(mins, mins[1:]))
-    return GrowthReport(tuple(radii), tuple(mins), increasing)

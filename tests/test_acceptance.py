@@ -51,10 +51,10 @@ from spectralab.operators import (
 )
 from spectralab.potentials import parse_potential
 from spectralab.reports import to_jsonable
+from spectralab.rng import derived_rng
 from spectralab.sublevel import (
     Region,
     decay_fit,
-    derived_rng,
     measure,
     thinness,
 )

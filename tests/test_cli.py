@@ -11,6 +11,8 @@ the Python API with the same seed must match the CLI output exactly.
 import hashlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from spectralab.cli import (
+    build_parser,
     main,
     parse_config_file,
     resolve_config,
@@ -27,6 +30,41 @@ from spectralab.potentials import parse_potential
 from spectralab.sublevel import Region, measure, thinness
 
 WELL = "x1^2 + x2^2"
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# The run fields each subcommand reads: its flags, config keys and manifest
+# `config` entries (besides "subcommand").
+USED_FIELDS = {
+    "spectrum": {"potential", "nu", "L", "h", "k", "seed", "max_iters",
+                 "count_levels", "output_dir"},
+    "sublevel": {"potential", "nu", "M", "R", "budget", "seed", "output_dir"},
+    "thinness": {"potential", "nu", "M", "r", "ell", "radii", "budget", "seed",
+                 "output_dir"},
+    "inequalities": {"trials", "dim", "seed", "output_dir"},
+    "heat-diagnostics": {"potential", "nu", "L", "h", "M", "s", "mode", "seed",
+                         "output_dir"},
+    "kernel-power": {"potential", "nu", "L", "h", "M", "R", "k", "r", "seed",
+                     "output_dir"},
+}
+ALL_FIELDS = set().union(*USED_FIELDS.values())
+
+# Inputs that parse but cannot run: each is a configuration error.
+INVALID_CONFIGS = (
+    ("thinness", "--potential", "x1^2", "--radii", "10,20"),
+    ("sublevel", "--potential", WELL, "--seed", "-3"),
+    ("heat-diagnostics", "--potential", WELL, "--mode", "bogus"),
+    ("spectrum", "--potential", "x1^2", "--nu", "1", "--L", "6,8", "--k", "31"),
+    ("spectrum", "--potential", "x1^2", "--nu", "1", "--L", "4,3"),
+    ("heat-diagnostics", "--potential", WELL, "--L", "0.1", "--h", "0.5"),
+    ("thinness", "--potential", "x1^2", "--r", "-1"),
+    ("kernel-power", "--potential", WELL, "--r", "-3"),
+    ("spectrum", "--potential", "x1^2", "--nu", "1", "--L", "0.5,1", "--h", "0.5"),
+    ("heat-diagnostics", "--potential", WELL, "--L", "25", "--h", "0.1"),
+)
+
+
+def flag(name):
+    return "--" + name.replace("_", "-")
 
 
 def run_cli(*args):
@@ -145,13 +183,12 @@ class TestExitCodes:
         assert run_cli("sublevel", "--potential", "x1^(", "--nu", "1",
                        "--output-dir", str(tmp_path)) == 2
 
-    def test_invalid_config_creates_no_output_dir(self, tmp_path):
-        thin, seed = tmp_path / "thin", tmp_path / "seed"
-        assert run_cli("thinness", "--potential", "x1^2", "--radii", "10,20",
-                       "--output-dir", str(thin)) == 2
-        assert run_cli("sublevel", "--potential", WELL, "--seed", "-3",
-                       "--output-dir", str(seed)) == 2
-        assert not thin.exists() and not seed.exists()
+    def test_invalid_config_creates_no_output_dir(self, tmp_path, capsys):
+        for i, args in enumerate(INVALID_CONFIGS):
+            out = tmp_path / f"case-{i}"
+            assert run_cli(*args, "--output-dir", str(out)) == 2, args
+            assert "configuration error" in capsys.readouterr().err, args
+            assert not out.exists(), args
 
     def test_non_finite_potential_is_two_without_traceback(self, tmp_path):
         proc = run_cli_process("spectrum", "--potential", "exp(x1^2)", "--nu", "1",
@@ -213,6 +250,60 @@ class TestExitCodes:
         report = read_json(tmp_path / "thinness-report.json")
         assert report["verdict"] in ("convergent-evidence",
                                      "divergent-evidence", "inconclusive")
+
+
+class TestFieldTable:
+    @pytest.mark.parametrize("subcommand", sorted(USED_FIELDS))
+    def test_help_lists_exactly_the_fields_read(self, subcommand, capsys):
+        assert run_cli(subcommand, "--help") == 0
+        text = capsys.readouterr().out
+        listed = set(re.findall(r"^  (?:-h, )?(--[\w-]+)", text, re.M))
+        expected = {flag(name) for name in USED_FIELDS[subcommand]}
+        assert listed == expected | {"--help", "--config"}
+
+    @pytest.mark.parametrize("subcommand", sorted(USED_FIELDS))
+    def test_unused_flag_is_a_usage_error(self, subcommand, tmp_path, capsys):
+        for name in sorted(ALL_FIELDS - USED_FIELDS[subcommand]):
+            out = tmp_path / name
+            assert run_cli(subcommand, flag(name), "1",
+                           "--output-dir", str(out)) == 2, name
+            assert "unrecognized arguments" in capsys.readouterr().err
+            assert not out.exists(), name
+
+    @pytest.mark.parametrize("subcommand", sorted(USED_FIELDS))
+    def test_unused_config_key_is_a_configuration_error(self, subcommand,
+                                                        tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        for name in sorted(ALL_FIELDS - USED_FIELDS[subcommand]):
+            cfg.write_text(f"{name} = 1\n")
+            out = tmp_path / name
+            assert run_cli(subcommand, "--config", str(cfg),
+                           "--output-dir", str(out)) == 2, name
+            err = capsys.readouterr().err
+            assert err == (f"configuration error: {name} is not used by "
+                           f"{subcommand}\n")
+            assert not out.exists(), name
+
+    def test_flags_are_not_abbreviated(self, tmp_path):
+        # "--s" would otherwise stand for --seed, which sublevel reads
+        out = tmp_path / "out"
+        assert run_cli("sublevel", "--potential", WELL, "--s", "3",
+                       "--output-dir", str(out)) == 2
+        assert not out.exists()
+
+    def test_readme_commands_resolve(self):
+        text = README.read_text(encoding="utf-8")
+        block = text.split("## Command line", 1)[1].split("```sh", 1)[1]
+        lines = [line for line in block.split("```", 1)[0].splitlines()
+                 if line.startswith("spectralab ")]
+        seen = set()
+        for line in lines:
+            flags = vars(build_parser().parse_args(shlex.split(line)[1:]))
+            subcommand = flags.pop("subcommand")
+            flags.pop("config")
+            resolve_config(subcommand, {}, flags)
+            seen.add(subcommand)
+        assert seen == set(USED_FIELDS)
 
 
 class TestSublevelRun:
@@ -390,24 +481,28 @@ class TestReproducibility:
             assert payloads[0] and payloads[0] == payloads[1], args[0]
 
     def test_manifest_config_reruns_to_same_results(self, tmp_path):
-        first = tmp_path / "first"
-        assert run_cli("sublevel", "--potential", WELL, "--nu", "2",
-                       "--M", "4", "--R", "3", "--budget", "15000",
-                       "--seed", "21", "--output-dir", str(first)) == 0
-        manifest = read_json(first / "sublevel-manifest.json")
-        cfg_path = tmp_path / "replay.cfg"
-        second = tmp_path / "second"
-        skip = {"subcommand", "output_dir", "potential", "radii", "L",
-                "count_levels"}
-        lines = [f"potential = {manifest['config']['potential']}",
-                 "radii = " + ",".join(str(v) for v in manifest["config"]["radii"]),
-                 "L = " + ",".join(str(v) for v in manifest["config"]["L"])]
-        lines += [f"{key} = {value}"
-                  for key, value in manifest["config"].items()
-                  if key not in skip]
-        cfg_path.write_text("\n".join(lines) + "\n")
-        assert run_cli(manifest["config"]["subcommand"],
-                       "--config", str(cfg_path),
-                       "--output-dir", str(second)) == 0
-        assert (first / "sublevel-report.json").read_bytes() == \
-            (second / "sublevel-report.json").read_bytes()
+        runs = (
+            ("sublevel", "--potential", WELL, "--nu", "2", "--M", "4",
+             "--R", "3", "--budget", "15000", "--seed", "21"),
+            ("thinness", "--potential", WELL, "--nu", "2", "--M", "2",
+             "--r", "2", "--radii", "2,4,8", "--budget", "10000", "--seed", "5"),
+        )
+        for args in runs:
+            sub = args[0]
+            first, second = tmp_path / f"{sub}-first", tmp_path / f"{sub}-second"
+            assert run_cli(*args, "--output-dir", str(first)) == 0
+            config = read_json(first / f"{sub}-manifest.json")["config"]
+            assert set(config) == USED_FIELDS[sub] | {"subcommand"}
+            lines = []
+            for key, value in config.items():
+                if key in ("subcommand", "output_dir"):
+                    continue
+                if isinstance(value, list):
+                    value = ",".join(str(v) for v in value)
+                lines.append(f"{key} = {value}")
+            cfg_path = tmp_path / f"{sub}-replay.cfg"
+            cfg_path.write_text("\n".join(lines) + "\n")
+            assert run_cli(config["subcommand"], "--config", str(cfg_path),
+                           "--output-dir", str(second)) == 0
+            assert (first / f"{sub}-report.json").read_bytes() == \
+                (second / f"{sub}-report.json").read_bytes()

@@ -28,7 +28,7 @@ from spectralab.inequalities import (
     wedge_segal_chain,
 )
 from spectralab.linalg import spectral_norm
-from spectralab.sublevel import derived_rng
+from spectralab.rng import derived_rng
 
 GT_STRICT_LHS = 0.9274916407295174
 GT_STRICT_RHS = 0.9355470827897487

@@ -49,7 +49,8 @@ from spectralab.kernels import (
 )
 from spectralab.operators import Grid, discrete_laplacian, potential_on_grid
 from spectralab.potentials import parse_potential
-from spectralab.sublevel import ball_volume, derived_rng
+from spectralab.rng import derived_rng
+from spectralab.sublevel import ball_volume
 
 CROSS = parse_potential("x1^2 * x2^2", 2)
 

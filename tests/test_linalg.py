@@ -18,18 +18,13 @@ import scipy.linalg
 from spectralab import linalg
 from spectralab.linalg import (
     LanczosResult,
-    SpectralDecomposition,
     as_symmetric,
     compound_matrix,
     expm_sym,
     lanczos_extremal,
-    load_matrix_text,
     psd_product_spectrum,
-    save_matrix_text,
     singular_values,
     spectral_norm,
-    sym_eig,
-    wedge_generator,
 )
 
 
@@ -62,30 +57,6 @@ def test_as_symmetric_rejects_nonfinite_and_nonsquare():
         as_symmetric(np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError, match="square"):
         as_symmetric(np.ones((2, 3)))
-
-
-# ----------------------------------------------------------------- sym_eig
-
-
-def test_sym_eig_diagonal_examples():
-    dec = sym_eig(np.diag([3.0, 1.0, 2.0]))
-    assert np.allclose(dec.eigenvalues, [3.0, 2.0, 1.0], rtol=0, atol=1e-14)
-    dec = sym_eig(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert np.allclose(dec.eigenvalues, [1.0, -1.0], rtol=0, atol=1e-14)
-
-
-def test_sym_eig_reconstruction_and_orthonormality():
-    # 100 seeded draws across dimensions up to 16.
-    rng = np.random.default_rng(11)
-    for trial in range(100):
-        d = int(rng.integers(1, 17))
-        A = random_symmetric(rng, d)
-        dec = sym_eig(A)
-        norm = max(spectral_norm(A), 1e-300)
-        assert spectral_norm(dec.reconstruct() - A) <= 1e-10 * norm
-        gram = dec.eigenvectors.T @ dec.eigenvectors
-        assert spectral_norm(gram - np.eye(d)) <= 1e-10
-        assert np.all(np.diff(dec.eigenvalues) <= 0)
 
 
 # ---------------------------------------------------------- singular values
@@ -216,41 +187,6 @@ def test_compound_matrix_guards():
         compound_matrix(np.ones((3, 3)), 4)
     with pytest.raises(ValueError, match="order"):
         compound_matrix(np.ones((3, 3)), 0)
-
-
-# --------------------------------------------------------- wedge generator
-
-
-def test_wedge_generator_diagonal_and_zero():
-    G = wedge_generator(np.diag([4.0, 7.0, 9.0]), 2)
-    assert np.allclose(G, np.diag([11.0, 13.0, 16.0]), atol=1e-14)
-    assert np.array_equal(wedge_generator(np.zeros((4, 4)), 2), np.zeros((6, 6)))
-
-
-def test_wedge_generator_is_symmetric():
-    A = random_symmetric(np.random.default_rng(13), 5)
-    G = wedge_generator(A, 3)
-    assert np.array_equal(G, G.T)
-
-
-def test_wedge_generator_matches_compound_of_exponential():
-    rng = np.random.default_rng(14)
-    A = random_symmetric(rng, 4)
-    lhs = compound_matrix(expm_sym(A, -1.0), 2)
-    rhs = expm_sym(wedge_generator(A, 2), -1.0)
-    assert spectral_norm(lhs - rhs) <= 1e-8 * spectral_norm(rhs)
-
-
-def test_wedge_semigroup_identity_psd():
-    rng = np.random.default_rng(15)
-    for trial in range(5):
-        A = random_psd(rng, 5)
-        for n in (2, 3):
-            G = wedge_generator(A, n)
-            for t in (0.1, 1.0):
-                lhs = compound_matrix(expm_sym(A, -t), n)
-                rhs = expm_sym(G, -t)
-                assert spectral_norm(lhs - rhs) <= 1e-8 * max(spectral_norm(rhs), 1e-300)
 
 
 # ----------------------------------------------------------------- lanczos
@@ -389,28 +325,3 @@ def test_psd_product_spectrum_both_orders_agree():
 def test_psd_product_spectrum_rejects_indefinite():
     with pytest.raises(ValueError, match="not positive semidefinite"):
         psd_product_spectrum(np.diag([1.0, -1.0]), np.eye(2))
-
-
-# ------------------------------------------------------------ text fixtures
-
-
-def test_matrix_text_round_trip(tmp_path):
-    rng = np.random.default_rng(18)
-    for shape in ((3, 5), (1, 1), (4, 1)):
-        A = rng.standard_normal(shape)
-        path = tmp_path / "fixture.txt"
-        save_matrix_text(path, A)
-        B = load_matrix_text(path)
-        assert np.array_equal(A, B)
-    first_line = (tmp_path / "fixture.txt").read_text().splitlines()[0]
-    assert first_line == "# 4 1"
-
-
-def test_matrix_text_rejects_bad_header(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("1 2\n3 4\n")
-    with pytest.raises(ValueError, match="header"):
-        load_matrix_text(path)
-    path.write_text("# 3 2\n1 2\n3 4\n")
-    with pytest.raises(ValueError, match="promises"):
-        load_matrix_text(path)

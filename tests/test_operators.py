@@ -9,8 +9,6 @@ Oracle routes kept independent of the code under test:
 - Kronecker-sum ordering is checked against per-axis application.
 """
 
-import math
-
 import numpy as np
 import pytest
 import scipy.sparse as sparse
@@ -23,10 +21,9 @@ from spectralab.operators import (
     hamiltonian,
     potential_on_grid,
     spectrum_study,
-    truncation_monotonicity,
 )
 from spectralab.potentials import parse_potential
-from spectralab.sublevel import derived_rng
+from spectralab.rng import derived_rng
 
 
 def dirichlet_eigenvalues(L, h):
@@ -218,27 +215,3 @@ class TestSpectrumStudy:
             spectrum_study(V, (8.0,), 0.05, 3)
         with pytest.raises(ValueError, match="increasing"):
             spectrum_study(V, (8.0, 8.0), 0.05, 3)
-
-
-class TestTruncationMonotonicity:
-    def test_oscillator_levels_rise_to_the_untruncated_values(self):
-        V = parse_potential("x1^2", 1)
-        grid = Grid(1, 8.0, 0.05)
-        tab = truncation_monotonicity(V, (1.0, 10.0, 100.0, math.inf), grid, 3)
-        assert np.all(np.diff(tab.eigenvalues, axis=0) >= -1e-6)
-        # V maxes out at 64 on this grid, so levels 100 and inf coincide
-        np.testing.assert_array_equal(tab.eigenvalues[2], tab.eigenvalues[3])
-        np.testing.assert_allclose(tab.eigenvalues[-1], [1, 3, 5], rtol=1e-2)
-        assert tab.eigenvalues[0, 0] < 1.0
-
-    def test_bounded_potential_saturates_immediately(self):
-        V = parse_potential("0.5 * exp(-x1^2)", 1)
-        tab = truncation_monotonicity(V, (1.0, 2.0), Grid(1, 6.0, 0.1), 2)
-        np.testing.assert_array_equal(tab.eigenvalues[0], tab.eigenvalues[1])
-
-    def test_rejects_unsorted_levels(self):
-        V = parse_potential("x1^2", 1)
-        with pytest.raises(ValueError, match="increasing"):
-            truncation_monotonicity(V, (2.0, 1.0), Grid(1, 4.0, 0.5), 2)
-        with pytest.raises(ValueError, match="one truncation level"):
-            truncation_monotonicity(V, (), Grid(1, 4.0, 0.5), 2)

@@ -18,12 +18,10 @@ import pytest
 from spectralab import sublevel
 from spectralab.potentials import parse_potential
 from spectralab.sublevel import (
-    GrowthReport,
     MeasureEstimate,
     Region,
     ball_volume,
     decay_fit,
-    growth_check,
     indicator,
     local_measure,
     measure,
@@ -272,20 +270,6 @@ def test_shell_points_resample_zero_normals():
     assert np.all((radii > 1.0) & (radii <= 2.0))
 
 
-def test_growth_check_examples():
-    radial = growth_check(DISC, [1.0, 2.0, 4.0], probes_per_sphere=32, seed=9)
-    np.testing.assert_allclose(radial.min_values, [1.0, 4.0, 16.0], rtol=1e-12)
-    assert radial.increasing
-
-    cross = growth_check(CROSS, [1.0, 2.0, 4.0], probes_per_sphere=32, seed=9)
-    assert cross.min_values == (0.0, 0.0, 0.0)  # axis probes see the zero set
-    assert not cross.increasing
-
-    flat = growth_check(ZERO, [1.0, 2.0], probes_per_sphere=8, seed=9)
-    assert flat.min_values == (0.0, 0.0)
-    assert "evidence" in flat.note
-
-
 def test_monotonicity_in_level():
     region = Region("ball", (0.0, 0.0), 5.0)
     small = measure(CROSS, 0.5, region, budget=50_000, seed=21)
@@ -315,9 +299,6 @@ def test_seeded_determinism():
     ta = thinness(CROSS, 1.0, 2.0, 1.0, [5.0, 10.0, 20.0], budget=20_000, sub_budget=500, seed=123)
     tb = thinness(CROSS, 1.0, 2.0, 1.0, [5.0, 10.0, 20.0], budget=20_000, sub_budget=500, seed=123)
     assert ta == tb
-    ga = growth_check(CROSS, [1.0, 2.0], probes_per_sphere=16, seed=123)
-    gb = growth_check(CROSS, [1.0, 2.0], probes_per_sphere=16, seed=123)
-    assert ga == gb
 
 
 def test_report_types_are_plain_records():
@@ -325,5 +306,3 @@ def test_report_types_are_plain_records():
     est = measure(zero_1d, 1.0, Region("ball", (0.0,), 1.0), budget=1_000, seed=0)
     assert isinstance(est, MeasureEstimate)
     assert est.method == "monte-carlo" and est.samples == 1_000 and est.seed == 0
-    g = growth_check(parse_potential("x1^2", 1), [1.0, 2.0], probes_per_sphere=4, seed=0)
-    assert isinstance(g, GrowthReport)
