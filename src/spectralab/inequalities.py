@@ -7,8 +7,12 @@ values with their cap and limit references, antisymmetric-power norm
 identities, and the geometric-mean compactness proxy built from singular
 values.
 
+Every check on a pair (A, B) validates it and reads its exponentials and
+product spectra through one _Pair, which decomposes each of A, B and A + B
+once; inequality_batch shares one pair among the five checks of a trial.
+
 Tolerance conventions: 1e-10 relative for algebraic identities at small
-dimension, 1e-8 for anything routed through compound matrices (minor
+dimension, 1e-9 for anything routed through compound matrices (minor
 determinants amplify roundoff).
 """
 
@@ -20,11 +24,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .linalg import (
+    _expm_from_eigh,
     as_symmetric,
     compound_matrix,
-    expm_sym,
-    psd_product_spectrum,
-    require_psd,
     singular_values,
     spectral_norm,
 )
@@ -48,7 +50,6 @@ __all__ = [
 ]
 
 TOL_ALGEBRAIC = 1e-10
-TOL_COMPOUND = 1e-8
 CHAIN_BASIS_LIMIT = 1_000
 
 
@@ -89,6 +90,64 @@ def _report(name, lhs, rhs, tol_rel, seed=None, dimension=None, equality=False,
                             inputs, equality)
 
 
+class _Pair:
+    """A validated symmetric pair (A, B), decomposed once.
+
+    Holds one np.linalg.eigh each of A, B and A + B, keyed "A", "B" and
+    "A+B"; exp(t X) is formed from those eigenpairs and memoized per (X, t).
+    The matrices named in psd_labels (A's label first) must be positive
+    semidefinite: the smallest eigenvalue may not fall below
+    -1e-10 * max|lambda|.
+    """
+
+    def __init__(self, A, B, psd_labels=("A", "B")):
+        A = as_symmetric(A)
+        B = as_symmetric(B)
+        if A.shape != B.shape:
+            raise ValueError(f"shape mismatch: {A.shape} vs {B.shape}")
+        self.dimension = A.shape[0]
+        self.matrix = {"A": A, "B": B, "A+B": A + B}
+        self.eigh = {X: np.linalg.eigh(M) for X, M in self.matrix.items()}
+        self._exp = {}
+        for X, label in zip("AB", psd_labels):
+            lam = self.eigh[X][0]
+            norm = max(abs(float(lam[0])), abs(float(lam[-1])))
+            if float(lam[0]) < -1e-10 * max(norm, 1e-300):
+                raise ValueError(
+                    f"{label} is not positive semidefinite (smallest eigenvalue {lam[0]:.3e})"
+                )
+
+    def exp(self, X: str, t: float) -> np.ndarray:
+        if (X, t) not in self._exp:
+            self._exp[X, t] = _expm_from_eigh(*self.eigh[X], t)
+        return self._exp[X, t]
+
+    def split(self, t: float) -> np.ndarray:
+        """The split product exp(t A) exp(t B)."""
+        return self.exp("A", t) @ self.exp("B", t)
+
+    def product_spectra(self) -> list:
+        """Ascending eigenvalues of A B and of B A, each order X Y through the
+        symmetric similarity X^{1/2} Y X^{1/2}."""
+        spectra = []
+        for X, Y in (("A", "B"), ("B", "A")):
+            lam, Q = self.eigh[X]
+            root = (Q * np.sqrt(np.clip(lam, 0.0, None))) @ Q.T
+            sym = root @ self.matrix[Y] @ root
+            spectra.append(np.linalg.eigvalsh((sym + sym.T) / 2.0))
+        return spectra
+
+
+def _segal(pair: _Pair, form: str, tol_rel: float, seed) -> InequalityReport:
+    lhs = spectral_norm(pair.exp("A+B", -1.0))
+    if form == "plain":
+        rhs = spectral_norm(pair.split(-1.0))
+    else:
+        half = pair.exp("B", -0.5)
+        rhs = spectral_norm(half @ pair.exp("A", -1.0) @ half)
+    return _report(f"segal-{form}", lhs, rhs, tol_rel, seed=seed, dimension=pair.dimension)
+
+
 def segal(A, B, form: str = "plain", tol_rel: float = TOL_ALGEBRAIC,
           seed=None) -> InequalityReport:
     """Norm bound for the sum exponential against split products.
@@ -99,17 +158,14 @@ def segal(A, B, form: str = "plain", tol_rel: float = TOL_ALGEBRAIC,
     """
     if form not in ("plain", "symmetric"):
         raise ValueError(f"form must be 'plain' or 'symmetric', got {form!r}")
-    A = as_symmetric(A)
-    B = as_symmetric(B)
-    require_psd(A, "A")
-    require_psd(B, "B")
-    lhs = spectral_norm(expm_sym(A + B, -1.0))
-    if form == "plain":
-        rhs = spectral_norm(expm_sym(A, -1.0) @ expm_sym(B, -1.0))
-    else:
-        half = expm_sym(B, -0.5)
-        rhs = spectral_norm(half @ expm_sym(A, -1.0) @ half)
-    return _report(f"segal-{form}", lhs, rhs, tol_rel, seed=seed, dimension=A.shape[0])
+    return _segal(_Pair(A, B), form, tol_rel, seed)
+
+
+def _golden_thompson(pair: _Pair, tol_rel: float, seed) -> InequalityReport:
+    lhs = float(np.trace(pair.exp("A+B", -1.0)))
+    rhs = float(np.trace(pair.split(-1.0)))
+    return _report("golden-thompson", lhs, rhs, tol_rel, seed=seed,
+                   dimension=pair.dimension)
 
 
 def golden_thompson(A, B, tol_rel: float = TOL_ALGEBRAIC, seed=None) -> InequalityReport:
@@ -117,12 +173,14 @@ def golden_thompson(A, B, tol_rel: float = TOL_ALGEBRAIC, seed=None) -> Inequali
 
     Holds for all symmetric inputs; positivity is not required.
     """
-    A = as_symmetric(A)
-    B = as_symmetric(B)
-    lhs = float(np.trace(expm_sym(A + B, -1.0)))
-    rhs = float(np.trace(expm_sym(A, -1.0) @ expm_sym(B, -1.0)))
-    return _report("golden-thompson", lhs, rhs, tol_rel, seed=seed,
-                   dimension=A.shape[0])
+    return _golden_thompson(_Pair(A, B, psd_labels=()), tol_rel, seed)
+
+
+def _half_product_bound(pair: _Pair, tol_rel: float, seed) -> InequalityReport:
+    lhs = spectral_norm(pair.split(-0.5)) ** 2
+    rhs = spectral_norm(pair.split(-1.0))
+    return _report("half-product-square", lhs, rhs, tol_rel, seed=seed,
+                   dimension=pair.dimension)
 
 
 def half_product_bound(A, B, tol_rel: float = TOL_ALGEBRAIC, seed=None) -> InequalityReport:
@@ -130,14 +188,7 @@ def half_product_bound(A, B, tol_rel: float = TOL_ALGEBRAIC, seed=None) -> Inequ
 
     lhs = |exp(-A/2) exp(-B/2)|^2, rhs = |exp(-A) exp(-B)|.
     """
-    A = as_symmetric(A)
-    B = as_symmetric(B)
-    require_psd(A, "A")
-    require_psd(B, "B")
-    lhs = spectral_norm(expm_sym(A, -0.5) @ expm_sym(B, -0.5)) ** 2
-    rhs = spectral_norm(expm_sym(A, -1.0) @ expm_sym(B, -1.0))
-    return _report("half-product-square", lhs, rhs, tol_rel, seed=seed,
-                   dimension=A.shape[0])
+    return _half_product_bound(_Pair(A, B), tol_rel, seed)
 
 
 @dataclass(frozen=True)
@@ -152,8 +203,19 @@ class SpectrumMatchReport:
     passed: bool
 
 
-def _nonzero_part(values: np.ndarray, cutoff: float) -> np.ndarray:
-    return values[np.abs(values) > cutoff]
+def _spectrum_match(cd: np.ndarray, dc: np.ndarray, tol: float) -> SpectrumMatchReport:
+    scale = max(float(np.max(np.abs(cd))), float(np.max(np.abs(dc))), 1e-300)
+    gap = float(np.max(np.abs(cd - dc)))
+    cutoff = 1e-12 * scale
+    nz_cd, nz_dc = cd[np.abs(cd) > cutoff], dc[np.abs(dc) > cutoff]
+    if nz_cd.size != nz_dc.size:
+        # Rank read differently across the orders: compare after padding
+        # the shorter list with zeros at the small end.
+        width = max(nz_cd.size, nz_dc.size)
+        pad_cd = np.concatenate([np.zeros(width - nz_cd.size), nz_cd])
+        pad_dc = np.concatenate([np.zeros(width - nz_dc.size), nz_dc])
+        gap = max(gap, float(np.max(np.abs(pad_cd - pad_dc))))
+    return SpectrumMatchReport(nz_cd, nz_dc, gap, scale, float(tol), bool(gap <= tol * scale))
 
 
 def product_spectrum_match(C, D, tol: float = 1e-8) -> SpectrumMatchReport:
@@ -161,8 +223,10 @@ def product_spectrum_match(C, D, tol: float = 1e-8) -> SpectrumMatchReport:
 
     Two supported shapes: a column C (m x 1) against a row D (1 x m), where
     both products have the single nonzero eigenvalue D @ C; and a pair of
-    same-sized positive semidefinite symmetric matrices, handled through the
-    symmetric similarity of each order.  Anything else is rejected.
+    same-sized positive semidefinite symmetric matrices, whose product
+    spectra come from the symmetric similarity C^{1/2} D C^{1/2} (and
+    D^{1/2} C D^{1/2}) built on one eigendecomposition of each factor.
+    Anything else is rejected.
     """
     C = np.asarray(C, dtype=float)
     D = np.asarray(D, dtype=float)
@@ -172,33 +236,14 @@ def product_spectrum_match(C, D, tol: float = 1e-8) -> SpectrumMatchReport:
         raise ValueError("factors larger than 12 in any direction are not supported")
     if C.shape[1] == 1 and D.shape[0] == 1 and C.shape[0] == D.shape[1]:
         value = float((D @ C)[0, 0])
-        cd = np.array([value])
-        dc = np.array([value])
-        scale = max(abs(value), 1e-300)
-        cutoff = 1e-12 * scale
-        nz_cd, nz_dc = _nonzero_part(cd, cutoff), _nonzero_part(dc, cutoff)
-        gap = 0.0
-    elif C.shape == D.shape and C.shape[0] == C.shape[1]:
-        cd = psd_product_spectrum(C, D)
-        dc = psd_product_spectrum(D, C)
-        scale = max(float(np.max(np.abs(cd))), float(np.max(np.abs(dc))), 1e-300)
-        gap = float(np.max(np.abs(cd - dc)))
-        cutoff = 1e-12 * scale
-        nz_cd, nz_dc = _nonzero_part(cd, cutoff), _nonzero_part(dc, cutoff)
-        if nz_cd.size != nz_dc.size:
-            # Rank read differently across the orders: compare after padding
-            # the shorter list with zeros at the small end.
-            width = max(nz_cd.size, nz_dc.size)
-            pad_cd = np.concatenate([np.zeros(width - nz_cd.size), nz_cd])
-            pad_dc = np.concatenate([np.zeros(width - nz_dc.size), nz_dc])
-            gap = max(gap, float(np.max(np.abs(pad_cd - pad_dc))))
-    else:
+        return _spectrum_match(np.array([value]), np.array([value]), tol)
+    if C.shape != D.shape or C.shape[0] != C.shape[1]:
         raise ValueError(
             "supported factor shapes are (m,1)x(1,m) or a same-shape symmetric "
             f"positive semidefinite pair; got {C.shape} x {D.shape}"
         )
-    passed = gap <= tol * scale
-    return SpectrumMatchReport(nz_cd, nz_dc, gap, scale, float(tol), bool(passed))
+    pair = _Pair(C, D, ("first factor", "second factor"))
+    return _spectrum_match(*pair.product_spectra(), tol)
 
 
 @dataclass(frozen=True)
@@ -220,19 +265,15 @@ def trotter_sequence(A, B, n_max: int = 12) -> TrotterSequence:
     """Doubling chain of split-product norms for a positive semidefinite pair."""
     if not 0 <= n_max <= 14:
         raise ValueError(f"n_max must be between 0 and 14, got {n_max}")
-    A = as_symmetric(A)
-    B = as_symmetric(B)
-    require_psd(A, "A")
-    require_psd(B, "B")
+    pair = _Pair(A, B)
     values = np.empty(n_max + 1)
     for n in range(n_max + 1):
-        step = 2.0 ** (-n)
-        M = expm_sym(A, -step) @ expm_sym(B, -step)
+        M = pair.split(-(2.0 ** (-n)))
         for _ in range(n):
             M = M @ M
         values[n] = spectral_norm(M)
-    limit = spectral_norm(expm_sym(A + B, -1.0))
-    cap = spectral_norm(expm_sym(A, -1.0) @ expm_sym(B, -1.0))
+    limit = spectral_norm(pair.exp("A+B", -1.0))
+    cap = spectral_norm(pair.split(-1.0))
     return TrotterSequence(np.arange(n_max + 1), values, limit, cap)
 
 
@@ -263,21 +304,17 @@ def wedge_segal_chain(A, B, n: int, tol_rel: float = 1e-9, seed=None) -> WedgeCh
     At n = 1 the compound power is an exact copy, so the inequality half
     coincides with segal(A, B, "plain") float for float.
     """
-    A = as_symmetric(A)
-    B = as_symmetric(B)
-    require_psd(A, "A")
-    require_psd(B, "B")
-    d = A.shape[0]
+    pair = _Pair(A, B)
+    d = pair.dimension
     if math.comb(d, n) > CHAIN_BASIS_LIMIT:
         raise ValueError(
             f"antisymmetric basis would have {math.comb(d, n)} elements "
             f"(limit {CHAIN_BASIS_LIMIT}): dimension overflow"
         )
-    EA = expm_sym(A, -1.0)
-    EB = expm_sym(B, -1.0)
-    lhs = spectral_norm(compound_matrix(expm_sym(A + B, -1.0), n))
-    split = spectral_norm(compound_matrix(EA, n) @ compound_matrix(EB, n))
-    product = spectral_norm(compound_matrix(EA @ EB, n))
+    lhs = spectral_norm(compound_matrix(pair.exp("A+B", -1.0), n))
+    split = spectral_norm(compound_matrix(pair.exp("A", -1.0), n)
+                          @ compound_matrix(pair.exp("B", -1.0), n))
+    product = spectral_norm(compound_matrix(pair.split(-1.0), n))
     inequality = _report("wedge-segal-chain", lhs, split, tol_rel, seed=seed,
                          dimension=d, extra={"order": n})
     multiplicativity = _report("wedge-multiplicativity", split, product, tol_rel,
@@ -311,20 +348,15 @@ def compactness_proxy(mu_or_operator, n_max: int) -> np.ndarray:
     return np.exp(np.cumsum(logs) / counts)
 
 
-def _spectrum_agreement_report(match: SpectrumMatchReport, tol_rel: float,
-                               seed, dimension) -> InequalityReport:
-    deviation = match.max_gap / match.scale
-    return _report("product-spectrum-agreement", deviation, tol_rel, tol_rel,
-                   seed=seed, dimension=dimension)
-
-
 def inequality_batch(trials: int = 500, dims=(2, 3, 4, 5, 6, 7, 8),
                      master_seed: int = 0, tol_rel: float = TOL_ALGEBRAIC) -> list:
     """Seeded sweep of the norm/trace/spectrum checks on random PSD pairs.
 
     Each trial draws G, H with i.i.d. standard normal entries at a dimension
-    cycled from `dims` and tests the pair (G G^T, H H^T).  Returns the flat
-    list of InequalityReports (five per trial).
+    cycled from `dims` and tests the pair (G G^T, H H^T), decomposed once and
+    shared by its five checks.  Returns the flat list of InequalityReports
+    (five per trial); the fifth reads the product-spectrum deviation
+    max_gap / scale against tol_rel.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -337,15 +369,15 @@ def inequality_batch(trials: int = 500, dims=(2, 3, 4, 5, 6, 7, 8),
         rng = derived_rng(master_seed, "inequality-batch", t)
         G = rng.standard_normal((d, d))
         H = rng.standard_normal((d, d))
-        A = G @ G.T
-        B = H @ H.T
-        match = product_spectrum_match(A, B, tol=tol_rel)
+        pair = _Pair(G @ G.T, H @ H.T)
+        match = _spectrum_match(*pair.product_spectra(), tol_rel)
         row = [
-            segal(A, B, "plain", tol_rel=tol_rel, seed=master_seed),
-            segal(A, B, "symmetric", tol_rel=tol_rel, seed=master_seed),
-            golden_thompson(A, B, tol_rel=tol_rel, seed=master_seed),
-            half_product_bound(A, B, tol_rel=tol_rel, seed=master_seed),
-            _spectrum_agreement_report(match, tol_rel, master_seed, d),
+            _segal(pair, "plain", tol_rel, master_seed),
+            _segal(pair, "symmetric", tol_rel, master_seed),
+            _golden_thompson(pair, tol_rel, master_seed),
+            _half_product_bound(pair, tol_rel, master_seed),
+            _report("product-spectrum-agreement", match.max_gap / match.scale, tol_rel,
+                    tol_rel, seed=master_seed, dimension=d),
         ]
         for rep in row:
             reports.append(replace(rep, inputs={**rep.inputs, "trial": t}))
@@ -353,17 +385,13 @@ def inequality_batch(trials: int = 500, dims=(2, 3, 4, 5, 6, 7, 8),
 
 
 def batch_summary(reports) -> list:
-    """Per-check rows (name, trials, min_margin, pass_rate) from a report list."""
-    order: list[str] = []
+    """Per-check rows (name, trials, min_margin, pass_rate) from a report list,
+    in the order each name first appears."""
     grouped: dict[str, list[InequalityReport]] = {}
     for rep in reports:
-        if rep.name not in grouped:
-            grouped[rep.name] = []
-            order.append(rep.name)
-        grouped[rep.name].append(rep)
+        grouped.setdefault(rep.name, []).append(rep)
     rows = []
-    for name in order:
-        group = grouped[name]
+    for name, group in grouped.items():
         rows.append({
             "name": name,
             "trials": len(group),

@@ -37,7 +37,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from .operators import Grid, potential_on_grid
+from .linalg import expm_sym
+from .operators import Grid, _second_difference, potential_on_grid
 from .potentials import PotentialExpr
 from .rng import derived_rng
 from .sublevel import ball_volume
@@ -275,10 +276,11 @@ def heat_matrix(grid: Grid, s: float = 1.0, mode: str = "gaussian-kernel") -> Ke
     gaussian-kernel takes k1_ij = exp(-(x_i - x_j)^2 / 4s) and multiplies
     by (4 pi s)^{-nu/2} once at the end, so K_ij = (4 pi s)^{-nu/2}
     exp(-|x_i - x_j|^2 / 4s) up to rounding and the diagonal is exactly the
-    peak; expm-of-laplacian takes k1 from the separable eigendecomposition
-    of the 1-D Dirichlet Laplacian and divides by w so that apply_kernel
-    reproduces the matrix exponential's action.  The kernel records k1 and
-    the constant column scale (peak, or 1/w) for operator_norm.
+    peak; expm-of-laplacian takes k1 = exp(-s T) (expm_sym) for the 1-D
+    Dirichlet Laplacian T (operators._second_difference) and divides by w so
+    that apply_kernel reproduces the matrix exponential's action.  The
+    kernel records k1 and the constant column scale (peak, or 1/w) for
+    operator_norm.
     """
     if s <= 0:
         raise ValueError("s must be > 0")
@@ -289,13 +291,7 @@ def heat_matrix(grid: Grid, s: float = 1.0, mode: str = "gaussian-kernel") -> Ke
         values = _kron_columns(factor, grid.nu)
         values *= scale
     elif mode == "expm-of-laplacian":
-        n = grid.points_per_axis
-        h = grid.spacing
-        T = (np.diag(np.full(n, 2.0)) - np.diag(np.ones(n - 1), 1)
-             - np.diag(np.ones(n - 1), -1)) / h**2
-        lam, Q = np.linalg.eigh(T)
-        factor = (Q * np.exp(-s * lam)) @ Q.T
-        factor = (factor + factor.T) / 2.0
+        factor = expm_sym(_second_difference(grid.points_per_axis, grid.spacing).toarray(), -s)
         values = _kron_columns(factor, grid.nu)  # exactly symmetric, as factor is
         values /= grid.weight
         scale = 1.0 / grid.weight

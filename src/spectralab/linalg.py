@@ -1,11 +1,12 @@
 """Dense symmetric linear algebra plus an iterative eigensolver.
 
 Covers the linear-algebra needs of the rest of the package: singular
-values, matrix exponentials through the eigenbasis, compound (antisymmetric
-power) matrices built from explicit minors, spectra of products of positive
-semidefinite matrices, and the smallest eigenvalues of an opaque symmetric
-linear map (ARPACK's implicitly restarted Lanczos through scipy's eigsh,
-followed by a deflated certificate pass that recovers repeated eigenvalues).
+values, matrix exponentials through the eigenbasis (_expm_from_eigh takes
+eigenpairs a caller already holds, as the semigroup checks' shared pair
+does), compound (antisymmetric power) matrices built from explicit minors,
+and the smallest eigenvalues of an opaque symmetric linear map (ARPACK's
+implicitly restarted Lanczos through scipy's eigsh, followed by a deflated
+certificate pass that recovers repeated eigenvalues).
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ __all__ = [
     "expm_sym",
     "compound_matrix",
     "lanczos_extremal",
-    "psd_product_spectrum",
-    "require_psd",
 ]
 
 SYMMETRY_TOLERANCE = 1e-12
@@ -77,10 +76,8 @@ def singular_values(A) -> np.ndarray:
 
 def spectral_norm(A) -> float:
     """Operator (largest singular) norm."""
-    A = _as_matrix(A)
-    if A.size == 0:
-        return 0.0
-    return float(np.linalg.svd(A, compute_uv=False)[0])
+    mu = singular_values(A)
+    return float(mu[0]) if mu.size else 0.0
 
 
 def expm_sym(A, t: float = 1.0) -> np.ndarray:
@@ -89,9 +86,12 @@ def expm_sym(A, t: float = 1.0) -> np.ndarray:
     Raises OverflowError when some t*lambda exceeds 700, where float64
     exp() overflows; saturating silently would corrupt norm comparisons.
     """
-    A = as_symmetric(A)
+    return _expm_from_eigh(*np.linalg.eigh(as_symmetric(A)), t)
+
+
+def _expm_from_eigh(lam: np.ndarray, Q: np.ndarray, t: float) -> np.ndarray:
+    """Q exp(t*Lambda) Q^T, symmetrized, from the eigenpairs of a symmetric matrix."""
     t = float(t)
-    lam, Q = np.linalg.eigh(A)
     scaled = t * lam
     peak = float(np.max(scaled))
     if peak > 700.0:
@@ -292,32 +292,3 @@ def lanczos_extremal(matvec, dim: int, k: int, max_iters: int = 600, seed: int =
         residuals[i] = float(np.linalg.norm(apply(x) - value * x) / np.linalg.norm(x))
     converged = ok and eigenvalues.size == k
     return LanczosResult(eigenvalues, residuals, converged, matvecs, note)
-
-
-def require_psd(M: np.ndarray, label: str) -> None:
-    """Reject a symmetric matrix whose smallest eigenvalue is below -1e-10 * |M|."""
-    lam = np.linalg.eigvalsh(M)
-    norm = max(abs(float(lam[0])), abs(float(lam[-1])))
-    if float(lam[0]) < -1e-10 * max(norm, 1e-300):
-        raise ValueError(
-            f"{label} is not positive semidefinite (smallest eigenvalue {lam[0]:.3e})"
-        )
-
-
-def psd_product_spectrum(C, D) -> np.ndarray:
-    """Eigenvalues (ascending) of C @ D for positive semidefinite C, D.
-
-    Computed through the symmetric similarity C^{1/2} D C^{1/2}, so the
-    result is real by construction and matches the spectrum of D @ C away
-    from zero.
-    """
-    C = as_symmetric(C)
-    D = as_symmetric(D)
-    if C.shape != D.shape:
-        raise ValueError(f"shape mismatch: {C.shape} vs {D.shape}")
-    require_psd(C, "first factor")
-    require_psd(D, "second factor")
-    lam, Q = np.linalg.eigh(C)
-    root = (Q * np.sqrt(np.clip(lam, 0.0, None))) @ Q.T
-    sym = root @ D @ root
-    return np.linalg.eigvalsh((sym + sym.T) / 2.0)

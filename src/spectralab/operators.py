@@ -96,20 +96,18 @@ class Grid:
 
 @dataclass(frozen=True)
 class SparseOperator:
-    """CSR-backed symmetric operator with an explicit symmetry flag."""
+    """CSR-backed symmetric operator; construction checks the symmetry."""
 
     dimension: int
     matrix: sparse.csr_matrix = field(repr=False, compare=False)
-    symmetric: bool
 
     def __post_init__(self):
         if self.matrix.shape != (self.dimension, self.dimension):
             raise ValueError("matrix shape does not match the declared dimension")
-        if self.symmetric:
-            gap = sparse.linalg.norm(self.matrix - self.matrix.T, ord=np.inf)
-            scale = sparse.linalg.norm(self.matrix, ord=np.inf)
-            if gap > 1e-12 * max(scale, 1e-300):
-                raise ValueError("symmetric flag set on a nonsymmetric matrix")
+        gap = sparse.linalg.norm(self.matrix - self.matrix.T, ord=np.inf)
+        scale = sparse.linalg.norm(self.matrix, ord=np.inf)
+        if gap > 1e-12 * max(scale, 1e-300):
+            raise ValueError("matrix is not symmetric")
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return self.matrix @ v
@@ -136,7 +134,7 @@ def discrete_laplacian(grid: Grid) -> SparseOperator:
         for f in factors[1:]:
             term = sparse.kron(term, f, format="csr")
         total = term if total is None else total + term
-    return SparseOperator(grid.size, total.tocsr(), symmetric=True)
+    return SparseOperator(grid.size, total.tocsr())
 
 
 def potential_on_grid(grid: Grid, V: PotentialExpr) -> np.ndarray:
@@ -154,7 +152,7 @@ def hamiltonian(grid: Grid, V: PotentialExpr) -> SparseOperator:
                           finite=True)
     lap = discrete_laplacian(grid)
     H = lap.matrix + sparse.diags(values, format="csr")
-    return SparseOperator(grid.size, H.tocsr(), symmetric=True)
+    return SparseOperator(grid.size, H.tocsr())
 
 
 @dataclass(frozen=True)
@@ -164,8 +162,10 @@ class SpectrumReport:
     eigenvalues[j] holds the ascending values kept at schedule[j] (only
     values whose Lanczos residual cleared the residual tolerance are kept);
     drift[j] compares schedule[j] to schedule[j+1] entrywise relative to the
-    larger box.  counting[j][i] counts kept eigenvalues <= count_levels[i]
-    (a window-limited count: eigenvalues beyond the computed k are unseen).
+    larger box.  counting[j][i] counts the kept eigenvalues (at most k) that
+    are <= count_levels[i].  It is not the counting function N(lambda):
+    eigenvalues beyond the computed k are unseen, so a count stops at k
+    (x1^2 + x2^2 at k = 3 reads N(7) = 3, where the true count is 6).
     verdict is "stabilized" when the final drift row exists, is complete,
     and stays within 1 percent.
     """

@@ -6,16 +6,15 @@ with scipy.linalg.expm (Pade route) ahead of time:
     trace(expm(-(A+B)))          = 0.9274916407295174
     trace(expm(-A) @ expm(-B))   = 0.9355470827897487
 The eigendecomposition route agrees with both to 2e-16.
-"""
 
-import math
+The nonsymmetric eigenvalue solver cross-checks product_spectrum_match,
+which only ever forms symmetric matrices.
+"""
 
 import numpy as np
 import pytest
 
 from spectralab.inequalities import (
-    InequalityReport,
-    TrotterSequence,
     batch_summary,
     compactness_proxy,
     golden_thompson,
@@ -77,6 +76,8 @@ def test_segal_guards():
         segal(np.diag([1.0, -1.0]), np.eye(2))
     with pytest.raises(ValueError, match="form"):
         segal(np.eye(2), np.eye(2), "twisted")
+    with pytest.raises(ValueError, match="shape mismatch"):
+        segal(np.eye(2), np.eye(3))
 
 
 # --------------------------------------------------------- golden thompson
@@ -165,6 +166,46 @@ def test_product_spectrum_rank_deficient_factor():
     assert match.passed
     assert match.cd_spectrum.size == 1
     assert match.dc_spectrum.size == 1
+
+
+def test_product_spectrum_diagonal_example():
+    match = product_spectrum_match(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]))
+    assert np.allclose(match.cd_spectrum, [3.0, 8.0], atol=1e-12)
+    assert np.allclose(match.dc_spectrum, [3.0, 8.0], atol=1e-12)
+
+
+def test_product_spectrum_matches_nonsymmetric_oracle():
+    rng = np.random.default_rng(16)
+    G, H = rng.standard_normal((6, 6)), rng.standard_normal((6, 6))
+    C, D = G @ G.T, H @ H.T
+    match = product_spectrum_match(C, D)
+    for got, product in ((match.cd_spectrum, C @ D), (match.dc_spectrum, D @ C)):
+        oracle = np.sort(np.linalg.eigvals(product).real)
+        scale = max(abs(oracle[-1]), 1.0)
+        assert np.allclose(got, oracle, rtol=0, atol=1e-8 * scale)
+
+
+def test_product_spectrum_both_orders_agree():
+    rng = np.random.default_rng(17)
+    for trial in range(20):
+        d = int(rng.integers(2, 9))
+        G, H = rng.standard_normal((d, d)), rng.standard_normal((d, d))
+        C, D = G @ G.T, H @ H.T
+        match = product_spectrum_match(C, D)
+        cd, dc = match.cd_spectrum, match.dc_spectrum
+        scale = max(cd[-1], 1.0)
+        assert cd.size == dc.size == d
+        assert np.max(np.abs(cd - dc)) <= 1e-8 * scale
+        assert np.all(cd >= -1e-9 * scale)
+        # Spectral radius of CD never exceeds the operator norm of DC.
+        assert cd[-1] <= spectral_norm(D @ C) * (1 + 1e-10)
+
+
+def test_product_spectrum_rejects_indefinite():
+    with pytest.raises(ValueError, match="first factor is not positive semidefinite"):
+        product_spectrum_match(np.diag([1.0, -1.0]), np.eye(2))
+    with pytest.raises(ValueError, match="second factor is not positive semidefinite"):
+        product_spectrum_match(np.eye(2), np.diag([1.0, -1.0]))
 
 
 def test_product_spectrum_restrictions():
@@ -337,6 +378,22 @@ def test_inequality_batch_is_deterministic():
     a = inequality_batch(trials=6, dims=(3, 5), master_seed=4)
     b = inequality_batch(trials=6, dims=(3, 5), master_seed=4)
     assert a == b
+
+
+def test_inequality_batch_decomposes_each_matrix_once(monkeypatch):
+    # One eigh each of A, B and A + B per trial; every exponential and both
+    # product spectra are read from those three decompositions.
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(M):
+        calls.append(M.shape)
+        return eigh(M)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    reports = inequality_batch(trials=7, dims=(2, 3, 4, 5, 6, 7, 8), master_seed=3)
+    assert len(reports) == 35
+    assert len(calls) == 3 * 7
 
 
 def test_batch_summary_rows():

@@ -25,7 +25,6 @@ from scipy.linalg import expm
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from spectralab import kernels
-from spectralab.inequalities import compactness_proxy
 from spectralab.kernels import (
     EXACT_SVD_LIMIT,
     KernelMatrix,

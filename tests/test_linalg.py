@@ -5,8 +5,6 @@ Independent oracle routes used here:
     which goes through the eigendecomposition instead;
   - Gram-matrix eigenvalues cross-check singular_values (SVD route);
   - products of singular values cross-check compound-matrix norms;
-  - the nonsymmetric eigenvalue solver cross-checks psd_product_spectrum,
-    which only ever forms symmetric matrices;
   - the analytic discrete sine-mode eigenvalues check Lanczos on the 1-d
     second-difference matrix.
 """
@@ -17,12 +15,10 @@ import scipy.linalg
 
 from spectralab import linalg
 from spectralab.linalg import (
-    LanczosResult,
     as_symmetric,
     compound_matrix,
     expm_sym,
     lanczos_extremal,
-    psd_product_spectrum,
     singular_values,
     spectral_norm,
 )
@@ -286,42 +282,3 @@ def test_lanczos_guards():
         lanczos_extremal(lambda v: v, dim=100, k=31)
     with pytest.raises(ValueError, match="exceeds the dimension"):
         lanczos_extremal(lambda v: v, dim=5, k=6)
-
-
-# ------------------------------------------------------ psd product spectra
-
-
-def test_psd_product_spectrum_examples():
-    assert np.allclose(psd_product_spectrum(np.eye(3), np.eye(3)), np.ones(3), atol=1e-14)
-    got = psd_product_spectrum(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]))
-    assert np.allclose(got, [3.0, 8.0], atol=1e-12)
-
-
-def test_psd_product_spectrum_matches_nonsymmetric_oracle():
-    rng = np.random.default_rng(16)
-    C = random_psd(rng, 6)
-    D = random_psd(rng, 6)
-    got = psd_product_spectrum(C, D)
-    oracle = np.sort(np.linalg.eigvals(C @ D).real)
-    scale = max(abs(oracle[-1]), 1.0)
-    assert np.allclose(got, oracle, rtol=0, atol=1e-8 * scale)
-
-
-def test_psd_product_spectrum_both_orders_agree():
-    rng = np.random.default_rng(17)
-    for trial in range(20):
-        d = int(rng.integers(2, 9))
-        C = random_psd(rng, d)
-        D = random_psd(rng, d)
-        cd = psd_product_spectrum(C, D)
-        dc = psd_product_spectrum(D, C)
-        scale = max(cd[-1], 1.0)
-        assert np.max(np.abs(cd - dc)) <= 1e-8 * scale
-        assert np.all(cd >= -1e-9 * scale)
-        # Spectral radius of CD never exceeds the operator norm of DC.
-        assert cd[-1] <= spectral_norm(D @ C) * (1 + 1e-10)
-
-
-def test_psd_product_spectrum_rejects_indefinite():
-    with pytest.raises(ValueError, match="not positive semidefinite"):
-        psd_product_spectrum(np.diag([1.0, -1.0]), np.eye(2))

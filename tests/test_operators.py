@@ -165,15 +165,15 @@ class TestHamiltonian:
 
 
 class TestSparseOperator:
-    def test_rejects_nonsymmetric_matrix_with_symmetric_flag(self):
+    def test_rejects_nonsymmetric_matrix(self):
         M = sparse.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        with pytest.raises(ValueError, match="symmetric"):
-            SparseOperator(2, M, symmetric=True)
+        with pytest.raises(ValueError, match="not symmetric"):
+            SparseOperator(2, M)
 
     def test_rejects_shape_mismatch(self):
         M = sparse.identity(3, format="csr")
         with pytest.raises(ValueError, match="dimension"):
-            SparseOperator(2, M, symmetric=True)
+            SparseOperator(2, M)
 
 
 class TestSpectrumStudy:

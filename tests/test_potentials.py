@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectralab.potentials import (
     NonPolynomialError,
@@ -133,6 +135,67 @@ def test_to_polynomial_preserves_evaluation():
         form = to_polynomial(expr)
         pts = rng.uniform(-1.5, 1.5, size=(16, nu))
         np.testing.assert_allclose(form.evaluate(pts), evaluate(expr, pts), rtol=1e-12, atol=1e-13)
+
+
+# Random polynomial expressions in x1..x3 as (source, magnitude source,
+# degree).  The magnitude source turns every '-' into '+', so evaluated at
+# |x| it bounds the size of every intermediate term: the rounding scale of
+# both evaluation routes.  Products and powers keep the degree <= 12 so the
+# expansion stays small.
+MAX_DEGREE = 12
+LEAVES = st.one_of(
+    st.sampled_from(["x1", "x2", "x3"]).map(lambda v: (v, v, 1)),
+    st.sampled_from(["0", "1", "2", "0.5", "1.25", "3e-2"]).map(lambda c: (c, c, 0)),
+)
+
+
+def _binary(parts):
+    (a, abs_a, deg_a), op, (b, abs_b, deg_b) = parts
+    if op == "*" and deg_a + deg_b <= MAX_DEGREE:
+        return f"({a} * {b})", f"({abs_a} * {abs_b})", deg_a + deg_b
+    op = "-" if op == "-" else "+"
+    return f"({a} {op} {b})", f"({abs_a} + {abs_b})", max(deg_a, deg_b)
+
+
+def _power(parts):
+    (a, abs_a, deg_a), k = parts
+    k = min(k, MAX_DEGREE // max(deg_a, 1))
+    return f"({a})^{k}", f"({abs_a})^{k}", deg_a * k
+
+
+def _extend(children):
+    return st.one_of(
+        st.tuples(children, st.sampled_from("+-*"), children).map(_binary),
+        st.tuples(children, st.integers(0, 3)).map(_power),
+        children.map(lambda c: (f"-{c[0]}", c[1], c[2])),
+    )
+
+
+def _fold(parts):
+    polynomial = _power(parts[0][::2])
+    for part, op, k in parts[1:]:
+        polynomial = _binary((polynomial, op, _power((part, k))))
+    return polynomial
+
+
+# A chain of 2..4 powered random subexpressions, so that every example
+# expands products of sums.
+POLYNOMIALS = st.lists(
+    st.tuples(st.recursive(LEAVES, _extend, max_leaves=6), st.sampled_from("+-*"),
+              st.integers(1, 3)),
+    min_size=2, max_size=4,
+).map(_fold)
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(POLYNOMIALS, st.integers(0, 2**32 - 1))
+def test_to_polynomial_matches_evaluate_property(polynomial, seed):
+    source, magnitude_source, _ = polynomial
+    expr = parse_potential(source, 3)
+    pts = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(16, 3))
+    scale = evaluate(parse_potential(magnitude_source, 3), np.abs(pts))
+    gap = np.abs(to_polynomial(expr).evaluate(pts) - evaluate(expr, pts))
+    assert np.all(gap <= 1e-9 * scale), source
 
 
 def test_to_polynomial_rejects_non_polynomial():
