@@ -119,8 +119,8 @@ class RunConfig:
     max_iters: int = _field(600, int, ("spectrum",),
                             "ARPACK restart cap per eigensolver run", ">= 1")
     count_levels: tuple = _field((), _float_tuple, ("spectrum",),
-                                 "lambda levels; counts the kept k eigenvalues <= each "
-                                 "level, so a count stops at k")
+                                 "lambda levels; counts every eigenvalue of each box "
+                                 "below each level (exact for any k)")
     mode: str = _field("gaussian-kernel", str, ("heat-diagnostics",), "heat mode",
                        HEAT_MODES)
     output_dir: str = _field(None, str, _ALL,

@@ -15,24 +15,22 @@ radius, with no floating-point fringe cases.
 Kernels cut down to the sublevel set {V < M} vanish outside it, so the
 proximity kernel, its powers and the product kernel C^T C are formed and
 checked on the block of grid points where they can be nonzero; entries off
-that block are exact zeros and enter each maximum as such.  Operator norms
-of large kernels come from ARPACK (Lanczos on M^T M) rather than an SVD.
+that block are exact zeros and enter each maximum as such.
 
-Both heat kernels are separable on the tensor grid: K = k1 (x) ... (x) k1
-with one n x n factor k1 per axis (Van Loan, "The ubiquitous Kronecker
-product", 2000).  heat_matrix fills the dense values from k1 and also
-records (k1, column scale) on the kernel; multiply_function carries that
-record forward, so compose_C and split_tail pieces keep it.  Kernels built
-from user values, compose and adjoint have none.  operator_norm is the one
-reader: above EXACT_SVD_LIMIT it applies K as one n x n product per axis,
-O(N n) per Gram product instead of O(N^2).
+Both heat kernels are separable on the tensor grid: K = (k1 (x) ... (x) k1)
+diag(scale) with one n x n factor k1 per axis (Van Loan, "The ubiquitous
+Kronecker product", 2000).  heat_matrix returns that form, multiply_function
+of it multiplies the scale, so compose_C and split_tail form no N x N array;
+values are formed on first read.  operator_norm runs ARPACK on the Gram map
+at every size, through k1 (one n x n product per axis, O(N n)) when the
+kernel has it and through the dense values otherwise.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, eigsh
@@ -67,7 +65,6 @@ __all__ = [
 ]
 
 HEAT_MODES = ("gaussian-kernel", "expm-of-laplacian")
-EXACT_SVD_LIMIT = 2048
 LATTICE_SLACK = 1e-9
 # Lanczos vectors ARPACK keeps for an operator norm.  The seven norms of the
 # criterion-7 kernel sequence take 97 Gram products in all at 10 (147 at
@@ -75,33 +72,48 @@ LATTICE_SLACK = 1e-9
 NORM_BASIS = 10
 
 
-class _Separable(NamedTuple):
-    """values = (factor (x) ... (x) factor) diag(scale), up to rounding."""
-
-    factor: np.ndarray  # n x n, the same on every axis
-    scale: np.ndarray   # one entry per grid point (column)
+def _require_finite(entries: np.ndarray) -> None:
+    if not np.all(np.isfinite(entries)):
+        raise ValueError("kernel entries must be finite")
 
 
-@dataclass(frozen=True)
 class KernelMatrix:
-    """Dense kernel K(x_i, y_j) on a grid with quadrature weight w."""
+    """Kernel K(x_i, y_j) on a grid with quadrature weight w.
 
-    grid: Grid
-    values: np.ndarray = field(repr=False, compare=False)
-    # set by heat_matrix and carried by multiply_function only
-    _separable: _Separable | None = field(default=None, init=False, repr=False,
-                                          compare=False)
+    KernelMatrix(grid, values) holds dense values; heat_matrix kernels, and
+    multiply_function of them, hold (factor (x) ... (x) factor) diag(scale)
+    and form `values` from it on first read.
+    """
 
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        n = self.grid.size
+    def __init__(self, grid: Grid, values):
+        values = np.asarray(values, dtype=float)
+        n = grid.size
         if values.shape != (n, n):
             raise ValueError(
                 f"kernel must be {n} x {n} on this grid, got {values.shape}"
             )
-        if not np.all(np.isfinite(values)):
-            raise ValueError("kernel entries must be finite")
-        object.__setattr__(self, "values", values)
+        _require_finite(values)
+        self.grid = grid
+        self.values = values
+        self._factor = self._scale = None
+
+    @classmethod
+    def _kronecker(cls, grid: Grid, factor: np.ndarray, scale: np.ndarray) -> KernelMatrix:
+        """The kernel (factor (x) ... (x) factor) diag(scale), values unformed."""
+        # largest |entry| per column, formed as values are: overflows as they would
+        column_peak, peak = np.max(np.abs(factor), axis=0), np.ones(1)
+        for _ in range(grid.nu):
+            peak = np.multiply.outer(peak, column_peak).ravel()
+        _require_finite(peak * np.abs(scale))
+        K = cls.__new__(cls)
+        K.grid, K._factor, K._scale = grid, factor, scale
+        return K
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        values = _kron_columns(self._factor, self.grid.nu)
+        values *= self._scale
+        return values
 
     @property
     def weight(self) -> float:
@@ -119,20 +131,14 @@ def compose(K1: KernelMatrix, K2: KernelMatrix) -> KernelMatrix:
     return KernelMatrix(K1.grid, K1.weight * (K1.values @ K2.values))
 
 
-def _with_separable(K: KernelMatrix, factor: np.ndarray, scale: np.ndarray) -> KernelMatrix:
-    object.__setattr__(K, "_separable", _Separable(factor, scale))
-    return K
-
-
 def multiply_function(K: KernelMatrix, values_on_grid) -> KernelMatrix:
     """Compose with a multiplication operator: scales columns, no weight."""
     g = np.asarray(values_on_grid, dtype=float)
     if g.shape != (K.grid.size,):
         raise ValueError("function values must match the grid size")
-    out = KernelMatrix(K.grid, K.values * g[None, :])
-    if K._separable is not None:
-        _with_separable(out, K._separable.factor, K._separable.scale * g)
-    return out
+    if K._factor is not None:
+        return KernelMatrix._kronecker(K.grid, K._factor, K._scale * g)
+    return KernelMatrix(K.grid, K.values * g[None, :])
 
 
 def apply_kernel(K: KernelMatrix, vec: np.ndarray) -> np.ndarray:
@@ -173,12 +179,6 @@ def _arpack_sigma_max(matvec, rmatvec, cols: np.ndarray, size: int, seed: int) -
     return math.sqrt(max(float(top[0]), 0.0))
 
 
-def _largest_singular_value(M: np.ndarray, seed: int = 0) -> float:
-    """sigma_max of a dense matrix, over its nonzero columns (read in place)."""
-    cols = np.flatnonzero(np.any(M, axis=0))
-    return _arpack_sigma_max(lambda x: M @ x, lambda y: M.T @ y, cols, M.shape[1], seed)
-
-
 def _kron_apply(factor: np.ndarray, nu: int, x: np.ndarray) -> np.ndarray:
     """(factor (x) ... (x) factor) @ x, as one n x n product per axis."""
     n = factor.shape[0]
@@ -191,25 +191,22 @@ def _kron_apply(factor: np.ndarray, nu: int, x: np.ndarray) -> np.ndarray:
 def operator_norm(K: KernelMatrix, seed: int = 0) -> float:
     """Operator norm w * sigma_max(K).
 
-    Matrices up to EXACT_SVD_LIMIT use an exact SVD; larger ones ARPACK on
-    the Gram map over the nonzero columns, converged to machine precision
-    from a start vector drawn from `seed` (ArpackNoConvergence is raised,
-    never a partial estimate).  A kernel that carries its separable form
-    (heat_matrix and multiply_function of it) is applied through the per-axis
-    factor and its column scale, without reading the dense values; any other
-    kernel through its dense values.
+    ARPACK's Lanczos on the Gram map K^T K over the nonzero columns, at
+    every size, converged to machine precision from a start vector drawn
+    from `seed`; ArpackNoConvergence is raised, never a partial estimate.
+    A kernel in Kronecker form (heat_matrix and multiply_function of it) is
+    applied through its per-axis factor and column scale and its values stay
+    unformed; any other kernel is applied through its dense values.
     """
-    if max(K.values.shape) <= EXACT_SVD_LIMIT:
-        sigma = np.linalg.svd(K.values, compute_uv=False)
-        top = float(sigma[0]) if sigma.size else 0.0
-    elif K._separable is not None:
-        factor, scale = K._separable
-        nu = K.grid.nu
+    if K._factor is not None:
+        factor, scale, nu = K._factor, K._scale, K.grid.nu
         top = _arpack_sigma_max(lambda x: _kron_apply(factor, nu, scale * x),
                                 lambda y: scale * _kron_apply(factor.T, nu, y),
                                 np.flatnonzero(scale), scale.size, seed)
     else:
-        top = _largest_singular_value(K.values, seed=seed)
+        M = K.values
+        top = _arpack_sigma_max(lambda x: M @ x, lambda y: M.T @ y,
+                                np.flatnonzero(np.any(M, axis=0)), M.shape[1], seed)
     return K.weight * top
 
 
@@ -270,17 +267,16 @@ def _lattice_ball_mask(grid: Grid, radius: float, rows, cols=None) -> np.ndarray
 
 
 def heat_matrix(grid: Grid, s: float = 1.0, mode: str = "gaussian-kernel") -> KernelMatrix:
-    """Heat-semigroup kernel at time s.
+    """Heat-semigroup kernel at time s, in Kronecker form.
 
-    Both modes build a 1-D factor k1 and fill K = k1 (x) ... (x) k1.
-    gaussian-kernel takes k1_ij = exp(-(x_i - x_j)^2 / 4s) and multiplies
-    by (4 pi s)^{-nu/2} once at the end, so K_ij = (4 pi s)^{-nu/2}
-    exp(-|x_i - x_j|^2 / 4s) up to rounding and the diagonal is exactly the
-    peak; expm-of-laplacian takes k1 = exp(-s T) (expm_sym) for the 1-D
-    Dirichlet Laplacian T (operators._second_difference) and divides by w so
-    that apply_kernel reproduces the matrix exponential's action.  The
-    kernel records k1 and the constant column scale (peak, or 1/w) for
-    operator_norm.
+    Both modes build a 1-D factor k1 and a constant column scale, so that
+    K = (k1 (x) ... (x) k1) * scale.  gaussian-kernel takes
+    k1_ij = exp(-(x_i - x_j)^2 / 4s) and scale (4 pi s)^{-nu/2}, so K_ij =
+    (4 pi s)^{-nu/2} exp(-|x_i - x_j|^2 / 4s) up to rounding and the diagonal
+    is exactly the peak; expm-of-laplacian takes k1 = exp(-s T) (expm_sym)
+    for the 1-D Dirichlet Laplacian T (operators._second_difference) and
+    scale 1/w, so that apply_kernel reproduces the matrix exponential's
+    action.  The dense values are formed on first read.
     """
     if s <= 0:
         raise ValueError("s must be > 0")
@@ -288,16 +284,13 @@ def heat_matrix(grid: Grid, s: float = 1.0, mode: str = "gaussian-kernel") -> Ke
     if mode == "gaussian-kernel":
         factor = _gaussian_factor(grid, s)
         scale = _heat_peak(grid.nu, s)
-        values = _kron_columns(factor, grid.nu)
-        values *= scale
     elif mode == "expm-of-laplacian":
+        # exactly symmetric, so the formed values are too
         factor = expm_sym(_second_difference(grid.points_per_axis, grid.spacing).toarray(), -s)
-        values = _kron_columns(factor, grid.nu)  # exactly symmetric, as factor is
-        values /= grid.weight
         scale = 1.0 / grid.weight
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return _with_separable(KernelMatrix(grid, values), factor, np.full(grid.size, scale))
+    return KernelMatrix._kronecker(grid, factor, np.full(grid.size, scale))
 
 
 def compose_C(grid: Grid, V: PotentialExpr, s: float = 1.0,
@@ -457,8 +450,9 @@ def truncated_convolution(grid: Grid, s: float, R: float):
 
     # integer offsets d2 obey d2 <= cutoff exactly when d2 <= floor(cutoff)
     room = math.floor(_lattice_cutoff(grid, R)) - sum(on_axis(a) for a in range(1, nu))
-    np.copyto(heat.values.reshape((n,) * (2 * nu)), 0.0, where=on_axis(0) > room)
-    F = KernelMatrix(grid, heat.values)  # no separable record: entries were cut
+    values = heat.values  # formed here for this kernel alone, so cut in place
+    np.copyto(values.reshape((n,) * (2 * nu)), 0.0, where=on_axis(0) > room)
+    F = KernelMatrix(grid, values)
 
     h = grid.spacing
     offsets = np.arange(-(n - 1), n, dtype=np.int64)

@@ -162,10 +162,9 @@ class SpectrumReport:
     eigenvalues[j] holds the ascending values kept at schedule[j] (only
     values whose Lanczos residual cleared the residual tolerance are kept);
     drift[j] compares schedule[j] to schedule[j+1] entrywise relative to the
-    larger box.  counting[j][i] counts the kept eigenvalues (at most k) that
-    are <= count_levels[i].  It is not the counting function N(lambda):
-    eigenvalues beyond the computed k are unseen, so a count stops at k
-    (x1^2 + x2^2 at k = 3 reads N(7) = 3, where the true count is 6).
+    larger box.  counting[j][i] is the counting function N(count_levels[i])
+    of the schedule[j] Hamiltonian: all of its eigenvalues below the level,
+    from the inertia of H - level I (_inertia_count), whatever k is.
     verdict is "stabilized" when the final drift row exists, is complete,
     and stays within 1 percent.
     """
@@ -193,22 +192,44 @@ def check_schedule(schedule) -> tuple:
     return schedule
 
 
+def _inertia_count(H: SparseOperator, level: float) -> int:
+    """Eigenvalues of H below `level`, from the inertia of H - level I.
+
+    SuperLU factors H - level I with diagonal pivots only, in a symmetric
+    fill-reducing order, which makes it P (L D L^T) P^T; by Sylvester's law
+    of inertia the negative entries of diag(U) = D count the eigenvalues
+    below the level.  A factor that pivoted rows, or an exactly singular one
+    (the level is an eigenvalue to working precision), raises ValueError.
+    """
+    shifted = (H.matrix - level * sparse.identity(H.dimension, format="csr")).tocsc()
+    try:
+        lu = sparse.linalg.splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                                options={"SymmetricMode": True})
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise ValueError(f"no inertia count at level {level:g}: {exc}") from None
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise ValueError(f"no inertia count at level {level:g}: the factor pivoted rows")
+    return int(np.count_nonzero(lu.U.diagonal() < 0.0))
+
+
 def spectrum_study(V: PotentialExpr, schedule, h: float, k: int, seed: int = 0,
-                   max_iters: int = 600, tol: float = 3e-11, count_levels=(),
-                   residual_tolerance: float = RESIDUAL_TOLERANCE) -> SpectrumReport:
+                   max_iters: int = 600, tol: float = 3e-11,
+                   count_levels=()) -> SpectrumReport:
     """k lowest eigenvalues of H across a growing-box schedule at fixed h.
 
     The verdict is box-stabilization evidence, not a proof: "stabilized"
     means the lowest k eigenvalues moved by at most 1 percent between the
-    two largest boxes and every kept value has residual below the
-    tolerance.  Eigensolver shortfalls are propagated as notes with partial
-    data.
+    two largest boxes and every kept value has residual below
+    RESIDUAL_TOLERANCE.  Eigensolver shortfalls are propagated as notes with
+    partial data.  A count level that the inertia cannot decide (see
+    _inertia_count) raises ValueError naming the box and the level.
     """
     schedule = check_schedule(schedule)
     count_levels = tuple(float(level) for level in count_levels)
 
     kept_values = []
     kept_residuals = []
+    counting = []
     notes = []
     for L in schedule:
         grid = Grid(V.dimension, L, h)
@@ -220,26 +241,25 @@ def spectrum_study(V: PotentialExpr, schedule, h: float, k: int, seed: int = 0,
         values = result.eigenvalues
         residuals = result.residuals
         keep = 0
-        while keep < values.size and residuals[keep] <= residual_tolerance:
+        while keep < values.size and residuals[keep] <= RESIDUAL_TOLERANCE:
             keep += 1
         if keep < values.size:
             notes.append(
                 f"L={L:g}: kept {keep} of {values.size} eigenvalues "
-                f"(residual tolerance {residual_tolerance:g})"
+                f"(residual tolerance {RESIDUAL_TOLERANCE:g})"
             )
         kept_values.append(values[:keep].copy())
         kept_residuals.append(residuals[:keep].copy())
+        try:
+            counting.append(tuple(_inertia_count(H, level) for level in count_levels))
+        except ValueError as exc:
+            raise ValueError(f"L={L:g}: {exc}") from None
 
     drift = []
     for a, b in zip(kept_values, kept_values[1:]):
         m = min(a.size, b.size)
         denom = np.maximum(np.abs(b[:m]), 1e-300)
         drift.append(np.abs(b[:m] - a[:m]) / denom)
-
-    counting = tuple(
-        tuple(int(np.sum(vals <= level)) for level in count_levels)
-        for vals in kept_values
-    )
 
     final = drift[-1]
     complete = kept_values[-1].size == k and kept_values[-2].size == k
@@ -253,7 +273,7 @@ def spectrum_study(V: PotentialExpr, schedule, h: float, k: int, seed: int = 0,
         residuals=tuple(kept_residuals),
         drift=tuple(drift),
         count_levels=count_levels,
-        counting=counting,
+        counting=tuple(counting),
         verdict="stabilized" if stabilized else "not-stabilized",
         notes=tuple(notes),
     )

@@ -244,16 +244,14 @@ def decay_fit(
     ell: float,
     ray_direction,
     distances,
-    method: str = "grid-quadrature",
     budget: int = 100_000,
-    seed: int = 0,
 ) -> DecayFit:
     """Least-squares fit of log omega against log(1/(t+1)) along a ray.
 
     Models omega_{t*ray}^ell ~ C * (t+1)^(-exponent).  Every probe point
-    t*ray must lie in Omega_M.  The default local quadrature uses the same
-    ball-centered grid at every probe, so a translation-invariant omega fits
-    exponent 0 exactly.
+    t*ray must lie in Omega_M.  Each omega is a grid quadrature of `budget`
+    cells on the same ball-centered grid at every probe, so a
+    translation-invariant omega fits exponent 0 exactly.
     """
     ray = np.asarray(ray_direction, dtype=float)
     norm = float(np.linalg.norm(ray))
@@ -264,12 +262,11 @@ def decay_fit(
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValueError("distances must be strictly increasing")
     omegas = []
-    for i, t in enumerate(ts):
+    for t in ts:
         point = t * ray
         if not indicator(V, M, point):
             raise ValueError(f"ray point at distance {t} lies outside Omega_M")
-        est = local_measure(V, M, point, ell, budget=budget, seed=derived_rng(seed, 1, i).integers(2**31)
-                            if method == "monte-carlo" else seed, method=method)
+        est = local_measure(V, M, point, ell, budget=budget, method="grid-quadrature")
         if est.value <= 0.0:
             raise ValueError(f"no sublevel mass within ell of the ray point at distance {t}")
         omegas.append(est.value)

@@ -388,6 +388,26 @@ class TestSpectrumRun:
                 "spectrum-manifest.json", "spectrum-eigenvalue-1.dat",
                 "spectrum-eigenvalue-3.dat"} <= names
 
+    def test_counting_is_exact_beyond_k(self, tmp_path):
+        # the grid oscillator has 6 eigenvalues below 7 (2, 4, 4, 6, 6, 6
+        # up to discretization); k = 3 computes only the first three
+        code = run_cli("spectrum", "--potential", "x1^2+x2^2", "--nu", "2",
+                       "--L", "4,5", "--h", "0.1", "--k", "3",
+                       "--count-levels", "7", "--output-dir", str(tmp_path))
+        assert code == 0
+        assert read_json(tmp_path / "spectrum-report.json")["counting"] == [[6], [6]]
+
+    def test_count_level_on_an_eigenvalue_is_a_run_failure(self, tmp_path, capsys):
+        # the L = 1, h = 1 box is two points with eigenvalues 1 and 3 exactly
+        out = tmp_path / "out"
+        code = run_cli("spectrum", "--potential", "0", "--nu", "1", "--L", "1,2",
+                       "--h", "1", "--k", "1", "--count-levels", "1",
+                       "--output-dir", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("run failed: L=1: no inertia count at level 1")
+        assert not out.exists()
+
     def test_eigenvalue_csv_consistent_with_json(self, tmp_path):
         run_cli("spectrum", "--potential", "x1^2", "--nu", "1",
                 "--L", "5,7", "--h", "0.1", "--k", "2", "--seed", "0",

@@ -5,11 +5,15 @@ is used when it appears as an identifier anywhere in the module (an
 attribute chain such as scipy.linalg.expm counts through its root).
 Exempt: __future__ imports, names listed in the module's __all__, and
 imports on a line marked `# noqa: F401`.  Separately, every __all__ entry
-of every package module must resolve to an attribute of that module.
+of every package module must resolve to an attribute of that module, and
+every module-level UPPER_CASE constant and private top-level function or
+class of the package must be read somewhere in the package or perfbench/
+(a read is a loaded name or an attribute of that name).
 """
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -17,6 +21,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "spectralab"
 SOURCES = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+READERS = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
+CONSTANT = re.compile(r"[A-Z][A-Z0-9_]*")
 
 
 def declared_all(tree: ast.Module) -> list:
@@ -70,3 +76,46 @@ def test_scan_flags_an_unused_import(tmp_path):
         "x = scipy.linalg.expm\n"
     )
     assert unused_imports(sample) == ["line 2: math", "line 5: dumps"]
+
+
+def unread_definitions(modules, readers) -> list:
+    """UPPER_CASE constants and private top-level functions or classes of
+    `modules` that no file of `readers` loads by name or as an attribute."""
+    defined = []
+    for path in modules:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defined.append((path.name, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(path.name, t.id) for t in targets
+                            if isinstance(t, ast.Name) and CONSTANT.fullmatch(t.id)]
+    read = set()
+    for path in readers:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(f"{module}: {name}" for module, name in defined if name not in read)
+
+
+def test_every_constant_and_private_definition_is_read():
+    assert unread_definitions(sorted(PACKAGE.glob("*.py")), READERS) == []
+
+
+def test_scan_flags_an_unread_definition(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "LIMIT = 2048\n"
+        "USED: int = 3\n"
+        "Lower = 1\n"
+        "def _helper():\n    return USED\n"
+        "class _Record:\n    pass\n"
+        "def __getattr__(name):\n    pass\n"
+    )
+    reader = tmp_path / "reader.py"
+    reader.write_text("import sample\nsample._Record()\n")
+    assert unread_definitions([sample], [sample, reader]) == [
+        "sample.py: LIMIT", "sample.py: _helper"]

@@ -21,12 +21,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from spectralab import kernels
 from spectralab.kernels import (
-    EXACT_SVD_LIMIT,
     KernelMatrix,
     adjoint,
     apply_kernel,
@@ -44,7 +45,6 @@ from spectralab.kernels import (
     operator_norm,
     split_tail,
     truncated_convolution,
-    _largest_singular_value,
 )
 from spectralab.operators import Grid, discrete_laplacian, potential_on_grid
 from spectralab.potentials import parse_potential
@@ -123,12 +123,12 @@ class TestKernelMatrix:
         rng = derived_rng(9, "power-check")
         M = rng.standard_normal((300, 180))
         expected = np.linalg.svd(M, compute_uv=False)[0]
-        got = _largest_singular_value(M, seed=3)
+        got = kernels._arpack_sigma_max(lambda x: M @ x, lambda y: M.T @ y,
+                                        np.arange(180), 180, seed=3)
         assert abs(got - expected) <= 1e-12 * expected
 
     def test_operator_norm_above_the_svd_limit_matches_numpy_svd(self):
-        g = Grid(1, 103.0, 0.1)
-        assert g.size > EXACT_SVD_LIMIT
+        g = Grid(1, 103.0, 0.1)   # 2060 points
         rng = derived_rng(10, "large-norm")
         values = rng.standard_normal((g.size, g.size))
         zero = rng.random(g.size) < 0.85   # skipped columns
@@ -748,11 +748,19 @@ def svd_norm(K):
     return K.weight * float(np.linalg.svd(K.values[:, cols], compute_uv=False)[0])
 
 
-def dense_norm_forbidden(*args, **kwargs):
-    raise AssertionError("a separable kernel took the dense norm path")
+def unformed(K):
+    """True while a Kronecker-form kernel has not formed its dense values."""
+    return "values" not in vars(K)
 
 
 MODES = ("gaussian-kernel", "expm-of-laplacian")
+
+
+def kron_power(factor, nu):
+    dense = factor
+    for _ in range(nu - 1):
+        dense = np.kron(dense, factor)
+    return dense
 
 
 class TestSeparableKernels:
@@ -760,18 +768,18 @@ class TestSeparableKernels:
         g = Grid(2, 2.0, 0.25)
         for mode in MODES:
             K = heat_matrix(g, 0.8, mode)
-            factor, scale = K._separable
+            assert unformed(K)
+            factor, scale = K._factor, K._scale
             assert factor.shape == (g.points_per_axis,) * 2
             dense = np.kron(factor, factor) * scale[None, :]
             np.testing.assert_allclose(dense, K.values, rtol=1e-15, atol=0.0)
+            assert not unformed(K) and K.values is K.values   # formed once, kept
 
     def test_kronecker_apply_matches_the_dense_product(self):
         rng = derived_rng(24, "kron")
         factor = rng.standard_normal((5, 5))   # not symmetric
         for nu in (1, 2, 3):
-            dense = factor
-            for _ in range(nu - 1):
-                dense = np.kron(dense, factor)
+            dense = kron_power(factor, nu)
             x = rng.standard_normal(5**nu)
             np.testing.assert_allclose(kernels._kron_apply(factor, nu, x), dense @ x,
                                        rtol=0.0, atol=1e-12 * np.max(np.abs(dense @ x)))
@@ -779,11 +787,13 @@ class TestSeparableKernels:
     def test_record_dropped_by_values_compose_and_adjoint(self):
         g = Grid(2, 2.0, 0.25)
         heat = heat_matrix(g, 1.0)
-        assert heat._separable is not None
-        assert KernelMatrix(g, heat.values)._separable is None
-        assert compose(heat, heat)._separable is None
-        assert adjoint(heat)._separable is None
-        assert truncated_convolution(g, 1.0, 1.0)[0]._separable is None
+        assert heat._factor is not None
+        assert KernelMatrix(g, heat.values)._factor is None
+        assert compose(heat, heat)._factor is None
+        assert adjoint(heat)._factor is None
+        held = heat.values.copy()
+        assert truncated_convolution(g, 1.0, 1.0)[0]._factor is None
+        np.testing.assert_array_equal(heat.values, held)   # a held kernel is not cut
 
     def test_chained_multiply_function_multiplies_the_scales(self):
         g = Grid(2, 2.0, 0.25)
@@ -791,26 +801,35 @@ class TestSeparableKernels:
         rng = derived_rng(21, "scales")
         g1, g2 = rng.random(g.size), rng.standard_normal(g.size)
         out = multiply_function(multiply_function(heat, g1), g2)
-        assert out._separable.factor is heat._separable.factor
-        np.testing.assert_array_equal(out._separable.scale,
-                                      heat._separable.scale * g1 * g2)
-        np.testing.assert_array_equal(heat._separable.scale, 1.0 / g.weight)
+        assert out._factor is heat._factor and unformed(out) and unformed(heat)
+        np.testing.assert_array_equal(out._scale, heat._scale * g1 * g2)
+        np.testing.assert_array_equal(heat._scale, 1.0 / g.weight)
+
+    def test_finite_guard_on_the_factor_and_scale(self):
+        g = Grid(1, 1.0, 0.5)
+        heat = heat_matrix(g, 1.0)
+        for bad in (np.full(g.size, np.nan), np.full(g.size, 1e308)):
+            with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):
+                multiply_function(multiply_function(heat, bad), bad)
+        # entries overflow although factor and scale are finite
+        with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):
+            KernelMatrix._kronecker(g, np.full((4, 4), 2.0), np.full(4, 1e308))
+        K = KernelMatrix._kronecker(g, np.full((4, 4), 2.0), np.full(4, 1e307))
+        assert np.all(K.values == 2e307)
 
     @pytest.mark.parametrize("nu, L, h", [(1, 4.0, 0.25), (2, 2.0, 0.25),
                                           (3, 1.0, 0.25)])
     @pytest.mark.parametrize("mode", MODES)
-    def test_split_pieces_match_svd(self, monkeypatch, nu, L, h, mode):
-        # the limit lowered so that every piece takes the factored path;
+    def test_split_pieces_match_svd(self, nu, L, h, mode):
         # levels give C_m no column, one column, every column; then a
-        # random signed scale
-        monkeypatch.setattr(kernels, "EXACT_SVD_LIMIT", 0)
-        monkeypatch.setattr(kernels, "_largest_singular_value", dense_norm_forbidden)
+        # random signed scale.  No piece forms its values to take a norm.
         g = Grid(nu, L, h)
         V = shifted_bowl(g)
         C = compose_C(g, V, 1.0, mode)
         supports = []
         for m in (0.0, 1e-3, 1e9):
             C_m, D_m, norms = split_tail(C, V, m)
+            assert unformed(C) and unformed(C_m) and unformed(D_m)
             supports.append(int(np.count_nonzero(np.any(C_m.values, axis=0))))
             for piece, name in ((C_m, "C_m"), (D_m, "D_m")):
                 expected = svd_norm(piece)
@@ -818,20 +837,22 @@ class TestSeparableKernels:
         assert supports == [0, 1, g.size]
         signed = multiply_function(C, derived_rng(23, "scale").standard_normal(g.size))
         for K in (C, signed):
-            assert abs(operator_norm(K) - svd_norm(K)) <= 1e-12 * svd_norm(K)
+            got = operator_norm(K)
+            assert unformed(K)
+            assert abs(got - svd_norm(K)) <= 1e-12 * svd_norm(K)
 
     @pytest.mark.parametrize("nu, L, h", [(1, 103.0, 0.1), (2, 5.75, 0.25),
                                           (3, 3.25, 0.5)])
     @pytest.mark.parametrize("mode", MODES)
-    def test_norm_above_the_svd_limit_matches_svd(self, monkeypatch, nu, L, h, mode):
-        monkeypatch.setattr(kernels, "_largest_singular_value", dense_norm_forbidden)
+    def test_norm_above_the_svd_limit_matches_svd(self, nu, L, h, mode):
+        # 2060, 2116 and 2197 points
         g = Grid(nu, L, h)
-        assert g.size > EXACT_SVD_LIMIT
         V = shifted_bowl(g)
         C = compose_C(g, V, 1.0, mode)
         supports = []
         for m in (1e-3, 4.0):
             C_m, _, norms = split_tail(C, V, m)
+            assert unformed(C_m)
             supports.append(int(np.count_nonzero(np.any(C_m.values, axis=0))))
             expected = svd_norm(C_m)
             assert abs(norms["C_m"] - expected) <= 1e-12 * expected
@@ -843,12 +864,12 @@ class TestSeparableKernels:
         capped = kernels.eigsh
         monkeypatch.setattr(kernels, "eigsh",
                             lambda *args, **kw: capped(*args, maxiter=1, **kw))
-        monkeypatch.setattr(kernels, "_largest_singular_value", dense_norm_forbidden)
         # at a short time the factor is nearly the identity, so the Gram
         # spectrum is the random squared scale: clustered at the top
         K = multiply_function(heat_matrix(g, 1e-3), derived_rng(22, "scale").random(g.size))
         with pytest.raises(ArpackNoConvergence):
             operator_norm(K)
+        assert unformed(K)
 
     def test_factored_and_dense_paths_agree(self):
         g = Grid(2, 5.75, 0.25)
@@ -858,3 +879,28 @@ class TestSeparableKernels:
             for piece, name in ((C_m, "C_m"), (D_m, "D_m")):
                 dense = operator_norm(KernelMatrix(g, piece.values))
                 assert abs(norms[name] - dense) <= 1e-12 * dense
+
+
+# signed, zero and mixed column scales for the chained multiply_function
+SCALES = st.tuples(st.integers(0, 2**32 - 1), st.sampled_from((0.0, 0.4, 1.0)))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 8), st.sampled_from(MODES),
+       st.sampled_from((0.05, 0.5, 2.0)), st.lists(SCALES, max_size=2))
+def test_kronecker_form_matches_kron_fill_and_svd_property(nu, n, mode, s, chain):
+    g = Grid(nu, n * 0.125, 0.25)
+    K = heat_matrix(g, s, mode)
+    scale = np.full(g.size, (4.0 * math.pi * s) ** (-nu / 2.0)
+                    if mode == "gaussian-kernel" else 1.0 / g.weight)
+    for seed, kept in chain:
+        rng = derived_rng(seed, "property-scale")
+        func = rng.standard_normal(g.size) * (rng.random(g.size) < kept)
+        K = multiply_function(K, func)
+        scale = scale * func
+    norm = operator_norm(K)
+    assert unformed(K)
+    expected = kron_power(K._factor, nu) * scale[None, :]
+    np.testing.assert_allclose(K.values, expected, rtol=1e-15, atol=0.0)
+    top = g.weight * np.linalg.svd(expected, compute_uv=False)[0]
+    assert abs(norm - top) <= 1e-12 * top

@@ -17,6 +17,7 @@ from spectralab.linalg import lanczos_extremal
 from spectralab.operators import (
     Grid,
     SparseOperator,
+    _inertia_count,
     discrete_laplacian,
     hamiltonian,
     potential_on_grid,
@@ -191,6 +192,32 @@ class TestSpectrumStudy:
         assert rep.drift[0].shape == (5,)
         assert np.max(rep.drift[0]) <= 0.01
         assert rep.counting == ((1, 3, 5), (1, 3, 5))
+
+    def test_counting_matches_dense_eigvalsh_beyond_k(self):
+        # every box's count against the dense spectrum of its Hamiltonian;
+        # k = 2, while the counts reach the whole spectrum
+        cases = [("x1^2+x2^2", 2, (1.5, 2.0), 0.25, (3.0, 5.0, 9.5, 40.0)),
+                 ("x1^2*x2^2", 2, (1.5, 2.0), 0.2, (2.0, 9.0, 60.0)),
+                 ("x1^2", 1, (4.0, 6.0), 0.1, (5.5, 50.0, 1e4))]
+        for source, nu, schedule, h, levels in cases:
+            V = parse_potential(source, nu)
+            rep = spectrum_study(V, schedule, h, 2, count_levels=levels)
+            for L, counts in zip(schedule, rep.counting):
+                grid = Grid(nu, L, h)
+                dense = np.linalg.eigvalsh(hamiltonian(grid, V).to_dense())
+                assert counts == tuple(int(np.sum(dense < level)) for level in levels)
+            assert rep.counting[-1][-1] > 2
+
+    def test_count_level_on_an_eigenvalue_raises(self):
+        # the L = 1, h = 1 box is two points with eigenvalues 1 and 3 exactly
+        with pytest.raises(ValueError, match="L=1: no inertia count at level 1"):
+            spectrum_study(parse_potential("0", 1), (1.0, 2.0), 1.0, 1, count_levels=(1.0,))
+
+    def test_inertia_count_refuses_a_row_pivoted_factor(self):
+        # a zero diagonal forces SuperLU to pivot off the diagonal
+        H = SparseOperator(2, sparse.csr_matrix([[0.0, 1.0], [1.0, 0.0]]))
+        with pytest.raises(ValueError, match="pivoted rows"):
+            _inertia_count(H, 0.0)
 
     def test_channel_potential_does_not_stabilize(self):
         # x1^2 leaves the x2 direction free: transverse levels keep sliding

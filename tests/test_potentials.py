@@ -198,6 +198,20 @@ def test_to_polynomial_matches_evaluate_property(polynomial, seed):
     assert np.all(gap <= 1e-9 * scale), source
 
 
+# characters the tokenizer accepts nowhere
+ILLEGAL = "$@#!?%&;~=[]{}|,/'\"\\"
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.sampled_from(CORPUS), st.sampled_from(ILLEGAL), st.data())
+def test_parse_error_position_property(entry, char, data):
+    source, nu, _ = entry
+    i = data.draw(st.integers(0, len(source)))
+    with pytest.raises(ParseError) as raised:
+        parse_potential(source[:i] + char + source[i:], nu)
+    assert raised.value.position == i
+
+
 def test_to_polynomial_rejects_non_polynomial():
     with pytest.raises(NonPolynomialError):
         to_polynomial(parse_potential("exp(x1)", 1))
