@@ -2,22 +2,16 @@
 omega_x^l, polynomial-thinness evidence, and decay fits.
 
 All Monte Carlo draws derive from one master seed through numpy SeedSequence
-spawn keys, so serial and parallel evaluation orders give identical reports.
-`thinness` splits the local-measure samples of each annulus into fixed blocks
-of about 2**16 ball points, each with its own stream keyed by the annulus and
-block index.  Worker threads, one per CPU in the process's affinity mask, draw
-the blocks (numpy releases the GIL while it fills and combines arrays); the
-calling thread evaluates the potential on them in block order.  Reports are
-therefore the same bytes whatever the number of CPUs.
+spawn keys.  `thinness` estimates omega in blocks with their own streams;
+each block rotates one pattern of uniform ball points by an independent
+Haar-random matrix per center, and since a rotation maps the uniform ball
+distribution to itself, each center still sees i.i.d. uniform points.
 Scalar reductions use math.fsum (exact compensated summation).
 """
 
 from __future__ import annotations
 
 import math
-import os
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -280,49 +274,39 @@ def decay_fit(
     return DecayFit(float(math.exp(intercept)), float(slope), tuple(ts), tuple(omegas))
 
 
-# ball points per omega block, fixed so that no draw depends on the thread count
+# ball points per omega block: the memory bound of one membership evaluation
 _BLOCK_POINTS = 2**16
 
 
-def _worker_count() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
+def _rotations(nu: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """count Haar-random nu x nu orthogonal matrices.
+
+    Q of the QR of a Gaussian matrix, with the signs of diag R folded into Q
+    (Mezzadri, "How to generate random matrices from the classical compact
+    groups", 2007); without the signs Q is not Haar-distributed.
+    """
+    q, r = np.linalg.qr(rng.standard_normal((count, nu, nu)))
+    return q * np.copysign(1.0, np.diagonal(r, axis1=1, axis2=2))[:, None, :]
 
 
-def _omega_points(centers, ell, sub_budget, rng) -> np.ndarray:
-    """sub_budget uniform points in the ell-ball around each center, center by center."""
-    count, nu = centers.shape
-    pts = _shell_points(nu, 0.0, ell, count * sub_budget, rng).reshape(count, sub_budget, nu)
-    pts += centers[:, None, :]
-    return pts.reshape(-1, nu)
-
-
-def _omega_batch(V, M, centers, ell, sub_budget, seed, annulus, pool, depth) -> np.ndarray:
+def _omega_batch(V, M, centers, ell, sub_budget, seed, annulus) -> np.ndarray:
     """Monte Carlo omega^ell at each center, in blocks of about _BLOCK_POINTS.
 
-    Block b draws from derived_rng(seed, 2, annulus, "omega", b) on a `pool`
-    thread, at most `depth` blocks ahead; membership is evaluated here, in
-    block order, so the result does not depend on the pool's size.
+    Block b draws from derived_rng(seed, 2, annulus, "omega", b) one pattern
+    of sub_budget uniform points in the centered ell-ball, then one random
+    rotation per center of the block; each center tests membership at its
+    own rotation of the pattern.
     """
-    vol = ball_volume(centers.shape[1], ell)
+    count, nu = centers.shape
+    vol = ball_volume(nu, ell)
     per_block = max(1, _BLOCK_POINTS // sub_budget)
-    starts = range(0, centers.shape[0], per_block)
-
-    def submit(b):
+    out = np.empty(count)
+    for b, start in enumerate(range(0, count, per_block)):
+        block = centers[start : start + per_block]
         rng = derived_rng(seed, 2, annulus, "omega", b)
-        return pool.submit(_omega_points, centers[starts[b] : starts[b] + per_block],
-                           ell, sub_budget, rng)
-
-    pending = deque(submit(b) for b in range(min(depth, len(starts))))
-    out = np.empty(centers.shape[0])
-    for b, start in enumerate(starts):
-        pts = pending.popleft().result()
-        if b + depth < len(starts):
-            pending.append(submit(b + depth))
-        inside = _membership(V, M, pts).reshape(-1, sub_budget)
+        pattern = _shell_points(nu, 0.0, ell, sub_budget, rng)
+        pts = pattern @ _rotations(nu, block.shape[0], rng) + block[:, None, :]
+        inside = _membership(V, M, pts.reshape(-1, nu)).reshape(-1, sub_budget)
         out[start : start + per_block] = inside.mean(axis=1) * vol
     return out
 
@@ -357,10 +341,14 @@ def thinness(
     measure within the ell-ball); sub_budget controls that bias.
 
     The accepted points of annulus j go in fixed blocks of about 2**16 ball
-    points; block b draws from derived_rng(seed, 2, j, "omega", b) on a pool
-    of one thread per available CPU, at most two blocks per thread ahead of
-    the calling thread, which tests membership block by block.  The report
-    does not depend on the number of threads.
+    points; block b draws from derived_rng(seed, 2, j, "omega", b).  Each
+    block samples one pattern of sub_budget uniform ell-ball points and one
+    Haar-random orthogonal matrix per center, drawn independently of the
+    pattern, and tests membership at each center plus its own rotation of the
+    pattern.  A fixed rotation preserves the uniform ball distribution, so
+    every omega-hat has the distribution of a sub_budget-point i.i.d.
+    estimate and E[omega-hat^r] is unchanged; centers of one block share only
+    the pattern's radii.
 
     Verdict: the last two tail ratios < 0.7 read as convergent-evidence,
     both > 0.9 as divergent-evidence, anything else inconclusive.  This is
@@ -378,21 +366,19 @@ def thinness(
     nu = V.dimension
     increments = []
     bounds = [0.0] + radii
-    workers = _worker_count()
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for j, (ra, rb) in enumerate(zip(bounds, bounds[1:])):
-            pts = _shell_points(nu, ra, rb, budget, derived_rng(seed, 2, j))
-            hits = pts[_membership(V, M, pts)]
-            if j == 0 and 0 < hits.shape[0] < 100:
-                raise ValueError(
-                    f"budget too small: only {hits.shape[0]} samples landed in Omega_M cap B_{{{rb}}}"
-                )
-            if hits.shape[0] == 0:
-                increments.append(0.0)
-                continue
-            omegas = _omega_batch(V, M, hits, ell, sub_budget, seed, j, pool, 2 * workers)
-            shell_volume = ball_volume(nu, rb) - ball_volume(nu, ra)
-            increments.append(shell_volume * math.fsum(omegas**r) / budget)
+    for j, (ra, rb) in enumerate(zip(bounds, bounds[1:])):
+        pts = _shell_points(nu, ra, rb, budget, derived_rng(seed, 2, j))
+        hits = pts[_membership(V, M, pts)]
+        if j == 0 and 0 < hits.shape[0] < 100:
+            raise ValueError(
+                f"budget too small: only {hits.shape[0]} samples landed in Omega_M cap B_{{{rb}}}"
+            )
+        if hits.shape[0] == 0:
+            increments.append(0.0)
+            continue
+        omegas = _omega_batch(V, M, hits, ell, sub_budget, seed, j)
+        shell_volume = ball_volume(nu, rb) - ball_volume(nu, ra)
+        increments.append(shell_volume * math.fsum(omegas**r) / budget)
     partials = list(np.cumsum(increments))
     ratios = []
     for j in range(1, len(increments) - 1):

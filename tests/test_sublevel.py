@@ -10,7 +10,6 @@ inline comments) for the cross region {|x1*x2| < 1}:
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -189,20 +188,8 @@ def test_thinness_rejects_empty_budgets(monkeypatch, budget, sub_budget, message
         thinness(STRIP, 1.0, 2.0, 1.0, [10.0, 20.0, 40.0], budget=budget, sub_budget=sub_budget)
 
 
-def test_thinness_report_independent_of_worker_count(monkeypatch):
-    # 5 threads: more than the cores of a small machine
-    reports = []
-    for workers in (1, 2, 5):
-        monkeypatch.setattr(sublevel, "_worker_count", lambda w=workers: w)
-        reports.append(thinness(CROSS, 1.0, 2.0, 1.0, [5.0, 10.0, 20.0], budget=20_000,
-                                sub_budget=500, seed=7))
-    assert reports[0] == reports[1] == reports[2]
-
-
-def omega_blocks(V, M, centers, ell, sub_budget, workers=2):
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return sublevel._omega_batch(V, M, np.asarray(centers, dtype=float), ell, sub_budget,
-                                     0, 0, pool, 2 * workers)
+def omega_blocks(V, M, centers, ell, sub_budget):
+    return sublevel._omega_batch(V, M, np.asarray(centers, dtype=float), ell, sub_budget, 0, 0)
 
 
 def test_omega_blocks_exact_inside_and_outside():
@@ -227,6 +214,43 @@ def test_omega_blocks_half_plane_boundary():
     omega = omega_blocks(V, 1e-12, centers, 1.0, sub_budget)
     std_error = math.pi * math.sqrt(0.25 / (centers.shape[0] * sub_budget))
     assert abs(omega.mean() - math.pi / 2) <= 4 * std_error
+
+
+@pytest.mark.parametrize("nu", [1, 3])
+def test_omega_blocks_exact_in_one_and_three_dimensions(nu):
+    # balls of radius 0.5 along the last axis, inside |x| < 10 or outside it
+    ell = 0.5
+    ball = parse_potential("+".join(f"x{k + 1}^2" for k in range(nu)), nu)
+    centers = np.zeros((300, nu))
+    centers[0::2, -1] = np.linspace(-8.5, 8.5, 150)
+    centers[1::2, -1] = np.linspace(11.0, 30.0, 150)
+    omega = omega_blocks(ball, 100.0, centers, ell, 1_000)
+    assert np.all(omega[0::2] == ball_volume(nu, ell))
+    assert np.all(omega[1::2] == 0.0)
+
+
+@pytest.mark.parametrize("nu", [1, 3])
+def test_omega_blocks_half_space_in_one_and_three_dimensions(nu):
+    # One full block at an odd sub_budget: were the block's pattern not
+    # rotated per center, every estimate would be the same k/31 of the ball,
+    # at least 1/62 of it from one half, beyond the i.i.d. bound below.
+    sub_budget = 31
+    V = parse_potential("abs(x1) - x1", nu)
+    centers = np.zeros((sublevel._BLOCK_POINTS // sub_budget, nu))
+    if nu > 1:
+        centers[:, -1] = np.linspace(-50.0, 50.0, centers.shape[0])
+    omega = omega_blocks(V, 1e-12, centers, 1.0, sub_budget)
+    vol = ball_volume(nu, 1.0)
+    std_error = vol * math.sqrt(0.25 / (centers.shape[0] * sub_budget))
+    assert abs(omega.mean() - vol / 2) <= 4 * std_error
+
+
+def test_rotations_are_orthogonal():
+    rng = np.random.default_rng(9)
+    for nu in (1, 2, 3):
+        q = sublevel._rotations(nu, 50, rng)
+        gram = np.einsum("cki,ckj->cij", q, q)
+        np.testing.assert_allclose(gram, np.broadcast_to(np.eye(nu), gram.shape), rtol=0, atol=1e-12)
 
 
 def test_omega_blocks_raise_at_a_nan_sample_point():
