@@ -53,7 +53,7 @@ from .reports import (
     write_summary_csv,
     write_thinness_csv,
 )
-from .sublevel import Region, check_radii, measure, thinness
+from .sublevel import MONTE_CARLO_MIN_BUDGET, Region, check_radii, measure, thinness
 
 OUTPUT_DIR_ENV = "SPECTRALAB_OUTPUT_DIR"
 SUBCOMMANDS = {
@@ -101,7 +101,7 @@ class RunConfig:
     radii: tuple = _field((10.0, 20.0, 40.0, 80.0), _float_tuple, ("thinness",),
                           "comma-separated radii, e.g. 10,20,40,80")
     L: tuple = _field((4.0,), _float_tuple, _BOX,
-                      "comma-separated box half-widths", "> 0")
+                      "box half-width (spectrum: comma-separated schedule)", "> 0")
     h: float = _field(0.1, float, _BOX, "grid spacing", "> 0")
     s: float = _field(1.0, float, ("heat-diagnostics",), "heat time", "> 0")
     R: float = _field(1.0, float, ("sublevel", "kernel-power"),
@@ -217,9 +217,10 @@ def _validate(config: RunConfig, used: list) -> None:
         check_schedule(config.L)
         if config.k > MAX_EIGENPAIRS:
             raise ValueError(f"k must be <= {MAX_EIGENPAIRS}")
+    elif "L" in used and len(config.L) != 1:
+        raise ValueError(f"{sub} takes exactly one box size in --L, "
+                         f"got {len(config.L)}")
     if "L" in used:
-        if not config.L:
-            raise ValueError(f"{sub} requires a box size in --L")
         for L in config.L:
             grid = Grid(config.nu, L, config.h)
             if sub != "spectrum":
@@ -229,6 +230,9 @@ def _validate(config: RunConfig, used: list) -> None:
                                  f"points of the L = {L:g} grid")
     if sub == "thinness":
         check_radii(config.radii)
+    if sub == "sublevel" and config.budget < MONTE_CARLO_MIN_BUDGET:
+        raise ValueError(f"budget must be >= {MONTE_CARLO_MIN_BUDGET} "
+                         "(Monte Carlo minimum)")
     if sub == "kernel-power" and 2 * config.k - 2 <= config.r:
         raise ValueError(
             f"k = {config.k} violates 2k - 2 > r (r = {config.r:g}); "
@@ -251,7 +255,7 @@ def _run_spectrum(config: RunConfig, out: Path):
 
 def _run_sublevel(config: RunConfig, out: Path):
     V = parse_potential(config.potential, config.nu)
-    region = Region("ball", (0.0,) * config.nu, config.R)
+    region = Region((0.0,) * config.nu, config.R)
     est = measure(V, config.M, region, method="monte-carlo",
                   budget=config.budget, seed=config.seed)
     payload = {

@@ -21,21 +21,22 @@ Both heat kernels are separable on the tensor grid: K = (k1 (x) ... (x) k1)
 diag(scale) with one n x n factor k1 per axis (Van Loan, "The ubiquitous
 Kronecker product", 2000).  heat_matrix returns that form, multiply_function
 of it multiplies the scale, so compose_C and split_tail form no N x N array;
-values are formed on first read.  operator_norm runs ARPACK on the Gram map
-at every size, through k1 (one n x n product per axis, O(N n)) when the
-kernel has it and through the dense values otherwise.
+values are formed on first read, and that read, not the structured work,
+is what the grid's dense-entry budget limits.  operator_norm runs ARPACK on
+the Gram map at every size, through k1 (one n x n product per axis,
+O(N n)) when the kernel has it and through the dense values otherwise.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from .linalg import expm_sym
+from .linalg import expm_sym, singular_values
 from .operators import Grid, _second_difference, potential_on_grid
 from .potentials import PotentialExpr
 from .rng import derived_rng
@@ -82,7 +83,8 @@ class KernelMatrix:
 
     KernelMatrix(grid, values) holds dense values; heat_matrix kernels, and
     multiply_function of them, hold (factor (x) ... (x) factor) diag(scale)
-    and form `values` from it on first read.
+    and form `values` from it on first read, after checking the grid's
+    dense-entry budget.
     """
 
     def __init__(self, grid: Grid, values):
@@ -101,16 +103,15 @@ class KernelMatrix:
     def _kronecker(cls, grid: Grid, factor: np.ndarray, scale: np.ndarray) -> KernelMatrix:
         """The kernel (factor (x) ... (x) factor) diag(scale), values unformed."""
         # largest |entry| per column, formed as values are: overflows as they would
-        column_peak, peak = np.max(np.abs(factor), axis=0), np.ones(1)
-        for _ in range(grid.nu):
-            peak = np.multiply.outer(peak, column_peak).ravel()
-        _require_finite(peak * np.abs(scale))
+        peak = reduce(np.multiply.outer, [np.max(np.abs(factor), axis=0)] * grid.nu)
+        _require_finite(peak.ravel() * np.abs(scale))
         K = cls.__new__(cls)
         K.grid, K._factor, K._scale = grid, factor, scale
         return K
 
     @cached_property
     def values(self) -> np.ndarray:
+        self.grid.require_dense_budget()
         values = _kron_columns(self._factor, self.grid.nu)
         values *= self._scale
         return values
@@ -153,7 +154,7 @@ def hs_norm(K: KernelMatrix) -> float:
 
 def kernel_singular_values(K: KernelMatrix) -> np.ndarray:
     """Operator singular values mu_j = w * sigma_j(K), descending."""
-    return K.weight * np.linalg.svd(K.values, compute_uv=False)
+    return K.weight * singular_values(K.values)
 
 
 def _arpack_sigma_max(matvec, rmatvec, cols: np.ndarray, size: int, seed: int) -> float:
@@ -250,20 +251,25 @@ def _lattice_cutoff(grid: Grid, radius: float) -> float:
     return cells_sq * (1.0 + LATTICE_SLACK) + LATTICE_SLACK
 
 
-def _lattice_ball_mask(grid: Grid, radius: float, rows, cols=None) -> np.ndarray:
+def _lattice_ball_mask(grid: Grid, radius: float, rows, cols) -> np.ndarray:
     """Boolean pair mask [|x_i - x_j| <= radius] on integer lattice offsets.
 
-    Covers the point pairs rows x cols (index arrays; cols is every point
-    by default).
+    Covers the point pairs rows x cols (index arrays).
     """
-    rows = np.asarray(rows)
-    cols = np.arange(grid.size) if cols is None else np.asarray(cols)
     shape = (grid.points_per_axis,) * grid.nu
     d2 = np.zeros((rows.size, cols.size), dtype=np.int64)
     for a, b in zip(np.unravel_index(rows, shape), np.unravel_index(cols, shape)):
         offset = a.astype(np.int64)[:, None] - b.astype(np.int64)[None, :]
         d2 += np.square(offset, out=offset)
     return d2 <= _lattice_cutoff(grid, radius)
+
+
+def _offset_sq(offsets: np.ndarray, nu: int) -> np.ndarray:
+    """|o|^2 for every integer o in offsets^nu, of shape (offsets.size,) * nu.
+
+    The per-axis squares are folded with np.add.outer, first axis outermost.
+    """
+    return reduce(np.add.outer, [offsets * offsets] * nu)
 
 
 def heat_matrix(grid: Grid, s: float = 1.0, mode: str = "gaussian-kernel") -> KernelMatrix:
@@ -276,11 +282,11 @@ def heat_matrix(grid: Grid, s: float = 1.0, mode: str = "gaussian-kernel") -> Ke
     is exactly the peak; expm-of-laplacian takes k1 = exp(-s T) (expm_sym)
     for the 1-D Dirichlet Laplacian T (operators._second_difference) and
     scale 1/w, so that apply_kernel reproduces the matrix exponential's
-    action.  The dense values are formed on first read.
+    action.  The dense values are formed on first read, and only that read
+    is held to the grid's dense-entry budget.
     """
     if s <= 0:
         raise ValueError("s must be > 0")
-    grid.require_dense_budget()
     if mode == "gaussian-kernel":
         factor = _gaussian_factor(grid, s)
         scale = _heat_peak(grid.nu, s)
@@ -389,10 +395,7 @@ def hs_diagnostics(K: KernelMatrix, mask, s: float = 1.0,
     masked = K.values[:, mask]
     count = int(np.count_nonzero(mask))
     hs2 = w * w * float(np.sum(masked**2))
-    if masked.size:
-        sv = w * np.linalg.svd(masked, compute_uv=False)
-    else:
-        sv = np.zeros(0)
+    sv = w * singular_values(masked)
 
     coef = _heat_peak(nu, s)
     if count:
@@ -455,11 +458,7 @@ def truncated_convolution(grid: Grid, s: float, R: float):
     F = KernelMatrix(grid, values)
 
     h = grid.spacing
-    offsets = np.arange(-(n - 1), n, dtype=np.int64)
-    mesh = np.meshgrid(*([offsets] * grid.nu), indexing="ij")
-    d2int = np.zeros(mesh[0].shape, dtype=np.int64)
-    for m in mesh:
-        d2int += m * m
+    d2int = _offset_sq(np.arange(-(n - 1), n), nu)
     outside = d2int > _lattice_cutoff(grid, R)
     coef = _heat_peak(grid.nu, s)
     gauss = coef * np.exp(-(d2int[outside] * h * h) / (4.0 * s))
@@ -527,10 +526,7 @@ def domination_check(C_MR: KernelMatrix, D: KernelMatrix) -> CompactnessDiagnost
     off_block = [0.0 - c * d for d in (d_lo, d_hi) if math.isfinite(d)]
     dominated = max([float(np.max(P - c * D_block, initial=-np.inf)), *off_block])
 
-    if P.size:
-        sv = C_MR.weight * np.linalg.svd(P, compute_uv=False)
-    else:
-        sv = np.zeros(0)
+    sv = C_MR.weight * singular_values(P)
     hs = C_MR.weight * float(np.linalg.norm(P, "fro"))
     checks = (
         _bound("support-containment", off_max, 0.0, tol_support),
@@ -557,7 +553,6 @@ def kernel_power_bound(D: KernelMatrix, k: int, V: PotentialExpr, M: float,
     if k < 2:
         raise ValueError("k must be >= 2")
     grid = D.grid
-    grid.require_dense_budget()
     w = D.weight
     chi_all = potential_on_grid(grid, V) < M
     U = np.flatnonzero(np.any(D.values, axis=0) | np.any(D.values, axis=1) | chi_all)
@@ -581,18 +576,14 @@ def kernel_power_bound(D: KernelMatrix, k: int, V: PotentialExpr, M: float,
     # point.  A column's count is a sum, over the offsets along the other
     # axes, of 1-D counts #{o : |o| <= r, 0 <= j + o < n}, and each of those
     # is largest at j = (n - 1) // 2 whatever r is; so centre every axis.
-    centre = np.ravel_multi_index(((grid.points_per_axis - 1) // 2,) * grid.nu,
-                                  (grid.points_per_axis,) * grid.nu)
-    ball_sup = w * float(np.count_nonzero(_lattice_ball_mask(grid, radius, [centre])))
+    n = grid.points_per_axis
+    centre_sq = _offset_sq((n - 1) // 2 - np.arange(n), grid.nu)
+    ball_sup = w * float(np.count_nonzero(centre_sq <= _lattice_cutoff(grid, radius)))
     inside = chi != 0.0
     omega_integral = w * float(np.sum(omega[inside] ** (2 * k - 2)))
     hs_bound = ball_sup * omega_integral
 
-    block = P[np.ix_(inside, inside)]
-    if block.size:
-        sv = w * np.linalg.svd(block, compute_uv=False)
-    else:
-        sv = np.zeros(0)
+    sv = w * singular_values(P[np.ix_(inside, inside)])
     checks = (
         _bound("pointwise-power-bound", rel_excess, 0.0, 1e-9),
         _bound("hs-power-bound", hs2, hs_bound,

@@ -109,14 +109,6 @@ class _Pow(_Node):
 
 
 @dataclass(frozen=True)
-class _Neg(_Node):
-    operand: _Node
-
-    def eval(self, pts):
-        return -self.operand.eval(pts)
-
-
-@dataclass(frozen=True)
 class _Call(_Node):
     name: str  # 'exp' or 'abs'
     argument: _Node
@@ -222,7 +214,8 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "op" and tok.text == "-":
             self.advance()
-            return _Neg(self.parse_unary())
+            # -a is (-1) * a: IEEE negation and the product agree bit for bit
+            return _BinOp("*", _Const(-1.0), self.parse_unary())
         return self.parse_power()
 
     def parse_power(self) -> _Node:
@@ -406,8 +399,6 @@ def _expand(node: _Node, dimension: int) -> dict:
         for _ in range(node.exponent):
             out = _poly_mul(out, base)
         return out
-    if isinstance(node, _Neg):
-        return {alpha: -c for alpha, c in _expand(node.operand, dimension).items()}
     if isinstance(node, _Call):
         raise NonPolynomialError(f"{node.name}(...) has no polynomial expansion")
     raise TypeError(f"unknown node {node!r}")

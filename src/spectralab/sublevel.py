@@ -1,5 +1,6 @@
-"""Sublevel-set geometry: measures of Omega_M = {0 <= V < M}, local measures
-omega_x^l, polynomial-thinness evidence, and decay fits.
+"""Sublevel-set geometry: measures of Omega_M = {0 <= V < M} in a ball
+(the paper's |Omega_M cap B_R|), local measures omega_x^l, polynomial-thinness
+evidence, and decay fits.
 
 All Monte Carlo draws derive from one master seed through numpy SeedSequence
 spawn keys.  `thinness` estimates omega in blocks with their own streams;
@@ -34,37 +35,28 @@ __all__ = [
 ]
 
 
+# fewest uniform samples of a Monte Carlo `measure`
+MONTE_CARLO_MIN_BUDGET = 1_000
+
+
 def ball_volume(nu: int, radius: float) -> float:
     return math.pi ** (nu / 2.0) / math.gamma(nu / 2.0 + 1.0) * radius**nu
 
 
 @dataclass(frozen=True)
 class Region:
-    """Ball (size = radius) or axis-aligned box (size = half-widths)."""
+    """Closed ball of `radius` about `center`."""
 
-    kind: str
     center: tuple
-    size: object  # float radius for balls, tuple of half-widths for boxes
+    radius: float
 
     def __post_init__(self):
-        if self.kind not in ("ball", "box"):
-            raise ValueError(f"region kind must be 'ball' or 'box', got {self.kind!r}")
         center = tuple(float(c) for c in np.atleast_1d(self.center))
         object.__setattr__(self, "center", center)
-        if self.kind == "ball":
-            radius = float(np.asarray(self.size).reshape(()))
-            if radius <= 0:
-                raise ValueError("ball radius must be > 0")
-            object.__setattr__(self, "size", radius)
-        else:
-            widths = tuple(float(wi) for wi in np.atleast_1d(self.size))
-            if len(widths) == 1 and len(center) > 1:
-                widths = widths * len(center)
-            if len(widths) != len(center):
-                raise ValueError("box half-widths must match center length")
-            if any(wi <= 0 for wi in widths):
-                raise ValueError("box half-widths must be > 0")
-            object.__setattr__(self, "size", widths)
+        radius = float(np.asarray(self.radius).reshape(()))
+        if radius <= 0:
+            raise ValueError("ball radius must be > 0")
+        object.__setattr__(self, "radius", radius)
 
     @property
     def dimension(self) -> int:
@@ -72,22 +64,15 @@ class Region:
 
     @property
     def volume(self) -> float:
-        if self.kind == "ball":
-            return ball_volume(self.dimension, self.size)
-        return float(np.prod([2.0 * wi for wi in self.size]))
+        return ball_volume(self.dimension, self.radius)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         center = np.asarray(self.center)
-        if self.kind == "box":
-            widths = np.asarray(self.size)
-            return center + rng.uniform(-1.0, 1.0, size=(n, self.dimension)) * widths
-        return center + _shell_points(self.dimension, 0.0, self.size, n, rng)
+        return center + _shell_points(self.dimension, 0.0, self.radius, n, rng)
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
         delta = pts - np.asarray(self.center)
-        if self.kind == "ball":
-            return np.einsum("ij,ij->i", delta, delta) <= self.size**2
-        return np.all(np.abs(delta) <= np.asarray(self.size), axis=1)
+        return np.einsum("ij,ij->i", delta, delta) <= self.radius**2
 
 
 def _row_norms(points: np.ndarray) -> np.ndarray:
@@ -174,20 +159,21 @@ def measure(
     budget: int = 100_000,
     seed: int = 0,
 ) -> MeasureEstimate:
-    """Estimate |Omega_M(V) cap region|.
+    """Estimate |Omega_M(V) cap region| for a ball region.
 
-    monte-carlo: uniform samples over the region; std_error is the binomial
-    standard error scaled by the region volume.  grid-quadrature: counts cell
-    centers of a uniform grid over the region (std_error 0); `budget` is the
-    target cell count.
+    monte-carlo: `budget` (at least MONTE_CARLO_MIN_BUDGET) uniform samples
+    over the ball; std_error is the binomial standard error scaled by the
+    ball volume.  grid-quadrature: counts the cell centers of a uniform grid
+    over the ball's bounding cube that lie in the ball (std_error 0);
+    `budget` is the target cell count of the cube.
     """
     if M <= 0:
         raise ValueError("M must be > 0")
     if region.dimension != V.dimension:
         raise ValueError("region dimension does not match potential dimension")
     if method == "monte-carlo":
-        if budget < 1_000:
-            raise ValueError("monte-carlo budget must be >= 1e3")
+        if budget < MONTE_CARLO_MIN_BUDGET:
+            raise ValueError(f"monte-carlo budget must be >= {MONTE_CARLO_MIN_BUDGET}")
         rng = derived_rng(seed, 0)
         pts = region.sample(budget, rng)
         inside = _membership(V, M, pts)
@@ -202,15 +188,13 @@ def measure(
             raise ValueError("grid-quadrature budget must be >= 1e4 cells")
         nu = region.dimension
         per_axis = int(math.ceil(budget ** (1.0 / nu)))
-        center = np.asarray(region.center)
-        half = np.full(nu, region.size) if region.kind == "ball" else np.asarray(region.size)
-        axes = [center[a] - half[a] + (np.arange(per_axis) + 0.5) * (2 * half[a] / per_axis) for a in range(nu)]
+        radius = region.radius
+        axes = [c - radius + (np.arange(per_axis) + 0.5) * (2 * radius / per_axis) for c in region.center]
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=1)
-        keep = region.contains(pts)
-        pts = pts[keep]
-        cell = float(np.prod(2 * half / per_axis))
-        inside = _membership(V, M, pts) if pts.size else np.zeros(0, bool)
+        pts = pts[region.contains(pts)]
+        cell = float(np.prod(np.full(nu, 2 * radius / per_axis)))
+        inside = _membership(V, M, pts)
         value = int(np.count_nonzero(inside)) * cell
         return MeasureEstimate(value, 0.0, "grid-quadrature", int(per_axis**nu), seed)
     raise ValueError(f"unknown method {method!r}")
@@ -228,7 +212,7 @@ def local_measure(
     """omega_x^ell(Omega_M) = |Omega_M cap ball(x, ell)|."""
     if ell <= 0:
         raise ValueError("ell must be > 0")
-    region = Region("ball", tuple(np.atleast_1d(np.asarray(x, dtype=float))), ell)
+    region = Region(tuple(np.atleast_1d(np.asarray(x, dtype=float))), ell)
     return measure(V, M, region, method=method, budget=budget, seed=seed)
 
 

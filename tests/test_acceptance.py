@@ -216,14 +216,14 @@ def test_criterion_5_showcase_and_negative_control(capsys):
 
 def test_criterion_6_sublevel_geometry(capsys):
     # |Omega_4| for |x|^2 is the disk of radius 2, area 4*pi
-    est = measure(DISC, 4.0, Region("ball", (0.0, 0.0), 2.5),
+    est = measure(DISC, 4.0, Region((0.0, 0.0), 2.5),
                   method="monte-carlo", budget=1_000_000, seed=0)
     disc_gap = abs(est.value - 4.0 * math.pi)
     disc_ok = disc_gap <= 3.0 * est.std_error
 
     # |Omega_1 cap B_R| for x1^2*x2^2 keeps growing: divergence evidence
     radii = (10.0, 20.0, 40.0, 80.0)
-    values = [measure(CROSS, 1.0, Region("ball", (0.0, 0.0), R),
+    values = [measure(CROSS, 1.0, Region((0.0, 0.0), R),
                       method="monte-carlo", budget=1_500_000, seed=100 + i).value
               for i, R in enumerate(radii)]
     increments = [b - a for a, b in zip(values, values[1:])]

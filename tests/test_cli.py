@@ -17,6 +17,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from spectralab.cli import (
@@ -60,6 +61,9 @@ INVALID_CONFIGS = (
     ("kernel-power", "--potential", WELL, "--r", "-3"),
     ("spectrum", "--potential", "x1^2", "--nu", "1", "--L", "0.5,1", "--h", "0.5"),
     ("heat-diagnostics", "--potential", WELL, "--L", "25", "--h", "0.1"),
+    ("heat-diagnostics", "--potential", WELL, "--L", "4,5"),
+    ("kernel-power", "--potential", WELL, "--L", "4,5"),
+    ("sublevel", "--potential", WELL, "--budget", "999"),
 )
 
 
@@ -314,11 +318,19 @@ class TestSublevelRun:
         assert code == 0
         report = read_json(tmp_path / "sublevel-report.json")
         expected = measure(parse_potential(WELL, 2), 4.0,
-                           Region("ball", (0.0, 0.0), 3.0),
+                           Region((0.0, 0.0), 3.0),
                            method="monte-carlo", budget=20000, seed=11)
         assert report["estimate"]["value"] == expected.value
         assert report["estimate"]["std_error"] == expected.std_error
         assert report["M"] == 4.0
+
+    def test_budget_minimum_is_a_configuration_error(self, tmp_path, capsys):
+        args = ("sublevel", "--potential", WELL, "--nu", "2", "--R", "3")
+        assert run_cli(*args, "--budget", "999",
+                       "--output-dir", str(tmp_path / "low")) == 2
+        assert "budget must be >= 1000" in capsys.readouterr().err
+        assert run_cli(*args, "--budget", "1000",
+                       "--output-dir", str(tmp_path / "min")) == 0
 
 
 class TestThinnessRun:
@@ -499,6 +511,32 @@ class TestReproducibility:
                 payloads.append({p.name: p.read_bytes() for p in out.iterdir()
                                  if not p.name.endswith("-manifest.json")})
             assert payloads[0] and payloads[0] == payloads[1], args[0]
+
+    def test_kernel_payloads_across_blas_threads(self, tmp_path):
+        # Only the singular values differ between thread counts, at roundoff
+        # (at most 2.0e-16 sigma_max on these runs); every other key and every
+        # check outcome is identical.
+        common = ("--potential", "x1^2*x2^2", "--nu", "2", "--M", "1",
+                  "--L", "3", "--h", "0.2")
+        runs = (("heat-diagnostics", "--mode", "gaussian-kernel", *common),
+                ("heat-diagnostics", "--mode", "expm-of-laplacian", *common),
+                ("kernel-power", *common))
+        for i, args in enumerate(runs):
+            results = []
+            for threads in ("1", "2"):
+                out = tmp_path / f"{i}-threads-{threads}"
+                proc = run_cli_process(*args, "--output-dir", str(out),
+                                       OPENBLAS_NUM_THREADS=threads)
+                report = read_json(out / f"{args[0]}-report.json")
+                manifest = read_json(out / f"{args[0]}-manifest.json")
+                results.append((proc.returncode, manifest["checks"], report))
+            (code_a, checks_a, a), (code_b, checks_b, b) = results
+            assert code_a == code_b == 0 and checks_a == checks_b, args
+            mu_a = np.asarray(a.pop("singular_values"))
+            mu_b = np.asarray(b.pop("singular_values"))
+            assert mu_a.size and mu_a.shape == mu_b.shape, args
+            assert np.max(np.abs(mu_a - mu_b)) <= 1e-15 * mu_a[0], args
+            assert a == b, args
 
     def test_manifest_config_reruns_to_same_results(self, tmp_path):
         runs = (

@@ -46,7 +46,12 @@ from spectralab.kernels import (
     split_tail,
     truncated_convolution,
 )
-from spectralab.operators import Grid, discrete_laplacian, potential_on_grid
+from spectralab.operators import (
+    DENSE_ENTRY_BUDGET,
+    Grid,
+    discrete_laplacian,
+    potential_on_grid,
+)
 from spectralab.potentials import parse_potential
 from spectralab.rng import derived_rng
 from spectralab.sublevel import ball_volume
@@ -236,8 +241,10 @@ class TestHeatMatrix:
             heat_matrix(g, 0.0)
         with pytest.raises(ValueError, match="mode"):
             heat_matrix(g, 1.0, "finite-elements")
+        # the structured kernel is built; forming its dense values is refused
+        big = heat_matrix(Grid(2, 16.0, 0.1), 1.0)
         with pytest.raises(ValueError, match="budget"):
-            heat_matrix(Grid(2, 16.0, 0.1), 1.0)
+            big.values
 
 
 class TestComposeC:
@@ -870,6 +877,16 @@ class TestSeparableKernels:
         with pytest.raises(ArpackNoConvergence):
             operator_norm(K)
         assert unformed(K)
+
+    def test_split_beyond_the_dense_budget_stays_unformed(self):
+        # 16,900 points: N^2 = 2.86e8 entries exceed the dense-entry budget,
+        # which only a read of the values is held to
+        g = Grid(2, 6.5, 0.1)
+        C = compose_C(g, CROSS)
+        C_m, D_m, norms = split_tail(C, CROSS, 4.0)
+        assert g.size**2 > DENSE_ENTRY_BUDGET
+        assert all(unformed(K) for K in (C, C_m, D_m))
+        assert 0.0 < norms["D_m"] <= math.exp(-4.0) * 1.001
 
     def test_factored_and_dense_paths_agree(self):
         g = Grid(2, 5.75, 0.25)

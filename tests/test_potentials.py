@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spectralab.operators import spectrum_study
 from spectralab.potentials import (
     NonPolynomialError,
     ParseError,
@@ -253,6 +254,21 @@ def test_degeneracy_agrees_with_thinness(source, budget, degenerate, verdict):
     assert degeneracy_direction(to_polynomial(V)).degenerate is degenerate
     report = thinness(V, 1.0, 2.0, 1.0, (10.0, 20.0, 40.0, 80.0), budget=budget, seed=0)
     assert report.verdict == verdict
+
+
+@pytest.mark.parametrize("source, schedule, degenerate, verdict", [
+    ("x1^2", (4.0, 8.0), True, "not-stabilized"),
+    ("x1^2*x2^2", (4.0, 6.0), False, "stabilized"),
+])
+def test_degeneracy_agrees_with_spectrum(source, schedule, degenerate, verdict):
+    # The algebraic test against box stabilization of the three lowest
+    # eigenvalues at h = 0.25: the strip's free direction keeps them moving
+    # (final drift 0.72), the cross's settle (final drift 0.0057), against
+    # the 1 percent stabilization threshold.
+    V = parse_potential(source, 2)
+    assert degeneracy_direction(to_polynomial(V)).degenerate is degenerate
+    report = spectrum_study(V, schedule, 0.25, 3)
+    assert report.verdict == verdict and not report.notes
 
 
 def test_degeneracy_zero_and_constant_polynomials():

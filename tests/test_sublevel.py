@@ -55,18 +55,17 @@ def test_indicator_guards():
 
 
 def test_region_validation():
-    with pytest.raises(ValueError):
-        Region("ball", (0.0, 0.0), 0.0)
-    with pytest.raises(ValueError):
-        Region("box", (0.0, 0.0), (1.0, -1.0))
-    with pytest.raises(ValueError):
-        Region("cylinder", (0.0,), 1.0)
-    box = Region("box", (0.0, 0.0), 3.0)
-    assert box.size == (3.0, 3.0) and box.volume == 36.0
+    for radius in (0.0, -1.0, (1.0, 2.0)):
+        with pytest.raises(ValueError):
+            Region((0.0, 0.0), radius)
+    ball = Region(np.zeros(2), 3)
+    assert ball.center == (0.0, 0.0) and ball.radius == 3.0
+    assert ball.volume == pytest.approx(9 * math.pi, rel=1e-15)
 
 
 def test_measure_disc_matches_area():
-    region = Region("box", (0.0, 0.0), 3.0)
+    # the radius-2 disc inside a radius-3 ball
+    region = Region((0.0, 0.0), 3.0)
     est = measure(DISC, 4.0, region, method="monte-carlo", budget=200_000, seed=7)
     assert est.std_error > 0
     assert abs(est.value - 4 * math.pi) <= 3 * est.std_error
@@ -76,13 +75,13 @@ def test_measure_disc_matches_area():
 
 
 def test_measure_full_region_is_exact():
-    est = measure(ZERO, 1.0, Region("ball", (0.0, 0.0), 1.0), budget=2_000, seed=1)
+    est = measure(ZERO, 1.0, Region((0.0, 0.0), 1.0), budget=2_000, seed=1)
     assert est.value == ball_volume(2, 1.0)
     assert est.std_error == 0.0  # hit fraction exactly 1
 
 
 def test_measure_budget_guards():
-    region = Region("ball", (0.0, 0.0), 1.0)
+    region = Region((0.0, 0.0), 1.0)
     with pytest.raises(ValueError):
         measure(ZERO, 1.0, region, budget=999)
     with pytest.raises(ValueError):
@@ -95,7 +94,7 @@ def test_cross_ball_measures_grow_like_oracle():
     # quadrature-oracle frozen values; growth ~ 8 ln 2 per radius doubling
     previous = None
     for R, oracle in CROSS_BALL_AREA.items():
-        est = measure(CROSS, 1.0, Region("ball", (0.0, 0.0), float(R)), budget=1_500_000, seed=13)
+        est = measure(CROSS, 1.0, Region((0.0, 0.0), float(R)), budget=1_500_000, seed=13)
         assert abs(est.value - oracle) <= 4 * est.std_error
         if previous is not None:
             gap = est.value - previous.value
@@ -295,7 +294,7 @@ def test_shell_points_resample_zero_normals():
 
 
 def test_monotonicity_in_level():
-    region = Region("ball", (0.0, 0.0), 5.0)
+    region = Region((0.0, 0.0), 5.0)
     small = measure(CROSS, 0.5, region, budget=50_000, seed=21)
     large = measure(CROSS, 2.0, region, budget=50_000, seed=21)
     assert small.value <= large.value  # identical sample points, nested sets
@@ -309,14 +308,14 @@ def test_scaling_relation():
     # V_2(x) = V(2x) = 16 x1^2 x2^2; |Omega_1(V_2) cap B_R| = |Omega_1(V) cap B_2R| / 4
     scaled = parse_potential("16*x1^2*x2^2", 2)
     R = 10.0
-    lhs = measure(scaled, 1.0, Region("ball", (0.0, 0.0), R), budget=400_000, seed=17)
-    rhs = measure(CROSS, 1.0, Region("ball", (0.0, 0.0), 2 * R), budget=400_000, seed=18)
+    lhs = measure(scaled, 1.0, Region((0.0, 0.0), R), budget=400_000, seed=17)
+    rhs = measure(CROSS, 1.0, Region((0.0, 0.0), 2 * R), budget=400_000, seed=18)
     combined = math.hypot(lhs.std_error, rhs.std_error / 4.0)
     assert abs(lhs.value - rhs.value / 4.0) <= 3 * combined
 
 
 def test_seeded_determinism():
-    region = Region("ball", (0.0, 0.0), 10.0)
+    region = Region((0.0, 0.0), 10.0)
     a = measure(CROSS, 1.0, region, budget=20_000, seed=123)
     b = measure(CROSS, 1.0, region, budget=20_000, seed=123)
     assert a == b
@@ -327,6 +326,6 @@ def test_seeded_determinism():
 
 def test_report_types_are_plain_records():
     zero_1d = parse_potential("0", 1)
-    est = measure(zero_1d, 1.0, Region("ball", (0.0,), 1.0), budget=1_000, seed=0)
+    est = measure(zero_1d, 1.0, Region((0.0,), 1.0), budget=1_000, seed=0)
     assert isinstance(est, MeasureEstimate)
     assert est.method == "monte-carlo" and est.samples == 1_000 and est.seed == 0
