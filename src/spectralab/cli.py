@@ -34,6 +34,7 @@ from . import __version__
 from .inequalities import batch_summary, inequality_batch
 from .kernels import (
     HEAT_MODES,
+    MAX_KERNEL_POWER,
     d_kernel,
     heat_matrix,
     hs_diagnostics,
@@ -70,11 +71,16 @@ _HEIGHT = ("sublevel", "thinness", "heat-diagnostics", "kernel-power")
 _BOX = ("spectrum", "heat-diagnostics", "kernel-power")
 
 
+def _finite_float(raw) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{raw!r} is not a finite number")
+    return value
+
+
 def _float_tuple(raw) -> tuple:
-    if isinstance(raw, tuple):
-        return raw
-    parts = [p for p in str(raw).split(",") if p.strip()]
-    return tuple(float(p) for p in parts)
+    parts = raw if isinstance(raw, tuple) else [p for p in str(raw).split(",") if p.strip()]
+    return tuple(_finite_float(p) for p in parts)
 
 
 def _field(default, parse, used_by, help, bound=None):
@@ -93,18 +99,18 @@ class RunConfig:
     potential: str = _field(None, str, _POTENTIAL,
                             "potential expression, e.g. 'x1^2 * x2^2'")
     nu: int = _field(2, int, _POTENTIAL, "space dimension", (1, 2, 3))
-    M: float = _field(1.0, float, _HEIGHT, "sublevel height", "> 0")
-    r: float = _field(2.0, float, ("thinness", "kernel-power"),
+    M: float = _field(1.0, _finite_float, _HEIGHT, "sublevel height", "> 0")
+    r: float = _field(2.0, _finite_float, ("thinness", "kernel-power"),
                       "thinness exponent", "> 0")
-    ell: float = _field(1.0, float, ("thinness",), "local-measure ball radius",
-                        "> 0")
+    ell: float = _field(1.0, _finite_float, ("thinness",),
+                        "local-measure ball radius", "> 0")
     radii: tuple = _field((10.0, 20.0, 40.0, 80.0), _float_tuple, ("thinness",),
                           "comma-separated radii, e.g. 10,20,40,80")
     L: tuple = _field((4.0,), _float_tuple, _BOX,
                       "box half-width (spectrum: comma-separated schedule)", "> 0")
-    h: float = _field(0.1, float, _BOX, "grid spacing", "> 0")
-    s: float = _field(1.0, float, ("heat-diagnostics",), "heat time", "> 0")
-    R: float = _field(1.0, float, ("sublevel", "kernel-power"),
+    h: float = _field(0.1, _finite_float, _BOX, "grid spacing", "> 0")
+    s: float = _field(1.0, _finite_float, ("heat-diagnostics",), "heat time", "> 0")
+    R: float = _field(1.0, _finite_float, ("sublevel", "kernel-power"),
                       "truncation / region radius", "> 0")
     k: int = _field(None, int, ("spectrum", "kernel-power"),
                     "eigenvalue count (spectrum, default 5) or kernel power "
@@ -137,6 +143,18 @@ def _used_fields(subcommand: str) -> list:
             if subcommand in f.metadata["used_by"]]
 
 
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _parse(key: str, raw):
+    """The value of field `key` from its text (or an already parsed value)."""
+    try:
+        return _FIELDS[key].metadata["parse"](raw)
+    except ValueError as exc:
+        raise ValueError(f"bad value for {key!r}: {exc}") from None
+
+
 def parse_config_file(path) -> dict:
     """Flat key = value pairs; # comments; unknown keys rejected."""
     values = {}
@@ -153,9 +171,9 @@ def parse_config_file(path) -> dict:
         if key not in _FIELDS:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
         try:
-            values[key] = _FIELDS[key].metadata["parse"](raw)
+            values[key] = _parse(key, raw)
         except ValueError as exc:
-            raise ValueError(f"line {lineno}: bad value for {key!r}: {exc}")
+            raise ValueError(f"line {lineno}: {exc}") from None
     return values
 
 
@@ -167,7 +185,8 @@ def smallest_admissible_power(r: float) -> int:
 def resolve_config(subcommand: str, file_values: dict, flag_values: dict) -> RunConfig:
     """Defaults, then file values, then flags that are set; then validation.
 
-    A key that `subcommand` does not read is a configuration error.
+    Values may be text or already parsed; each goes through its field's
+    parser.  A key that `subcommand` does not read is a configuration error.
     """
     if subcommand not in SUBCOMMANDS:
         raise ValueError(f"unknown subcommand {subcommand!r}")
@@ -179,7 +198,7 @@ def resolve_config(subcommand: str, file_values: dict, flag_values: dict) -> Run
                 continue
             if key not in used:
                 raise ValueError(f"{key} is not used by {subcommand}")
-            values[key] = value
+            values[key] = _parse(key, value)
     if values["output_dir"] is None:
         values["output_dir"] = os.environ.get(OUTPUT_DIR_ENV, "spectralab-output")
     if values["k"] is None and "k" in used:
@@ -233,11 +252,15 @@ def _validate(config: RunConfig, used: list) -> None:
     if sub == "sublevel" and config.budget < MONTE_CARLO_MIN_BUDGET:
         raise ValueError(f"budget must be >= {MONTE_CARLO_MIN_BUDGET} "
                          "(Monte Carlo minimum)")
-    if sub == "kernel-power" and 2 * config.k - 2 <= config.r:
-        raise ValueError(
-            f"k = {config.k} violates 2k - 2 > r (r = {config.r:g}); "
-            f"smallest admissible k is {smallest_admissible_power(config.r)}"
-        )
+    if sub == "kernel-power":
+        if 2 * config.k - 2 <= config.r:
+            raise ValueError(
+                f"k = {config.k} violates 2k - 2 > r (r = {config.r:g}); "
+                f"smallest admissible k is {smallest_admissible_power(config.r)}"
+            )
+        if config.k > MAX_KERNEL_POWER:
+            raise ValueError(f"k = {config.k} exceeds the largest kernel power "
+                             f"{MAX_KERNEL_POWER} (r = {config.r:g})")
 
 
 def _run_spectrum(config: RunConfig, out: Path):
@@ -404,14 +427,28 @@ def build_parser() -> argparse.ArgumentParser:
             bound = meta["bound"]
             if isinstance(bound, tuple):
                 bound = ", ".join(map(str, bound))
-            sub.add_argument("--" + key.replace("_", "-"), dest=key,
-                             type=meta["parse"], default=None,
+            sub.add_argument(_flag(key), dest=key, default=None,
                              help=f"{meta['help']} ({bound})" if bound else meta["help"])
     return parser
 
 
+def _join_potential(argv: list) -> list:
+    """`--potential <value>` as `--potential=<value>` when the value starts
+    with "-" (unary minus) and is not a flag, which argparse would take it for."""
+    flags = {"-h", "--help", "--config", *map(_flag, _FIELDS)}
+    out = []
+    for arg in argv:
+        if (out and out[-1] == "--potential" and arg.startswith("-")
+                and arg.split("=")[0] not in flags):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = _join_potential(sys.argv[1:] if argv is None else list(argv))
     try:
         flag_values = vars(parser.parse_args(argv))
     except SystemExit as exc:

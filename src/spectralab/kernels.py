@@ -1,9 +1,9 @@
-"""Weighted integral-kernel algebra and heat-semigroup diagnostics.
+"""Weighted integral kernels and heat-semigroup diagnostics.
 
-A KernelMatrix holds K(x_i, y_j) on a cell-centered grid; composing two
-kernels multiplies the matrices and scales by the cell volume w, so matrix
-products approximate kernel composition integrals.  Operator norms, singular
-values mu_j = w sigma_j, and Hilbert-Schmidt norms all carry the weight.
+A KernelMatrix holds K(x_i, y_j) on a cell-centered grid with cell volume
+w; its operator acts on a grid function v as w * K @ v, so matrix sums
+approximate kernel integrals.  Operator norms, singular values
+mu_j = w sigma_j, and Hilbert-Schmidt norms all carry the weight.
 
 Ball memberships (truncation radii, the 0/1 proximity kernel, local-measure
 counts) are decided on integer lattice offsets with a hair of relative
@@ -47,18 +47,13 @@ __all__ = [
     "BoundCheck",
     "CompactnessDiagnostics",
     "KernelMatrix",
-    "adjoint",
-    "apply_kernel",
-    "compose",
     "compose_C",
     "d_kernel",
     "domination_check",
     "gaussian_squared_mass",
     "heat_matrix",
     "hs_diagnostics",
-    "hs_norm",
     "kernel_power_bound",
-    "kernel_singular_values",
     "multiply_function",
     "operator_norm",
     "split_tail",
@@ -67,6 +62,9 @@ __all__ = [
 
 HEAT_MODES = ("gaussian-kernel", "expm-of-laplacian")
 LATTICE_SLACK = 1e-9
+# Largest power kernel_power_bound takes.  Each step is one block product,
+# and the bound's omega^(2k - 2) overflows long before k = 2000.
+MAX_KERNEL_POWER = 30
 # Lanczos vectors ARPACK keeps for an operator norm.  The seven norms of the
 # criterion-7 kernel sequence take 97 Gram products in all at 10 (147 at
 # ARPACK's default of 20), each within 7e-16 of the SVD value.
@@ -121,17 +119,6 @@ class KernelMatrix:
         return self.grid.weight
 
 
-def adjoint(K: KernelMatrix) -> KernelMatrix:
-    return KernelMatrix(K.grid, K.values.T.copy())
-
-
-def compose(K1: KernelMatrix, K2: KernelMatrix) -> KernelMatrix:
-    """Kernel of the composed operator: w * K1 @ K2."""
-    if K1.grid != K2.grid:
-        raise ValueError("kernels live on different grids")
-    return KernelMatrix(K1.grid, K1.weight * (K1.values @ K2.values))
-
-
 def multiply_function(K: KernelMatrix, values_on_grid) -> KernelMatrix:
     """Compose with a multiplication operator: scales columns, no weight."""
     g = np.asarray(values_on_grid, dtype=float)
@@ -140,21 +127,6 @@ def multiply_function(K: KernelMatrix, values_on_grid) -> KernelMatrix:
     if K._factor is not None:
         return KernelMatrix._kronecker(K.grid, K._factor, K._scale * g)
     return KernelMatrix(K.grid, K.values * g[None, :])
-
-
-def apply_kernel(K: KernelMatrix, vec: np.ndarray) -> np.ndarray:
-    """Operator action on a grid function: w * K @ vec."""
-    return K.weight * (K.values @ vec)
-
-
-def hs_norm(K: KernelMatrix) -> float:
-    """Hilbert-Schmidt norm: sqrt(w^2 sum K_ij^2)."""
-    return K.weight * float(np.linalg.norm(K.values, "fro"))
-
-
-def kernel_singular_values(K: KernelMatrix) -> np.ndarray:
-    """Operator singular values mu_j = w * sigma_j(K), descending."""
-    return K.weight * singular_values(K.values)
 
 
 def _arpack_sigma_max(matvec, rmatvec, cols: np.ndarray, size: int, seed: int) -> float:
@@ -281,9 +253,9 @@ def heat_matrix(grid: Grid, s: float = 1.0, mode: str = "gaussian-kernel") -> Ke
     (4 pi s)^{-nu/2} exp(-|x_i - x_j|^2 / 4s) up to rounding and the diagonal
     is exactly the peak; expm-of-laplacian takes k1 = exp(-s T) (expm_sym)
     for the 1-D Dirichlet Laplacian T (operators._second_difference) and
-    scale 1/w, so that apply_kernel reproduces the matrix exponential's
-    action.  The dense values are formed on first read, and only that read
-    is held to the grid's dense-entry budget.
+    scale 1/w, so that the weighted action w * K @ v is the matrix
+    exponential's action.  The dense values are formed on first read, and
+    only that read is held to the grid's dense-entry budget.
     """
     if s <= 0:
         raise ValueError("s must be > 0")
@@ -550,8 +522,8 @@ def kernel_power_bound(D: KernelMatrix, k: int, V: PotentialExpr, M: float,
     of D together with the sublevel points: off U x U both D^k and the bound
     times chi vanish, so those entries add exact zeros.
     """
-    if k < 2:
-        raise ValueError("k must be >= 2")
+    if not 2 <= k <= MAX_KERNEL_POWER:
+        raise ValueError(f"k must be in 2..{MAX_KERNEL_POWER}, got {k}")
     grid = D.grid
     w = D.weight
     chi_all = potential_on_grid(grid, V) < M

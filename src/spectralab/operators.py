@@ -55,7 +55,7 @@ class Grid:
         if not (L > 0.0 and h > 0.0):
             raise ValueError("half_width and spacing must be positive")
         ratio = 2.0 * L / h
-        n = round(ratio)
+        n = round(ratio) if np.isfinite(ratio) else 0
         if n < 1 or abs(ratio - n) > 1e-9 * max(1.0, ratio):
             raise ValueError(f"2L/h must be a positive integer, got {ratio}")
         if n**self.nu > SPARSE_POINT_BUDGET:

@@ -358,9 +358,6 @@ class PolynomialForm:
             out += term
         return out[0] if single else out
 
-    def total_degree(self) -> int:
-        return max((sum(alpha) for alpha in self.terms), default=0)
-
 
 def _poly_add(a: dict, b: dict, sign: float = 1.0) -> dict:
     out = dict(a)

@@ -64,6 +64,30 @@ INVALID_CONFIGS = (
     ("heat-diagnostics", "--potential", WELL, "--L", "4,5"),
     ("kernel-power", "--potential", WELL, "--L", "4,5"),
     ("sublevel", "--potential", WELL, "--budget", "999"),
+    # non-finite numbers, in flags, tuple entries and a grid ratio 2L/h
+    ("kernel-power", "--potential", "x1^2*x2^2", "--M", "1", "--R", "1",
+     "--L", "2", "--h", "0.25", "--r", "inf"),
+    ("spectrum", "--potential", WELL, "--nu", "2", "--L", "3,inf", "--h", "0.25",
+     "--k", "3"),
+    ("spectrum", "--potential", WELL, "--nu", "2", "--L", "1e308,1.5e308",
+     "--h", "0.1"),
+    ("spectrum", "--potential", WELL, "--nu", "2", "--L", "3,4", "--h", "0.25",
+     "--count-levels", "nan"),
+    ("spectrum", "--potential", WELL, "--nu", "2", "--L", "3,4", "--h", "0.25",
+     "--count-levels", "inf"),
+    ("thinness", "--potential", "x1^2", "--nu", "2", "--radii", "10,20,nan",
+     "--budget", "2000"),
+    ("thinness", "--potential", "x1^2", "--nu", "2", "--radii", "10,20,inf",
+     "--budget", "2000"),
+    ("kernel-power", "--potential", "x1^2*x2^2", "--M", "1", "--R", "inf",
+     "--L", "2", "--h", "0.25"),
+    ("heat-diagnostics", "--potential", WELL, "--M", "1", "--L", "2",
+     "--h", "0.25", "--s", "inf"),
+    # kernel powers above kernels.MAX_KERNEL_POWER, given or derived from r
+    ("kernel-power", "--potential", "x1^2*x2^2", "--M", "1", "--R", "1",
+     "--L", "2", "--h", "0.25", "--r", "1e7"),
+    ("kernel-power", "--potential", "x1^2*x2^2", "--M", "1", "--R", "1",
+     "--L", "2", "--h", "0.25", "--k", "2000"),
 )
 
 
@@ -109,6 +133,13 @@ class TestConfigFile:
         cfg.write_text("nu = 2\nwavelength = 7\n")
         with pytest.raises(ValueError, match="line 2.*wavelength"):
             parse_config_file(cfg)
+
+    def test_non_finite_value_rejected(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        for line in ("M = nan", "radii = 10, 20, -inf"):
+            cfg.write_text(line + "\n")
+            with pytest.raises(ValueError, match="line 1: .*not a finite number"):
+                parse_config_file(cfg)
 
     def test_malformed_line_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -233,6 +264,21 @@ class TestExitCodes:
         assert code == 0
         report = read_json(tmp_path / "thinness-report.json")
         assert report["radii"][-1] > 27.0
+
+    def test_potential_may_start_with_unary_minus(self, tmp_path):
+        args = ("--nu", "2", "--L", "3,4", "--h", "0.2")
+        joined, spaced = tmp_path / "joined", tmp_path / "spaced"
+        assert run_cli("spectrum", "--potential=-(-x1^2)+x2^2", *args,
+                       "--output-dir", str(joined)) == 0
+        assert run_cli("spectrum", "--potential", "-(-x1^2)+x2^2", *args,
+                       "--output-dir", str(spaced)) == 0
+        name = "spectrum-report.json"
+        assert (spaced / name).read_bytes() == (joined / name).read_bytes()
+        # a flag after --potential is still a flag, not its value
+        out = tmp_path / "missing"
+        assert run_cli("spectrum", "--potential", "--nu", "2",
+                       "--output-dir", str(out)) == 2
+        assert not out.exists()
 
     def test_kernel_power_guard_is_two(self, tmp_path, capsys):
         code = run_cli("kernel-power", "--potential", WELL, "--M", "1",

@@ -8,7 +8,9 @@ imports on a line marked `# noqa: F401`.  Separately, every __all__ entry
 of every package module must resolve to an attribute of that module, and
 every module-level UPPER_CASE constant and private top-level function or
 class of the package must be read somewhere in the package or perfbench/
-(a read is a loaded name or an attribute of that name).
+(a read is a loaded name or an attribute of that name), and every top-level
+function or class of the package and every method that is not a dunder must
+be read somewhere in the package, tests/ or perfbench/.
 """
 
 import ast
@@ -22,6 +24,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "spectralab"
 SOURCES = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
 READERS = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 CONSTANT = re.compile(r"[A-Z][A-Z0-9_]*")
 
 
@@ -91,6 +94,12 @@ def unread_definitions(modules, readers) -> list:
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 defined += [(path.name, t.id) for t in targets
                             if isinstance(t, ast.Name) and CONSTANT.fullmatch(t.id)]
+    read = read_names(readers)
+    return sorted(f"{module}: {name}" for module, name in defined if name not in read)
+
+
+def read_names(readers) -> set:
+    """Every name that a file of `readers` loads, or reads as an attribute."""
     read = set()
     for path in readers:
         for node in ast.walk(ast.parse(path.read_text())):
@@ -98,7 +107,28 @@ def unread_definitions(modules, readers) -> list:
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
-    return sorted(f"{module}: {name}" for module, name in defined if name not in read)
+    return read
+
+
+def is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def unread_callables(modules, readers) -> list:
+    """Top-level functions and classes of `modules`, and the methods of those
+    classes, that are not dunders and that no file of `readers` reads."""
+    defined = []   # (module, label, name that a read must match)
+    for path in modules:
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or is_dunder(node.name):
+                continue
+            defined.append((path.name, node.name, node.name))
+            if isinstance(node, ast.ClassDef):
+                defined += [(path.name, f"{node.name}.{item.name}", item.name)
+                            for item in node.body
+                            if isinstance(item, ast.FunctionDef) and not is_dunder(item.name)]
+    read = read_names(readers)
+    return sorted(f"{module}: {label}" for module, label, name in defined if name not in read)
 
 
 def test_every_constant_and_private_definition_is_read():
@@ -119,3 +149,24 @@ def test_scan_flags_an_unread_definition(tmp_path):
     reader.write_text("import sample\nsample._Record()\n")
     assert unread_definitions([sample], [sample, reader]) == [
         "sample.py: LIMIT", "sample.py: _helper"]
+
+
+def test_every_function_class_and_method_is_read():
+    assert unread_callables(sorted(PACKAGE.glob("*.py")), READERS + TESTS) == []
+
+
+def test_scan_flags_an_unread_function_class_or_method(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "def used():\n    pass\n"
+        "def unused():\n    pass\n"
+        "class Shape:\n"
+        "    def __init__(self):\n        pass\n"
+        "    @property\n    def area(self):\n        return 0\n"
+        "    def scale(self):\n        pass\n"
+        "class Unused:\n    pass\n"
+    )
+    reader = tmp_path / "reader.py"
+    reader.write_text("from sample import used, Shape\nused()\nShape().area\n")
+    assert unread_callables([sample], [sample, reader]) == [
+        "sample.py: Shape.scale", "sample.py: Unused", "sample.py: unused"]

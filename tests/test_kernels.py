@@ -1,4 +1,4 @@
-"""Tests for the weighted kernel algebra and heat diagnostics.
+"""Tests for the weighted kernels and heat diagnostics.
 
 Oracle routes kept independent of the code under test:
 - scipy.linalg.expm cross-checks the separable eigendecomposition route of
@@ -6,8 +6,7 @@ Oracle routes kept independent of the code under test:
 - Gaussian integrals have closed forms: total mass 1, squared mass
   (2 pi s)^{nu/2} (4 pi s)^{-nu}, 2-D radial tail exp(-R^2/4s);
 - 0/1 kernels are recomputed entry by entry from scratch;
-- Hilbert-Schmidt norms from entries are compared with the singular-value
-  route, and the ARPACK operator norm with a full SVD;
+- the ARPACK operator norm is compared with a full SVD;
 - the support-restricted kernel_power_bound and domination_check are
   compared with their dense N x N formulas, written out here;
 - the Dirichlet heat kernel of the expm-of-laplacian mode is compared with
@@ -29,18 +28,13 @@ from scipy.sparse.linalg import ArpackNoConvergence
 from spectralab import kernels
 from spectralab.kernels import (
     KernelMatrix,
-    adjoint,
-    apply_kernel,
-    compose,
     compose_C,
     d_kernel,
     domination_check,
     gaussian_squared_mass,
     heat_matrix,
     hs_diagnostics,
-    hs_norm,
     kernel_power_bound,
-    kernel_singular_values,
     multiply_function,
     operator_norm,
     split_tail,
@@ -77,27 +71,6 @@ class TestKernelMatrix:
         with pytest.raises(ValueError, match="finite"):
             KernelMatrix(g, bad)
 
-    def test_compose_carries_the_weight(self):
-        g = Grid(1, 1.0, 0.25)
-        K1 = random_kernel(g, 1)
-        K2 = random_kernel(g, 2)
-        out = compose(K1, K2)
-        np.testing.assert_array_equal(out.values, 0.25 * (K1.values @ K2.values))
-
-    def test_compose_rejects_grid_mismatch(self):
-        K1 = random_kernel(Grid(1, 1.0, 0.25), 1)
-        K2 = random_kernel(Grid(1, 2.0, 0.25), 2)
-        with pytest.raises(ValueError, match="grids"):
-            compose(K1, K2)
-
-    def test_composition_is_associative(self):
-        g = Grid(1, 2.0, 0.1)
-        A, B, C = (random_kernel(g, s) for s in (3, 4, 5))
-        left = compose(compose(A, B), C).values
-        right = compose(A, compose(B, C)).values
-        scale = np.max(np.abs(left))
-        assert np.max(np.abs(left - right)) <= 1e-12 * scale
-
     def test_multiplication_operator_scales_columns_without_weight(self):
         g = Grid(1, 1.0, 0.25)
         K = random_kernel(g, 6)
@@ -106,17 +79,9 @@ class TestKernelMatrix:
         np.testing.assert_array_equal(direct.values, K.values * func[None, :])
         # composing with the delta-kernel of the same multiplication
         # operator (diagonal / w) must agree exactly
-        via_compose = compose(K, KernelMatrix(g, np.diag(func) / g.weight))
-        np.testing.assert_allclose(via_compose.values, direct.values,
+        delta = np.diag(func) / g.weight
+        np.testing.assert_allclose(g.weight * (K.values @ delta), direct.values,
                                    rtol=0.0, atol=1e-15)
-
-    def test_hs_norm_matches_singular_value_route(self):
-        g = Grid(2, 1.0, 0.25)
-        K = random_kernel(g, 7)
-        from_entries = hs_norm(K)
-        mu = kernel_singular_values(K)
-        from_spectrum = math.sqrt(float(np.sum(mu**2)))
-        assert abs(from_entries - from_spectrum) <= 1e-9 * from_entries
 
     def test_operator_norm_small_matches_numpy_svd(self):
         g = Grid(1, 2.0, 0.1)
@@ -161,11 +126,6 @@ class TestKernelMatrix:
         expected = g.weight * float(np.linalg.norm(values[:, 7]))
         assert operator_norm(KernelMatrix(g, values)) == pytest.approx(
             expected, rel=1e-15)
-
-    def test_apply_kernel_weights_the_sum(self):
-        g = Grid(1, 1.0, 0.5)
-        K = KernelMatrix(g, np.ones((4, 4)))
-        np.testing.assert_allclose(apply_kernel(K, np.ones(4)), 2.0)
 
 
 class TestHeatMatrix:
@@ -232,7 +192,8 @@ class TestHeatMatrix:
         for _ in range(3):
             v = rng.standard_normal(g.size) * interior
             v /= np.linalg.norm(v)
-            gap = np.linalg.norm(apply_kernel(gauss, v) - apply_kernel(semi, v))
+            gap = np.linalg.norm(g.weight * (gauss.values @ v)
+                                 - g.weight * (semi.values @ v))
             assert gap <= 0.05
 
     def test_guards(self):
@@ -518,8 +479,9 @@ class TestKernelPowerBound:
     def test_power_guard(self):
         g = Grid(2, 2.0, 0.5)
         D = d_kernel(g, CROSS, 1.0, 1.0)
-        with pytest.raises(ValueError, match="k must be"):
-            kernel_power_bound(D, 1, CROSS, 1.0, 1.0)
+        for k in (1, 31):   # kernels.MAX_KERNEL_POWER is 30
+            with pytest.raises(ValueError, match="k must be"):
+                kernel_power_bound(D, k, CROSS, 1.0, 1.0)
 
     def test_zero_kernel_stays_zero(self):
         g = Grid(2, 2.0, 0.5)
@@ -573,7 +535,7 @@ class TestKernelPowerBound:
 
 def dense_domination(C_MR, D):
     """domination_check's quantities from the full N x N product kernel."""
-    P = compose(adjoint(C_MR), C_MR).values
+    P = C_MR.weight * (C_MR.values.T @ C_MR.values)
     support = D.values != 0.0
     off = P[~support]
     on = P[support]
@@ -730,11 +692,6 @@ class TestBuiltKernelInvariants:
             scale = np.max(np.abs(K.values))
             assert gap <= 1e-12 * max(scale, 1e-300)
 
-    def test_adjoint_transposes(self):
-        g = Grid(1, 1.0, 0.25)
-        K = random_kernel(g, 12)
-        np.testing.assert_array_equal(adjoint(K).values, K.values.T)
-
 
 def shifted_bowl(g):
     """sum_a (a + 1) (x_a - c)^2, c on the grid: zero at exactly one point.
@@ -791,13 +748,11 @@ class TestSeparableKernels:
             np.testing.assert_allclose(kernels._kron_apply(factor, nu, x), dense @ x,
                                        rtol=0.0, atol=1e-12 * np.max(np.abs(dense @ x)))
 
-    def test_record_dropped_by_values_compose_and_adjoint(self):
+    def test_record_dropped_by_values_and_truncation(self):
         g = Grid(2, 2.0, 0.25)
         heat = heat_matrix(g, 1.0)
         assert heat._factor is not None
         assert KernelMatrix(g, heat.values)._factor is None
-        assert compose(heat, heat)._factor is None
-        assert adjoint(heat)._factor is None
         held = heat.values.copy()
         assert truncated_convolution(g, 1.0, 1.0)[0]._factor is None
         np.testing.assert_array_equal(heat.values, held)   # a held kernel is not cut

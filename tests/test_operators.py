@@ -6,12 +6,15 @@ Oracle routes kept independent of the code under test:
 - dense numpy.linalg.eigvalsh cross-checks the sparse Lanczos route;
 - the harmonic oscillator x^2 has continuum eigenvalues 1, 3, 5, ...;
 - the 2-D box with walls at +-2 has lowest eigenvalue 2 (pi/4)^2;
-- Kronecker-sum ordering is checked against per-axis application.
+- Kronecker-sum ordering is checked against per-axis application;
+- for V = v(x1) + w(x2), H = A (x) I + I (x) B with tridiagonal A and B, so
+  the counting function is #{a_i + b_j < level} from two 1-D spectra.
 """
 
 import numpy as np
 import pytest
 import scipy.sparse as sparse
+from scipy.linalg import eigvalsh_tridiagonal
 
 from spectralab.linalg import lanczos_extremal
 from spectralab.operators import (
@@ -56,8 +59,10 @@ class TestGrid:
             Grid(4, 1.0, 0.5)
 
     def test_rejects_non_integer_cell_count(self):
-        with pytest.raises(ValueError, match="integer"):
-            Grid(1, 1.0, 0.3)
+        # 2L/h overflows to inf in the last two
+        for nu, L, h in ((1, 1.0, 0.3), (1, float("inf"), 0.1), (2, 1e308, 0.1)):
+            with pytest.raises(ValueError, match="integer"):
+                Grid(nu, L, h)
 
     def test_rejects_oversized_grid(self):
         with pytest.raises(ValueError, match="points"):
@@ -207,6 +212,26 @@ class TestSpectrumStudy:
                 dense = np.linalg.eigvalsh(hamiltonian(grid, V).to_dense())
                 assert counts == tuple(int(np.sum(dense < level)) for level in levels)
             assert rep.counting[-1][-1] > 2
+
+    def test_counting_matches_the_separable_oracle(self):
+        # counts below 3.3 and 6.1 at L = 4, 8, 12: linear in L for the
+        # x1^2 strip (essential spectrum from 1 up), fixed for the oscillator
+        h, levels = 0.2, (3.3, 6.1)
+        cases = (("x1^2", np.square, np.zeros_like, ((4, 11), (9, 25), (15, 38))),
+                 ("x1^2+x2^2", np.square, np.square, ((1, 6),) * 3))
+        for source, v, w, pinned in cases:
+            V = parse_potential(source, 2)
+            for L, expected in zip((4.0, 8.0, 12.0), pinned):
+                grid = Grid(2, L, h)
+                x = grid.axis
+                off = np.full(x.size - 1, -1.0 / h**2)
+                a = eigvalsh_tridiagonal(2.0 / h**2 + v(x), off)
+                b = eigvalsh_tridiagonal(2.0 / h**2 + w(x), off)
+                sums = np.add.outer(a, b)
+                oracle = tuple(int(np.count_nonzero(sums < level)) for level in levels)
+                H = hamiltonian(grid, V)
+                counts = tuple(_inertia_count(H, level) for level in levels)
+                assert counts == oracle == expected, (source, L)
 
     def test_count_level_on_an_eigenvalue_raises(self):
         # the L = 1, h = 1 box is two points with eigenvalues 1 and 3 exactly
