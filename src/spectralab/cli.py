@@ -247,6 +247,8 @@ def _validate(config: RunConfig, used: list) -> None:
             elif config.k > grid.size:
                 raise ValueError(f"k = {config.k} exceeds the {grid.size} "
                                  f"points of the L = {L:g} grid")
+            elif config.count_levels:
+                grid.require_factor_budget()
     if sub == "thinness":
         check_radii(config.radii)
     if sub == "sublevel" and config.budget < MONTE_CARLO_MIN_BUDGET:

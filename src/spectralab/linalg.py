@@ -6,13 +6,15 @@ eigenpairs a caller already holds, as the semigroup checks' shared pair
 does), compound (antisymmetric power) matrices built from explicit minors,
 and the smallest eigenvalues of an opaque symmetric linear map (ARPACK's
 implicitly restarted Lanczos through scipy's eigsh, followed by a deflated
-certificate pass that recovers repeated eigenvalues).
+certificate pass that recovers repeated eigenvalues).  The map may be a
+spectral transformation: operators.spectrum_study hands it x -> -H^{-1} x
+for nu <= 2, so there its tol and residuals refer to that map, not to H.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -143,7 +145,8 @@ def compound_matrix(A, n: int) -> np.ndarray:
 class LanczosResult:
     """Smallest eigenvalues of a symmetric map with true residual norms.
 
-    eigenvalues are ascending; residuals[i] = |A x_i - lambda_i x_i| / |x_i|
+    eigenvalues are ascending; vectors[:, i] is the unit eigenvector of
+    eigenvalues[i]; residuals[i] = |A x_i - lambda_i x_i| / |x_i|
     recomputed with the raw map.  converged is False when the iteration
     stopped early (restart cap or certificate budget); partial values are
     kept.  After ARPACK's restart cap only the pairs it did converge exist,
@@ -152,6 +155,7 @@ class LanczosResult:
     """
 
     eigenvalues: np.ndarray
+    vectors: np.ndarray = field(repr=False)
     residuals: np.ndarray
     converged: bool
     matvec_count: int
@@ -242,7 +246,9 @@ def lanczos_extremal(matvec, dim: int, k: int, max_iters: int = 600, seed: int =
     (see _certify) then recovers copies of repeated eigenvalues that a
     single Krylov space cannot see.  Where ARPACK cannot run (k == dim) the
     map is assembled from dim matvecs and solved densely.  tol is ARPACK's:
-    a Ritz pair converges once its residual estimate is <= tol * |theta|.
+    a Ritz pair converges once its residual estimate is <= tol * |theta|,
+    theta an eigenvalue of the map given (of -H^{-1}, not of H, when
+    spectrum_study transforms it).
     The map is checked for symmetry probabilistically before any work.
     Residuals are recomputed with the raw map; convergence claims rest on
     them.
@@ -285,10 +291,10 @@ def lanczos_extremal(matvec, dim: int, k: int, max_iters: int = 600, seed: int =
             found = found if ok else 0
             ok, note = False, "inner iteration cap reached"
 
-    eigenvalues = values[:found]
+    eigenvalues, vectors = values[:found], vectors[:, :found]
     residuals = np.empty(eigenvalues.size)
     for i, value in enumerate(eigenvalues):
         x = vectors[:, i]
         residuals[i] = float(np.linalg.norm(apply(x) - value * x) / np.linalg.norm(x))
     converged = ok and eigenvalues.size == k
-    return LanczosResult(eigenvalues, residuals, converged, matvecs, note)
+    return LanczosResult(eigenvalues, vectors, residuals, converged, matvecs, note)

@@ -296,11 +296,12 @@ def _omega_batch(V, M, centers, ell, sub_budget, seed, annulus) -> np.ndarray:
 
 
 def check_radii(radii) -> list:
-    """The radii as floats, once they are >= 3 strictly increasing positives."""
+    """The radii as floats, once they are >= 3 strictly increasing finite positives."""
     radii = [float(R) for R in radii]
-    if len(radii) < 3 or any(b <= a for a, b in zip(radii, radii[1:])) or radii[0] <= 0:
+    if (len(radii) < 3 or any(b <= a for a, b in zip(radii, radii[1:])) or radii[0] <= 0
+            or not all(np.isfinite(radii))):
         raise ValueError("radii must be at least three strictly increasing "
-                         "positive values")
+                         "finite positive values")
     return radii
 
 

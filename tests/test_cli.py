@@ -83,6 +83,9 @@ INVALID_CONFIGS = (
      "--L", "2", "--h", "0.25"),
     ("heat-diagnostics", "--potential", WELL, "--M", "1", "--L", "2",
      "--h", "0.25", "--s", "inf"),
+    # an inertia count on a box whose sparse factor exceeds the point cap
+    ("spectrum", "--potential", "x1^2+x2^2+x3^2", "--nu", "3", "--L", "1,2",
+     "--h", "0.1", "--count-levels", "5"),
     # kernel powers above kernels.MAX_KERNEL_POWER, given or derived from r
     ("kernel-power", "--potential", "x1^2*x2^2", "--M", "1", "--R", "1",
      "--L", "2", "--h", "0.25", "--r", "1e7"),

@@ -16,11 +16,14 @@ import pytest
 import scipy.sparse as sparse
 from scipy.linalg import eigvalsh_tridiagonal
 
+from spectralab import operators
 from spectralab.linalg import lanczos_extremal
 from spectralab.operators import (
     Grid,
     SparseOperator,
     _inertia_count,
+    _ldlt,
+    check_schedule,
     discrete_laplacian,
     hamiltonian,
     potential_on_grid,
@@ -28,6 +31,10 @@ from spectralab.operators import (
 )
 from spectralab.potentials import parse_potential
 from spectralab.rng import derived_rng
+
+
+def no_factor(matrix):
+    raise AssertionError("a solve that must run on H.matvec factored H")
 
 
 def dirichlet_eigenvalues(L, h):
@@ -233,6 +240,64 @@ class TestSpectrumStudy:
                 counts = tuple(_inertia_count(H, level) for level in levels)
                 assert counts == oracle == expected, (source, L)
 
+    def test_shift_invert_matches_dense_eigvalsh(self, monkeypatch):
+        # nu <= 2 solves on -H^{-1} through one factor per box
+        factors = []
+
+        def counted_ldlt(matrix):
+            factors.append(matrix.shape)
+            return _ldlt(matrix)
+
+        monkeypatch.setattr(operators, "_ldlt", counted_ldlt)
+        for source, nu, schedule, h in (("x1^2", 1, (4.0, 6.0), 0.1),
+                                        ("x1^2*x2^2", 2, (1.5, 2.0), 0.2)):
+            V = parse_potential(source, nu)
+            factors.clear()
+            rep = spectrum_study(V, schedule, h, 5)
+            assert len(factors) == len(schedule)
+            for L, values in zip(schedule, rep.eigenvalues):
+                dense = np.linalg.eigvalsh(hamiltonian(Grid(nu, L, h), V).to_dense())
+                np.testing.assert_allclose(values, dense[:5], rtol=1e-12, atol=0)
+
+    def test_inertia_brackets_the_showcase_values(self):
+        # bench showcase boxes: nothing below lambda_1, exactly k up to lambda_k
+        V = parse_potential("x1^2*x2^2", 2)
+        rep = spectrum_study(V, (3.0, 4.0), 0.1, 5)
+        for L, values in zip((3.0, 4.0), rep.eigenvalues):
+            H = hamiltonian(Grid(2, L, 0.1), V)
+            assert values.size == 5
+            assert _inertia_count(H, values[-1] * (1 + 1e-6)) == 5
+            assert _inertia_count(H, values[0] * (1 - 1e-6)) == 0
+
+    def test_three_dimensions_solve_on_the_matvec(self, monkeypatch):
+        # nu = 3 factors nothing, and its values and residuals are exactly
+        # those of lanczos_extremal on H.matvec
+        monkeypatch.setattr(operators, "_ldlt", no_factor)
+        V = parse_potential("x1^2+x2^2+x3^2", 3)
+        schedule, h, k = (1.0, 1.5), 0.25, 4
+        rep = spectrum_study(V, schedule, h, k, seed=3)
+        for L, values, residuals in zip(schedule, rep.eigenvalues, rep.residuals):
+            grid = Grid(3, L, h)
+            direct = lanczos_extremal(hamiltonian(grid, V).matvec, grid.size, k,
+                                      max_iters=600, seed=3, tol=3e-11)
+            assert values.size == k
+            np.testing.assert_array_equal(values, direct.eigenvalues)
+            np.testing.assert_array_equal(residuals, direct.residuals)
+
+    def test_factor_point_cap(self, monkeypatch):
+        # a count level on a box above the cap is refused before any solve
+        V3 = parse_potential("x1^2+x2^2+x3^2", 3)
+        with pytest.raises(ValueError, match="cap of 32768 points at nu = 3"):
+            spectrum_study(V3, (1.0, 2.0), 0.1, 3, count_levels=(5.0,))
+        # a solve above the cap runs on H.matvec instead of refusing
+        V = parse_potential("x1^2", 1)
+        monkeypatch.setitem(operators.FACTOR_POINT_CAP, 1, 50)
+        with pytest.raises(ValueError, match="cap of 50 points"):
+            spectrum_study(V, (4.0, 6.0), 0.1, 3, count_levels=(5.0,))
+        monkeypatch.setattr(operators, "_ldlt", no_factor)
+        rep = spectrum_study(V, (4.0, 6.0), 0.1, 3)
+        np.testing.assert_allclose(rep.eigenvalues[-1], [1, 3, 5], rtol=1e-2)
+
     def test_count_level_on_an_eigenvalue_raises(self):
         # the L = 1, h = 1 box is two points with eigenvalues 1 and 3 exactly
         with pytest.raises(ValueError, match="L=1: no inertia count at level 1"):
@@ -255,11 +320,14 @@ class TestSpectrumStudy:
         assert np.all(rep.eigenvalues[-1] > 0.9)
 
     def test_partial_data_propagates_with_notes(self):
-        V = parse_potential("x1^2", 1)
-        rep = spectrum_study(V, (8.0, 12.0), 0.05, 5, max_iters=6)
+        # one restart for 30 pairs of the strip: the cap stops both boxes
+        # short of k (20 and 22 kept values)
+        V = parse_potential("x1^2", 2)
+        k = 30
+        rep = spectrum_study(V, (8.0, 12.0), 0.25, k, max_iters=1)
         assert rep.verdict == "not-stabilized"
         assert rep.notes
-        assert all(vals.size < 5 for vals in rep.eigenvalues)
+        assert all(vals.size < k for vals in rep.eigenvalues)
 
     def test_requires_two_increasing_boxes(self):
         V = parse_potential("x1^2", 1)
@@ -267,3 +335,10 @@ class TestSpectrumStudy:
             spectrum_study(V, (8.0,), 0.05, 3)
         with pytest.raises(ValueError, match="increasing"):
             spectrum_study(V, (8.0, 8.0), 0.05, 3)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_non_finite_boxes(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            check_schedule([1.0, bad])
+        with pytest.raises(ValueError, match="finite"):
+            spectrum_study(parse_potential("x1^2", 1), (8.0, bad), 0.05, 3)

@@ -174,6 +174,16 @@ def test_thinness_budget_guard():
         thinness(CROSS, 1.0, -1.0, 1.0, [10.0, 20.0, 40.0], budget=10_000)
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_thinness_rejects_non_finite_radii(bad):
+    # an infinite last radius used to end the divergent strip at
+    # convergent-evidence (tail ratio 0 over an empty outer annulus)
+    with pytest.raises(ValueError, match="finite"):
+        sublevel.check_radii([10.0, 20.0, bad])
+    with pytest.raises(ValueError, match="finite"):
+        thinness(STRIP, 1.0, 2.0, 1.0, (10.0, 20.0, bad), budget=2_000)
+
+
 @pytest.mark.parametrize("budget, sub_budget, message", [
     (0, 2_000, "^budget must be >= 1"),
     (10_000, 0, "^sub_budget must be >= 1"),

@@ -12,7 +12,7 @@ import inspect
 import sys
 from pathlib import Path
 
-from spectralab import potentials, sublevel
+from spectralab import operators, potentials, sublevel
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -56,3 +56,19 @@ def test_thinness_evaluations_split_into_proposals_and_sub_budget_balls(monkeypa
     assert starts[0] == 0 and len(starts) == len(radii)
     later = [n for n in sizes if n != budget]
     assert later and all(n % sub_budget == 0 for n in later)
+
+
+def test_spectrum_spans_see_one_solve_and_the_residual_matvecs_per_box(monkeypatch):
+    # The nu <= 2 solve runs on a factor, not on SparseOperator.matvec; the
+    # tracer must still see one lanczos_extremal call per box and the k
+    # residual matvecs against H that spectrum_study makes per box.
+    tracer = load_tracer(monkeypatch).Tracer()
+    schedule, k = (1.5, 2.0), 3
+    tracer.install()
+    try:
+        operators.spectrum_study(potentials.parse_potential("x1^2*x2^2", 2),
+                                 schedule, 0.25, k)
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["linalg.lanczos"] == len(schedule)
+    assert tracer.counters["operators.matvecs"] >= k * len(schedule)
