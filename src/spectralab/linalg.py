@@ -5,10 +5,14 @@ values, matrix exponentials through the eigenbasis (_expm_from_eigh takes
 eigenpairs a caller already holds, as the semigroup checks' shared pair
 does), compound (antisymmetric power) matrices built from explicit minors,
 and the smallest eigenvalues of an opaque symmetric linear map (ARPACK's
-implicitly restarted Lanczos through scipy's eigsh, followed by a deflated
-certificate pass that recovers repeated eigenvalues).  The map may be a
-spectral transformation: operators.spectrum_study hands it x -> -H^{-1} x
-for nu <= 2, so there its tol and residuals refer to that map, not to H.
+implicitly restarted Lanczos through scipy's eigsh, followed by a
+certificate that no lower eigenvalue was missed).  The certificate is an
+exact count when the caller can give one (count_below, in the map's own
+eigenvalues); otherwise, or when the count disagrees or cannot be made, it
+is a deflated sweep pass that recovers repeated eigenvalues.  The map may
+be a spectral transformation: operators.spectrum_study hands it
+x -> -H^{-1} x for nu <= 2, with a count from the Sylvester inertia of
+H - lambda I, so there its tol and residuals refer to that map, not to H.
 """
 
 from __future__ import annotations
@@ -150,8 +154,10 @@ class LanczosResult:
     recomputed with the raw map.  converged is False when the iteration
     stopped early (restart cap or certificate budget); partial values are
     kept.  After ARPACK's restart cap only the pairs it did converge exist,
-    and they are kept only once the certificate pass shows no lower value
-    was missed, so eigenvalues[i] is still the (i+1)-th smallest.
+    and they are kept only once the certificate shows no lower value was
+    missed, so eigenvalues[i] is still the (i+1)-th smallest.  matvec_count
+    counts every application of the map, the sweeps' included; an exact
+    count (count_below) that certifies applies it nowhere.
     """
 
     eigenvalues: np.ndarray
@@ -198,21 +204,41 @@ def _arpack_smallest(apply, dim, k, v0, rng, max_iters, tol):
     return values[order], vectors[:, order], complete
 
 
+def _certificate_level(tau: float) -> float:
+    """tau less a relative slack of 1e-10: a missed eigenvalue lies below it."""
+    return tau - 1e-10 * max(1.0, abs(tau))
+
+
+def _counted(count_below, values) -> bool:
+    """Whether an exact count certifies the found values.
+
+    count_below(level) is the number of the map's eigenvalues below level.
+    It certifies when it equals the number of found values below
+    _certificate_level(tau), tau the largest found value: then no
+    eigenvalue below that level was missed.  A count that disagrees, or
+    raises ValueError (it cannot decide), does not.
+    """
+    level = _certificate_level(float(values[-1]))
+    try:
+        return count_below(level) == int(np.count_nonzero(values < level))
+    except ValueError:
+        return False
+
+
 def _certify(apply, values, vectors, k, rng, max_iters, tol, sweeps):
     """Recover repeated eigenvalues the first ARPACK run may have missed.
 
     Each sweep runs ARPACK with k = 1 on the map restricted to the
     complement of the vectors found so far, with those directions lifted
-    above the current k-th value tau.  A value below tau - slack is a
-    missed eigenvalue and joins the found set; nothing below tau certifies.
-    Returns (values, vectors, certified, note).
+    above the current k-th value tau.  A value below _certificate_level(tau)
+    is a missed eigenvalue and joins the found set; nothing below it
+    certifies.  Returns (values, vectors, certified, note).
     """
     dim = vectors.shape[0]
     for _ in range(sweeps):
         if vectors.shape[1] >= dim:
             return values, vectors, True, ""  # the whole space is resolved
         tau = float(values[k - 1])
-        slack = 1e-10 * max(1.0, abs(tau))
         lift = tau + max(1.0, abs(tau))
         Q = vectors
 
@@ -227,7 +253,7 @@ def _certify(apply, values, vectors, k, rng, max_iters, tol, sweeps):
                                                 max_iters, tol)
         if not complete:
             return values, vectors, False, "inner iteration cap reached"
-        if found[0] >= tau - slack:
+        if found[0] >= _certificate_level(tau):
             return values, vectors, True, ""
         x = vec[:, 0] - Q @ (Q.T @ vec[:, 0])
         x /= np.linalg.norm(x)
@@ -238,17 +264,25 @@ def _certify(apply, values, vectors, k, rng, max_iters, tol, sweeps):
 
 
 def lanczos_extremal(matvec, dim: int, k: int, max_iters: int = 600, seed: int = 0,
-                     tol: float = 1e-12) -> LanczosResult:
+                     tol: float = 1e-12, count_below=None) -> LanczosResult:
     """k smallest eigenvalues of a symmetric linear map, with residuals.
 
     ARPACK's implicitly restarted Lanczos (scipy's eigsh, which="SA", at
-    most max_iters restarts) finds k pairs; a deflated certificate pass
-    (see _certify) then recovers copies of repeated eigenvalues that a
-    single Krylov space cannot see.  Where ARPACK cannot run (k == dim) the
-    map is assembled from dim matvecs and solved densely.  tol is ARPACK's:
-    a Ritz pair converges once its residual estimate is <= tol * |theta|,
-    theta an eigenvalue of the map given (of -H^{-1}, not of H, when
-    spectrum_study transforms it).
+    most max_iters restarts) finds k pairs, or fewer at the restart cap;
+    a certificate then shows that no lower eigenvalue was missed.  Given
+    count_below(level), the exact number of the map's eigenvalues below
+    level (operators._box_spectrum passes a Sylvester inertia count), one
+    count at the largest found value less its slack certifies when it
+    equals the found values below that level (see _counted), and no sweep
+    runs; the map is applied no more after such a count, so count_below may
+    free what the map holds, provided the map can still run.  Without it, or when the count disagrees or raises ValueError,
+    a deflated certificate pass (see _certify) recovers copies of repeated
+    eigenvalues that a single Krylov space cannot see; values, vectors and
+    note are then those of the sweeps alone.  Where ARPACK cannot run
+    (k == dim) the map is assembled from dim matvecs and solved densely.
+    tol is ARPACK's: a Ritz pair converges once its residual estimate is
+    <= tol * |theta|, theta an eigenvalue of the map given (of -H^{-1},
+    not of H, when spectrum_study transforms it).
     The map is checked for symmetry probabilistically before any work.
     Residuals are recomputed with the raw map; convergence claims rest on
     them.
@@ -271,8 +305,12 @@ def lanczos_extremal(matvec, dim: int, k: int, max_iters: int = 600, seed: int =
         matvecs += 1
         return np.asarray(matvec(x), dtype=float)
 
+    def residuals_of(values, vectors):
+        return np.array([np.linalg.norm(apply(x) - value * x) / np.linalg.norm(x)
+                         for value, x in zip(values, vectors.T)])
+
     rng = derived_rng(seed, "lanczos-start")
-    ok, note = True, ""
+    ok, note, counted = True, "", False
     if k >= dim:
         A = np.column_stack([apply(e) for e in np.eye(dim)])
         values, vectors = np.linalg.eigh((A + A.T) / 2.0)
@@ -284,7 +322,12 @@ def lanczos_extremal(matvec, dim: int, k: int, max_iters: int = 600, seed: int =
         # ones, so the certificate also decides whether partial pairs stay.
         found = values.size
         ok = found > 0
-        if ok:
+        if ok and count_below is not None:
+            # The residuals come first: after a count that certifies the map
+            # is applied no more, so count_below may release what it holds.
+            residuals = residuals_of(values, vectors)
+            counted = _counted(count_below, values)
+        if ok and not counted:
             values, vectors, ok, note = _certify(apply, values, vectors, found, rng,
                                                  max_iters, tol, 3 * k + 11)
         if not complete:
@@ -292,9 +335,7 @@ def lanczos_extremal(matvec, dim: int, k: int, max_iters: int = 600, seed: int =
             ok, note = False, "inner iteration cap reached"
 
     eigenvalues, vectors = values[:found], vectors[:, :found]
-    residuals = np.empty(eigenvalues.size)
-    for i, value in enumerate(eigenvalues):
-        x = vectors[:, i]
-        residuals[i] = float(np.linalg.norm(apply(x) - value * x) / np.linalg.norm(x))
+    if not counted:
+        residuals = residuals_of(eigenvalues, vectors)
     converged = ok and eigenvalues.size == k
     return LanczosResult(eigenvalues, vectors, residuals, converged, matvecs, note)

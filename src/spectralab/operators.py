@@ -5,12 +5,16 @@ the grid has N = 2L/h points per axis at x_i = -L + (i + 1/2) h, which puts
 the homogeneous Dirichlet walls at +-(L + h/2).  Potential values must be
 nonnegative and not NaN, and finite wherever they enter a Hamiltonian
 (potentials.guard_values).  Spectra come from
-linalg.lanczos_extremal (ARPACK plus a deflated certificate pass): for
-nu <= 2 on the map -H^{-1} through one sparse LDL^T factor per box (the
-spectral transformation), for nu = 3 on the sparse Hamiltonian's matvec.
-They are reported as box-stabilization evidence: a truncated box always has
-discrete spectrum, so discreteness claims rest on eigenvalues that stop
-moving as the box grows.
+linalg.lanczos_extremal (ARPACK plus a certificate that no lower value was
+missed): for nu <= 2 on the map -H^{-1} through one sparse LDL^T factor per
+box (the spectral transformation), certified by one Sylvester inertia count
+(_inertia_count) below the largest found value, with the deflated sweeps as
+the fallback when the count disagrees or cannot be made; for nu = 3, and
+above FACTOR_POINT_CAP, on the sparse Hamiltonian's matvec, certified by
+the sweeps.  They are reported as
+box-stabilization evidence: a truncated box always has discrete spectrum,
+so discreteness claims rest on eigenvalues that stop moving as the box
+grows, and on counts N(level) that stay bounded.
 """
 
 from __future__ import annotations
@@ -256,16 +260,32 @@ def _box_spectrum(V: PotentialExpr, L: float, h: float, k: int, **solver):
     x -> -H^{-1} x through one _ldlt factor (the spectral transformation of
     Ericsson & Ruhe, 1980): H is positive definite (V >= 0, Dirichlet walls),
     so the k smallest values mu of -H^{-1} are -1/lambda for the k smallest
-    lambda of H, and they converge in a few restarts.  For nu = 3 the
-    factor's fill costs more than the restarts it saves, so it runs on
-    H.matvec.  Either way each residual is recomputed against H.  The box's
-    Hamiltonian and factor are freed on return.
+    lambda of H, and they converge in a few restarts.  Their certificate is
+    the count of values of -H^{-1} below mu, which is _inertia_count(H,
+    -1/mu).  lanczos_extremal makes no solve after a count that certifies,
+    so the solve factor is freed before the count makes its own; the sweeps
+    that stand in when the count disagrees or raises factor H again.  For
+    nu = 3 the factor's fill costs more than the restarts it saves, so it
+    runs on H.matvec.  Either way each residual is recomputed against H.
+    The box's Hamiltonian and factors are freed on return.
     """
     grid = Grid(V.dimension, L, h)
     H = hamiltonian(grid, V)
     if grid.nu <= 2 and grid.factor_fits:
         lu = _ldlt(H.matrix)
-        result = lanczos_extremal(lambda x: -lu.solve(x), grid.size, k, **solver)
+
+        def solve(x):
+            nonlocal lu
+            if lu is None:  # sweeps after a count that did not certify
+                lu = _ldlt(H.matrix)
+            return -lu.solve(x)
+
+        def count_below(mu):
+            nonlocal lu
+            lu = None  # freed before the count's own factor is made
+            return _inertia_count(H, -1.0 / mu)
+
+        result = lanczos_extremal(solve, grid.size, k, count_below=count_below, **solver)
         values = -1.0 / result.eigenvalues
     else:
         result = lanczos_extremal(H.matvec, grid.size, k, **solver)

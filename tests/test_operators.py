@@ -8,7 +8,9 @@ Oracle routes kept independent of the code under test:
 - the 2-D box with walls at +-2 has lowest eigenvalue 2 (pi/4)^2;
 - Kronecker-sum ordering is checked against per-axis application;
 - for V = v(x1) + w(x2), H = A (x) I + I (x) B with tridiagonal A and B, so
-  the counting function is #{a_i + b_j < level} from two 1-D spectra.
+  the counting function is #{a_i + b_j < level} from two 1-D spectra;
+- the deflated certificate sweeps (no count_below) stand in for the
+  inertia certificate on the factor path.
 """
 
 import numpy as np
@@ -16,7 +18,7 @@ import pytest
 import scipy.sparse as sparse
 from scipy.linalg import eigvalsh_tridiagonal
 
-from spectralab import operators
+from spectralab import linalg, operators
 from spectralab.linalg import lanczos_extremal
 from spectralab.operators import (
     Grid,
@@ -35,6 +37,29 @@ from spectralab.rng import derived_rng
 
 def no_factor(matrix):
     raise AssertionError("a solve that must run on H.matvec factored H")
+
+
+def sweeps_only(monkeypatch):
+    """Run spectrum_study's solves without the inertia certificate."""
+    solve = operators.lanczos_extremal
+
+    def without_count(*args, count_below=None, **kwargs):
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(operators, "lanczos_extremal", without_count)
+
+
+def record(monkeypatch, module, name):
+    """Wrap module.name so that every call appends its result to a list."""
+    results = []
+    original = getattr(module, name)
+
+    def recorded(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(module, name, recorded)
+    return results
 
 
 def dirichlet_eigenvalues(L, h):
@@ -240,8 +265,27 @@ class TestSpectrumStudy:
                 counts = tuple(_inertia_count(H, level) for level in levels)
                 assert counts == oracle == expected, (source, L)
 
+    def test_counts_stay_bounded_where_sublevel_sets_have_finite_measure(self):
+        # The paper's main theorem on the grid: x1^2*x2^2*(x1^2+x2^2) is 0 on
+        # both axes, yet |{V < M}| is finite, so N(level) stays bounded as
+        # the box grows, while the x1^2 strip's counts grow linearly in L.
+        h, levels = 0.2, (3.3, 6.1)
+        theorem = parse_potential("x1^2*x2^2*(x1^2+x2^2)", 2)
+        strip = parse_potential("x1^2", 2)
+        strip_counts = []
+        for L in (4.0, 8.0, 12.0):
+            grid = Grid(2, L, h)
+            H = hamiltonian(grid, theorem)
+            counts = tuple(_inertia_count(H, level) for level in levels)
+            H = hamiltonian(grid, strip)
+            strip_counts.append(tuple(_inertia_count(H, level) for level in levels))
+            assert counts == (1, 5), L
+            assert all(a < b for a, b in zip(counts, strip_counts[-1])), L
+        assert strip_counts == [(4, 11), (9, 25), (15, 38)]
+
     def test_shift_invert_matches_dense_eigvalsh(self, monkeypatch):
-        # nu <= 2 solves on -H^{-1} through one factor per box
+        # nu <= 2 solves on -H^{-1} through one factor per box, and certifies
+        # by one more factor (the inertia of H - tau I)
         factors = []
 
         def counted_ldlt(matrix):
@@ -254,7 +298,7 @@ class TestSpectrumStudy:
             V = parse_potential(source, nu)
             factors.clear()
             rep = spectrum_study(V, schedule, h, 5)
-            assert len(factors) == len(schedule)
+            assert len(factors) == 2 * len(schedule)
             for L, values in zip(schedule, rep.eigenvalues):
                 dense = np.linalg.eigvalsh(hamiltonian(Grid(nu, L, h), V).to_dense())
                 np.testing.assert_allclose(values, dense[:5], rtol=1e-12, atol=0)
@@ -268,6 +312,69 @@ class TestSpectrumStudy:
             assert values.size == 5
             assert _inertia_count(H, values[-1] * (1 + 1e-6)) == 5
             assert _inertia_count(H, values[0] * (1 - 1e-6)) == 0
+
+    def test_inertia_certifies_the_showcase_without_sweeps(self, monkeypatch):
+        # bench showcase boxes: the inertia count agrees, so no deflation
+        # sweep runs, and the solve takes fewer applications of -H^{-1}
+        V = parse_potential("x1^2*x2^2", 2)
+        sweeps = record(monkeypatch, linalg, "_certify")
+        solves = record(monkeypatch, operators, "lanczos_extremal")
+        rep = spectrum_study(V, (3.0, 4.0), 0.1, 5)
+        assert not sweeps and len(solves) == 2
+        counted = [result.matvec_count for result in solves]
+        solves.clear()
+        sweeps_only(monkeypatch)
+        swept = spectrum_study(V, (3.0, 4.0), 0.1, 5)
+        assert len(sweeps) == 2 and len(solves) == 2
+        assert all(a < b.matvec_count for a, b in zip(counted, solves))
+        for a, b in zip(rep.eigenvalues, swept.eigenvalues):
+            np.testing.assert_array_equal(a, b)
+        assert rep.notes == swept.notes == ()
+
+    def test_missed_pair_falls_back_to_the_sweeps(self, monkeypatch):
+        # a first ARPACK run that skips the lowest pair: the inertia count
+        # below tau exceeds the found values, and the sweeps recover the pair
+        arpack = linalg._arpack_smallest
+        runs = []
+
+        def skip_lowest(apply, dim, k, v0, rng, max_iters, tol):
+            runs.append(k)
+            if len(runs) > 1:
+                return arpack(apply, dim, k, v0, rng, max_iters, tol)
+            values, vectors, complete = arpack(apply, dim, k + 1, v0, rng, max_iters, tol)
+            return values[1:], vectors[:, 1:], complete
+
+        monkeypatch.setattr(linalg, "_arpack_smallest", skip_lowest)
+        sweeps = record(monkeypatch, linalg, "_certify")
+        V = parse_potential("x1^2*x2^2", 2)
+        schedule = (1.5, 2.0)
+        rep = spectrum_study(V, schedule, 0.2, 5)
+        # the largest box solves first; only its run skipped a pair
+        assert len(sweeps) == 1 and len(runs) > 2
+        for L, values in zip(schedule, rep.eigenvalues):
+            dense = np.linalg.eigvalsh(hamiltonian(Grid(2, L, 0.2), V).to_dense())
+            np.testing.assert_allclose(values, dense[:5], rtol=1e-12, atol=0)
+        assert rep.notes == ()
+
+    def test_undecided_count_falls_back_to_the_sweeps(self, monkeypatch):
+        # _inertia_count raising ValueError: the box is certified by the
+        # sweeps, with the values and notes of the sweeps alone
+        def undecided(H, level):
+            raise ValueError("no inertia count")
+
+        V = parse_potential("x1^2*x2^2", 2)
+        schedule, h, k = (1.5, 2.0), 0.2, 5
+        sweeps = record(monkeypatch, linalg, "_certify")
+        with monkeypatch.context() as patch:
+            patch.setattr(operators, "_inertia_count", undecided)
+            rep = spectrum_study(V, schedule, h, k)
+        assert len(sweeps) == len(schedule)
+        sweeps_only(monkeypatch)
+        swept = spectrum_study(V, schedule, h, k)
+        for field in ("eigenvalues", "residuals"):
+            for a, b in zip(getattr(rep, field), getattr(swept, field)):
+                np.testing.assert_array_equal(a, b)
+        assert rep.notes == swept.notes
 
     def test_three_dimensions_solve_on_the_matvec(self, monkeypatch):
         # nu = 3 factors nothing, and its values and residuals are exactly
