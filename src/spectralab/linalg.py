@@ -6,19 +6,20 @@ eigenpairs a caller already holds, as the semigroup checks' shared pair
 does), compound (antisymmetric power) matrices built from explicit minors,
 and the smallest eigenvalues of an opaque symmetric linear map (ARPACK's
 implicitly restarted Lanczos through scipy's eigsh, followed by a
-certificate that no lower eigenvalue was missed).  The certificate is an
-exact count when the caller can give one (count_below, in the map's own
-eigenvalues); otherwise, or when the count disagrees or cannot be made, it
-is a deflated sweep pass that recovers repeated eigenvalues.  The map may
-be a spectral transformation: operators.spectrum_study hands it
-x -> -H^{-1} x for nu <= 2, with a count from the Sylvester inertia of
-H - lambda I, so there its tol and residuals refer to that map, not to H.
+certificate that no lower eigenvalue was missed).  A caller that can
+factor a positive definite map hands lanczos_extremal a factor hook; the
+solver then owns the spectral transformation x -> -A^{-1} x and the whole
+life of its factor, and certifies by one exact count of the eigenvalues
+below a level (operators' Sylvester inertia count).  Otherwise, or when
+the count disagrees or cannot be made, the certificate is a deflated
+sweep pass that recovers repeated eigenvalues.  Values and residuals
+are always those of the map itself.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -149,19 +150,19 @@ def compound_matrix(A, n: int) -> np.ndarray:
 class LanczosResult:
     """Smallest eigenvalues of a symmetric map with true residual norms.
 
-    eigenvalues are ascending; vectors[:, i] is the unit eigenvector of
-    eigenvalues[i]; residuals[i] = |A x_i - lambda_i x_i| / |x_i|
-    recomputed with the raw map.  converged is False when the iteration
-    stopped early (restart cap or certificate budget); partial values are
-    kept.  After ARPACK's restart cap only the pairs it did converge exist,
-    and they are kept only once the certificate shows no lower value was
-    missed, so eigenvalues[i] is still the (i+1)-th smallest.  matvec_count
-    counts every application of the map, the sweeps' included; an exact
-    count (count_below) that certifies applies it nowhere.
+    eigenvalues are ascending, of the map given to lanczos_extremal (of H,
+    not of -H^{-1}, when a factor hook transforms it); residuals[i] =
+    |A x_i - lambda_i x_i| / |x_i|, computed with matvec on every path.
+    converged is False when the iteration stopped early (restart cap or
+    certificate budget); partial values are kept.  After ARPACK's restart
+    cap only the pairs it did converge exist, and they are kept only once
+    the certificate shows no lower value was missed, so eigenvalues[i] is
+    still the (i+1)-th smallest.  matvec_count counts every application of
+    matvec and of a factor's solve: the symmetry probe, the Lanczos
+    iterations, the sweeps and the residuals.
     """
 
     eigenvalues: np.ndarray
-    vectors: np.ndarray = field(repr=False)
     residuals: np.ndarray
     converged: bool
     matvec_count: int
@@ -209,22 +210,6 @@ def _certificate_level(tau: float) -> float:
     return tau - 1e-10 * max(1.0, abs(tau))
 
 
-def _counted(count_below, values) -> bool:
-    """Whether an exact count certifies the found values.
-
-    count_below(level) is the number of the map's eigenvalues below level.
-    It certifies when it equals the number of found values below
-    _certificate_level(tau), tau the largest found value: then no
-    eigenvalue below that level was missed.  A count that disagrees, or
-    raises ValueError (it cannot decide), does not.
-    """
-    level = _certificate_level(float(values[-1]))
-    try:
-        return count_below(level) == int(np.count_nonzero(values < level))
-    except ValueError:
-        return False
-
-
 def _certify(apply, values, vectors, k, rng, max_iters, tol, sweeps):
     """Recover repeated eigenvalues the first ARPACK run may have missed.
 
@@ -264,28 +249,37 @@ def _certify(apply, values, vectors, k, rng, max_iters, tol, sweeps):
 
 
 def lanczos_extremal(matvec, dim: int, k: int, max_iters: int = 600, seed: int = 0,
-                     tol: float = 1e-12, count_below=None) -> LanczosResult:
+                     tol: float = 1e-12, factor=None) -> LanczosResult:
     """k smallest eigenvalues of a symmetric linear map, with residuals.
 
     ARPACK's implicitly restarted Lanczos (scipy's eigsh, which="SA", at
     most max_iters restarts) finds k pairs, or fewer at the restart cap;
-    a certificate then shows that no lower eigenvalue was missed.  Given
-    count_below(level), the exact number of the map's eigenvalues below
-    level (operators._box_spectrum passes a Sylvester inertia count), one
-    count at the largest found value less its slack certifies when it
-    equals the found values below that level (see _counted), and no sweep
-    runs; the map is applied no more after such a count, so count_below may
-    free what the map holds, provided the map can still run.  Without it, or when the count disagrees or raises ValueError,
-    a deflated certificate pass (see _certify) recovers copies of repeated
-    eigenvalues that a single Krylov space cannot see; values, vectors and
-    note are then those of the sweeps alone.  Where ARPACK cannot run
-    (k == dim) the map is assembled from dim matvecs and solved densely.
-    tol is ARPACK's: a Ritz pair converges once its residual estimate is
-    <= tol * |theta|, theta an eigenvalue of the map given (of -H^{-1},
-    not of H, when spectrum_study transforms it).
-    The map is checked for symmetry probabilistically before any work.
-    Residuals are recomputed with the raw map; convergence claims rest on
-    them.
+    a certificate then shows that no lower eigenvalue was missed.  Without
+    factor, ARPACK runs on matvec and the certificate is a deflated sweep
+    pass (see _certify) that recovers copies of repeated eigenvalues a
+    single Krylov space cannot see.
+
+    factor is for a positive definite map A (operators._box_spectrum passes
+    one for nu <= 2).  factor(shift) returns the solve of a factor of
+    A - shift I and the number of eigenvalues of A below shift, or None
+    when the factor cannot tell; it raises ValueError when that factor is
+    exactly singular.  ARPACK then runs on x -> -A^{-1} x, whose smallest
+    values mu = -1/lambda converge in a few restarts (the spectral
+    transformation of Ericsson & Ruhe, 1980), and lambda = -1/mu is
+    reported.  The solve factor is made before ARPACK allocates its
+    workspace and freed before the certificate makes its own: one count
+    at the largest found mu less its slack (see _certificate_level)
+    certifies when it equals the found values below that level, and no
+    sweep runs.  When the count disagrees or cannot be made, the solve
+    factor is made again for the sweeps, and values and note are those of
+    the sweeps alone.  tol is ARPACK's: a Ritz pair converges once its
+    residual estimate is <= tol * |theta|, theta an eigenvalue of the map
+    it runs on (-A^{-1} with a factor).
+
+    Where ARPACK cannot run (k == dim) A is assembled from dim matvecs and
+    solved densely.  matvec is checked for symmetry probabilistically
+    before any work, and the residuals are computed with it; convergence
+    claims rest on them.
     """
     dim = int(dim)
     k = int(k)
@@ -298,44 +292,56 @@ def lanczos_extremal(matvec, dim: int, k: int, max_iters: int = 600, seed: int =
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
 
-    matvecs = _check_symmetry(matvec, dim, seed)
+    applications = _check_symmetry(matvec, dim, seed)
 
-    def apply(x):
-        nonlocal matvecs
-        matvecs += 1
-        return np.asarray(matvec(x), dtype=float)
+    def counted(map_):
+        def apply(x):
+            nonlocal applications
+            applications += 1
+            return np.asarray(map_(x), dtype=float)
+        return apply
 
-    def residuals_of(values, vectors):
-        return np.array([np.linalg.norm(apply(x) - value * x) / np.linalg.norm(x)
-                         for value, x in zip(values, vectors.T)])
+    def inverse():
+        solve = factor(0.0)[0]
+        return counted(lambda x: -solve(x))
 
+    apply_matvec = counted(matvec)
     rng = derived_rng(seed, "lanczos-start")
-    ok, note, counted = True, "", False
+    ok, note = True, ""
     if k >= dim:
-        A = np.column_stack([apply(e) for e in np.eye(dim)])
+        A = np.column_stack([apply_matvec(e) for e in np.eye(dim)])
         values, vectors = np.linalg.eigh((A + A.T) / 2.0)
         found = k
     else:
+        apply = apply_matvec if factor is None else inverse()
         values, vectors, complete = _arpack_smallest(apply, dim, k, rng.standard_normal(dim),
                                                      rng, max_iters, tol)
         # After the restart cap the converged pairs need not be the lowest
         # ones, so the certificate also decides whether partial pairs stay.
         found = values.size
         ok = found > 0
-        if ok and count_below is not None:
-            # The residuals come first: after a count that certifies the map
-            # is applied no more, so count_below may release what it holds.
-            residuals = residuals_of(values, vectors)
-            counted = _counted(count_below, values)
-        if ok and not counted:
+        certified = False
+        if ok and factor is not None:
+            apply = None  # frees the solve factor before the count makes its own
+            level = _certificate_level(float(values[-1]))
+            try:
+                count = factor(-1.0 / level)[1]
+            except ValueError:  # the level is an eigenvalue to working precision
+                count = None
+            certified = count == int(np.count_nonzero(values < level))
+            if not certified:
+                apply = inverse()
+        if ok and not certified:
             values, vectors, ok, note = _certify(apply, values, vectors, found, rng,
                                                  max_iters, tol, 3 * k + 11)
         if not complete:
             found = found if ok else 0
             ok, note = False, "inner iteration cap reached"
+        if factor is not None:
+            values = -1.0 / values
 
     eigenvalues, vectors = values[:found], vectors[:, :found]
-    if not counted:
-        residuals = residuals_of(eigenvalues, vectors)
+    residuals = np.array([np.linalg.norm(apply_matvec(x) - value * x) / np.linalg.norm(x)
+                          for value, x in zip(eigenvalues, vectors.T)])
     converged = ok and eigenvalues.size == k
-    return LanczosResult(eigenvalues, vectors, residuals, converged, matvecs, note)
+    return LanczosResult(eigenvalues, residuals, converged, applications, note)

@@ -6,12 +6,9 @@ the homogeneous Dirichlet walls at +-(L + h/2).  Potential values must be
 nonnegative and not NaN, and finite wherever they enter a Hamiltonian
 (potentials.guard_values).  Spectra come from
 linalg.lanczos_extremal (ARPACK plus a certificate that no lower value was
-missed): for nu <= 2 on the map -H^{-1} through one sparse LDL^T factor per
-box (the spectral transformation), certified by one Sylvester inertia count
-(_inertia_count) below the largest found value, with the deflated sweeps as
-the fallback when the count disagrees or cannot be made; for nu = 3, and
-above FACTOR_POINT_CAP, on the sparse Hamiltonian's matvec, certified by
-the sweeps.  They are reported as
+missed); for nu <= 2 within FACTOR_POINT_CAP it is handed a factor hook,
+_shifted_factor: the solve and the Sylvester inertia count of one sparse
+LDL^T factor of H - shift I.  They are reported as
 box-stabilization evidence: a truncated box always has discrete spectrum,
 so discreteness claims rest on eigenvalues that stop moving as the box
 grows, and on counts N(level) that stay bounded.
@@ -20,6 +17,7 @@ grows, and on counts N(level) that stay bounded.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sparse
@@ -46,6 +44,8 @@ DENSE_ENTRY_BUDGET = 250_000_000
 # 205 MB at 32,768 points for nu = 3 (576 MB at 64,000).
 FACTOR_POINT_CAP = {1: 640_000, 2: 262_144, 3: 32_768}
 RESIDUAL_TOLERANCE = 1e-6
+# lanczos_extremal's ARPACK tolerance for every box of spectrum_study.
+SOLVER_TOLERANCE = 3e-11
 
 
 @dataclass(frozen=True)
@@ -225,21 +225,29 @@ def _ldlt(matrix):
                               diag_pivot_thresh=0, options={"SymmetricMode": True})
 
 
-def _inertia_count(H: SparseOperator, level: float) -> int:
-    """Eigenvalues of H below `level`, from the inertia of H - level I.
+def _shifted_factor(H: SparseOperator, shift: float):
+    """lanczos_extremal's factor hook for H: the _ldlt factor of H - shift I.
 
-    By Sylvester's law of inertia the negative entries of D in the _ldlt
-    factor of H - level I count the eigenvalues below the level.  A factor
-    that pivoted rows, or an exactly singular one (the level is an
-    eigenvalue to working precision), raises ValueError.
+    Returns its solve and, by Sylvester's law of inertia, the count of
+    eigenvalues of H below the shift (the negative entries of D), or None
+    when the factor pivoted rows.  An exactly singular factor (the shift is
+    an eigenvalue to working precision) raises ValueError.
     """
     try:
-        lu = _ldlt(H.matrix - level * sparse.identity(H.dimension, format="csr"))
+        lu = _ldlt(H.matrix - shift * sparse.identity(H.dimension, format="csr"))
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-        raise ValueError(f"no inertia count at level {level:g}: {exc}") from None
+        raise ValueError(f"no inertia count at level {shift:g}: {exc}") from None
     if not np.array_equal(lu.perm_r, lu.perm_c):
+        return lu.solve, None
+    return lu.solve, int(np.count_nonzero(lu.U.diagonal() < 0.0))
+
+
+def _inertia_count(H: SparseOperator, level: float) -> int:
+    """Eigenvalues of H below `level` (see _shifted_factor); ValueError if undecided."""
+    count = _shifted_factor(H, level)[1]
+    if count is None:
         raise ValueError(f"no inertia count at level {level:g}: the factor pivoted rows")
-    return int(np.count_nonzero(lu.U.diagonal() < 0.0))
+    return count
 
 
 def _box_counts(V: PotentialExpr, L: float, h: float, levels: tuple) -> tuple:
@@ -256,45 +264,21 @@ def _box_counts(V: PotentialExpr, L: float, h: float, levels: tuple) -> tuple:
 def _box_spectrum(V: PotentialExpr, L: float, h: float, k: int, **solver):
     """One box of spectrum_study: its kept values and residuals, and its notes.
 
-    For nu <= 2 on a grid within FACTOR_POINT_CAP, lanczos_extremal runs on
-    x -> -H^{-1} x through one _ldlt factor (the spectral transformation of
-    Ericsson & Ruhe, 1980): H is positive definite (V >= 0, Dirichlet walls),
-    so the k smallest values mu of -H^{-1} are -1/lambda for the k smallest
-    lambda of H, and they converge in a few restarts.  Their certificate is
-    the count of values of -H^{-1} below mu, which is _inertia_count(H,
-    -1/mu).  lanczos_extremal makes no solve after a count that certifies,
-    so the solve factor is freed before the count makes its own; the sweeps
-    that stand in when the count disagrees or raises factor H again.  For
-    nu = 3 the factor's fill costs more than the restarts it saves, so it
-    runs on H.matvec.  Either way each residual is recomputed against H.
-    The box's Hamiltonian and factors are freed on return.
+    For nu <= 2 on a grid within FACTOR_POINT_CAP, lanczos_extremal gets
+    the _shifted_factor hook, so it solves through a sparse factor of H and
+    certifies by one inertia count.  For nu = 3 the factor's fill costs
+    more than the restarts it saves, so it runs on H.matvec alone.  The
+    box's Hamiltonian is freed on return.
     """
     grid = Grid(V.dimension, L, h)
     H = hamiltonian(grid, V)
-    if grid.nu <= 2 and grid.factor_fits:
-        lu = _ldlt(H.matrix)
-
-        def solve(x):
-            nonlocal lu
-            if lu is None:  # sweeps after a count that did not certify
-                lu = _ldlt(H.matrix)
-            return -lu.solve(x)
-
-        def count_below(mu):
-            nonlocal lu
-            lu = None  # freed before the count's own factor is made
-            return _inertia_count(H, -1.0 / mu)
-
-        result = lanczos_extremal(solve, grid.size, k, count_below=count_below, **solver)
-        values = -1.0 / result.eigenvalues
-    else:
-        result = lanczos_extremal(H.matvec, grid.size, k, **solver)
-        values = result.eigenvalues
+    factor = partial(_shifted_factor, H) if grid.nu <= 2 and grid.factor_fits else None
+    result = lanczos_extremal(H.matvec, grid.size, k, tol=SOLVER_TOLERANCE, factor=factor,
+                              **solver)
+    values, residuals = result.eigenvalues, result.residuals
     notes = []
     if not result.converged and result.note:
         notes.append(f"L={L:g}: {result.note}")
-    residuals = np.array([np.linalg.norm(H.matvec(x) - value * x) / np.linalg.norm(x)
-                          for value, x in zip(values, result.vectors.T)])
     keep = 0
     while keep < values.size and residuals[keep] <= RESIDUAL_TOLERANCE:
         keep += 1
@@ -307,18 +291,16 @@ def _box_spectrum(V: PotentialExpr, L: float, h: float, k: int, **solver):
 
 
 def spectrum_study(V: PotentialExpr, schedule, h: float, k: int, seed: int = 0,
-                   max_iters: int = 600, tol: float = 3e-11,
-                   count_levels=()) -> SpectrumReport:
+                   max_iters: int = 600, count_levels=()) -> SpectrumReport:
     """k lowest eigenvalues of H across a growing-box schedule at fixed h.
 
     The verdict is box-stabilization evidence, not a proof: "stabilized"
     means the lowest k eigenvalues moved by at most 1 percent between the
     two largest boxes and every kept value has residual
-    |H x - lambda x| / |x| below RESIDUAL_TOLERANCE.  max_iters and tol are
-    lanczos_extremal's, on the map it solves (see _box_spectrum): for
-    nu <= 2 tol bounds the Ritz residuals of -H^{-1}, not of H.  Eigensolver
-    shortfalls are propagated as notes with partial data.  Counts come
-    first, box by box, each from its own sparse factor: a box over
+    |H x - lambda x| / |x| below RESIDUAL_TOLERANCE.  seed and max_iters
+    are lanczos_extremal's, as is SOLVER_TOLERANCE (see _box_spectrum).
+    Eigensolver shortfalls are propagated as notes with partial data.
+    Counts come first, box by box, each from its own sparse factor: a box over
     FACTOR_POINT_CAP, or a count level that the inertia cannot decide (see
     _inertia_count), raises ValueError naming the box before any solve.
     """
@@ -333,7 +315,7 @@ def spectrum_study(V: PotentialExpr, schedule, h: float, k: int, seed: int = 0,
     # peaked at 77.5 MB RSS in ascending order against 71 MB (glibc malloc).
     # Each box's result is independent of the order (lanczos_extremal
     # derives its start vector from seed alone).
-    boxes = [_box_spectrum(V, L, h, k, max_iters=max_iters, seed=seed, tol=tol)
+    boxes = [_box_spectrum(V, L, h, k, max_iters=max_iters, seed=seed)
              for L in schedule[::-1]][::-1]
     kept_values, kept_residuals, box_notes = zip(*boxes)
     notes = [note for per_box in box_notes for note in per_box]

@@ -283,9 +283,6 @@ class PotentialExpr:
     source: str
     root: _Node = field(repr=False)
 
-    def __call__(self, points) -> np.ndarray:
-        return evaluate(self, points)
-
 
 def parse_potential(source: str, dimension: int) -> PotentialExpr:
     """Parse `source` into a PotentialExpr over variables x1..x{dimension}."""

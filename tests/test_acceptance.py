@@ -183,8 +183,7 @@ def test_criterion_4_discretization_oracles(capsys):
 
 
 def test_criterion_5_showcase_and_negative_control(capsys):
-    report = spectrum_study(CROSS, (6.0, 8.0), 0.1, 5, seed=0,
-                            max_iters=600, tol=1e-10)
+    report = spectrum_study(CROSS, (6.0, 8.0), 0.1, 5, seed=0, max_iters=600)
     drift = float(np.max(report.drift[-1])) if report.drift else math.inf
     residuals_ok = all(float(np.max(r)) <= 1e-6 for r in report.residuals
                        if r.size)
@@ -192,8 +191,7 @@ def test_criterion_5_showcase_and_negative_control(capsys):
                 and all(v.size == 5 for v in report.eigenvalues)
                 and drift <= 0.01 and residuals_ok)
 
-    control = spectrum_study(STRIP, (8.0, 16.0), 0.25, 5, seed=0,
-                             max_iters=600, tol=1e-10)
+    control = spectrum_study(STRIP, (8.0, 16.0), 0.25, 5, seed=0, max_iters=600)
 
     def mean_gap_above_one(values):
         above = values[values > 1.0]

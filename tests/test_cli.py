@@ -261,9 +261,10 @@ class TestExitCodes:
     def test_overflowing_potential_runs_outside_the_spectrum(self, tmp_path):
         # exp(x1^2) overflows to +inf past |x1| ~ 26.6, inside the default
         # radii; such points lie outside every sublevel set.
-        code = run_cli("thinness", "--potential", "exp(x1^2) - 1", "--nu", "2",
-                       "--M", "1", "--r", "1", "--budget", "2000",
-                       "--output-dir", str(tmp_path))
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code = run_cli("thinness", "--potential", "exp(x1^2) - 1", "--nu", "2",
+                           "--M", "1", "--r", "1", "--budget", "2000",
+                           "--output-dir", str(tmp_path))
         assert code == 0
         report = read_json(tmp_path / "thinness-report.json")
         assert report["radii"][-1] > 27.0

@@ -9,9 +9,11 @@ Oracle routes kept independent of the code under test:
 - Kronecker-sum ordering is checked against per-axis application;
 - for V = v(x1) + w(x2), H = A (x) I + I (x) B with tridiagonal A and B, so
   the counting function is #{a_i + b_j < level} from two 1-D spectra;
-- the deflated certificate sweeps (no count_below) stand in for the
-  inertia certificate on the factor path.
+- the deflated certificate sweeps (every inertia count undecided) stand in
+  for the inertia certificate on the factor path.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -33,20 +35,33 @@ from spectralab.operators import (
 )
 from spectralab.potentials import parse_potential
 from spectralab.rng import derived_rng
+from spectralab.sublevel import Region, measure
 
 
 def no_factor(matrix):
     raise AssertionError("a solve that must run on H.matvec factored H")
 
 
-def sweeps_only(monkeypatch):
-    """Run spectrum_study's solves without the inertia certificate."""
+def replace_count(monkeypatch, count):
+    """Run spectrum_study's solves with the factor hook's count replaced.
+
+    The hook keeps its solve; count(shift) stands in for the inertia count
+    (None: undecided, as for a factor that pivoted rows).
+    """
     solve = operators.lanczos_extremal
 
-    def without_count(*args, count_below=None, **kwargs):
-        return solve(*args, **kwargs)
+    def replaced(*args, factor=None, **kwargs):
+        def hook(shift):
+            return factor(shift)[0], count(shift)
 
-    monkeypatch.setattr(operators, "lanczos_extremal", without_count)
+        return solve(*args, factor=hook, **kwargs)
+
+    monkeypatch.setattr(operators, "lanczos_extremal", replaced)
+
+
+def sweeps_only(monkeypatch):
+    """Run spectrum_study's solves on -H^{-1} with every count undecided."""
+    replace_count(monkeypatch, lambda shift: None)
 
 
 def record(monkeypatch, module, name):
@@ -283,6 +298,24 @@ class TestSpectrumStudy:
             assert all(a < b for a, b in zip(counts, strip_counts[-1])), L
         assert strip_counts == [(4, 11), (9, 25), (15, 38)]
 
+    def test_sublevel_measure_is_finite_where_the_counts_stay_bounded(self):
+        # The paper's hypothesis itself, |{V < 1}| < infinity, beside the
+        # counting witness above: Monte Carlo |{V < 1} cap B_R| against the
+        # closed form of each potential within 3 standard errors.
+        # x1^2*x2^2*(x1^2+x2^2): finite total 2^(2/3) B(1/6, 1/2) less the
+        # tail 8/R along the axes (exact up to O(R^-7)); x1^2*x2^2: grows by
+        # 8 ln 2 per doubling; x1^2: the strip |x1| < 1, about 4R.
+        total = 2.0 ** (2.0 / 3.0) * math.gamma(1 / 6) * math.gamma(1 / 2) / math.gamma(2 / 3)
+        cases = (("x1^2*x2^2*(x1^2+x2^2)", lambda R: total - 8.0 / R),
+                 ("x1^2*x2^2", lambda R: 2 * R**2 * math.asin(2 / R**2)
+                  + 4 * math.log(R**2 * (1 + math.sqrt(1 - 4 / R**4)) / 2)),
+                 ("x1^2", lambda R: 2 * math.sqrt(R**2 - 1) + 2 * R**2 * math.asin(1 / R)))
+        for source, area in cases:
+            V = parse_potential(source, 2)
+            for R in (5.0, 10.0, 20.0, 40.0):
+                est = measure(V, 1.0, Region((0.0, 0.0), R), budget=200_000, seed=0)
+                assert abs(est.value - area(R)) <= 3 * est.std_error, (source, R)
+
     def test_shift_invert_matches_dense_eigvalsh(self, monkeypatch):
         # nu <= 2 solves on -H^{-1} through one factor per box, and certifies
         # by one more factor (the inertia of H - tau I)
@@ -357,24 +390,73 @@ class TestSpectrumStudy:
         assert rep.notes == ()
 
     def test_undecided_count_falls_back_to_the_sweeps(self, monkeypatch):
-        # _inertia_count raising ValueError: the box is certified by the
-        # sweeps, with the values and notes of the sweeps alone
-        def undecided(H, level):
-            raise ValueError("no inertia count")
+        # the count's factor exactly singular (the hook raising ValueError):
+        # the box is certified by the sweeps, with the values, residuals
+        # and notes of the sweeps alone
+        def singular(shift):
+            if shift:  # the solve factor at shift 0 is made as usual
+                raise ValueError("no inertia count")
 
         V = parse_potential("x1^2*x2^2", 2)
         schedule, h, k = (1.5, 2.0), 0.2, 5
         sweeps = record(monkeypatch, linalg, "_certify")
         with monkeypatch.context() as patch:
-            patch.setattr(operators, "_inertia_count", undecided)
+            replace_count(patch, singular)
             rep = spectrum_study(V, schedule, h, k)
         assert len(sweeps) == len(schedule)
         sweeps_only(monkeypatch)
         swept = spectrum_study(V, schedule, h, k)
+        assert len(sweeps) == 2 * len(schedule)
         for field in ("eigenvalues", "residuals"):
             for a, b in zip(getattr(rep, field), getattr(swept, field)):
                 np.testing.assert_array_equal(a, b)
         assert rep.notes == swept.notes
+
+    def test_bench_box_solves_only_inside_arpack(self, monkeypatch):
+        # bench showcase boxes (3, 4) at h = 0.1: the symmetry probe and the
+        # residuals run on H, so the factor's solve is applied only by ARPACK
+        # (41 solves per box; 52 when the probe and the residuals ran on
+        # -H^{-1}), and each residual is |H x - lambda x| / |x| exactly
+        solve = operators.lanczos_extremal
+        solves, matvecs = [], []
+
+        def counting(matvec, dim, k, factor=None, **kwargs):
+            solves.append(0)
+            matvecs.append(0)
+
+            def hook(shift):
+                inner, count = factor(shift)
+
+                def counted(x):
+                    solves[-1] += 1
+                    return inner(x)
+
+                return counted, count
+
+            def counted_matvec(x):
+                matvecs[-1] += 1
+                return matvec(x)
+
+            return solve(counted_matvec, dim, k, factor=hook, **kwargs)
+
+        monkeypatch.setattr(operators, "lanczos_extremal", counting)
+        runs = record(monkeypatch, linalg, "_arpack_smallest")
+        sweeps = record(monkeypatch, linalg, "_certify")
+        results = record(monkeypatch, linalg, "LanczosResult")
+        V = parse_potential("x1^2*x2^2", 2)
+        schedule, h, k = (3.0, 4.0), 0.1, 5
+        rep = spectrum_study(V, schedule, h, k)
+        assert not sweeps and len(runs) == len(schedule)
+        assert solves == [41, 41]
+        assert matvecs == [6 + k, 6 + k]
+        assert [r.matvec_count for r in results] == [41 + 6 + k] * 2
+        # the largest box solves first
+        for L, (_, vectors, _), result in zip(schedule[::-1], runs, results):
+            H = hamiltonian(Grid(2, L, h), V)
+            exact = [np.linalg.norm(H.matvec(x) - value * x) / np.linalg.norm(x)
+                     for value, x in zip(result.eigenvalues, vectors.T)]
+            np.testing.assert_array_equal(result.residuals, exact)
+        np.testing.assert_array_equal(rep.residuals[0], results[1].residuals)
 
     def test_three_dimensions_solve_on_the_matvec(self, monkeypatch):
         # nu = 3 factors nothing, and its values and residuals are exactly

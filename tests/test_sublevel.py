@@ -49,8 +49,11 @@ def test_indicator_guards():
     with pytest.raises(ValueError, match="negative potential"):
         indicator(negative, 1.0, (0.0, 0.0))
     # exp() overflowing to +inf is a correct value: the point lies outside
-    assert not indicator(parse_potential("exp(x1^2)", 2), 1.0, (40.0, 0.0))
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert not indicator(parse_potential("exp(x1^2)", 2), 1.0, (40.0, 0.0))
+    # inf - inf warns twice: overflow in exp, then an invalid subtraction
+    with pytest.warns(RuntimeWarning, match="overflow|invalid value"), \
+            pytest.raises(ValueError, match="non-finite"):
         indicator(parse_potential("exp(x1^2) - exp(x1^2)", 2), 1.0, (40.0, 0.0))
 
 

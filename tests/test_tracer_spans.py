@@ -60,8 +60,9 @@ def test_thinness_evaluations_split_into_proposals_and_sub_budget_balls(monkeypa
 
 def test_spectrum_spans_see_one_solve_and_the_residual_matvecs_per_box(monkeypatch):
     # The nu <= 2 solve runs on a factor, not on SparseOperator.matvec; the
-    # tracer must still see one lanczos_extremal call per box and the k
-    # residual matvecs against H that spectrum_study makes per box.
+    # tracer must still see one lanczos_extremal call per box and the
+    # matvecs against H that it makes per box (the symmetry probe and the
+    # k residuals).
     tracer = load_tracer(monkeypatch).Tracer()
     schedule, k = (1.5, 2.0), 3
     tracer.install()
