@@ -8,8 +8,11 @@ identities, and the geometric-mean compactness proxy built from singular
 values.
 
 Every check on a pair (A, B) validates it and reads its exponentials and
-product spectra through one _Pair, which decomposes each of A, B and A + B
-once; inequality_batch shares one pair among the five checks of a trial.
+product spectra through one _Pair: a stack of pairs of one dimension, with
+one batched eigendecomposition each of the A, B and A + B stacks.  The
+public checks run it on a stack of one; inequality_batch stacks every trial
+of a dimension, so the five checks of all those trials share one
+decomposition per stack.
 
 Tolerance conventions: 1e-10 relative for algebraic identities at small
 dimension, 1e-9 for anything routed through compound matrices (minor
@@ -19,7 +22,7 @@ determinants amplify roundoff).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,31 +93,42 @@ def _report(name, lhs, rhs, tol_rel, seed=None, dimension=None, equality=False,
                             inputs, equality)
 
 
-class _Pair:
-    """A validated symmetric pair (A, B), decomposed once.
+def _norms(M: np.ndarray) -> np.ndarray:
+    """Spectral norm of each matrix of a stack."""
+    return np.linalg.svd(M, compute_uv=False)[:, 0]
 
-    Holds one np.linalg.eigh each of A, B and A + B, keyed "A", "B" and
-    "A+B"; exp(t X) is formed from those eigenpairs and memoized per (X, t).
+
+class _Pair:
+    """Validated symmetric pairs (A_i, B_i) of one dimension, stacked along a
+    leading axis and decomposed once.
+
+    A and B are (T, d, d) stacks.  Holds one batched np.linalg.eigh each of
+    the A, B and A + B stacks, keyed "A", "B" and "A+B"; exp(t X) is formed
+    for the whole stack from those eigenpairs and memoized per (X, t), and
+    every product, norm, trace and spectrum below is taken over the stack.
     The matrices named in psd_labels (A's label first) must be positive
-    semidefinite: the smallest eigenvalue may not fall below
-    -1e-10 * max|lambda|.
+    semidefinite: each matrix's smallest eigenvalue may not fall below
+    -1e-10 times its own max|lambda|.
     """
 
     def __init__(self, A, B, psd_labels=("A", "B")):
         A = as_symmetric(A)
         B = as_symmetric(B)
         if A.shape != B.shape:
-            raise ValueError(f"shape mismatch: {A.shape} vs {B.shape}")
-        self.dimension = A.shape[0]
+            raise ValueError(f"shape mismatch: {A.shape[1:]} vs {B.shape[1:]}")
+        self.dimension = A.shape[-1]
         self.matrix = {"A": A, "B": B, "A+B": A + B}
         self.eigh = {X: np.linalg.eigh(M) for X, M in self.matrix.items()}
         self._exp = {}
         for X, label in zip("AB", psd_labels):
             lam = self.eigh[X][0]
-            norm = max(abs(float(lam[0])), abs(float(lam[-1])))
-            if float(lam[0]) < -1e-10 * max(norm, 1e-300):
+            low = lam[:, 0]
+            norm = np.maximum(np.abs(low), np.abs(lam[:, -1]))
+            bad = np.flatnonzero(low < -1e-10 * np.maximum(norm, 1e-300))
+            if bad.size:
                 raise ValueError(
-                    f"{label} is not positive semidefinite (smallest eigenvalue {lam[0]:.3e})"
+                    f"{label} is not positive semidefinite "
+                    f"(smallest eigenvalue {low[bad[0]]:.3e})"
                 )
 
     def exp(self, X: str, t: float) -> np.ndarray:
@@ -123,29 +137,37 @@ class _Pair:
         return self._exp[X, t]
 
     def split(self, t: float) -> np.ndarray:
-        """The split product exp(t A) exp(t B)."""
+        """The split products exp(t A) exp(t B)."""
         return self.exp("A", t) @ self.exp("B", t)
 
     def product_spectra(self) -> list:
         """Ascending eigenvalues of A B and of B A, each order X Y through the
-        symmetric similarity X^{1/2} Y X^{1/2}."""
+        symmetric similarity X^{1/2} Y X^{1/2}; two (T, d) arrays."""
         spectra = []
         for X, Y in (("A", "B"), ("B", "A")):
             lam, Q = self.eigh[X]
-            root = (Q * np.sqrt(np.clip(lam, 0.0, None))) @ Q.T
+            root = (Q * np.sqrt(np.clip(lam, 0.0, None))[:, None, :]) @ np.swapaxes(Q, 1, 2)
             sym = root @ self.matrix[Y] @ root
-            spectra.append(np.linalg.eigvalsh((sym + sym.T) / 2.0))
+            spectra.append(np.linalg.eigvalsh((sym + np.swapaxes(sym, 1, 2)) / 2.0))
         return spectra
 
 
-def _segal(pair: _Pair, form: str, tol_rel: float, seed) -> InequalityReport:
-    lhs = spectral_norm(pair.exp("A+B", -1.0))
+def _one(M) -> np.ndarray:
+    """A single matrix as a stack of one."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2:
+        raise ValueError(f"expected a 2-d array, got shape {M.shape}")
+    return M[None]
+
+
+def _segal_sides(pair: _Pair, form: str) -> tuple:
+    lhs = _norms(pair.exp("A+B", -1.0))
     if form == "plain":
-        rhs = spectral_norm(pair.split(-1.0))
+        rhs = _norms(pair.split(-1.0))
     else:
         half = pair.exp("B", -0.5)
-        rhs = spectral_norm(half @ pair.exp("A", -1.0) @ half)
-    return _report(f"segal-{form}", lhs, rhs, tol_rel, seed=seed, dimension=pair.dimension)
+        rhs = _norms(half @ pair.exp("A", -1.0) @ half)
+    return lhs, rhs
 
 
 def segal(A, B, form: str = "plain", tol_rel: float = TOL_ALGEBRAIC,
@@ -158,14 +180,15 @@ def segal(A, B, form: str = "plain", tol_rel: float = TOL_ALGEBRAIC,
     """
     if form not in ("plain", "symmetric"):
         raise ValueError(f"form must be 'plain' or 'symmetric', got {form!r}")
-    return _segal(_Pair(A, B), form, tol_rel, seed)
-
-
-def _golden_thompson(pair: _Pair, tol_rel: float, seed) -> InequalityReport:
-    lhs = float(np.trace(pair.exp("A+B", -1.0)))
-    rhs = float(np.trace(pair.split(-1.0)))
-    return _report("golden-thompson", lhs, rhs, tol_rel, seed=seed,
+    pair = _Pair(_one(A), _one(B))
+    lhs, rhs = _segal_sides(pair, form)
+    return _report(f"segal-{form}", lhs[0], rhs[0], tol_rel, seed=seed,
                    dimension=pair.dimension)
+
+
+def _golden_thompson_sides(pair: _Pair) -> tuple:
+    return (np.trace(pair.exp("A+B", -1.0), axis1=1, axis2=2),
+            np.trace(pair.split(-1.0), axis1=1, axis2=2))
 
 
 def golden_thompson(A, B, tol_rel: float = TOL_ALGEBRAIC, seed=None) -> InequalityReport:
@@ -173,14 +196,17 @@ def golden_thompson(A, B, tol_rel: float = TOL_ALGEBRAIC, seed=None) -> Inequali
 
     Holds for all symmetric inputs; positivity is not required.
     """
-    return _golden_thompson(_Pair(A, B, psd_labels=()), tol_rel, seed)
-
-
-def _half_product_bound(pair: _Pair, tol_rel: float, seed) -> InequalityReport:
-    lhs = spectral_norm(pair.split(-0.5)) ** 2
-    rhs = spectral_norm(pair.split(-1.0))
-    return _report("half-product-square", lhs, rhs, tol_rel, seed=seed,
+    pair = _Pair(_one(A), _one(B), psd_labels=())
+    lhs, rhs = _golden_thompson_sides(pair)
+    return _report("golden-thompson", lhs[0], rhs[0], tol_rel, seed=seed,
                    dimension=pair.dimension)
+
+
+def _half_product_sides(pair: _Pair) -> tuple:
+    # squared as Python floats, through pow(): numpy's array square (x * x)
+    # may round differently
+    lhs = [float(norm) ** 2 for norm in _norms(pair.split(-0.5))]
+    return lhs, _norms(pair.split(-1.0))
 
 
 def half_product_bound(A, B, tol_rel: float = TOL_ALGEBRAIC, seed=None) -> InequalityReport:
@@ -188,7 +214,10 @@ def half_product_bound(A, B, tol_rel: float = TOL_ALGEBRAIC, seed=None) -> Inequ
 
     lhs = |exp(-A/2) exp(-B/2)|^2, rhs = |exp(-A) exp(-B)|.
     """
-    return _half_product_bound(_Pair(A, B), tol_rel, seed)
+    pair = _Pair(_one(A), _one(B))
+    lhs, rhs = _half_product_sides(pair)
+    return _report("half-product-square", lhs[0], rhs[0], tol_rel, seed=seed,
+                   dimension=pair.dimension)
 
 
 @dataclass(frozen=True)
@@ -242,8 +271,8 @@ def product_spectrum_match(C, D, tol: float = 1e-8) -> SpectrumMatchReport:
             "supported factor shapes are (m,1)x(1,m) or a same-shape symmetric "
             f"positive semidefinite pair; got {C.shape} x {D.shape}"
         )
-    pair = _Pair(C, D, ("first factor", "second factor"))
-    return _spectrum_match(*pair.product_spectra(), tol)
+    cd, dc = _Pair(C[None], D[None], ("first factor", "second factor")).product_spectra()
+    return _spectrum_match(cd[0], dc[0], tol)
 
 
 @dataclass(frozen=True)
@@ -265,15 +294,15 @@ def trotter_sequence(A, B, n_max: int = 12) -> TrotterSequence:
     """Doubling chain of split-product norms for a positive semidefinite pair."""
     if not 0 <= n_max <= 14:
         raise ValueError(f"n_max must be between 0 and 14, got {n_max}")
-    pair = _Pair(A, B)
+    pair = _Pair(_one(A), _one(B))
     values = np.empty(n_max + 1)
     for n in range(n_max + 1):
         M = pair.split(-(2.0 ** (-n)))
         for _ in range(n):
             M = M @ M
-        values[n] = spectral_norm(M)
-    limit = spectral_norm(pair.exp("A+B", -1.0))
-    cap = spectral_norm(pair.split(-1.0))
+        values[n] = _norms(M)[0]
+    limit = float(_norms(pair.exp("A+B", -1.0))[0])
+    cap = float(_norms(pair.split(-1.0))[0])
     return TrotterSequence(np.arange(n_max + 1), values, limit, cap)
 
 
@@ -304,17 +333,17 @@ def wedge_segal_chain(A, B, n: int, tol_rel: float = 1e-9, seed=None) -> WedgeCh
     At n = 1 the compound power is an exact copy, so the inequality half
     coincides with segal(A, B, "plain") float for float.
     """
-    pair = _Pair(A, B)
+    pair = _Pair(_one(A), _one(B))
     d = pair.dimension
     if math.comb(d, n) > CHAIN_BASIS_LIMIT:
         raise ValueError(
             f"antisymmetric basis would have {math.comb(d, n)} elements "
             f"(limit {CHAIN_BASIS_LIMIT}): dimension overflow"
         )
-    lhs = spectral_norm(compound_matrix(pair.exp("A+B", -1.0), n))
-    split = spectral_norm(compound_matrix(pair.exp("A", -1.0), n)
-                          @ compound_matrix(pair.exp("B", -1.0), n))
-    product = spectral_norm(compound_matrix(pair.split(-1.0), n))
+    lhs = spectral_norm(compound_matrix(pair.exp("A+B", -1.0)[0], n))
+    split = spectral_norm(compound_matrix(pair.exp("A", -1.0)[0], n)
+                          @ compound_matrix(pair.exp("B", -1.0)[0], n))
+    product = spectral_norm(compound_matrix(pair.split(-1.0)[0], n))
     inequality = _report("wedge-segal-chain", lhs, split, tol_rel, seed=seed,
                          dimension=d, extra={"order": n})
     multiplicativity = _report("wedge-multiplicativity", split, product, tol_rel,
@@ -352,36 +381,45 @@ def inequality_batch(trials: int = 500, dims=(2, 3, 4, 5, 6, 7, 8),
                      master_seed: int = 0, tol_rel: float = TOL_ALGEBRAIC) -> list:
     """Seeded sweep of the norm/trace/spectrum checks on random PSD pairs.
 
-    Each trial draws G, H with i.i.d. standard normal entries at a dimension
-    cycled from `dims` and tests the pair (G G^T, H H^T), decomposed once and
-    shared by its five checks.  Returns the flat list of InequalityReports
-    (five per trial); the fifth reads the product-spectrum deviation
-    max_gap / scale against tol_rel.
+    Trial t draws G, H with i.i.d. standard normal entries at dimension
+    dims[t % len(dims)] from derived_rng(master_seed, "inequality-batch", t)
+    and tests the pair (G G^T, H H^T).  Every trial is drawn first; the
+    pairs of each dimension then form one stacked _Pair, decomposed once and
+    shared by the five checks of all its trials.  Returns the flat list of
+    InequalityReports in trial order (five per trial); the fifth reads the
+    product-spectrum deviation max_gap / scale against tol_rel.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     dims = tuple(int(d) for d in dims)
     if not dims or min(dims) < 1:
         raise ValueError("dims must be a nonempty tuple of positive integers")
-    reports = []
+    drawn = []
     for t in range(trials):
         d = dims[t % len(dims)]
         rng = derived_rng(master_seed, "inequality-batch", t)
         G = rng.standard_normal((d, d))
         H = rng.standard_normal((d, d))
-        pair = _Pair(G @ G.T, H @ H.T)
-        match = _spectrum_match(*pair.product_spectra(), tol_rel)
-        row = [
-            _segal(pair, "plain", tol_rel, master_seed),
-            _segal(pair, "symmetric", tol_rel, master_seed),
-            _golden_thompson(pair, tol_rel, master_seed),
-            _half_product_bound(pair, tol_rel, master_seed),
-            _report("product-spectrum-agreement", match.max_gap / match.scale, tol_rel,
-                    tol_rel, seed=master_seed, dimension=d),
-        ]
-        for rep in row:
-            reports.append(replace(rep, inputs={**rep.inputs, "trial": t}))
-    return reports
+        drawn.append((G @ G.T, H @ H.T))
+    rows = [None] * trials
+    for d in set(dims[:trials]):
+        group = [t for t in range(trials) if dims[t % len(dims)] == d]
+        pair = _Pair(np.stack([drawn[t][0] for t in group]),
+                     np.stack([drawn[t][1] for t in group]))
+        sides = [("segal-plain", *_segal_sides(pair, "plain")),
+                 ("segal-symmetric", *_segal_sides(pair, "symmetric")),
+                 ("golden-thompson", *_golden_thompson_sides(pair)),
+                 ("half-product-square", *_half_product_sides(pair))]
+        cd, dc = pair.product_spectra()
+        for i, t in enumerate(group):
+            trial = {"seed": master_seed, "dimension": d, "extra": {"trial": t}}
+            match = _spectrum_match(cd[i], dc[i], tol_rel)
+            rows[t] = [_report(name, lhs[i], rhs[i], tol_rel, **trial)
+                       for name, lhs, rhs in sides]
+            rows[t].append(_report("product-spectrum-agreement",
+                                   match.max_gap / match.scale, tol_rel, tol_rel,
+                                   **trial))
+    return [rep for row in rows for rep in row]
 
 
 def batch_summary(reports) -> list:

@@ -2,8 +2,8 @@
 
 Covers the linear-algebra needs of the rest of the package: singular
 values, matrix exponentials through the eigenbasis (_expm_from_eigh takes
-eigenpairs a caller already holds, as the semigroup checks' shared pair
-does), compound (antisymmetric power) matrices built from explicit minors,
+eigenpairs a caller already holds, as the semigroup checks' stacked
+pairs do), compound (antisymmetric power) matrices built from explicit minors,
 and the smallest eigenvalues of an opaque symmetric linear map (ARPACK's
 implicitly restarted Lanczos through scipy's eigsh, followed by a
 certificate that no lower eigenvalue was missed).  A caller that can
@@ -47,30 +47,41 @@ MAX_EIGENPAIRS = 30
 ARPACK_BASIS = 40
 
 
-def _as_matrix(A, square: bool = False) -> np.ndarray:
+def _as_matrix(A) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
         raise ValueError(f"expected a 2-d array, got shape {A.shape}")
     if A.size and not np.all(np.isfinite(A)):
         raise ValueError("matrix has non-finite entries")
-    if square and A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
     return A
 
 
 def as_symmetric(A) -> np.ndarray:
-    """Check near-symmetry (1e-12 relative), then symmetrize exactly."""
-    A = _as_matrix(A, square=True)
+    """Check near-symmetry (1e-12 relative), then symmetrize exactly.
+
+    A is one square matrix or a stack of them along leading axes; each
+    matrix is judged against its own largest entry.
+    """
+    A = np.asarray(A, dtype=float)
+    if A.ndim < 2:
+        raise ValueError(f"expected a 2-d array, got shape {A.shape}")
+    if A.size and not np.all(np.isfinite(A)):
+        raise ValueError("matrix has non-finite entries")
+    if A.shape[-1] != A.shape[-2]:
+        raise ValueError(f"expected a square matrix, got shape {A.shape}")
     if A.size == 0:
         raise ValueError("matrix must have dimension >= 1")
-    scale = float(np.max(np.abs(A)))
-    gap = float(np.max(np.abs(A - A.T)))
-    if gap > SYMMETRY_TOLERANCE * scale:
+    AT = np.swapaxes(A, -1, -2)
+    scale = np.max(np.abs(A), axis=(-2, -1))
+    gap = np.max(np.abs(A - AT), axis=(-2, -1))
+    bad = gap > SYMMETRY_TOLERANCE * scale
+    if bad.any():
+        gap, scale = float(gap[bad].flat[0]), float(scale[bad].flat[0])
         raise ValueError(
             f"matrix is not symmetric: max |A_ij - A_ji| = {gap:.3e} "
             f"exceeds {SYMMETRY_TOLERANCE:g} * max|A| = {SYMMETRY_TOLERANCE * scale:.3e}"
         )
-    return (A + A.T) / 2.0
+    return (A + AT) / 2.0
 
 
 def singular_values(A) -> np.ndarray:
@@ -97,7 +108,8 @@ def expm_sym(A, t: float = 1.0) -> np.ndarray:
 
 
 def _expm_from_eigh(lam: np.ndarray, Q: np.ndarray, t: float) -> np.ndarray:
-    """Q exp(t*Lambda) Q^T, symmetrized, from the eigenpairs of a symmetric matrix."""
+    """Q exp(t*Lambda) Q^T, symmetrized, from the eigenpairs of a symmetric
+    matrix, or of a stack of them (lam of shape (..., d), Q (..., d, d))."""
     t = float(t)
     scaled = t * lam
     peak = float(np.max(scaled))
@@ -105,8 +117,8 @@ def _expm_from_eigh(lam: np.ndarray, Q: np.ndarray, t: float) -> np.ndarray:
         raise OverflowError(
             f"t * lambda_max = {peak:.6g} exceeds 700; exp() would overflow float64"
         )
-    E = (Q * np.exp(scaled)) @ Q.T
-    return (E + E.T) / 2.0
+    E = (Q * np.exp(scaled)[..., None, :]) @ np.swapaxes(Q, -1, -2)
+    return (E + np.swapaxes(E, -1, -2)) / 2.0
 
 
 def _lexicographic_subsets(d: int, n: int) -> list[tuple[int, ...]]:

@@ -39,9 +39,11 @@ __all__ = [
 SPARSE_POINT_BUDGET = 4_000_000
 DENSE_ENTRY_BUDGET = 250_000_000
 # Most grid points one sparse factor (_ldlt) may span, per nu: each cap
-# holds the factor to about 250 MB of peak RSS.  Measured on one core: 370
-# bytes per point at nu = 1 (linear), 242 MB at 262,144 points for nu = 2,
-# 205 MB at 32,768 points for nu = 3 (576 MB at 64,000).
+# holds one inertia count to about 370 MB of peak RSS above H.  Measured at
+# each cap in a fresh process (ru_maxrss, one core), a count adds 267 MB at
+# nu = 1, 367 MB at nu = 2 and 333 MB at nu = 3.  The factor alone takes
+# 235, 242 and 204 MB of that; most of the rest is the copy of U that
+# _shifted_factor's lu.U makes to read the diagonal.
 FACTOR_POINT_CAP = {1: 640_000, 2: 262_144, 3: 32_768}
 RESIDUAL_TOLERANCE = 1e-6
 # lanczos_extremal's ARPACK tolerance for every box of spectrum_study.

@@ -6,7 +6,9 @@ All Monte Carlo draws derive from one master seed through numpy SeedSequence
 spawn keys.  `thinness` estimates omega in blocks with their own streams;
 each block rotates one pattern of uniform ball points by an independent
 Haar-random matrix per center, and since a rotation maps the uniform ball
-distribution to itself, each center still sees i.i.d. uniform points.
+distribution to itself, each center still sees i.i.d. uniform points.  All
+rotations of a block apply in one matrix product, and the block's points
+are evaluated in (pattern point, center) order.
 Scalar reductions use math.fsum (exact compensated summation).
 """
 
@@ -279,7 +281,10 @@ def _omega_batch(V, M, centers, ell, sub_budget, seed, annulus) -> np.ndarray:
     Block b draws from derived_rng(seed, 2, annulus, "omega", b) one pattern
     of sub_budget uniform points in the centered ell-ball, then one random
     rotation per center of the block; each center tests membership at its
-    own rotation of the pattern.
+    own rotation of the pattern.  All rotations of a block apply as one
+    matrix product, pattern @ [R_1 ... R_n], so the block's points and their
+    membership stay in (pattern point, center) order; each center's omega is
+    the mean of its column, exact in any order for 0/1 values.
     """
     count, nu = centers.shape
     vol = ball_volume(nu, ell)
@@ -287,11 +292,14 @@ def _omega_batch(V, M, centers, ell, sub_budget, seed, annulus) -> np.ndarray:
     out = np.empty(count)
     for b, start in enumerate(range(0, count, per_block)):
         block = centers[start : start + per_block]
+        n = block.shape[0]
         rng = derived_rng(seed, 2, annulus, "omega", b)
         pattern = _shell_points(nu, 0.0, ell, sub_budget, rng)
-        pts = pattern @ _rotations(nu, block.shape[0], rng) + block[:, None, :]
-        inside = _membership(V, M, pts.reshape(-1, nu)).reshape(-1, sub_budget)
-        out[start : start + per_block] = inside.mean(axis=1) * vol
+        rot = _rotations(nu, n, rng).transpose(1, 0, 2).reshape(nu, n * nu)
+        pts = pattern @ rot
+        pts += block.reshape(1, n * nu)
+        inside = _membership(V, M, pts.reshape(-1, nu)).reshape(sub_budget, n)
+        out[start : start + per_block] = inside.mean(axis=0) * vol
     return out
 
 
@@ -330,7 +338,8 @@ def thinness(
     block samples one pattern of sub_budget uniform ell-ball points and one
     Haar-random orthogonal matrix per center, drawn independently of the
     pattern, and tests membership at each center plus its own rotation of the
-    pattern.  A fixed rotation preserves the uniform ball distribution, so
+    pattern; one matrix product rotates the pattern for every center of the
+    block.  A fixed rotation preserves the uniform ball distribution, so
     every omega-hat has the distribution of a sub_budget-point i.i.d.
     estimate and E[omega-hat^r] is unchanged; centers of one block share only
     the pattern's radii.

@@ -11,6 +11,8 @@ The nonsymmetric eigenvalue solver cross-checks product_spectrum_match,
 which only ever forms symmetric matrices.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -381,19 +383,60 @@ def test_inequality_batch_is_deterministic():
 
 
 def test_inequality_batch_decomposes_each_matrix_once(monkeypatch):
-    # One eigh each of A, B and A + B per trial; every exponential and both
-    # product spectra are read from those three decompositions.
+    # A, B and A + B of every trial are decomposed once each, in one stacked
+    # eigh per dimension; every exponential and both product spectra are read
+    # from those decompositions.
+    matrices = []
     calls = []
     eigh = np.linalg.eigh
 
     def counting_eigh(M):
         calls.append(M.shape)
+        matrices.append(M.size // M.shape[-1] ** 2)
         return eigh(M)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    reports = inequality_batch(trials=7, dims=(2, 3, 4, 5, 6, 7, 8), master_seed=3)
-    assert len(reports) == 35
+    reports = inequality_batch(trials=17, dims=(2, 3, 4, 5, 6, 7, 8), master_seed=3)
+    assert len(reports) == 5 * 17
+    assert sum(matrices) == 3 * 17
     assert len(calls) == 3 * 7
+
+
+@pytest.mark.parametrize("master_seed", [0, 5])
+def test_inequality_batch_rows_equal_the_single_pair_checks(master_seed):
+    # Each trial's row, computed on stacks of its dimension, equals float for
+    # float the public checks on the same drawn pair (G G^T, H H^T).
+    dims = (1, 2, 3, 4, 5, 6, 7, 8)
+    trials = 2 * len(dims) + 3
+    reports = inequality_batch(trials=trials, dims=dims, master_seed=master_seed)
+    assert len(reports) == 5 * trials
+    for t in range(trials):
+        d = dims[t % len(dims)]
+        rng = derived_rng(master_seed, "inequality-batch", t)
+        G = rng.standard_normal((d, d))
+        H = rng.standard_normal((d, d))
+        A, B = G @ G.T, H @ H.T
+        singles = [
+            segal(A, B, "plain", seed=master_seed),
+            segal(A, B, "symmetric", seed=master_seed),
+            golden_thompson(A, B, seed=master_seed),
+            half_product_bound(A, B, seed=master_seed),
+        ]
+        row = reports[5 * t : 5 * t + 5]
+        for got, single in zip(row, singles):
+            assert got == replace(single, inputs={**single.inputs, "trial": t})
+        agreement = row[4]
+        assert agreement.name == "product-spectrum-agreement"
+        assert agreement.inputs == {"seed": master_seed, "dimension": d, "trial": t}
+        if d == 1:
+            # product_spectrum_match reads 1 x 1 factors as a column and a
+            # row, whose single product eigenvalue it computes exactly; the
+            # batch's similarity route may only differ by roundoff.
+            assert agreement.passed and agreement.lhs <= 1e-15
+            continue
+        match = product_spectrum_match(A, B, tol=1e-10)
+        assert agreement.lhs == match.max_gap / match.scale
+        assert agreement.passed == match.passed
 
 
 def test_batch_summary_rows():

@@ -16,6 +16,7 @@ import pytest
 
 from spectralab import sublevel
 from spectralab.potentials import parse_potential
+from spectralab.rng import derived_rng
 from spectralab.sublevel import (
     MeasureEstimate,
     Region,
@@ -255,6 +256,32 @@ def test_omega_blocks_half_space_in_one_and_three_dimensions(nu):
     vol = ball_volume(nu, 1.0)
     std_error = vol * math.sqrt(0.25 / (centers.shape[0] * sub_budget))
     assert abs(omega.mean() - vol / 2) <= 4 * std_error
+
+
+@pytest.mark.parametrize("nu", [1, 2, 3])
+def test_omega_blocks_match_a_per_center_reference(nu):
+    # One matrix product per block must give, bit for bit, what each center
+    # gets from its own rotation of the block's pattern.  Centers straddle
+    # the boundary of the unit ball at M = 1, and 70 centers at 2000 points
+    # make blocks of 32, 32 and a partial 6.
+    ell, sub_budget, seed, annulus = 0.5, 2_000, 3, 1
+    V = parse_potential("+".join(f"x{k + 1}^2" for k in range(nu)), nu)
+    rng = np.random.default_rng(nu)
+    centers = rng.uniform(-1.2, 1.2, (70, nu))
+    per_block = sublevel._BLOCK_POINTS // sub_budget
+    assert centers.shape[0] % per_block
+    reference = np.empty(centers.shape[0])
+    for b, start in enumerate(range(0, centers.shape[0], per_block)):
+        block = centers[start : start + per_block]
+        block_rng = derived_rng(seed, 2, annulus, "omega", b)
+        pattern = sublevel._shell_points(nu, 0.0, ell, sub_budget, block_rng)
+        rot = sublevel._rotations(nu, block.shape[0], block_rng)
+        for i, center in enumerate(block):
+            inside = sublevel._membership(V, 1.0, pattern @ rot[i] + center)
+            reference[start + i] = inside.mean() * ball_volume(nu, ell)
+    omega = sublevel._omega_batch(V, 1.0, centers, ell, sub_budget, seed, annulus)
+    assert np.count_nonzero((omega > 0.0) & (omega < ball_volume(nu, ell))) >= 10
+    assert np.array_equal(omega, reference)
 
 
 def test_rotations_are_orthogonal():
