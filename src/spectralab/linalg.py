@@ -2,8 +2,8 @@
 
 Covers the linear-algebra needs of the rest of the package: singular
 values, matrix exponentials through the eigenbasis (_expm_from_eigh takes
-eigenpairs a caller already holds, as the semigroup checks' stacked
-pairs do), compound (antisymmetric power) matrices built from explicit minors,
+eigenpairs a caller already holds, as the semigroup checks' stacked pairs
+do), compound (antisymmetric power) matrices built from explicit minors,
 and the smallest eigenvalues of an opaque symmetric linear map (ARPACK's
 implicitly restarted Lanczos through scipy's eigsh, followed by a
 certificate that no lower eigenvalue was missed).  A caller that can

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from spectralab.inequalities import (
+    _Pair,
     batch_summary,
     compactness_proxy,
     golden_thompson,
@@ -71,6 +72,14 @@ def test_segal_random_pair_margins():
         assert rep.margin >= -1e-10 * max(rep.lhs, rep.rhs)
         assert rep.inputs["dimension"] == 4
         assert rep.name == f"segal-{form}"
+
+
+def test_pair_stack_judges_positivity_per_matrix():
+    # -1e-5 is far below 1e-10 of its own matrix's scale, though far above
+    # 1e-10 of the stack's largest eigenvalue
+    A = np.stack([np.diag([1e6, 2e6]), np.diag([1.0, -1e-5])])
+    with pytest.raises(ValueError, match=r"A is not positive semidefinite \(smallest eigenvalue -1.000e-05\)"):
+        _Pair(A, np.stack([np.eye(2)] * 2))
 
 
 def test_segal_guards():

@@ -48,6 +48,17 @@ def test_as_symmetric_rejects_asymmetry():
         as_symmetric(np.array([[1.0, 2.0], [2.5, 3.0]]))
 
 
+def test_as_symmetric_judges_each_matrix_of_a_stack_against_its_own_scale():
+    big = np.diag([1e6, 2e6])
+    skew = np.array([[1.0, 2.0], [2.0 + 1e-9, 3.0]])  # 5e-10 of its own max
+    with pytest.raises(ValueError, match="not symmetric"):
+        as_symmetric(np.stack([big, skew]))
+    near = np.array([[1.0, 2.0], [2.0 + 1e-13, 3.0]])
+    S = as_symmetric(np.stack([big, near]))
+    assert np.array_equal(S[0], as_symmetric(big))
+    assert np.array_equal(S[1], as_symmetric(near))
+
+
 def test_as_symmetric_rejects_nonfinite_and_nonsquare():
     with pytest.raises(ValueError, match="non-finite"):
         as_symmetric(np.array([[np.nan, 0.0], [0.0, 1.0]]))
