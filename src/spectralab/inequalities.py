@@ -255,7 +255,8 @@ def product_spectrum_match(C, D, tol: float = 1e-8) -> SpectrumMatchReport:
     same-sized positive semidefinite symmetric matrices, whose product
     spectra come from the symmetric similarity C^{1/2} D C^{1/2} (and
     D^{1/2} C D^{1/2}) built on one eigendecomposition of each factor.
-    Anything else is rejected.
+    Two nonnegative 1 x 1 factors fit both and take the second route, as
+    inequality_batch does at dimension 1.  Anything else is rejected.
     """
     C = np.asarray(C, dtype=float)
     D = np.asarray(D, dtype=float)
@@ -263,7 +264,8 @@ def product_spectrum_match(C, D, tol: float = 1e-8) -> SpectrumMatchReport:
         raise ValueError("factors must be 2-d matrices")
     if max(*C.shape, *D.shape) > 12:
         raise ValueError("factors larger than 12 in any direction are not supported")
-    if C.shape[1] == 1 and D.shape[0] == 1 and C.shape[0] == D.shape[1]:
+    psd_scalars = C.shape == D.shape == (1, 1) and C[0, 0] >= 0.0 and D[0, 0] >= 0.0
+    if C.shape[1] == 1 and D.shape[0] == 1 and C.shape[0] == D.shape[1] and not psd_scalars:
         value = float((D @ C)[0, 0])
         return _spectrum_match(np.array([value]), np.array([value]), tol)
     if C.shape != D.shape or C.shape[0] != C.shape[1]:

@@ -12,19 +12,30 @@ every function here; that keeps the support bookkeeping exact: a chain of
 hops of lattice length <= R stays inside the lattice ball of the summed
 radius, with no floating-point fringe cases.
 
-Kernels cut down to the sublevel set {V < M} vanish outside it, so the
-proximity kernel, its powers and the product kernel C^T C are formed and
-checked on the block of grid points where they can be nonzero; entries off
-that block are exact zeros and enter each maximum as such.
+Every KernelMatrix holds one of two private forms, and each function here
+forms only the entries it reads, equal bit for bit to the matching entries
+of the dense `values`:
 
-Both heat kernels are separable on the tensor grid: K = (k1 (x) ... (x) k1)
-diag(scale) with one n x n factor k1 per axis (Van Loan, "The ubiquitous
-Kronecker product", 2000).  heat_matrix returns that form, multiply_function
-of it multiplies the scale, so compose_C and split_tail form no N x N array;
-values are formed on first read, and that read, not the structured work,
-is what the grid's dense-entry budget limits.  operator_norm runs ARPACK on
-the Gram map at every size, through k1 (one n x n product per axis,
-O(N n)) when the kernel has it and through the dense values otherwise.
+- Kronecker form.  Both heat kernels are separable on the tensor grid:
+  K = (k1 (x) ... (x) k1) diag(scale) with one n x n factor k1 per axis
+  (Van Loan, "The ubiquitous Kronecker product", 2000).  heat_matrix returns
+  that form, truncated_convolution the same form with a lattice cutoff
+  (entries at larger lattice offsets are 0), and multiply_function of
+  either multiplies the scale.  hs_diagnostics takes the row and column
+  sums of K^2 from the factor and forms only the masked columns;
+  domination_check forms only the nonzero columns of its C; operator_norm
+  runs ARPACK on the Gram map at every size, through k1 (one n x n product
+  per axis, O(N n)) when no cutoff is held and through the dense values
+  otherwise.
+- Block form.  An increasing index set I and the dense |I| x |I| block on
+  I x I; every entry off it is an exact zero.  Kernels cut down to the
+  sublevel set {V < M} vanish outside it, so d_kernel returns the proximity
+  kernel on the sublevel points, and kernel_power_bound and
+  domination_check read its powers and bounds on that block only.
+  KernelMatrix(grid, values) is the block over all points.
+
+`values` is formed only when read, and only that read is held to the
+grid's dense-entry budget; the structured work is not.
 """
 
 from __future__ import annotations
@@ -79,9 +90,11 @@ def _require_finite(entries: np.ndarray) -> None:
 class KernelMatrix:
     """Kernel K(x_i, y_j) on a grid with quadrature weight w.
 
-    KernelMatrix(grid, values) holds dense values; heat_matrix kernels, and
-    multiply_function of them, hold (factor (x) ... (x) factor) diag(scale)
-    and form `values` from it on first read, after checking the grid's
+    KernelMatrix(grid, values) holds dense values, as the block over all
+    points.  heat_matrix, truncated_convolution and multiply_function of
+    them hold (factor (x) ... (x) factor) diag(scale), cut at a lattice
+    offset for truncated_convolution; d_kernel holds a block on its sublevel
+    points.  Those form `values` on first read, after checking the grid's
     dense-entry budget.
     """
 
@@ -92,31 +105,107 @@ class KernelMatrix:
             raise ValueError(
                 f"kernel must be {n} x {n} on this grid, got {values.shape}"
             )
-        _require_finite(values)
-        self.grid = grid
-        self.values = values
-        self._factor = self._scale = None
+        self._hold_block(grid, np.arange(n), values)
+
+    def _hold_block(self, grid: Grid, index: np.ndarray, block: np.ndarray) -> None:
+        _require_finite(block)
+        self.grid, self._index, self._block = grid, index, block
+        self._factor = self._scale = self._cutoff = None
 
     @classmethod
-    def _kronecker(cls, grid: Grid, factor: np.ndarray, scale: np.ndarray) -> KernelMatrix:
-        """The kernel (factor (x) ... (x) factor) diag(scale), values unformed."""
+    def _blocked(cls, grid: Grid, index: np.ndarray, block: np.ndarray) -> KernelMatrix:
+        """The kernel equal to `block` on index x index (increasing point
+        indices) and 0 elsewhere, values unformed."""
+        K = cls.__new__(cls)
+        K._hold_block(grid, index, block)
+        return K
+
+    @classmethod
+    def _kronecker(cls, grid: Grid, factor: np.ndarray, scale: np.ndarray,
+                   cutoff: int | None = None) -> KernelMatrix:
+        """The kernel (factor (x) ... (x) factor) diag(scale), values unformed.
+
+        With a cutoff, entries whose squared integer lattice offset exceeds
+        it are 0.
+        """
         # largest |entry| per column, formed as values are: overflows as they would
         peak = reduce(np.multiply.outer, [np.max(np.abs(factor), axis=0)] * grid.nu)
         _require_finite(peak.ravel() * np.abs(scale))
         K = cls.__new__(cls)
-        K.grid, K._factor, K._scale = grid, factor, scale
+        K.grid, K._factor, K._scale, K._cutoff = grid, factor, scale, cutoff
+        K._index = K._block = None
         return K
 
     @cached_property
     def values(self) -> np.ndarray:
+        if self._factor is None and self._index.size == self.grid.size:
+            return self._block
         self.grid.require_dense_budget()
-        values = _kron_columns(self._factor, self.grid.nu)
+        if self._factor is None:
+            values = np.zeros((self.grid.size, self.grid.size))
+            values[np.ix_(self._index, self._index)] = self._block
+            return values
+        # row i of K is line i of the transposed factor, in row-major order
+        points = np.arange(self.grid.size)
+        values = _kron_lines(self._factor.T, self.grid.nu, points)
         values *= self._scale
-        return values
+        return self._cut(values, points)
 
     @property
     def weight(self) -> float:
         return self.grid.weight
+
+    def _columns(self, cols: np.ndarray) -> np.ndarray:
+        """values[:, cols] for increasing indices cols.
+
+        A Kronecker-form kernel forms these columns only, laid out
+        column-major as numpy lays out values[:, cols], so sums and products
+        over them round as they do over that copy.  A block-form kernel
+        takes them from its values, which for KernelMatrix(grid, values) are
+        the block itself.
+        """
+        if self._factor is None:
+            return self.values[:, cols]
+        lines = _kron_lines(self._factor, self.grid.nu, cols)
+        lines *= self._scale[cols, None]
+        return self._cut(lines, cols).T
+
+    def _cut(self, lines: np.ndarray, points: np.ndarray) -> np.ndarray:
+        """Zero lines[p, r] where the squared lattice offset between point r
+        and points[p] exceeds the cutoff, if one is held."""
+        if self._cutoff is None:
+            return lines
+        n, nu = self.grid.points_per_axis, self.grid.nu
+
+        def on_axis(a, p):  # (r_a - p_a)^2 on axis a of the (line, r_1..r_nu) view
+            shape = [points.size] + [1] * nu
+            shape[1 + a] = n
+            return np.square(np.arange(n)[None, :] - p[:, None]).reshape(shape)
+
+        # integer offsets d2 obey d2 <= cutoff exactly when d2 <= floor(cutoff)
+        axes = np.unravel_index(points, (n,) * nu)
+        room = self._cutoff - sum(on_axis(a, axes[a]) for a in range(1, nu))
+        np.copyto(lines.reshape((points.size,) + (n,) * nu), 0.0,
+                  where=on_axis(0, axes[0]) > room)
+        return lines
+
+    def _on_block(self) -> tuple:
+        """(I, values[I x I]) for increasing I, with values 0 off I x I."""
+        if self._factor is None:
+            return self._index, self._block
+        return np.arange(self.grid.size), self.values
+
+
+def _restrict(index: np.ndarray, block: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """values[points x points] of the kernel that is `block` on index x index
+    and 0 elsewhere; both index arrays increasing."""
+    if np.array_equal(points, index):
+        return block
+    out = np.zeros((points.size, points.size))
+    held = np.isin(points, index)
+    at = np.searchsorted(index, points[held])
+    out[np.ix_(held, held)] = block[np.ix_(at, at)]
+    return out
 
 
 def multiply_function(K: KernelMatrix, values_on_grid) -> KernelMatrix:
@@ -125,7 +214,7 @@ def multiply_function(K: KernelMatrix, values_on_grid) -> KernelMatrix:
     if g.shape != (K.grid.size,):
         raise ValueError("function values must match the grid size")
     if K._factor is not None:
-        return KernelMatrix._kronecker(K.grid, K._factor, K._scale * g)
+        return KernelMatrix._kronecker(K.grid, K._factor, K._scale * g, K._cutoff)
     return KernelMatrix(K.grid, K.values * g[None, :])
 
 
@@ -167,11 +256,12 @@ def operator_norm(K: KernelMatrix, seed: int = 0) -> float:
     ARPACK's Lanczos on the Gram map K^T K over the nonzero columns, at
     every size, converged to machine precision from a start vector drawn
     from `seed`; ArpackNoConvergence is raised, never a partial estimate.
-    A kernel in Kronecker form (heat_matrix and multiply_function of it) is
-    applied through its per-axis factor and column scale and its values stay
-    unformed; any other kernel is applied through its dense values.
+    A kernel in Kronecker form without a cutoff (heat_matrix and
+    multiply_function of it) is applied through its per-axis factor and
+    column scale and its values stay unformed; any other kernel is applied
+    through its dense values.
     """
-    if K._factor is not None:
+    if K._factor is not None and K._cutoff is None:
         factor, scale, nu = K._factor, K._scale, K.grid.nu
         top = _arpack_sigma_max(lambda x: _kron_apply(factor, nu, scale * x),
                                 lambda y: scale * _kron_apply(factor.T, nu, y),
@@ -199,19 +289,20 @@ def _gaussian_factor(grid: Grid, s: float) -> np.ndarray:
     return np.exp(-(offsets * offsets) / (4.0 * s))
 
 
-def _kron_columns(factor: np.ndarray, nu: int, cols=None) -> np.ndarray:
-    """Columns `cols` (all by default) of factor (x) ... (x) factor.
+def _kron_lines(factor: np.ndarray, nu: int, picks: np.ndarray) -> np.ndarray:
+    """Array L of shape (picks.size, n**nu), L[p, r] = prod_a factor[r_a, q_a]
+    for q = picks[p], points r in C order.
 
-    Each entry is the product of its nu per-axis factors taken in axis
-    order, as np.kron does, so any set of columns matches the full matrix
-    bit for bit.
+    So L.T holds the columns `picks` of factor (x) ... (x) factor, and L for
+    factor.T its rows `picks`.  Each entry is the product of its nu per-axis
+    factors taken in axis order, as np.kron does, so any set of lines
+    matches the full matrix bit for bit.
     """
     n = factor.shape[0]
-    cols = np.arange(n**nu) if cols is None else cols
-    out = np.ones((1, cols.size))
-    for col_axis in np.unravel_index(cols, (n,) * nu):
-        out = np.multiply(out[:, None, :], factor[:, col_axis][None, :, :],
-                          order="C").reshape(-1, cols.size)
+    out = np.ones((picks.size, 1))
+    for pick_axis in np.unravel_index(picks, (n,) * nu):
+        out = np.multiply(out[:, :, None], factor.T[pick_axis][:, None, :],
+                          order="C").reshape(picks.size, out.shape[1] * n)
     return out
 
 
@@ -328,8 +419,8 @@ class CompactnessDiagnostics:
         return all(check.passed for check in self.checks)
 
 
-def _dominating_heat_kernel(grid: Grid, mask, s: float, mode: str) -> np.ndarray:
-    """Heat kernel that bounds heat_matrix(grid, s, mode) on columns `mask`.
+def _dominating_heat_kernel(grid: Grid, cols: np.ndarray, s: float, mode: str) -> np.ndarray:
+    """Columns `cols` of a heat kernel that bounds heat_matrix(grid, s, mode).
 
     The gaussian-kernel mode is bounded by the Gaussian itself, built from
     the same 1-D factor as heat_matrix, so the bound is an equality.  The
@@ -337,15 +428,16 @@ def _dominating_heat_kernel(grid: Grid, mask, s: float, mode: str) -> np.ndarray
     monotonicity, by the heat kernel of the infinite lattice h Z^nu:
     prod_a (1/h) e^{-2s/h^2} I_{|n_a|}(2s/h^2) at lattice offset n.
     """
-    cols = np.flatnonzero(mask)
     if mode == "gaussian-kernel":
-        return _heat_peak(grid.nu, s) * _kron_columns(_gaussian_factor(grid, s), grid.nu, cols)
+        out = _kron_lines(_gaussian_factor(grid, s), grid.nu, cols)
+        out *= _heat_peak(grid.nu, s)
+        return out.T
     from scipy.special import ive  # only this mode needs it
 
     n = grid.points_per_axis
     per_offset = ive(np.arange(n), 2.0 * s / grid.spacing**2) / grid.spacing
     factor = per_offset[np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])]
-    return _kron_columns(factor, grid.nu, cols)
+    return _kron_lines(factor, grid.nu, cols).T
 
 
 def hs_diagnostics(K: KernelMatrix, mask, s: float = 1.0,
@@ -358,31 +450,41 @@ def hs_diagnostics(K: KernelMatrix, mask, s: float = 1.0,
     infinite-lattice kernel for expm-of-laplacian), row vs column sup bounds
     of K and their gap, the sup-bound estimate of the HS norm, and the
     sharper Gaussian-mass estimate HS^2 <= |f|_{L2}^2 * |masked region|.
+
+    Only the N x |mask| masked columns are formed.  K^2 is separable like K,
+    so its row sums are one Kronecker apply of factor^2 to scale^2, and its
+    column sums the Kronecker product of the 1-D column sums times scale^2.
+    A kernel not in Kronecker form, or cut at a lattice offset, is refused.
     """
+    if K._factor is None or K._cutoff is not None:
+        raise ValueError("hs_diagnostics needs a heat_matrix kernel")
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != (K.grid.size,):
         raise ValueError("mask length must equal the grid size")
     w = K.weight
     nu = K.grid.nu
-    masked = K.values[:, mask]
-    count = int(np.count_nonzero(mask))
+    cols = np.flatnonzero(mask)
+    masked = K._columns(cols)
     hs2 = w * w * float(np.sum(masked**2))
     sv = w * singular_values(masked)
 
     coef = _heat_peak(nu, s)
-    if count:
-        dominating = _dominating_heat_kernel(K.grid, mask, s, mode)
-        excess = float(np.max(np.abs(masked) - dominating))
+    if cols.size:
+        dominating = _dominating_heat_kernel(K.grid, cols, s, mode)
+        # |K chi| - dominating, in the two arrays already held
+        np.abs(masked, out=masked)
+        excess = float(np.max(np.subtract(masked, dominating, out=masked)))
     else:
         excess = 0.0
 
-    squared = K.values**2
-    col_sums = w * np.sum(squared, axis=0)
-    row_sums = w * np.sum(squared, axis=1)
+    factor_sq, scale_sq = K._factor**2, K._scale**2
+    row_sums = w * _kron_apply(factor_sq, nu, scale_sq)
+    col_sums = w * (reduce(np.multiply.outer, [np.sum(factor_sq, axis=0)] * nu).ravel()
+                    * scale_sq)
     row_bound = float(np.max(row_sums))
     col_bound = float(np.max(col_sums))
     mass = gaussian_squared_mass(nu, s)
-    region_measure = w * count
+    region_measure = w * cols.size
 
     checks = (
         _bound("pointwise-domination", excess, 0.0, 1e-12 * coef),
@@ -405,32 +507,23 @@ def hs_diagnostics(K: KernelMatrix, mask, s: float = 1.0,
 def truncated_convolution(grid: Grid, s: float, R: float):
     """Range-R truncation F_R of the heat kernel and its L1 tail.
 
-    The tail is the quadrature mass of the Gaussian outside radius R --
-    lattice offsets inside the difference box plus the analytic mass beyond
-    it in closed form -- and upper-bounds |heat - F_R| in operator norm by
-    the Schur test, since every discarded entry shows up in the lattice sum.
+    F_R is the Gaussian heat kernel in Kronecker form, cut to 0 at lattice
+    offsets beyond R.  The tail is the quadrature mass of the Gaussian
+    outside radius R -- lattice offsets inside the difference box plus the
+    analytic mass beyond it in closed form -- and upper-bounds |heat - F_R|
+    in operator norm by the Schur test, since every discarded entry shows up
+    in the lattice sum.
     """
     if R <= 0:
         raise ValueError("R must be > 0")
     heat = heat_matrix(grid, s)
     n = grid.points_per_axis
-    nu = grid.nu
-    index = np.arange(n)
-    axis_sq = (index[:, None] - index[None, :]) ** 2  # squared offsets on one axis
-
-    def on_axis(a):  # axis_sq on axis a of the (i_1..i_nu, j_1..j_nu) view of K
-        shape = [1] * (2 * nu)
-        shape[a] = shape[nu + a] = n
-        return axis_sq.reshape(shape)
-
     # integer offsets d2 obey d2 <= cutoff exactly when d2 <= floor(cutoff)
-    room = math.floor(_lattice_cutoff(grid, R)) - sum(on_axis(a) for a in range(1, nu))
-    values = heat.values  # formed here for this kernel alone, so cut in place
-    np.copyto(values.reshape((n,) * (2 * nu)), 0.0, where=on_axis(0) > room)
-    F = KernelMatrix(grid, values)
+    F = KernelMatrix._kronecker(grid, heat._factor, heat._scale,
+                                math.floor(_lattice_cutoff(grid, R)))
 
     h = grid.spacing
-    d2int = _offset_sq(np.arange(-(n - 1), n), nu)
+    d2int = _offset_sq(np.arange(-(n - 1), n), grid.nu)
     outside = d2int > _lattice_cutoff(grid, R)
     coef = _heat_peak(grid.nu, s)
     gauss = coef * np.exp(-(d2int[outside] * h * h) / (4.0 * s))
@@ -442,22 +535,13 @@ def truncated_convolution(grid: Grid, s: float, R: float):
 
 
 def d_kernel(grid: Grid, V: PotentialExpr, M: float, R: float) -> KernelMatrix:
-    """0/1 proximity kernel chi(x) [|x-y| <= 2R] chi(y) on the sublevel set."""
-    grid.require_dense_budget()
-    inside = np.flatnonzero(potential_on_grid(grid, V) < M)
-    values = np.zeros((grid.size, grid.size))
-    values[np.ix_(inside, inside)] = _lattice_ball_mask(grid, 2.0 * R, inside, inside)
-    return KernelMatrix(grid, values)
+    """0/1 proximity kernel chi(x) [|x-y| <= 2R] chi(y) on the sublevel set.
 
-
-def _range_off_block(values: np.ndarray, idx: np.ndarray):
-    """(min, max) of a square matrix's entries outside the idx x idx block.
-
-    Returns (inf, -inf) when the block is the whole matrix.
+    Held in block form on the sublevel points; only that block is formed.
     """
-    off = ~(idx[:, None] & idx[None, :])
-    return (float(np.min(values, where=off, initial=np.inf)),
-            float(np.max(values, where=off, initial=-np.inf)))
+    inside = np.flatnonzero(potential_on_grid(grid, V) < M)
+    block = _lattice_ball_mask(grid, 2.0 * R, inside, inside).astype(float)
+    return KernelMatrix._blocked(grid, inside, block)
 
 
 def domination_check(C_MR: KernelMatrix, D: KernelMatrix) -> CompactnessDiagnostics:
@@ -468,17 +552,28 @@ def domination_check(C_MR: KernelMatrix, D: KernelMatrix) -> CompactnessDiagnost
     radii make off-support products impossible by construction.
 
     The product kernel w C^T C vanishes outside the block of the nonzero
-    columns of C, so it is formed there only; D's entries off the block
-    meet a zero product.
+    columns of C, so only those columns of C are formed and the product is
+    formed there only; D is read on that block from its own block, and its
+    entries off the product's block meet a zero product.
     """
     if C_MR.grid != D.grid:
         raise ValueError("grid mismatch between the kernels")
-    cols = np.any(C_MR.values, axis=0)
-    C = C_MR.values[:, cols]
+    # the columns that can hold a nonzero entry, in increasing order
+    candidates = C_MR._index if C_MR._factor is None else np.flatnonzero(C_MR._scale)
+    C = C_MR._columns(candidates)
+    nonzero = np.any(C, axis=0)
+    cols, C = candidates[nonzero], C[:, nonzero]
     P = C_MR.weight * (C.T @ C)
-    D_block = D.values[np.ix_(cols, cols)]
+    index, block = D._on_block()
+    D_block = _restrict(index, block, cols)
     support = D_block != 0.0
-    d_lo, d_hi = _range_off_block(D.values, cols)
+    # D's entries off cols x cols: its block's entries there, and zeros when
+    # some entry lies outside both index x index and cols x cols
+    in_cols = np.isin(index, cols)
+    outside = ~(in_cols[:, None] & in_cols[None, :])
+    zero_off = index.size < D.grid.size and cols.size < D.grid.size
+    d_lo = float(np.min(block, where=outside, initial=0.0 if zero_off else np.inf))
+    d_hi = float(np.max(block, where=outside, initial=0.0 if zero_off else -np.inf))
 
     peak = float(np.max(P)) if P.size else 0.0
     off = P[~support]
@@ -519,16 +614,20 @@ def kernel_power_bound(D: KernelMatrix, k: int, V: PotentialExpr, M: float,
     integral bound (sup ball measure) * integral of omega^{2k-2}.
 
     Everything is computed on the block U of the nonzero rows and columns
-    of D together with the sublevel points: off U x U both D^k and the bound
-    times chi vanish, so those entries add exact zeros.
+    of D together with the sublevel points, read from D's own block: off
+    U x U both D^k and the bound times chi vanish, so those entries add
+    exact zeros.
     """
     if not 2 <= k <= MAX_KERNEL_POWER:
         raise ValueError(f"k must be in 2..{MAX_KERNEL_POWER}, got {k}")
     grid = D.grid
     w = D.weight
     chi_all = potential_on_grid(grid, V) < M
-    U = np.flatnonzero(np.any(D.values, axis=0) | np.any(D.values, axis=1) | chi_all)
-    D_U = D.values[np.ix_(U, U)]
+    index, block = D._on_block()
+    reached = chi_all.copy()
+    reached[index[np.any(block, axis=0) | np.any(block, axis=1)]] = True
+    U = np.flatnonzero(reached)
+    D_U = _restrict(index, block, U)
     P = D_U.copy()
     for _ in range(k - 1):
         P = w * (P @ D_U)

@@ -151,6 +151,9 @@ def test_product_spectrum_rank_one():
     assert np.allclose(match.cd_spectrum, [expected], atol=1e-14)
     assert np.allclose(match.dc_spectrum, [expected], atol=1e-14)
     assert match.max_gap == 0.0
+    # a 1 x 1 pair that is not positive semidefinite is a column and a row
+    match = product_spectrum_match(np.array([[-2.0]]), np.array([[3.0]]))
+    assert match.cd_spectrum.tolist() == [-6.0] and match.max_gap == 0.0
 
 
 def test_product_spectrum_identity_factors():
@@ -437,12 +440,6 @@ def test_inequality_batch_rows_equal_the_single_pair_checks(master_seed):
         agreement = row[4]
         assert agreement.name == "product-spectrum-agreement"
         assert agreement.inputs == {"seed": master_seed, "dimension": d, "trial": t}
-        if d == 1:
-            # product_spectrum_match reads 1 x 1 factors as a column and a
-            # row, whose single product eigenvalue it computes exactly; the
-            # batch's similarity route may only differ by roundoff.
-            assert agreement.passed and agreement.lhs <= 1e-15
-            continue
         match = product_spectrum_match(A, B, tol=1e-10)
         assert agreement.lhs == match.max_gap / match.scale
         assert agreement.passed == match.passed

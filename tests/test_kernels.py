@@ -295,15 +295,16 @@ class TestHsDiagnostics:
             gaussian_squared_mass(2, 1.0) * g.weight * mask.sum(), rel=1e-14)
 
     def test_sup_bounds_are_the_squared_row_and_column_sums(self):
+        # against exactly rounded sums (math.fsum) over each row and column
+        # of the formed K^2
         g = Grid(2, 2.0, 0.25)
-        for mode in ("gaussian-kernel", "expm-of-laplacian"):
+        for mode in MODES:
             K = heat_matrix(g, 0.8, mode)
             diag = hs_diagnostics(K, potential_on_grid(g, CROSS) < 1.0, 0.8, mode)
-            w = g.weight
-            assert diag.constants["row_bound"] == float(
-                np.max(w * np.sum(K.values**2, axis=1)))
-            assert diag.constants["column_bound"] == float(
-                np.max(w * np.sum(K.values**2, axis=0)))
+            squared = K.values**2
+            for name, lines in (("row_bound", squared), ("column_bound", squared.T)):
+                exact = g.weight * max(math.fsum(line) for line in lines.tolist())
+                assert abs(diag.constants[name] - exact) <= 1e-15 * exact
 
     def test_row_column_gap_for_symmetric_kernel(self):
         g = Grid(1, 4.0, 0.1)
@@ -628,9 +629,13 @@ class TestSupportRestrictedMatchesDense:
             chi = potential_on_grid(g, DISC) < 1.0
             assert np.any(chi & ~np.any(values, axis=0) & ~np.any(values, axis=1))
             assert np.any(~chi & np.any(values, axis=0))
-            for k in (2, 3):
-                diag = self.check_power(D, k, DISC, 1.0, 0.25)
-                assert not diag.checks[0].passed  # random entries break the bound
+            # the same entries held as a block on a subset of the points
+            index = np.flatnonzero(rng.random(g.size) < 0.7)
+            blocked = KernelMatrix._blocked(g, index, values[np.ix_(index, index)])
+            for kernel in (D, blocked):
+                for k in (2, 3):
+                    diag = self.check_power(kernel, k, DISC, 1.0, 0.25)
+                    assert not diag.checks[0].passed  # random entries break the bound
 
     def test_power_empty_support(self):
         g = Grid(2, 1.5, 0.25)
@@ -663,15 +668,26 @@ class TestSupportRestrictedMatchesDense:
             D = np.where(block, rng.random((g.size, g.size)) + 0.5,
                          rng.standard_normal((g.size, g.size))
                          * (rng.random((g.size, g.size)) < 0.5))
-            diag = self.check_domination(KernelMatrix(g, C), KernelMatrix(g, D))
-            assert diag.constants["c"] > 0.0
+            # D also as a block on a superset of the product's columns, and
+            # as 2 on exactly those columns: P - c D < 0 on that block, so
+            # the largest excess is 0, where the zeros off it meet P = 0
+            index = np.flatnonzero(cols | (rng.random(g.size) < 0.5))
+            blocked = KernelMatrix._blocked(g, index, D[np.ix_(index, index)])
+            twos = KernelMatrix._blocked(g, np.flatnonzero(cols),
+                                         np.full((np.count_nonzero(cols),) * 2, 2.0))
+            for kernel in (KernelMatrix(g, D), blocked, twos):
+                diag = self.check_domination(KernelMatrix(g, C), kernel)
+                assert diag.constants["c"] > 0.0
 
     def test_domination_empty_support(self):
         g = Grid(2, 1.5, 0.25)
         rng = derived_rng(16, "empty-domination")
         C = KernelMatrix(g, np.zeros((g.size, g.size)))
-        for D in (np.zeros((g.size, g.size)), rng.standard_normal((g.size, g.size))):
-            diag = self.check_domination(C, KernelMatrix(g, D))
+        signed = rng.standard_normal((g.size, g.size))
+        index = np.flatnonzero(rng.random(g.size) < 0.5)
+        for D in (KernelMatrix(g, np.zeros((g.size, g.size))), KernelMatrix(g, signed),
+                  KernelMatrix._blocked(g, index, signed[np.ix_(index, index)])):
+            diag = self.check_domination(C, D)
             assert diag.constants["c"] == 0.0
 
     def test_domination_truncated_heat(self):
@@ -748,13 +764,16 @@ class TestSeparableKernels:
             np.testing.assert_allclose(kernels._kron_apply(factor, nu, x), dense @ x,
                                        rtol=0.0, atol=1e-12 * np.max(np.abs(dense @ x)))
 
-    def test_record_dropped_by_values_and_truncation(self):
+    def test_record_dropped_by_values_and_kept_by_truncation(self):
         g = Grid(2, 2.0, 0.25)
         heat = heat_matrix(g, 1.0)
         assert heat._factor is not None
         assert KernelMatrix(g, heat.values)._factor is None
         held = heat.values.copy()
-        assert truncated_convolution(g, 1.0, 1.0)[0]._factor is None
+        F = truncated_convolution(g, 1.0, 1.0)[0]
+        # the heat factor and scale, cut past the squared lattice offset 16
+        assert F._factor is not None and F._cutoff == 16 and unformed(F)
+        np.testing.assert_array_equal(F._scale, heat._scale)
         np.testing.assert_array_equal(heat.values, held)   # a held kernel is not cut
 
     def test_chained_multiply_function_multiplies_the_scales(self):
@@ -843,6 +862,26 @@ class TestSeparableKernels:
         assert all(unformed(K) for K in (C, C_m, D_m))
         assert 0.0 < norms["D_m"] <= math.exp(-4.0) * 1.001
 
+    def test_checks_beyond_the_dense_budget_form_only_their_blocks(self):
+        # On 16,900 points each check forms only the columns or the block of
+        # a 52-point sublevel disc, while reading any kernel's values raises.
+        g = Grid(2, 6.5, 0.1)
+        V, M = parse_potential("x1^2 + x2^2", 2), 0.15
+        chi = potential_on_grid(g, V) < M
+        assert g.size**2 > DENSE_ENTRY_BUDGET and np.count_nonzero(chi) == 52
+        heat = heat_matrix(g, 1.0)
+        assert hs_diagnostics(heat, chi).all_passed()
+        D = d_kernel(g, V, M, 0.15)
+        assert D._block.shape == (52, 52)
+        assert kernel_power_bound(D, 3, V, M, 0.15).all_passed()
+        F, _ = truncated_convolution(g, 1.0, 0.15)
+        C_MR = multiply_function(F, chi.astype(float))
+        dom = domination_check(C_MR, D)
+        assert dom.all_passed() and dom.constants["c"] > 0.0
+        for K in (heat, D, F, C_MR):
+            with pytest.raises(ValueError, match="budget"):
+                K.values
+
     def test_factored_and_dense_paths_agree(self):
         g = Grid(2, 5.75, 0.25)
         C = compose_C(g, CROSS)
@@ -876,3 +915,68 @@ def test_kronecker_form_matches_kron_fill_and_svd_property(nu, n, mode, s, chain
     np.testing.assert_allclose(K.values, expected, rtol=1e-15, atol=0.0)
     top = g.weight * np.linalg.svd(expected, compute_uv=False)[0]
     assert abs(norm - top) <= 1e-12 * top
+
+
+def same_report(a, b):
+    np.testing.assert_array_equal(a.singular_values, b.singular_values)
+    assert (a.hs_norm, a.checks, a.constants, a.note) == (b.hs_norm, b.checks,
+                                                         b.constants, b.note)
+
+
+class TestPrivateForms:
+    def test_columns_match_the_formed_values(self):
+        # every form against its own formed values, columns drawn before the
+        # values are read; radii on and between lattice shells
+        rng = derived_rng(25, "columns")
+        for nu, L, h in ((1, 3.0, 0.25), (2, 2.0, 0.25), (3, 1.0, 0.25)):
+            g = Grid(nu, L, h)
+            V = shifted_bowl(g)
+            chi = (potential_on_grid(g, V) < 2.0).astype(float)
+            for make in (lambda: heat_matrix(g, 0.8),
+                         lambda: heat_matrix(g, 0.8, "expm-of-laplacian"),
+                         lambda: truncated_convolution(g, 1.0, 0.5)[0],
+                         lambda: truncated_convolution(g, 1.0, 5 ** 0.5 * 0.25)[0],
+                         lambda: multiply_function(truncated_convolution(g, 1.0, 0.6)[0], chi),
+                         lambda: d_kernel(g, V, 2.0, 0.25),
+                         lambda: random_kernel(g, 26)):
+                for share in (0.0, 0.3, 1.0):
+                    cols = np.flatnonzero(rng.random(g.size) < share)
+                    K = make()
+                    got = K._columns(cols)
+                    expected = K.values[:, cols]
+                    np.testing.assert_array_equal(got, expected)
+                    # the same layout, so sums over either round alike
+                    assert cols.size < 2 or got.strides == expected.strides
+                    index, block = K._on_block()
+                    np.testing.assert_array_equal(block, K.values[np.ix_(index, index)])
+
+    def test_reports_do_not_depend_on_formed_values(self):
+        # the benchmark's trace hooks read `values` of the kernels it sees
+        g = Grid(2, 3.0, 0.25)
+        chi = potential_on_grid(g, CROSS) < 1.0
+
+        def reports(read):
+            def seen(K):
+                if read:
+                    K.values
+                return K
+
+            out = [hs_diagnostics(seen(heat_matrix(g, 1.0, mode)), chi, 1.0, mode)
+                   for mode in MODES]
+            out.append(kernel_power_bound(seen(d_kernel(g, CROSS, 1.0, 0.5)), 3,
+                                          CROSS, 1.0, 0.5))
+            F = seen(truncated_convolution(g, 1.0, 1.0)[0])
+            out.append(domination_check(seen(multiply_function(F, chi.astype(float))),
+                                        seen(d_kernel(g, CROSS, 1.0, 1.0))))
+            return out
+
+        for a, b in zip(reports(False), reports(True)):
+            same_report(a, b)
+
+    def test_hs_diagnostics_refuses_a_kernel_without_its_factor(self):
+        g = Grid(2, 2.0, 0.25)
+        mask = np.ones(g.size, bool)
+        heat = heat_matrix(g, 1.0)
+        for K in (KernelMatrix(g, heat.values), truncated_convolution(g, 1.0, 5.0)[0]):
+            with pytest.raises(ValueError, match="heat_matrix kernel"):
+                hs_diagnostics(K, mask)
