@@ -30,9 +30,15 @@ of the dense `values`:
 - Block form.  An increasing index set I and the dense |I| x |I| block on
   I x I; every entry off it is an exact zero.  Kernels cut down to the
   sublevel set {V < M} vanish outside it, so d_kernel returns the proximity
-  kernel on the sublevel points, and kernel_power_bound and
-  domination_check read its powers and bounds on that block only.
-  KernelMatrix(grid, values) is the block over all points.
+  kernel on the sublevel points.  KernelMatrix(grid, values) is the block
+  over all points.
+
+kernel_power_bound and domination_check follow one block rule.  Each takes
+an increasing index set U that covers every block it reads (the sublevel
+points and D's nonzero rows and columns for the power, D's index and the
+product's nonzero columns for the domination), reads each kernel on U x U
+through _restrict, and counts the exact zeros off U x U, when U is not the
+whole grid, as one more entry of value 0.
 
 `values` is formed only when read, and only that read is held to the
 grid's dense-entry budget; the structured work is not.
@@ -321,8 +327,9 @@ def _lattice_ball_mask(grid: Grid, radius: float, rows, cols) -> np.ndarray:
     """
     shape = (grid.points_per_axis,) * grid.nu
     d2 = np.zeros((rows.size, cols.size), dtype=np.int64)
+    offset = np.empty_like(d2)
     for a, b in zip(np.unravel_index(rows, shape), np.unravel_index(cols, shape)):
-        offset = a.astype(np.int64)[:, None] - b.astype(np.int64)[None, :]
+        np.subtract.outer(a.astype(np.int64), b.astype(np.int64), out=offset)
         d2 += np.square(offset, out=offset)
     return d2 <= _lattice_cutoff(grid, radius)
 
@@ -551,10 +558,8 @@ def domination_check(C_MR: KernelMatrix, D: KernelMatrix) -> CompactnessDiagnost
     vanishes wherever D does; a violation is raised, since the truncation
     radii make off-support products impossible by construction.
 
-    The product kernel w C^T C vanishes outside the block of the nonzero
-    columns of C, so only those columns of C are formed and the product is
-    formed there only; D is read on that block from its own block, and its
-    entries off the product's block meet a zero product.
+    Only the nonzero columns of C are formed, and the product w C^T C lives
+    on their block; the block U is D's index together with those columns.
     """
     if C_MR.grid != D.grid:
         raise ValueError("grid mismatch between the kernels")
@@ -565,33 +570,22 @@ def domination_check(C_MR: KernelMatrix, D: KernelMatrix) -> CompactnessDiagnost
     cols, C = candidates[nonzero], C[:, nonzero]
     P = C_MR.weight * (C.T @ C)
     index, block = D._on_block()
-    D_block = _restrict(index, block, cols)
-    support = D_block != 0.0
-    # D's entries off cols x cols: its block's entries there, and zeros when
-    # some entry lies outside both index x index and cols x cols
-    in_cols = np.isin(index, cols)
-    outside = ~(in_cols[:, None] & in_cols[None, :])
-    zero_off = index.size < D.grid.size and cols.size < D.grid.size
-    d_lo = float(np.min(block, where=outside, initial=0.0 if zero_off else np.inf))
-    d_hi = float(np.max(block, where=outside, initial=0.0 if zero_off else -np.inf))
+    U = np.union1d(index, cols)
+    P_U = _restrict(cols, P, U)
+    D_U = _restrict(index, block, U)
+    support = D_U != 0.0
 
-    peak = float(np.max(P)) if P.size else 0.0
-    off = P[~support]
-    off_max = float(np.max(np.abs(off))) if off.size else 0.0
-    tol_support = 1e-14 * max(1.0, peak)
+    off_max = float(np.max(np.abs(P_U), where=~support, initial=0.0))
+    tol_support = 1e-14 * float(np.max(P, initial=1.0))
     if off_max > tol_support:
         raise ValueError(
             f"support violation: product reaches {off_max:.3e} where D "
             "vanishes (implementation bug, not a tunable)"
         )
-    on = P[support]
-    c = 0.0
-    if on.size:
-        # where D is nonzero off the block, it meets a zero product
-        c = float(np.max(on, initial=0.0 if d_lo < 0.0 or d_hi > 0.0 else -np.inf))
-    # off the block P - c D = -c D, largest at an extreme entry of D there
-    off_block = [0.0 - c * d for d in (d_lo, d_hi) if math.isfinite(d)]
-    dominated = max([float(np.max(P - c * D_block, initial=-np.inf)), *off_block])
+    on = P_U[support]
+    c = float(np.max(on)) if on.size else 0.0
+    dominated = float(np.max(P_U - c * D_U,
+                             initial=0.0 if U.size < D.grid.size else -np.inf))
 
     sv = C_MR.weight * singular_values(P)
     hs = C_MR.weight * float(np.linalg.norm(P, "fro"))
@@ -614,9 +608,7 @@ def kernel_power_bound(D: KernelMatrix, k: int, V: PotentialExpr, M: float,
     integral bound (sup ball measure) * integral of omega^{2k-2}.
 
     Everything is computed on the block U of the nonzero rows and columns
-    of D together with the sublevel points, read from D's own block: off
-    U x U both D^k and the bound times chi vanish, so those entries add
-    exact zeros.
+    of D together with the sublevel points (see the module docstring).
     """
     if not 2 <= k <= MAX_KERNEL_POWER:
         raise ValueError(f"k must be in 2..{MAX_KERNEL_POWER}, got {k}")
@@ -628,21 +620,23 @@ def kernel_power_bound(D: KernelMatrix, k: int, V: PotentialExpr, M: float,
     reached[index[np.any(block, axis=0) | np.any(block, axis=1)]] = True
     U = np.flatnonzero(reached)
     D_U = _restrict(index, block, U)
-    P = D_U.copy()
+    P = D_U
     for _ in range(k - 1):
-        P = w * (P @ D_U)
+        P = P @ D_U
+        P *= w
+    hs2 = w * w * float(np.sum(P**2))
+    inside = chi_all[U]
+    sv = w * singular_values(P[np.ix_(inside, inside)])
 
     radius = 2.0 * k * R
-    chi = chi_all[U].astype(float)
-    reach = _lattice_ball_mask(grid, radius, U, U).astype(float)
-    omega = w * (reach @ chi)   # every sublevel point lies in U: exact counts
-    bound_matrix = reach * (omega ** (k - 1) * chi)[None, :]
-
-    scale = np.maximum(bound_matrix, 1e-300)
-    # a column outside U (chi = 0 there) has P = bound = 0: excess 0
-    rel_excess = float(np.max((P - bound_matrix) / scale,
-                              initial=0.0 if U.size < grid.size else -np.inf))
-    hs2 = w * w * float(np.sum(P**2))
+    chi = inside.astype(float)
+    bound = _lattice_ball_mask(grid, radius, U, U).astype(float)
+    omega = w * (bound @ chi)   # every sublevel point lies in U: exact counts
+    bound *= (omega ** (k - 1) * chi)[None, :]
+    # the relative excess (P - bound) / max(bound, 1e-300), in place in P
+    P -= bound
+    P /= np.maximum(bound, 1e-300, out=bound)
+    rel_excess = float(np.max(P, initial=0.0 if U.size < grid.size else -np.inf))
     # Column counts of the lattice ball within the box peak at the central
     # point.  A column's count is a sum, over the offsets along the other
     # axes, of 1-D counts #{o : |o| <= r, 0 <= j + o < n}, and each of those
@@ -650,11 +644,9 @@ def kernel_power_bound(D: KernelMatrix, k: int, V: PotentialExpr, M: float,
     n = grid.points_per_axis
     centre_sq = _offset_sq((n - 1) // 2 - np.arange(n), grid.nu)
     ball_sup = w * float(np.count_nonzero(centre_sq <= _lattice_cutoff(grid, radius)))
-    inside = chi != 0.0
     omega_integral = w * float(np.sum(omega[inside] ** (2 * k - 2)))
     hs_bound = ball_sup * omega_integral
 
-    sv = w * singular_values(P[np.ix_(inside, inside)])
     checks = (
         _bound("pointwise-power-bound", rel_excess, 0.0, 1e-9),
         _bound("hs-power-bound", hs2, hs_bound,

@@ -10,7 +10,9 @@ every module-level UPPER_CASE constant and private top-level function or
 class of the package must be read somewhere in the package or perfbench/
 (a read is a loaded name or an attribute of that name), and every top-level
 function or class of the package and every method that is not a dunder must
-be read somewhere in the package, tests/ or perfbench/.
+be read somewhere in the package, tests/ or perfbench/.  Python calls
+dunders without a read, so the only ones the package may define are the
+construction hooks __init__ and __post_init__.
 """
 
 import ast
@@ -26,6 +28,7 @@ SOURCES = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
 READERS = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
 CONSTANT = re.compile(r"[A-Z][A-Z0-9_]*")
+CONSTRUCTION_HOOKS = {"__init__", "__post_init__"}
 
 
 def declared_all(tree: ast.Module) -> list:
@@ -114,21 +117,33 @@ def is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
-def unread_callables(modules, readers) -> list:
-    """Top-level functions and classes of `modules`, and the methods of those
-    classes, that are not dunders and that no file of `readers` reads."""
-    defined = []   # (module, label, name that a read must match)
+def defined_callables(modules) -> list:
+    """(module, label, name) of every top-level function and class of
+    `modules` and every method of those classes."""
+    defined = []
     for path in modules:
         for node in ast.parse(path.read_text()).body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or is_dunder(node.name):
-                continue
-            defined.append((path.name, node.name, node.name))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((path.name, node.name, node.name))
             if isinstance(node, ast.ClassDef):
                 defined += [(path.name, f"{node.name}.{item.name}", item.name)
-                            for item in node.body
-                            if isinstance(item, ast.FunctionDef) and not is_dunder(item.name)]
+                            for item in node.body if isinstance(item, ast.FunctionDef)]
+    return defined
+
+
+def unread_callables(modules, readers) -> list:
+    """The defined callables of `modules` that are not dunders and that no
+    file of `readers` reads."""
     read = read_names(readers)
-    return sorted(f"{module}: {label}" for module, label, name in defined if name not in read)
+    return sorted(f"{module}: {label}" for module, label, name in defined_callables(modules)
+                  if not is_dunder(name) and name not in read)
+
+
+def dunders_beyond_hooks(modules) -> list:
+    """The dunder functions and methods of `modules` other than the
+    construction hooks."""
+    return sorted(f"{module}: {label}" for module, label, name in defined_callables(modules)
+                  if is_dunder(name) and name not in CONSTRUCTION_HOOKS)
 
 
 def test_every_constant_and_private_definition_is_read():
@@ -155,6 +170,10 @@ def test_every_function_class_and_method_is_read():
     assert unread_callables(sorted(PACKAGE.glob("*.py")), READERS + TESTS) == []
 
 
+def test_every_dunder_is_a_construction_hook():
+    assert dunders_beyond_hooks(sorted(PACKAGE.glob("*.py"))) == []
+
+
 def test_scan_flags_an_unread_function_class_or_method(tmp_path):
     sample = tmp_path / "sample.py"
     sample.write_text(
@@ -162,6 +181,8 @@ def test_scan_flags_an_unread_function_class_or_method(tmp_path):
         "def unused():\n    pass\n"
         "class Shape:\n"
         "    def __init__(self):\n        pass\n"
+        "    def __post_init__(self):\n        pass\n"
+        "    def __call__(self):\n        pass\n"
         "    @property\n    def area(self):\n        return 0\n"
         "    def scale(self):\n        pass\n"
         "class Unused:\n    pass\n"
@@ -170,3 +191,4 @@ def test_scan_flags_an_unread_function_class_or_method(tmp_path):
     reader.write_text("from sample import used, Shape\nused()\nShape().area\n")
     assert unread_callables([sample], [sample, reader]) == [
         "sample.py: Shape.scale", "sample.py: Unused", "sample.py: unused"]
+    assert dunders_beyond_hooks([sample]) == ["sample.py: Shape.__call__"]

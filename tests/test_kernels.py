@@ -17,6 +17,7 @@ Oracle routes kept independent of the code under test:
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -533,6 +534,22 @@ class TestKernelPowerBound:
                     * g.weight * np.sum(chi * omega**2))
         assert hs_check.rhs == pytest.approx(expected, rel=1e-12)
 
+    def test_allocation_peak_in_blocks(self):
+        # the bench box: 600 sublevel points, so a block is 600^2 floats.
+        # The power, the bound and the excess share P and one more block;
+        # the ball mask adds two int64 blocks while P is held.
+        g = Grid(2, 4.0, 0.16)
+        D = d_kernel(g, CROSS, 1.0, 1.0)
+        assert D._index.size == 600
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            kernel_power_bound(D, 3, CROSS, 1.0, 1.0)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * 600**2 * 8
+
 
 def dense_domination(C_MR, D):
     """domination_check's quantities from the full N x N product kernel."""
@@ -675,9 +692,23 @@ class TestSupportRestrictedMatchesDense:
             blocked = KernelMatrix._blocked(g, index, D[np.ix_(index, index)])
             twos = KernelMatrix._blocked(g, np.flatnonzero(cols),
                                          np.full((np.count_nonzero(cols),) * 2, 2.0))
-            for kernel in (KernelMatrix(g, D), blocked, twos):
+            # and with zero rows off the product's columns
+            rows = D.copy()
+            rows[~cols & (rng.random(g.size) < 0.5), :] = 0.0
+            zero_rows = KernelMatrix._blocked(g, index, rows[np.ix_(index, index)])
+            for kernel in (KernelMatrix(g, D), blocked, twos, zero_rows):
                 diag = self.check_domination(KernelMatrix(g, C), kernel)
                 assert diag.constants["c"] > 0.0
+        # D's index and the product's columns each miss points while their
+        # union covers the grid: C's columns off the index are so small that
+        # the product stays within the support tolerance there
+        cols = rng.random(g.size) >= 0.4
+        held = ~cols | (rng.random(g.size) < 0.5)
+        assert np.any(cols & ~held) and np.any(~cols)
+        C = rng.standard_normal((g.size, g.size)) * np.where(held, 1.0, 1e-20) * cols
+        index = np.flatnonzero(held)
+        union = KernelMatrix._blocked(g, index, rng.random((index.size,) * 2) + 0.5)
+        assert self.check_domination(KernelMatrix(g, C), union).constants["c"] > 0.0
 
     def test_domination_empty_support(self):
         g = Grid(2, 1.5, 0.25)
