@@ -5,12 +5,15 @@ w; its operator acts on a grid function v as w * K @ v, so matrix sums
 approximate kernel integrals.  Operator norms, singular values
 mu_j = w sigma_j, and Hilbert-Schmidt norms all carry the weight.
 
-Ball memberships (truncation radii, the 0/1 proximity kernel, local-measure
-counts) are decided on integer lattice offsets with a hair of relative
-slack, so pairs exactly on a ball boundary land inside consistently across
-every function here; that keeps the support bookkeeping exact: a chain of
-hops of lattice length <= R stays inside the lattice ball of the summed
-radius, with no floating-point fringe cases.
+One lattice rule decides every ball (the range-R cutoff of F_R, the 0/1
+proximity kernel, the reach and the local-measure counts of the power
+bound): points with integer lattice offset o lie within radius r when
+|o|^2 <= floor((r/h)^2 (1 + 1e-9) + 1e-9).  _lattice_cutoff takes that
+floor once, and _in_ball tests it on per-axis int32 lattice coordinates
+(int64 on a 1-D grid too long for int32 squares).
+The hair of slack puts pairs exactly on a boundary inside everywhere alike,
+so a chain of hops of lattice length <= R stays inside the lattice ball of
+the summed radius, with no floating-point fringe cases.
 
 Every KernelMatrix holds one of two private forms, and each function here
 forms only the entries it reads, equal bit for bit to the matching entries
@@ -182,17 +185,11 @@ class KernelMatrix:
         if self._cutoff is None:
             return lines
         n, nu = self.grid.points_per_axis, self.grid.nu
-
-        def on_axis(a, p):  # (r_a - p_a)^2 on axis a of the (line, r_1..r_nu) view
-            shape = [points.size] + [1] * nu
-            shape[1 + a] = n
-            return np.square(np.arange(n)[None, :] - p[:, None]).reshape(shape)
-
-        # integer offsets d2 obey d2 <= cutoff exactly when d2 <= floor(cutoff)
-        axes = np.unravel_index(points, (n,) * nu)
-        room = self._cutoff - sum(on_axis(a, axes[a]) for a in range(1, nu))
+        # the (line, r_1..r_nu) view: each line's point against the grid mesh
+        at = [a.reshape((-1,) + (1,) * nu) for a in _coordinates(self.grid, points)]
+        inside = _in_ball(self._cutoff, at, _mesh(self.grid, np.arange(n)))
         np.copyto(lines.reshape((points.size,) + (n,) * nu), 0.0,
-                  where=on_axis(0, axes[0]) > room)
+                  where=np.logical_not(inside, out=inside))
         return lines
 
     def _on_block(self) -> tuple:
@@ -312,34 +309,43 @@ def _kron_lines(factor: np.ndarray, nu: int, picks: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lattice_cutoff(grid: Grid, radius: float) -> float:
-    """Largest squared integer lattice offset inside the ball of `radius`."""
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
-    cells_sq = (radius / grid.spacing) ** 2
-    return cells_sq * (1.0 + LATTICE_SLACK) + LATTICE_SLACK
+def _lattice_cutoff(grid: Grid, radius: float) -> int:
+    """Largest squared integer lattice offset inside the ball of `radius`.
 
-
-def _lattice_ball_mask(grid: Grid, radius: float, rows, cols) -> np.ndarray:
-    """Boolean pair mask [|x_i - x_j| <= radius] on integer lattice offsets.
-
-    Covers the point pairs rows x cols (index arrays).
+    Capped at the grid's largest, nu (n - 1)^2.
     """
+    if not 0.0 <= radius < math.inf:
+        raise ValueError(f"radius must be finite and >= 0, got {radius}")
+    widest = grid.nu * (grid.points_per_axis - 1) ** 2
+    cells = min(radius / grid.spacing, widest + 1.0)   # squares without overflow
+    return min(widest, math.floor(cells**2 * (1.0 + LATTICE_SLACK) + LATTICE_SLACK))
+
+
+def _lattice_int(grid: Grid) -> type:
+    """int32, or int64 where the grid's largest squared offset overflows it."""
+    return np.int32 if grid.nu * (grid.points_per_axis - 1) ** 2 < 2**31 else np.int64
+
+
+def _coordinates(grid: Grid, points: np.ndarray) -> list:
+    """Per-axis integer lattice coordinates of the point indices `points`."""
     shape = (grid.points_per_axis,) * grid.nu
-    d2 = np.zeros((rows.size, cols.size), dtype=np.int64)
-    offset = np.empty_like(d2)
-    for a, b in zip(np.unravel_index(rows, shape), np.unravel_index(cols, shape)):
-        np.subtract.outer(a.astype(np.int64), b.astype(np.int64), out=offset)
-        d2 += np.square(offset, out=offset)
-    return d2 <= _lattice_cutoff(grid, radius)
+    return [a.astype(_lattice_int(grid)) for a in np.unravel_index(points, shape)]
 
 
-def _offset_sq(offsets: np.ndarray, nu: int) -> np.ndarray:
-    """|o|^2 for every integer o in offsets^nu, of shape (offsets.size,) * nu.
+def _mesh(grid: Grid, axis: np.ndarray) -> tuple:
+    """Integers `axis` on each grid axis, shaped to broadcast as an open mesh."""
+    return np.ix_(*[axis.astype(_lattice_int(grid))] * grid.nu)
 
-    The per-axis squares are folded with np.add.outer, first axis outermost.
+
+def _in_ball(cutoff: int, rows, cols) -> np.ndarray:
+    """[sum_a (rows[a] - cols[a])^2 <= cutoff], broadcast.
+
+    rows and cols hold per-axis lattice coordinates (or ints).  Axis 0
+    is tested against the room the other axes leave, so only its offsets and
+    the result span the full broadcast shape.
     """
-    return reduce(np.add.outer, [offsets * offsets] * nu)
+    room = cutoff - sum((r - c) ** 2 for r, c in zip(rows[1:], cols[1:]))
+    return (rows[0] - cols[0]) ** 2 <= room
 
 
 def heat_matrix(grid: Grid, s: float = 1.0, mode: str = "gaussian-kernel") -> KernelMatrix:
@@ -426,8 +432,8 @@ class CompactnessDiagnostics:
         return all(check.passed for check in self.checks)
 
 
-def _dominating_heat_kernel(grid: Grid, cols: np.ndarray, s: float, mode: str) -> np.ndarray:
-    """Columns `cols` of a heat kernel that bounds heat_matrix(grid, s, mode).
+def _dominating_heat_kernel(grid: Grid, s: float, mode: str) -> KernelMatrix:
+    """A heat kernel that bounds heat_matrix(grid, s, mode), in Kronecker form.
 
     The gaussian-kernel mode is bounded by the Gaussian itself, built from
     the same 1-D factor as heat_matrix, so the bound is an equality.  The
@@ -436,15 +442,14 @@ def _dominating_heat_kernel(grid: Grid, cols: np.ndarray, s: float, mode: str) -
     prod_a (1/h) e^{-2s/h^2} I_{|n_a|}(2s/h^2) at lattice offset n.
     """
     if mode == "gaussian-kernel":
-        out = _kron_lines(_gaussian_factor(grid, s), grid.nu, cols)
-        out *= _heat_peak(grid.nu, s)
-        return out.T
+        return KernelMatrix._kronecker(grid, _gaussian_factor(grid, s),
+                                       np.full(grid.size, _heat_peak(grid.nu, s)))
     from scipy.special import ive  # only this mode needs it
 
     n = grid.points_per_axis
     per_offset = ive(np.arange(n), 2.0 * s / grid.spacing**2) / grid.spacing
     factor = per_offset[np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])]
-    return _kron_lines(factor, grid.nu, cols).T
+    return KernelMatrix._kronecker(grid, factor, np.ones(grid.size))
 
 
 def hs_diagnostics(K: KernelMatrix, mask, s: float = 1.0,
@@ -476,13 +481,10 @@ def hs_diagnostics(K: KernelMatrix, mask, s: float = 1.0,
     sv = w * singular_values(masked)
 
     coef = _heat_peak(nu, s)
-    if cols.size:
-        dominating = _dominating_heat_kernel(K.grid, cols, s, mode)
-        # |K chi| - dominating, in the two arrays already held
-        np.abs(masked, out=masked)
-        excess = float(np.max(np.subtract(masked, dominating, out=masked)))
-    else:
-        excess = 0.0
+    dominating = _dominating_heat_kernel(K.grid, s, mode)._columns(cols)
+    # |K chi| - dominating, in the two arrays already held
+    gap = np.subtract(np.abs(masked, out=masked), dominating, out=masked)
+    excess = float(np.max(gap)) if cols.size else 0.0
 
     factor_sq, scale_sq = K._factor**2, K._scale**2
     row_sums = w * _kron_apply(factor_sq, nu, scale_sq)
@@ -523,17 +525,17 @@ def truncated_convolution(grid: Grid, s: float, R: float):
     """
     if R <= 0:
         raise ValueError("R must be > 0")
+    cutoff = _lattice_cutoff(grid, R)
     heat = heat_matrix(grid, s)
-    n = grid.points_per_axis
-    # integer offsets d2 obey d2 <= cutoff exactly when d2 <= floor(cutoff)
-    F = KernelMatrix._kronecker(grid, heat._factor, heat._scale,
-                                math.floor(_lattice_cutoff(grid, R)))
+    F = KernelMatrix._kronecker(grid, heat._factor, heat._scale, cutoff)
 
     h = grid.spacing
-    d2int = _offset_sq(np.arange(-(n - 1), n), grid.nu)
-    outside = d2int > _lattice_cutoff(grid, R)
+    n = grid.points_per_axis
+    offsets = _mesh(grid, np.arange(1 - n, n))
+    outside = ~_in_ball(cutoff, offsets, [0] * grid.nu)
+    d2 = sum(o * o for o in offsets)[outside]
     coef = _heat_peak(grid.nu, s)
-    gauss = coef * np.exp(-(d2int[outside] * h * h) / (4.0 * s))
+    gauss = coef * np.exp(-(d2 * h * h) / (4.0 * s))
     lattice_tail = grid.weight * float(np.sum(gauss))
 
     half_cover = 2.0 * grid.half_width - h / 2.0
@@ -546,8 +548,10 @@ def d_kernel(grid: Grid, V: PotentialExpr, M: float, R: float) -> KernelMatrix:
 
     Held in block form on the sublevel points; only that block is formed.
     """
+    cutoff = _lattice_cutoff(grid, 2.0 * R)
     inside = np.flatnonzero(potential_on_grid(grid, V) < M)
-    block = _lattice_ball_mask(grid, 2.0 * R, inside, inside).astype(float)
+    at = _coordinates(grid, inside)
+    block = _in_ball(cutoff, [a[:, None] for a in at], at).astype(float)
     return KernelMatrix._blocked(grid, inside, block)
 
 
@@ -614,6 +618,8 @@ def kernel_power_bound(D: KernelMatrix, k: int, V: PotentialExpr, M: float,
         raise ValueError(f"k must be in 2..{MAX_KERNEL_POWER}, got {k}")
     grid = D.grid
     w = D.weight
+    radius = 2.0 * k * R
+    cutoff = _lattice_cutoff(grid, radius)
     chi_all = potential_on_grid(grid, V) < M
     index, block = D._on_block()
     reached = chi_all.copy()
@@ -628,9 +634,9 @@ def kernel_power_bound(D: KernelMatrix, k: int, V: PotentialExpr, M: float,
     inside = chi_all[U]
     sv = w * singular_values(P[np.ix_(inside, inside)])
 
-    radius = 2.0 * k * R
     chi = inside.astype(float)
-    bound = _lattice_ball_mask(grid, radius, U, U).astype(float)
+    at = _coordinates(grid, U)
+    bound = _in_ball(cutoff, [a[:, None] for a in at], at).astype(float)
     omega = w * (bound @ chi)   # every sublevel point lies in U: exact counts
     bound *= (omega ** (k - 1) * chi)[None, :]
     # the relative excess (P - bound) / max(bound, 1e-300), in place in P
@@ -642,8 +648,8 @@ def kernel_power_bound(D: KernelMatrix, k: int, V: PotentialExpr, M: float,
     # axes, of 1-D counts #{o : |o| <= r, 0 <= j + o < n}, and each of those
     # is largest at j = (n - 1) // 2 whatever r is; so centre every axis.
     n = grid.points_per_axis
-    centre_sq = _offset_sq((n - 1) // 2 - np.arange(n), grid.nu)
-    ball_sup = w * float(np.count_nonzero(centre_sq <= _lattice_cutoff(grid, radius)))
+    centre = [(n - 1) // 2] * grid.nu
+    ball_sup = w * float(np.count_nonzero(_in_ball(cutoff, centre, _mesh(grid, np.arange(n)))))
     omega_integral = w * float(np.sum(omega[inside] ** (2 * k - 2)))
     hs_bound = ball_sup * omega_integral
 

@@ -12,14 +12,17 @@ Grammar (EBNF, also documented in the README):
     name     = "exp" | "abs" ;
 
 "^" binds tighter than "*", which binds tighter than "+"/"-".  Exponents are
-nonnegative integer literals; "x1^-2" and "x1^2.5" are rejected at parse time.
-Whitespace is insignificant.  All syntax errors carry the 0-based position of
-the offending token in the source string.
+nonnegative integer literals; "x1^-2" and "x1^2.5" are rejected at parse time,
+and so is any exponent (a tower's value too) above _MAX_EXPONENT = 1024.  The
+grammar is ASCII: digits are 0-9, names are [A-Za-z_][A-Za-z0-9_]*, and only
+ASCII whitespace is insignificant.  All syntax errors carry the 0-based
+position of the offending token in the source string.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +41,8 @@ __all__ = [
 ]
 
 _FUNCTIONS = ("exp", "abs")
+# Largest exponent, so a tower such as 9^9^9 is refused before it is formed.
+_MAX_EXPONENT = 1024
 NEGATIVE_TOLERANCE = 1e-9
 
 
@@ -128,52 +133,26 @@ class _Token:
     kind: str  # 'number', 'ident', 'op', 'end'
     text: str
     position: int
-    value: float = 0.0
+
+
+_TOKEN = re.compile(r"""\s*(?:
+    (?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
+  | (?P<ident>[A-Za-z_]\w*)
+  | (?P<op>[-+*^()])
+  | (?P<end>\Z)
+  | (?P<bad>.)
+)""", re.ASCII | re.VERBOSE | re.DOTALL)
 
 
 def _tokenize(source: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i, n = 0, len(source)
-    while i < n:
-        c = source[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in "+-*^()":
-            tokens.append(_Token("op", c, i))
-            i += 1
-            continue
-        if c.isdigit() or c == ".":
-            j = i
-            while j < n and (source[j].isdigit() or source[j] == "."):
-                j += 1
-            # optional exponent part: 1e-3, 2.5E+10
-            if j < n and source[j] in "eE":
-                k = j + 1
-                if k < n and source[k] in "+-":
-                    k += 1
-                if k < n and source[k].isdigit():
-                    while k < n and source[k].isdigit():
-                        k += 1
-                    j = k
-            text = source[i:j]
-            try:
-                value = float(text)
-            except ValueError:
-                raise ParseError(f"malformed number {text!r}", i) from None
-            tokens.append(_Token("number", text, i, value))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", source[i:j], i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
-    tokens.append(_Token("end", "", n))
-    return tokens
+    for match in _TOKEN.finditer(source):
+        kind = match.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {match[kind]!r}", match.start(kind))
+        tokens.append(_Token(kind, match[kind], match.start(kind)))
+        if kind == "end":
+            return tokens
 
 
 class _Parser:
@@ -226,26 +205,28 @@ class _Parser:
         return base
 
     def parse_exponent(self) -> int:
-        """Nonnegative integer literal, possibly a right-associative tower."""
+        """Nonnegative integer literal, possibly a right-associative tower,
+        of value at most _MAX_EXPONENT."""
         tok = self.peek()
-        if tok.kind != "number":
+        if tok.kind != "number" or not tok.text.isdigit():
             raise ParseError(
                 f"exponent must be a nonnegative integer literal, found {tok.text or 'end of input'!r}",
                 tok.position,
             )
-        if tok.value != int(tok.value) or "." in tok.text or "e" in tok.text or "E" in tok.text:
-            raise ParseError(f"exponent must be a nonnegative integer literal, found {tok.text!r}", tok.position)
         self.advance()
-        value = int(tok.value)
-        if self.peek().kind == "op" and self.peek().text == "^":
+        # more significant digits than the cap has exceed it; the cut keeps int() short
+        value = int(tok.text.lstrip("0")[: len(str(_MAX_EXPONENT)) + 1] or "0")
+        if value <= _MAX_EXPONENT and self.peek().text == "^":
             self.advance()
-            value = value ** self.parse_exponent()
+            value **= self.parse_exponent()
+        if value > _MAX_EXPONENT:
+            raise ParseError(f"exponent above {_MAX_EXPONENT}", tok.position)
         return value
 
     def parse_atom(self) -> _Node:
         tok = self.advance()
         if tok.kind == "number":
-            return _Const(tok.value)
+            return _Const(float(tok.text))
         if tok.kind == "ident":
             if tok.text in _FUNCTIONS:
                 self.expect_op("(")

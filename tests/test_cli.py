@@ -221,6 +221,16 @@ class TestExitCodes:
         assert run_cli("sublevel", "--potential", "x1^(", "--nu", "1",
                        "--output-dir", str(tmp_path)) == 2
 
+    def test_exponent_tower_is_refused_before_it_is_formed(self, tmp_path):
+        # 9^(9^9) as a Python int would not finish; the cap refuses 9^9
+        out = tmp_path / "out"
+        proc = run_cli_process("spectrum", "--potential", "x1^9^9^9",
+                               "--output-dir", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("configuration error: ")
+        assert "exponent above 1024 (position 5)" in proc.stderr
+        assert not out.exists()
+
     def test_invalid_config_creates_no_output_dir(self, tmp_path, capsys):
         for i, args in enumerate(INVALID_CONFIGS):
             out = tmp_path / f"case-{i}"

@@ -381,17 +381,37 @@ class TestTruncatedConvolution:
 
     def test_cut_matches_the_integer_offset_mask(self):
         # the N x N int64 offset mask, written out; radii on and between
-        # lattice shells
+        # lattice shells.  F_R's cutoff, the proximity kernel on a sublevel
+        # set that is the whole grid and the largest column count of the
+        # power bound's ball all follow it.
         for nu, L, h in ((1, 3.0, 0.25), (2, 2.0, 0.25), (3, 1.0, 0.25)):
             g = Grid(nu, L, h)
+            everywhere = parse_potential("x1^2", nu)
             idx = np.unravel_index(np.arange(g.size), (g.points_per_axis,) * nu)
             d2 = sum((a.astype(np.int64)[:, None] - a.astype(np.int64)[None, :]) ** 2
                      for a in idx)
             for R in (0.25, 0.5, 5 ** 0.5 * 0.25, 0.6, 1.0):
                 F, _ = truncated_convolution(g, 1.0, R)
-                cutoff = (R / h) ** 2 * (1.0 + 1e-9) + 1e-9
-                expected = np.where(d2 <= cutoff, heat_matrix(g, 1.0).values, 0.0)
+                mask = d2 <= (R / h) ** 2 * (1.0 + 1e-9) + 1e-9
+                expected = np.where(mask, heat_matrix(g, 1.0).values, 0.0)
                 np.testing.assert_array_equal(F.values, expected)
+                # d_kernel's ball has radius 2R, the power bound's 2kR
+                D = d_kernel(g, everywhere, 1e9, R / 2)
+                assert D._index.size == g.size
+                np.testing.assert_array_equal(D.values, mask.astype(float))
+                diag = kernel_power_bound(D, 2, everywhere, 1e9, R / 4)
+                assert (diag.constants["ball_measure_sup"]
+                        == g.weight * float(np.max(np.sum(mask, axis=0))))
+
+    def test_radius_must_be_finite(self):
+        g = Grid(2, 2.0, 0.25)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="radius must be finite"):
+                d_kernel(g, CROSS, 1.0, bad)
+            with pytest.raises(ValueError, match="radius must be finite"):
+                kernel_power_bound(d_kernel(g, CROSS, 1.0, 0.5), 2, CROSS, 1.0, bad)
+            with pytest.raises(ValueError, match="radius must be finite"):
+                truncated_convolution(g, 1.0, bad)
 
 
 class TestDKernel:
@@ -419,6 +439,16 @@ class TestDKernel:
                 d2 = (oi[0] - oj[0]) ** 2 + (oi[1] - oj[1]) ** 2
                 expected = 1.0 if (chi[i] and chi[j] and d2 <= cutoff) else 0.0
                 assert D.values[i, j] == expected
+
+    def test_far_pairs_on_a_long_line_stay_outside(self):
+        # two sublevel windows about 65536 cells apart, and 65536^2 = 2^32
+        # wraps to 0 in int32, inside any cutoff
+        g = Grid(1, 40000.0, 1.0)
+        V = parse_potential("abs(abs(x1) - 32768)", 1)
+        D = d_kernel(g, V, 2.0, 1.0)
+        x = g.axis[D._index]
+        assert D._index.size == 8
+        np.testing.assert_array_equal(D._block, np.abs(x[:, None] - x[None, :]) <= 2.0)
 
     def test_symmetric(self):
         g = Grid(2, 4.0, 0.25)
@@ -537,7 +567,8 @@ class TestKernelPowerBound:
     def test_allocation_peak_in_blocks(self):
         # the bench box: 600 sublevel points, so a block is 600^2 floats.
         # The power, the bound and the excess share P and one more block;
-        # the ball mask adds two int64 blocks while P is held.
+        # the ball test adds int32 offsets, half a block each, while P is
+        # held.  It reads 2.13 blocks.
         g = Grid(2, 4.0, 0.16)
         D = d_kernel(g, CROSS, 1.0, 1.0)
         assert D._index.size == 600
@@ -548,7 +579,7 @@ class TestKernelPowerBound:
             peak = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
-        assert peak <= 3.5 * 600**2 * 8
+        assert peak <= 3.0 * 600**2 * 8
 
 
 def dense_domination(C_MR, D):

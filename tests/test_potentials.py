@@ -92,12 +92,26 @@ def test_precedence_and_associativity():
         ("(x1", 3),
         ("x1 @ x2", 3),
         ("x1 x2", 3),
+        # exponents above 1024, a tower's value at the literal that starts it
+        ("x1^1025", 3),
+        ("x1^9^9^9", 5),
+        ("x1^2^11", 3),
+        pytest.param("x1^" + "9" * 5000, 3, id="5000-digit-exponent"),
+        # the grammar is ASCII: no superscript or non-ASCII digits
+        ("x\u00b2", 1),
+        ("x\u0661", 1),
+        ("x1\u00a0+x2", 2),
     ],
 )
 def test_parse_errors_carry_position(source, position):
     with pytest.raises(ParseError) as err:
         parse_potential(source, 2)
     assert err.value.position == position
+
+
+def test_exponent_cap_is_inclusive():
+    assert parse_potential("x1^2^10", 1).root.exponent == 1024
+    assert parse_potential("x1^0001024", 1).root.exponent == 1024
 
 
 def test_exponent_must_be_integer_literal():
