@@ -54,7 +54,14 @@ from .reports import (
     write_summary_csv,
     write_thinness_csv,
 )
-from .sublevel import MONTE_CARLO_MIN_BUDGET, Region, check_radii, measure, thinness
+from .sublevel import (
+    MONTE_CARLO_MIN_BUDGET,
+    Region,
+    ball_volume,
+    check_radii,
+    measure,
+    thinness,
+)
 
 OUTPUT_DIR_ENV = "SPECTRALAB_OUTPUT_DIR"
 SUBCOMMANDS = {
@@ -222,6 +229,17 @@ def _check_bound(name: str, value, bound) -> None:
         raise ValueError(f"{name} must be {bound}")
 
 
+def _check_ball_volume(name: str, nu: int, radius: float) -> None:
+    """Refuse a radius whose nu-ball volume is beyond float range."""
+    try:
+        volume = ball_volume(nu, radius)
+    except OverflowError:
+        volume = math.inf
+    if not math.isfinite(volume):
+        raise ValueError(f"{name} = {radius:g} gives a ball volume beyond "
+                         f"float range at nu = {nu}")
+
+
 def _validate(config: RunConfig, used: list) -> None:
     sub = config.subcommand
     for name in used:
@@ -250,10 +268,14 @@ def _validate(config: RunConfig, used: list) -> None:
             elif config.count_levels:
                 grid.require_factor_budget()
     if sub == "thinness":
-        check_radii(config.radii)
-    if sub == "sublevel" and config.budget < MONTE_CARLO_MIN_BUDGET:
-        raise ValueError(f"budget must be >= {MONTE_CARLO_MIN_BUDGET} "
-                         "(Monte Carlo minimum)")
+        radii = check_radii(config.radii)
+        _check_ball_volume("radius", config.nu, radii[-1])
+        _check_ball_volume("ell", config.nu, config.ell)
+    if sub == "sublevel":
+        if config.budget < MONTE_CARLO_MIN_BUDGET:
+            raise ValueError(f"budget must be >= {MONTE_CARLO_MIN_BUDGET} "
+                             "(Monte Carlo minimum)")
+        _check_ball_volume("R", config.nu, config.R)
     if sub == "kernel-power":
         if 2 * config.k - 2 <= config.r:
             raise ValueError(
@@ -263,6 +285,8 @@ def _validate(config: RunConfig, used: list) -> None:
         if config.k > MAX_KERNEL_POWER:
             raise ValueError(f"k = {config.k} exceeds the largest kernel power "
                              f"{MAX_KERNEL_POWER} (r = {config.r:g})")
+        # the power bound's reach: its analytic constant is this ball's volume
+        _check_ball_volume("2kR", config.nu, 2.0 * config.k * config.R)
 
 
 def _run_spectrum(config: RunConfig, out: Path):

@@ -69,6 +69,7 @@ class NonPolynomialError(ValueError):
 @dataclass(frozen=True)
 class _Node:
     def eval(self, pts: np.ndarray) -> np.ndarray:
+        """Values at the rows of pts, in a fresh array the caller may overwrite."""
         raise NotImplementedError
 
 
@@ -98,10 +99,12 @@ class _BinOp(_Node):
         a = self.left.eval(pts)
         b = self.right.eval(pts)
         if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        return a * b
+            a += b
+        elif self.op == "-":
+            a -= b
+        else:
+            a *= b
+        return a
 
 
 @dataclass(frozen=True)
@@ -110,7 +113,9 @@ class _Pow(_Node):
     exponent: int  # nonnegative
 
     def eval(self, pts):
-        return self.base.eval(pts) ** self.exponent
+        v = self.base.eval(pts)
+        v **= self.exponent
+        return v
 
 
 @dataclass(frozen=True)
@@ -120,7 +125,7 @@ class _Call(_Node):
 
     def eval(self, pts):
         v = self.argument.eval(pts)
-        return np.exp(v) if self.name == "exp" else np.abs(v)
+        return (np.exp if self.name == "exp" else np.abs)(v, out=v)
 
 
 # ---------------------------------------------------------------------------
@@ -297,14 +302,16 @@ def guard_values(expr: PotentialExpr, values: np.ndarray, where: str,
     two overflowing terms, for instance) is rejected by name.  +inf is a
     correct value of an overflowing exp() term: it lies outside every
     sublevel set and damps exp(-V) to 0, so it passes unless `finite` is
-    set, as it is for the Hamiltonian and its eigensolver.
+    set, as it is for the Hamiltonian and its eigensolver.  np.min
+    propagates NaN, so without `finite` one pass over the values decides.
     """
-    bad = ~np.isfinite(values) if finite else np.isnan(values)
-    if bad.any():
-        raise ValueError(
-            f"potential {expr.source!r} is non-finite ({values[bad][0]}) {where}"
-        )
     low = float(np.min(values)) if values.size else 0.0
+    if finite or math.isnan(low):
+        bad = ~np.isfinite(values) if finite else np.isnan(values)
+        if bad.any():
+            raise ValueError(
+                f"potential {expr.source!r} is non-finite ({values[bad][0]}) {where}"
+            )
     if low < -NEGATIVE_TOLERANCE:
         raise ValueError(
             f"negative potential value {low:.6g} {where} "

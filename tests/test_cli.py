@@ -231,6 +231,25 @@ class TestExitCodes:
         assert "exponent above 1024 (position 5)" in proc.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("args, message", [
+        (("thinness", "--potential", "x1^2", "--radii", "10,20,1e300"),
+         "radius = 1e+300 gives a ball volume beyond float range at nu = 2"),
+        (("thinness", "--potential", "x1^2", "--ell", "1e200"),
+         "ell = 1e+200 gives a ball volume beyond float range at nu = 2"),
+        (("sublevel", "--potential", "x1^2", "--nu", "3", "--R", "1e103"),
+         "R = 1e+103 gives a ball volume beyond float range at nu = 3"),
+        (("kernel-power", "--potential", "x1^2*x2^2", "--M", "1", "--R", "1e300",
+          "--L", "2", "--h", "0.25"),
+         "2kR = 6e+300 gives a ball volume beyond float range at nu = 2"),
+    ])
+    def test_radius_beyond_float_volume_is_a_configuration_error(self, tmp_path, capsys,
+                                                                   args, message):
+        # radius**nu in the ball volume would raise OverflowError mid-run
+        out = tmp_path / "out"
+        assert run_cli(*args, "--output-dir", str(out)) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not out.exists()
+
     def test_invalid_config_creates_no_output_dir(self, tmp_path, capsys):
         for i, args in enumerate(INVALID_CONFIGS):
             out = tmp_path / f"case-{i}"

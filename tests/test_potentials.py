@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from spectralab.operators import spectrum_study
 from spectralab.potentials import (
+    NEGATIVE_TOLERANCE,
     NonPolynomialError,
     ParseError,
     PolynomialForm,
     degeneracy_direction,
     evaluate,
+    guard_values,
     parse_potential,
     to_polynomial,
 )
@@ -70,6 +72,54 @@ def test_evaluate_batch_and_shape_errors():
         evaluate(v, [1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         evaluate(v, np.zeros((4, 3)))
+
+
+def test_evaluation_leaves_the_points_alone():
+    # nodes write into their children's temporaries, never into the points;
+    # a column-major batch gives the same values as a row-major one
+    pts = np.asfortranarray(np.random.default_rng(2).uniform(-3.0, 3.0, (500, 2)))
+    before = pts.copy()
+    for source in ("x1", "x1^3", "abs(x1) - x2", "exp(-x1^2) * (x2 + 1)", "-x2"):
+        v = parse_potential(source, 2)
+        values = evaluate(v, pts)
+        assert np.array_equal(values, evaluate(v, np.ascontiguousarray(pts)))
+        values += 1.0
+        assert np.array_equal(pts, before), source
+
+
+WHERE = "at a test point"
+
+
+@pytest.mark.parametrize("values, finite, message", [
+    ([1.0, np.nan, -5.0], False, "potential 'x1' is non-finite (nan) at a test point"),
+    ([1.0, np.inf, np.nan], True, "potential 'x1' is non-finite (inf) at a test point"),
+    ([1.0, -np.inf, np.inf], True, "potential 'x1' is non-finite (-inf) at a test point"),
+    ([1.0, -np.inf, np.inf], False,
+     "negative potential value -inf at a test point (tolerance 1e-09)"),
+    ([0.5, -1e-9, -2.5e-9], False,
+     "negative potential value -2.5e-09 at a test point (tolerance 1e-09)"),
+    ([0.5, -3.0, -1e-12], True,
+     "negative potential value -3 at a test point (tolerance 1e-09)"),
+])
+def test_guard_values_refusals(values, finite, message):
+    with pytest.raises(ValueError) as info:
+        guard_values(parse_potential("x1", 1), np.array(values), WHERE, finite=finite)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("finite", [False, True])
+@pytest.mark.parametrize("values", [
+    [0.0, -0.0, -1e-12, -NEGATIVE_TOLERANCE, 3.0],  # roundoff zeros in [-1e-9, 0)
+    [],
+])
+def test_guard_values_passes(values, finite):
+    values = np.array(values)
+    assert guard_values(parse_potential("x1", 1), values, WHERE, finite=finite) is values
+
+
+def test_guard_values_passes_plus_inf_unless_finite():
+    values = np.array([2.0, np.inf])
+    assert guard_values(parse_potential("exp(x1)", 1), values, WHERE) is values
 
 
 def test_precedence_and_associativity():

@@ -10,6 +10,7 @@ inline comments) for the cross region {|x1*x2| < 1}:
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -162,6 +163,22 @@ def test_thinness_strip_divergent():
     assert all(1.5 < q < 2.5 for q in report.tail_ratios)
 
 
+def test_thinness_allocation_peak_is_the_proposal_draw():
+    # Drawing an annulus's proposals holds the points, their norms and their
+    # radii, 2.7 arrays of budget x nu floats, and that sets the peak; the
+    # omega chunks and a group's held draws stay below it.  Whole 2**16-point
+    # blocks, evaluated while the proposals were held, read 4.6 arrays.
+    budget = 40_000
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        thinness(STRIP, 1.0, 2.0, 1.0, [10.0, 20.0, 40.0, 80.0], budget=budget, seed=0)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.0 * budget * 2 * 8
+
+
 def test_thinness_empty_sublevel_set():
     empty = parse_potential("1 + x1^2", 2)
     report = thinness(empty, 0.5, 2.0, 1.0, [1.0, 2.0, 4.0], budget=10_000, sub_budget=1_000, seed=2)
@@ -260,10 +277,10 @@ def test_omega_blocks_half_space_in_one_and_three_dimensions(nu):
 
 @pytest.mark.parametrize("nu", [1, 2, 3])
 def test_omega_blocks_match_a_per_center_reference(nu):
-    # One matrix product per block must give, bit for bit, what each center
-    # gets from its own rotation of the block's pattern.  Centers straddle
-    # the boundary of the unit ball at M = 1, and 70 centers at 2000 points
-    # make blocks of 32, 32 and a partial 6.
+    # The grouped QR and one matrix product per block must give, bit for
+    # bit, what each center gets from its own rotation of the block's
+    # pattern.  Centers straddle the boundary of the unit ball at M = 1, and
+    # 70 centers at 2000 points make blocks of 32, 32 and a partial 6.
     ell, sub_budget, seed, annulus = 0.5, 2_000, 3, 1
     V = parse_potential("+".join(f"x{k + 1}^2" for k in range(nu)), nu)
     rng = np.random.default_rng(nu)
@@ -275,7 +292,7 @@ def test_omega_blocks_match_a_per_center_reference(nu):
         block = centers[start : start + per_block]
         block_rng = derived_rng(seed, 2, annulus, "omega", b)
         pattern = sublevel._shell_points(nu, 0.0, ell, sub_budget, block_rng)
-        rot = sublevel._rotations(nu, block.shape[0], block_rng)
+        rot = sublevel._rotations(block_rng.standard_normal((block.shape[0], nu, nu)))
         for i, center in enumerate(block):
             inside = sublevel._membership(V, 1.0, pattern @ rot[i] + center)
             reference[start + i] = inside.mean() * ball_volume(nu, ell)
@@ -284,10 +301,54 @@ def test_omega_blocks_match_a_per_center_reference(nu):
     assert np.array_equal(omega, reference)
 
 
+def one_product_omega_batch(V, M, centers, ell, sub_budget, seed, annulus):
+    """Reference omega blocks: one QR per block, and one product
+    pattern @ [R_1 ... R_n] whose points run in (pattern point, center)
+    order; omega is the mean of each center's column."""
+    count, nu = centers.shape
+    vol = ball_volume(nu, ell)
+    per_block = max(1, sublevel._BLOCK_POINTS // sub_budget)
+    out = np.empty(count)
+    for b, start in enumerate(range(0, count, per_block)):
+        block = centers[start : start + per_block]
+        n = block.shape[0]
+        rng = derived_rng(seed, 2, annulus, "omega", b)
+        pattern = sublevel._shell_points(nu, 0.0, ell, sub_budget, rng)
+        q, r = np.linalg.qr(rng.standard_normal((n, nu, nu)))
+        rot = q * np.copysign(1.0, np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+        pts = pattern @ rot.transpose(1, 0, 2).reshape(nu, n * nu)
+        pts += block.reshape(1, n * nu)
+        inside = sublevel._membership(V, M, pts.reshape(-1, nu)).reshape(sub_budget, n)
+        out[start : start + per_block] = inside.mean(axis=0) * vol
+    return out
+
+
+@pytest.mark.parametrize("nu", [1, 2, 3])
+@pytest.mark.parametrize("count, sub_budget", [
+    (70, 2_000),    # blocks of 32, 32 and a partial 6
+    (33, 2_000),    # a last block of one center
+    (5, 40_000),    # one center per block
+    (200, 7),       # one block of 200 centers
+    (150, 1_000),   # blocks of 65, 65 and 20 centers; chunks of 16 and a last 1
+    (32 * 33 + 5, 2_000),  # 34 blocks; a group's patterns fit in one block: at most 32
+])
+def test_omega_blocks_equal_the_one_product_blocks(nu, count, sub_budget):
+    V = parse_potential("+".join(f"x{k + 1}^2" for k in range(nu))
+                        + ("+x1^2*x2^2" if nu > 1 else ""), nu)
+    # centers at distance 0.6 to 1.2 from 0: each 0.5-ball meets the boundary
+    rng = np.random.default_rng(nu)
+    centers = rng.standard_normal((count, nu))
+    centers *= (rng.uniform(0.6, 1.2, count) / np.linalg.norm(centers, axis=1))[:, None]
+    omega = sublevel._omega_batch(V, 1.0, centers, 0.5, sub_budget, 5, 2)
+    expected = one_product_omega_batch(V, 1.0, centers, 0.5, sub_budget, 5, 2)
+    assert np.count_nonzero((omega > 0.0) & (omega < ball_volume(nu, 0.5))) >= count // 2
+    assert np.array_equal(omega, expected)
+
+
 def test_rotations_are_orthogonal():
     rng = np.random.default_rng(9)
     for nu in (1, 2, 3):
-        q = sublevel._rotations(nu, 50, rng)
+        q = sublevel._rotations(rng.standard_normal((50, nu, nu)))
         gram = np.einsum("cki,ckj->cij", q, q)
         np.testing.assert_allclose(gram, np.broadcast_to(np.eye(nu), gram.shape), rtol=0, atol=1e-12)
 
