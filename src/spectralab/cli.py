@@ -9,7 +9,10 @@ A run resolves its configuration from the defaults, then an optional flat
 key = value config file, then command-line flags (flags win), validates it
 fully before any computation, and writes a JSON report, CSV tables,
 two-column .dat plot series, and a manifest with content digests into the
-output directory.
+output directory.  Validation calls the library's own input rules
+(operators.check_spectrum_inputs, sublevel.check_radii and
+sublevel.check_ball_volume), so a run refuses what a library call would,
+and refuses an output directory that is, or lies under, a file.
 
 Exit codes: 0 when all enabled checks pass (verdicts such as
 "not-stabilized" or "divergent-evidence" are findings, not failures),
@@ -40,8 +43,7 @@ from .kernels import (
     hs_diagnostics,
     kernel_power_bound,
 )
-from .linalg import MAX_EIGENPAIRS
-from .operators import Grid, check_schedule, potential_on_grid, spectrum_study
+from .operators import Grid, check_spectrum_inputs, potential_on_grid, spectrum_study
 from .potentials import parse_potential
 from .reports import (
     RunManifest,
@@ -57,7 +59,7 @@ from .reports import (
 from .sublevel import (
     MONTE_CARLO_MIN_BUDGET,
     Region,
-    ball_volume,
+    check_ball_volume,
     check_radii,
     measure,
     thinness,
@@ -229,17 +231,6 @@ def _check_bound(name: str, value, bound) -> None:
         raise ValueError(f"{name} must be {bound}")
 
 
-def _check_ball_volume(name: str, nu: int, radius: float) -> None:
-    """Refuse a radius whose nu-ball volume is beyond float range."""
-    try:
-        volume = ball_volume(nu, radius)
-    except OverflowError:
-        volume = math.inf
-    if not math.isfinite(volume):
-        raise ValueError(f"{name} = {radius:g} gives a ball volume beyond "
-                         f"float range at nu = {nu}")
-
-
 def _validate(config: RunConfig, used: list) -> None:
     sub = config.subcommand
     for name in used:
@@ -251,31 +242,21 @@ def _validate(config: RunConfig, used: list) -> None:
             raise ValueError(f"{sub} requires --potential")
         parse_potential(config.potential, config.nu)  # fail fast on bad text
     if sub == "spectrum":
-        check_schedule(config.L)
-        if config.k > MAX_EIGENPAIRS:
-            raise ValueError(f"k must be <= {MAX_EIGENPAIRS}")
-    elif "L" in used and len(config.L) != 1:
-        raise ValueError(f"{sub} takes exactly one box size in --L, "
-                         f"got {len(config.L)}")
-    if "L" in used:
-        for L in config.L:
-            grid = Grid(config.nu, L, config.h)
-            if sub != "spectrum":
-                grid.require_dense_budget()
-            elif config.k > grid.size:
-                raise ValueError(f"k = {config.k} exceeds the {grid.size} "
-                                 f"points of the L = {L:g} grid")
-            elif config.count_levels:
-                grid.require_factor_budget()
+        check_spectrum_inputs(config.nu, config.L, config.h, config.k,
+                              config.count_levels)
+    elif "L" in used:
+        if len(config.L) != 1:
+            raise ValueError(f"{sub} takes exactly one box size in --L, "
+                             f"got {len(config.L)}")
+        Grid(config.nu, config.L[0], config.h).require_dense_budget()
     if sub == "thinness":
-        radii = check_radii(config.radii)
-        _check_ball_volume("radius", config.nu, radii[-1])
-        _check_ball_volume("ell", config.nu, config.ell)
+        check_ball_volume("radius", config.nu, check_radii(config.radii)[-1])
+        check_ball_volume("ell", config.nu, config.ell)
     if sub == "sublevel":
         if config.budget < MONTE_CARLO_MIN_BUDGET:
             raise ValueError(f"budget must be >= {MONTE_CARLO_MIN_BUDGET} "
                              "(Monte Carlo minimum)")
-        _check_ball_volume("R", config.nu, config.R)
+        check_ball_volume("R", config.nu, config.R)
     if sub == "kernel-power":
         if 2 * config.k - 2 <= config.r:
             raise ValueError(
@@ -286,7 +267,10 @@ def _validate(config: RunConfig, used: list) -> None:
             raise ValueError(f"k = {config.k} exceeds the largest kernel power "
                              f"{MAX_KERNEL_POWER} (r = {config.r:g})")
         # the power bound's reach: its analytic constant is this ball's volume
-        _check_ball_volume("2kR", config.nu, 2.0 * config.k * config.R)
+        check_ball_volume("2kR", config.nu, 2.0 * config.k * config.R)
+    out = Path(config.output_dir)
+    if any(path.exists() and not path.is_dir() for path in (out, *out.parents)):
+        raise ValueError(f"output_dir {config.output_dir!r} is a file or lies under one")
 
 
 def _run_spectrum(config: RunConfig, out: Path):

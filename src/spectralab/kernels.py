@@ -60,7 +60,7 @@ from .linalg import expm_sym, singular_values
 from .operators import Grid, _second_difference, potential_on_grid
 from .potentials import PotentialExpr
 from .rng import derived_rng
-from .sublevel import ball_volume
+from .sublevel import ball_volume, check_ball_volume, check_positive
 
 __all__ = [
     "HEAT_MODES",
@@ -361,8 +361,7 @@ def heat_matrix(grid: Grid, s: float = 1.0, mode: str = "gaussian-kernel") -> Ke
     exponential's action.  The dense values are formed on first read, and
     only that read is held to the grid's dense-entry budget.
     """
-    if s <= 0:
-        raise ValueError("s must be > 0")
+    s = check_positive("s", s)
     if mode == "gaussian-kernel":
         factor = _gaussian_factor(grid, s)
         scale = _heat_peak(grid.nu, s)
@@ -521,11 +520,11 @@ def truncated_convolution(grid: Grid, s: float, R: float):
     outside radius R -- lattice offsets inside the difference box plus the
     analytic mass beyond it in closed form -- and upper-bounds |heat - F_R|
     in operator norm by the Schur test, since every discarded entry shows up
-    in the lattice sum.
+    in the lattice sum.  The lattice rule refuses a non-finite or negative
+    R, and check_positive refuses R = 0.
     """
-    if R <= 0:
-        raise ValueError("R must be > 0")
     cutoff = _lattice_cutoff(grid, R)
+    check_positive("R", R)
     heat = heat_matrix(grid, s)
     F = KernelMatrix._kronecker(grid, heat._factor, heat._scale, cutoff)
 
@@ -613,6 +612,9 @@ def kernel_power_bound(D: KernelMatrix, k: int, V: PotentialExpr, M: float,
 
     Everything is computed on the block U of the nonzero rows and columns
     of D together with the sublevel points (see the module docstring).
+    The reach 2kR is refused, before any product, when the lattice rule
+    refuses it or its ball volume, a reported constant, is beyond float
+    range (sublevel.check_ball_volume).
     """
     if not 2 <= k <= MAX_KERNEL_POWER:
         raise ValueError(f"k must be in 2..{MAX_KERNEL_POWER}, got {k}")
@@ -620,6 +622,7 @@ def kernel_power_bound(D: KernelMatrix, k: int, V: PotentialExpr, M: float,
     w = D.weight
     radius = 2.0 * k * R
     cutoff = _lattice_cutoff(grid, radius)
+    check_ball_volume("2kR", grid.nu, radius)
     chi_all = potential_on_grid(grid, V) < M
     index, block = D._on_block()
     reached = chi_all.copy()

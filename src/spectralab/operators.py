@@ -11,7 +11,9 @@ _shifted_factor: the solve and the Sylvester inertia count of one sparse
 LDL^T factor of H - shift I.  They are reported as
 box-stabilization evidence: a truncated box always has discrete spectrum,
 so discreteness claims rest on eigenvalues that stop moving as the box
-grows, and on counts N(level) that stay bounded.
+grows, and on counts N(level) that stay bounded.  check_spectrum_inputs
+holds every rule on a study's inputs; spectrum_study and cli both call it
+before any count or solve.
 """
 
 from __future__ import annotations
@@ -23,14 +25,16 @@ import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg  # noqa: F401  (registers sparse.linalg)
 
-from .linalg import lanczos_extremal
+from .linalg import MAX_EIGENPAIRS, lanczos_extremal
 from .potentials import PotentialExpr, evaluate, guard_values
+from .sublevel import check_positive
 
 __all__ = [
     "Grid",
     "SparseOperator",
     "SpectrumReport",
     "check_schedule",
+    "check_spectrum_inputs",
     "discrete_laplacian",
     "hamiltonian",
     "spectrum_study",
@@ -101,14 +105,6 @@ class Grid:
         """Whether a sparse factor on this grid stays within FACTOR_POINT_CAP."""
         return self.size <= FACTOR_POINT_CAP[self.nu]
 
-    def require_factor_budget(self) -> None:
-        """Guard for operations that need a sparse factor (inertia counts)."""
-        if not self.factor_fits:
-            raise ValueError(
-                f"sparse factor on {self.size} points exceeds the cap of "
-                f"{FACTOR_POINT_CAP[self.nu]} points at nu = {self.nu}"
-            )
-
     def require_dense_budget(self) -> None:
         """Guard for operations that materialize size x size kernels."""
         if self.size**2 > DENSE_ENTRY_BUDGET:
@@ -135,9 +131,6 @@ class SparseOperator:
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return self.matrix @ v
-
-    def to_dense(self) -> np.ndarray:
-        return self.matrix.toarray()
 
 
 def _second_difference(n: int, h: float) -> sparse.csr_matrix:
@@ -204,15 +197,36 @@ class SpectrumReport:
 
 
 def check_schedule(schedule) -> tuple:
-    """The box half-widths as floats, once they are >= 2 finite, strictly increasing values."""
-    schedule = tuple(float(L) for L in schedule)
+    """The box half-widths as floats, once they are >= 2 finite, positive,
+    strictly increasing values."""
+    schedule = tuple(check_positive("L", L) for L in schedule)
     if len(schedule) < 2:
         raise ValueError("schedule needs at least two box sizes")
-    if not all(np.isfinite(schedule)):
-        raise ValueError(f"schedule must be finite, got {schedule}")
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be strictly increasing")
     return schedule
+
+
+def check_spectrum_inputs(nu: int, schedule, h: float, k: int, count_levels=()) -> tuple:
+    """(schedule, count_levels) as float tuples, once spectrum_study can run on them.
+
+    Refuses a schedule that check_schedule refuses, k outside
+    1..MAX_EIGENPAIRS, and then box by box, smallest first: a Grid(nu, L, h)
+    that cannot be built, k above its points, and, when there are count
+    levels, a sparse factor over FACTOR_POINT_CAP.
+    """
+    schedule = check_schedule(schedule)
+    if not 1 <= k <= MAX_EIGENPAIRS:
+        raise ValueError(f"k must be between 1 and {MAX_EIGENPAIRS}, got {k}")
+    count_levels = tuple(float(level) for level in count_levels)
+    for L in schedule:
+        grid = Grid(nu, L, h)
+        if k > grid.size:
+            raise ValueError(f"k = {k} exceeds the {grid.size} points of the L = {L:g} grid")
+        if count_levels and not grid.factor_fits:
+            raise ValueError(f"sparse factor on {grid.size} points exceeds the cap of "
+                             f"{FACTOR_POINT_CAP[nu]} points at nu = {nu}")
+    return schedule, count_levels
 
 
 def _ldlt(matrix):
@@ -302,14 +316,13 @@ def spectrum_study(V: PotentialExpr, schedule, h: float, k: int, seed: int = 0,
     |H x - lambda x| / |x| below RESIDUAL_TOLERANCE.  seed and max_iters
     are lanczos_extremal's, as is SOLVER_TOLERANCE (see _box_spectrum).
     Eigensolver shortfalls are propagated as notes with partial data.
-    Counts come first, box by box, each from its own sparse factor: a box over
-    FACTOR_POINT_CAP, or a count level that the inertia cannot decide (see
-    _inertia_count), raises ValueError naming the box before any solve.
+    Inputs go through check_spectrum_inputs before any work.  Counts come
+    first, box by box, each from its own sparse factor: a count level that
+    the inertia cannot decide (see _inertia_count) raises ValueError naming
+    the box before any solve.
     """
-    schedule = check_schedule(schedule)
-    count_levels = tuple(float(level) for level in count_levels)
-    if count_levels:
-        Grid(V.dimension, schedule[-1], h).require_factor_budget()
+    schedule, count_levels = check_spectrum_inputs(V.dimension, schedule, h, k,
+                                                   count_levels)
     counting = tuple(_box_counts(V, L, h, count_levels) for L in schedule)
 
     # Largest box first: each smaller box's factor then fits in heap memory

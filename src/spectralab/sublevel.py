@@ -11,6 +11,12 @@ group of blocks draws first and makes all its rotations in one stacked QR;
 then each chunk of a block's centers is one matrix product into
 column-major points in (center, pattern point) order.
 Scalar reductions use math.fsum (exact compensated summation).
+
+Every entry point checks its inputs before it draws a sample:
+check_positive refuses a height, exponent or radius that is not finite
+and > 0 (NaN and +-inf included), and check_ball_volume also refuses a
+radius whose nu-ball volume is beyond float range.  cli calls the same
+two rules, so a run refuses what the library refuses.
 """
 
 from __future__ import annotations
@@ -34,6 +40,8 @@ __all__ = [
     "local_measure",
     "decay_fit",
     "thinness",
+    "check_ball_volume",
+    "check_positive",
     "check_radii",
 ]
 
@@ -44,6 +52,27 @@ MONTE_CARLO_MIN_BUDGET = 1_000
 
 def ball_volume(nu: int, radius: float) -> float:
     return math.pi ** (nu / 2.0) / math.gamma(nu / 2.0 + 1.0) * radius**nu
+
+
+def check_positive(name: str, value) -> float:
+    """`value` as a float, once it is finite and > 0."""
+    value = float(value)
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {value:g}")
+    return value
+
+
+def check_ball_volume(name: str, nu: int, radius) -> float:
+    """`radius` as a float, once it is finite, > 0 and its nu-ball volume
+    is within float range."""
+    radius = check_positive(name, radius)
+    try:
+        if ball_volume(nu, radius) < math.inf:
+            return radius
+    except OverflowError:  # radius**nu
+        pass
+    raise ValueError(f"{name} = {radius:g} gives a ball volume beyond "
+                     f"float range at nu = {nu}")
 
 
 @dataclass(frozen=True)
@@ -57,9 +86,8 @@ class Region:
         center = tuple(float(c) for c in np.atleast_1d(self.center))
         object.__setattr__(self, "center", center)
         radius = float(np.asarray(self.radius).reshape(()))
-        if radius <= 0:
-            raise ValueError("ball radius must be > 0")
-        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "radius",
+                           check_ball_volume("ball radius", len(center), radius))
 
     @property
     def dimension(self) -> int:
@@ -70,8 +98,9 @@ class Region:
         return ball_volume(self.dimension, self.radius)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        center = np.asarray(self.center)
-        return center + _shell_points(self.dimension, 0.0, self.radius, n, rng)
+        points = _shell_points(self.dimension, 0.0, self.radius, n, rng)
+        points += np.asarray(self.center)
+        return points
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
         delta = pts - np.asarray(self.center)
@@ -149,8 +178,7 @@ def _membership(V: PotentialExpr, M: float, pts: np.ndarray) -> np.ndarray:
 
 def indicator(V: PotentialExpr, M: float, x) -> bool:
     """Membership of x in Omega_M(V) = {0 <= V < M}."""
-    if M <= 0:
-        raise ValueError("M must be > 0")
+    M = check_positive("M", M)
     pts = np.asarray(x, dtype=float).reshape(1, -1)
     return bool(_membership(V, M, pts)[0])
 
@@ -171,8 +199,7 @@ def measure(
     over the ball's bounding cube that lie in the ball (std_error 0);
     `budget` is the target cell count of the cube.
     """
-    if M <= 0:
-        raise ValueError("M must be > 0")
+    M = check_positive("M", M)
     if region.dimension != V.dimension:
         raise ValueError("region dimension does not match potential dimension")
     if method == "monte-carlo":
@@ -214,8 +241,7 @@ def local_measure(
     method: str = "monte-carlo",
 ) -> MeasureEstimate:
     """omega_x^ell(Omega_M) = |Omega_M cap ball(x, ell)|."""
-    if ell <= 0:
-        raise ValueError("ell must be > 0")
+    ell = check_positive("ell", ell)
     region = Region(tuple(np.atleast_1d(np.asarray(x, dtype=float))), ell)
     return measure(V, M, region, method=method, budget=budget, seed=seed)
 
@@ -338,9 +364,8 @@ def _omega_batch(V, M, centers, ell, sub_budget, seed, annulus) -> np.ndarray:
 
 def check_radii(radii) -> list:
     """The radii as floats, once they are >= 3 strictly increasing finite positives."""
-    radii = [float(R) for R in radii]
-    if (len(radii) < 3 or any(b <= a for a, b in zip(radii, radii[1:])) or radii[0] <= 0
-            or not all(np.isfinite(radii))):
+    radii = [check_positive("radius", R) for R in radii]
+    if len(radii) < 3 or any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be at least three strictly increasing "
                          "finite positive values")
     return radii
@@ -383,16 +408,16 @@ def thinness(
     both > 0.9 as divergent-evidence, anything else inconclusive.  This is
     numerical evidence about a truncated integral, not a proof.
     """
+    nu = V.dimension
     radii = check_radii(radii)
-    if r <= 0:
-        raise ValueError("r must be > 0")
-    if ell <= 0:
-        raise ValueError("ell must be > 0")
+    M = check_positive("M", M)
+    r = check_positive("r", r)
+    ell = check_ball_volume("ell", nu, ell)
+    check_ball_volume("radius", nu, radii[-1])
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if sub_budget < 1:
         raise ValueError("sub_budget must be >= 1")
-    nu = V.dimension
     increments = []
     bounds = [0.0] + radii
     for j, (ra, rb) in enumerate(zip(bounds, bounds[1:])):

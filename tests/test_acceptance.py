@@ -156,7 +156,7 @@ def test_criterion_4_discretization_oracles(capsys):
 
     # 1-D Dirichlet Laplacian: closed-form sine-squared eigenvalues
     gd = Grid(1, 0.495, 0.01)  # walls at +-0.5, so 2L + h = 1 exactly
-    lap = discrete_laplacian(gd).to_dense()
+    lap = discrete_laplacian(gd).matrix.toarray()
     computed = np.linalg.eigvalsh(lap)
     j = np.arange(1, gd.size + 1)
     exact = 4.0 * np.sin(j * math.pi * gd.spacing / 2.0) ** 2 / gd.spacing**2

@@ -321,6 +321,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "2k - 2 > r" in err and "3" in err
 
+    @pytest.mark.parametrize("under", ["", "sub/out"], ids=["file", "under a file"])
+    def test_output_dir_on_a_file_is_a_configuration_error(self, tmp_path, capsys, under):
+        # mkdir used to end in FileExistsError or NotADirectoryError: exit 1
+        blocker = tmp_path / "blocker"
+        blocker.write_text("x")
+        out = blocker / under if under else blocker
+        assert run_cli("inequalities", "--trials", "1", "--dim", "2",
+                       "--output-dir", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err == (f"configuration error: output_dir {str(out)!r} is a file "
+                       "or lies under one\n")
+        assert sorted(tmp_path.iterdir()) == [blocker]
+        assert blocker.read_text() == "x"
+
     def test_missing_config_file_is_two(self, tmp_path):
         assert run_cli("sublevel", "--config", str(tmp_path / "absent.cfg")) == 2
 

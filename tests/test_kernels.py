@@ -179,7 +179,7 @@ class TestHeatMatrix:
         for nu, L, h in ((1, 2.0, 0.25), (2, 1.5, 0.25)):
             g = Grid(nu, L, h)
             K = heat_matrix(g, 0.8, "expm-of-laplacian")
-            dense = discrete_laplacian(g).to_dense()
+            dense = discrete_laplacian(g).matrix.toarray()
             oracle = expm(-0.8 * dense)
             np.testing.assert_allclose(g.weight * K.values, oracle,
                                        rtol=1e-10, atol=1e-12)

@@ -128,13 +128,13 @@ class TestDiscreteLaplacian:
         # 2L + h = 1, so the walls sit at +-1/2 and the closed form applies
         # with N + 1 = 1/h.
         g = Grid(1, 0.495, 0.01)
-        vals = np.linalg.eigvalsh(discrete_laplacian(g).to_dense())
+        vals = np.linalg.eigvalsh(discrete_laplacian(g).matrix.toarray())
         exact = dirichlet_eigenvalues(0.495, 0.01)
         np.testing.assert_allclose(vals, exact, rtol=1e-10)
 
     def test_positive_semidefinite(self):
         g = Grid(2, 1.0, 0.25)
-        vals = np.linalg.eigvalsh(discrete_laplacian(g).to_dense())
+        vals = np.linalg.eigvalsh(discrete_laplacian(g).matrix.toarray())
         assert vals[0] >= -1e-12 * vals[-1]
 
     def test_annihilates_constants_away_from_walls(self):
@@ -152,7 +152,7 @@ class TestDiscreteLaplacian:
         u = rng.standard_normal(n)
         v = rng.standard_normal(n)
         field = np.outer(u, v).ravel()
-        T = discrete_laplacian(Grid(1, 1.0, 0.25)).to_dense()
+        T = discrete_laplacian(Grid(1, 1.0, 0.25)).matrix.toarray()
         expected = (np.outer(T @ u, v) + np.outer(u, T @ v)).ravel()
         got = discrete_laplacian(g).matvec(field)
         np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-11)
@@ -160,7 +160,7 @@ class TestDiscreteLaplacian:
     def test_matches_lanczos_route_in_2d(self):
         g = Grid(2, 1.0, 0.25)
         lap = discrete_laplacian(g)
-        dense = np.linalg.eigvalsh(lap.to_dense())[:3]
+        dense = np.linalg.eigvalsh(lap.matrix.toarray())[:3]
         sparse_route = lanczos_extremal(lap.matvec, g.size, 3, max_iters=200)
         assert sparse_route.converged
         np.testing.assert_allclose(sparse_route.eigenvalues, dense, rtol=1e-10)
@@ -170,14 +170,14 @@ class TestHamiltonian:
     def test_adds_potential_on_the_diagonal(self):
         g = Grid(1, 2.0, 0.5)
         V = parse_potential("x1^2", 1)
-        H = hamiltonian(g, V).to_dense()
-        expected = discrete_laplacian(g).to_dense() + np.diag(g.axis**2)
+        H = hamiltonian(g, V).matrix.toarray()
+        expected = discrete_laplacian(g).matrix.toarray() + np.diag(g.axis**2)
         np.testing.assert_array_equal(H, expected)
 
     def test_harmonic_oscillator_levels(self):
         g = Grid(1, 10.0, 0.05)
         H = hamiltonian(g, parse_potential("x1^2", 1))
-        vals = np.linalg.eigvalsh(H.to_dense())[:5]
+        vals = np.linalg.eigvalsh(H.matrix.toarray())[:5]
         np.testing.assert_allclose(vals, [1, 3, 5, 7, 9], rtol=1e-2)
 
     def test_rejects_negative_potential(self):
@@ -193,7 +193,7 @@ class TestHamiltonian:
     def test_min_max_monotonicity_under_diagonal_bumps(self):
         # Adding a nonnegative diagonal never decreases any eigenvalue.
         g = Grid(2, 1.0, 0.25)
-        H = hamiltonian(g, parse_potential("x1^2 + x2^2", 2)).to_dense()
+        H = hamiltonian(g, parse_potential("x1^2 + x2^2", 2)).matrix.toarray()
         base = np.linalg.eigvalsh(H)
         for trial in range(20):
             rng = derived_rng(31, "minmax", trial)
@@ -207,9 +207,9 @@ class TestHamiltonian:
         # calibrated from the analytic levels.
         exact = np.array([1.0, 3.0, 5.0, 7.0, 9.0])
         coarse = np.linalg.eigvalsh(
-            hamiltonian(Grid(1, 10.0, 0.1), parse_potential("x1^2", 1)).to_dense())[:5]
+            hamiltonian(Grid(1, 10.0, 0.1), parse_potential("x1^2", 1)).matrix.toarray())[:5]
         fine = np.linalg.eigvalsh(
-            hamiltonian(Grid(1, 10.0, 0.05), parse_potential("x1^2", 1)).to_dense())[:5]
+            hamiltonian(Grid(1, 10.0, 0.05), parse_potential("x1^2", 1)).matrix.toarray())[:5]
         err_coarse = np.abs(coarse - exact)
         change = np.abs(fine - coarse)
         # second-order prediction for the change is (3/4) of the coarse error
@@ -256,7 +256,7 @@ class TestSpectrumStudy:
             rep = spectrum_study(V, schedule, h, 2, count_levels=levels)
             for L, counts in zip(schedule, rep.counting):
                 grid = Grid(nu, L, h)
-                dense = np.linalg.eigvalsh(hamiltonian(grid, V).to_dense())
+                dense = np.linalg.eigvalsh(hamiltonian(grid, V).matrix.toarray())
                 assert counts == tuple(int(np.sum(dense < level)) for level in levels)
             assert rep.counting[-1][-1] > 2
 
@@ -333,7 +333,7 @@ class TestSpectrumStudy:
             rep = spectrum_study(V, schedule, h, 5)
             assert len(factors) == 2 * len(schedule)
             for L, values in zip(schedule, rep.eigenvalues):
-                dense = np.linalg.eigvalsh(hamiltonian(Grid(nu, L, h), V).to_dense())
+                dense = np.linalg.eigvalsh(hamiltonian(Grid(nu, L, h), V).matrix.toarray())
                 np.testing.assert_allclose(values, dense[:5], rtol=1e-12, atol=0)
 
     def test_inertia_brackets_the_showcase_values(self):
@@ -385,7 +385,7 @@ class TestSpectrumStudy:
         # the largest box solves first; only its run skipped a pair
         assert len(sweeps) == 1 and len(runs) > 2
         for L, values in zip(schedule, rep.eigenvalues):
-            dense = np.linalg.eigvalsh(hamiltonian(Grid(2, L, 0.2), V).to_dense())
+            dense = np.linalg.eigvalsh(hamiltonian(Grid(2, L, 0.2), V).matrix.toarray())
             np.testing.assert_allclose(values, dense[:5], rtol=1e-12, atol=0)
         assert rep.notes == ()
 

@@ -195,6 +195,25 @@ def test_thinness_budget_guard():
         thinness(CROSS, 1.0, -1.0, 1.0, [10.0, 20.0, 40.0], budget=10_000)
 
 
+@pytest.mark.parametrize("call, name", [
+    # each of these once gave an answer or a misleading error:
+    (lambda: thinness(CROSS, math.nan, 2.0, 1.0, (10.0, 20.0, 40.0, 80.0), budget=2_000),
+     "M"),        # convergent-evidence: no point lies below a NaN height
+    (lambda: thinness(CROSS, 1.0, math.inf, 1.0, (10.0, 20.0, 40.0, 80.0), budget=2_000),
+     "r"),        # convergent-evidence: omega**inf is 0 for omega < 1
+    (lambda: measure(CROSS, 1.0, Region((0.0, 0.0), math.inf), budget=1_000),
+     "ball radius"),  # value nan
+    (lambda: local_measure(CROSS, 1.0, (0.0, 0.0), math.nan),
+     "ell"),      # "potential ... is non-finite (nan) at a sample point"
+    (lambda: measure(CROSS, 1.0, Region((0.0, 0.0), math.nan), budget=1_000),
+     "ball radius"),  # the same
+], ids=["thinness M=nan", "thinness r=inf", "measure radius=inf", "local_measure ell=nan",
+        "measure radius=nan"])
+def test_non_finite_inputs_are_refused_not_answered(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite and > 0, got "):
+        call()
+
+
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 def test_thinness_rejects_non_finite_radii(bad):
     # an infinite last radius used to end the divergent strip at
