@@ -1,115 +1,18 @@
 """Numerical laboratory for sublevel-set geometry, semigroup inequalities,
-and compactness diagnostics of discretized Schrodinger operators."""
+and compactness diagnostics of discretized Schrodinger operators.
+
+The package re-exports every name in the __all__ of each of its library
+modules (cli is the command line and is imported on its own), so each
+module's __all__ is the one list of its public names.
+"""
 
 __version__ = "0.1.0"
 
-from .inequalities import (
-    InequalityReport,
-    batch_summary,
-    compactness_proxy,
-    golden_thompson,
-    half_product_bound,
-    inequality_batch,
-    product_spectrum_match,
-    segal,
-    trotter_sequence,
-    wedge_norm_identity,
-    wedge_segal_chain,
-)
-from .kernels import (
-    BoundCheck,
-    CompactnessDiagnostics,
-    KernelMatrix,
-    compose_C,
-    d_kernel,
-    domination_check,
-    gaussian_squared_mass,
-    heat_matrix,
-    hs_diagnostics,
-    kernel_power_bound,
-    multiply_function,
-    operator_norm,
-    split_tail,
-    truncated_convolution,
-)
-from .linalg import lanczos_extremal
-from .operators import (
-    Grid,
-    SparseOperator,
-    SpectrumReport,
-    discrete_laplacian,
-    hamiltonian,
-    potential_on_grid,
-    spectrum_study,
-)
-from .potentials import PotentialExpr, evaluate, parse_potential
-from .reports import RunManifest, emit_plot_data, file_digest, to_jsonable, write_json
-from .rng import derived_rng
-from .sublevel import (
-    DecayFit,
-    MeasureEstimate,
-    Region,
-    ThinnessReport,
-    ball_volume,
-    decay_fit,
-    indicator,
-    local_measure,
-    measure,
-    thinness,
-)
-
-__all__ = [
-    "__version__",
-    "BoundCheck",
-    "CompactnessDiagnostics",
-    "DecayFit",
-    "Grid",
-    "InequalityReport",
-    "KernelMatrix",
-    "MeasureEstimate",
-    "PotentialExpr",
-    "Region",
-    "RunManifest",
-    "SparseOperator",
-    "SpectrumReport",
-    "ThinnessReport",
-    "ball_volume",
-    "batch_summary",
-    "compactness_proxy",
-    "compose_C",
-    "d_kernel",
-    "decay_fit",
-    "derived_rng",
-    "discrete_laplacian",
-    "domination_check",
-    "emit_plot_data",
-    "evaluate",
-    "file_digest",
-    "gaussian_squared_mass",
-    "golden_thompson",
-    "half_product_bound",
-    "hamiltonian",
-    "heat_matrix",
-    "hs_diagnostics",
-    "indicator",
-    "inequality_batch",
-    "kernel_power_bound",
-    "lanczos_extremal",
-    "local_measure",
-    "measure",
-    "multiply_function",
-    "operator_norm",
-    "parse_potential",
-    "potential_on_grid",
-    "product_spectrum_match",
-    "segal",
-    "split_tail",
-    "spectrum_study",
-    "thinness",
-    "to_jsonable",
-    "trotter_sequence",
-    "truncated_convolution",
-    "wedge_norm_identity",
-    "wedge_segal_chain",
-    "write_json",
-]
+from .inequalities import *
+from .kernels import *
+from .linalg import *
+from .operators import *
+from .potentials import *
+from .reports import *
+from .rng import *
+from .sublevel import *

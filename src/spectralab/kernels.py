@@ -386,8 +386,10 @@ def split_tail(C: KernelMatrix, V: PotentialExpr, m: float):
 
     Returns (C_m, D_m, norms) where norms records the two operator norms
     next to the reference level e^{-m}: on the sublevel complement V >= m,
-    so every column of D_m is damped by at least e^{-m}.
+    so every column of D_m is damped by at least e^{-m}.  A NaN m is refused.
     """
+    if math.isnan(m):
+        raise ValueError("m must not be NaN")
     chi = (potential_on_grid(C.grid, V) < m).astype(float)
     C_m = multiply_function(C, chi)
     D_m = multiply_function(C, 1.0 - chi)
@@ -546,7 +548,9 @@ def d_kernel(grid: Grid, V: PotentialExpr, M: float, R: float) -> KernelMatrix:
     """0/1 proximity kernel chi(x) [|x-y| <= 2R] chi(y) on the sublevel set.
 
     Held in block form on the sublevel points; only that block is formed.
+    M must be finite and > 0 (sublevel.check_positive).
     """
+    M = check_positive("M", M)
     cutoff = _lattice_cutoff(grid, 2.0 * R)
     inside = np.flatnonzero(potential_on_grid(grid, V) < M)
     at = _coordinates(grid, inside)
@@ -614,10 +618,12 @@ def kernel_power_bound(D: KernelMatrix, k: int, V: PotentialExpr, M: float,
     of D together with the sublevel points (see the module docstring).
     The reach 2kR is refused, before any product, when the lattice rule
     refuses it or its ball volume, a reported constant, is beyond float
-    range (sublevel.check_ball_volume).
+    range (sublevel.check_ball_volume), and so is an M that is not finite
+    and > 0 (sublevel.check_positive).
     """
     if not 2 <= k <= MAX_KERNEL_POWER:
         raise ValueError(f"k must be in 2..{MAX_KERNEL_POWER}, got {k}")
+    M = check_positive("M", M)
     grid = D.grid
     w = D.weight
     radius = 2.0 * k * R

@@ -37,6 +37,7 @@ __all__ = [
     "check_spectrum_inputs",
     "discrete_laplacian",
     "hamiltonian",
+    "potential_on_grid",
     "spectrum_study",
 ]
 
@@ -211,14 +212,18 @@ def check_spectrum_inputs(nu: int, schedule, h: float, k: int, count_levels=()) 
     """(schedule, count_levels) as float tuples, once spectrum_study can run on them.
 
     Refuses a schedule that check_schedule refuses, k outside
-    1..MAX_EIGENPAIRS, and then box by box, smallest first: a Grid(nu, L, h)
-    that cannot be built, k above its points, and, when there are count
-    levels, a sparse factor over FACTOR_POINT_CAP.
+    1..MAX_EIGENPAIRS, a count level that is NaN or infinite, and then box
+    by box, smallest first: a Grid(nu, L, h) that cannot be built, k above
+    its points, and, when there are count levels, a sparse factor over
+    FACTOR_POINT_CAP.
     """
     schedule = check_schedule(schedule)
     if not 1 <= k <= MAX_EIGENPAIRS:
         raise ValueError(f"k must be between 1 and {MAX_EIGENPAIRS}, got {k}")
     count_levels = tuple(float(level) for level in count_levels)
+    for level in count_levels:
+        if not np.isfinite(level):
+            raise ValueError(f"count level must be finite, got {level:g}")
     for L in schedule:
         grid = Grid(nu, L, h)
         if k > grid.size:

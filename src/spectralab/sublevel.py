@@ -259,7 +259,8 @@ def decay_fit(
     Models omega_{t*ray}^ell ~ C * (t+1)^(-exponent).  Every probe point
     t*ray must lie in Omega_M.  Each omega is a grid quadrature of `budget`
     cells on the same ball-centered grid at every probe, so a
-    translation-invariant omega fits exponent 0 exactly.
+    translation-invariant omega fits exponent 0 exactly.  Distances must be
+    finite and >= 0, so that log(t + 1) is defined.
     """
     ray = np.asarray(ray_direction, dtype=float)
     norm = float(np.linalg.norm(ray))
@@ -267,6 +268,8 @@ def decay_fit(
         raise ValueError("ray_direction must be nonzero")
     ray = ray / norm
     ts = [float(t) for t in distances]
+    if not all(0.0 <= t < math.inf for t in ts):
+        raise ValueError(f"distances must be finite and >= 0, got {ts}")
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValueError("distances must be strictly increasing")
     omegas = []

@@ -7,20 +7,31 @@ Rules:
    refused wherever a height, exponent, time or radius must be > 0;
 2. ball volume within float range (sublevel.check_ball_volume);
 3. the spectrum study's inputs (operators.check_spectrum_inputs).
+
+Beyond these, split_tail refuses a NaN level and decay_fit a distance that
+is negative or not finite.
 """
 
 import math
 
 import pytest
 
-from spectralab import linalg, operators, sublevel
-from spectralab.kernels import d_kernel, heat_matrix, kernel_power_bound, truncated_convolution
+from spectralab import kernels, linalg, operators, sublevel
+from spectralab.kernels import (
+    compose_C,
+    d_kernel,
+    heat_matrix,
+    kernel_power_bound,
+    split_tail,
+    truncated_convolution,
+)
 from spectralab.operators import Grid, check_schedule, check_spectrum_inputs, spectrum_study
 from spectralab.potentials import parse_potential
 from spectralab.sublevel import (
     Region,
     check_ball_volume,
     check_radii,
+    decay_fit,
     indicator,
     local_measure,
     measure,
@@ -159,3 +170,65 @@ def test_spectrum_inputs_pass_through_as_floats():
     assert check_spectrum_inputs(1, (4.0, 6.0), 0.1, linalg.MAX_EIGENPAIRS) == \
         ((4.0, 6.0), ())
 
+
+
+def fail_on_evaluation(*args):
+    raise AssertionError("evaluated the potential before refusing the input")
+
+
+@pytest.mark.parametrize("value", BAD, ids=["nan", "inf", "-inf", "0"])
+@pytest.mark.parametrize("power", [False, True], ids=["d_kernel", "kernel_power_bound"])
+def test_kernel_heights_refused_before_any_evaluation(monkeypatch, power, value):
+    # a NaN M used to give d_kernel an empty block, and kernel_power_bound
+    # passed both of its checks with HS norm 0
+    D = d_kernel(GRID, CROSS, 1.0, 0.5)
+    monkeypatch.setattr(kernels, "potential_on_grid", fail_on_evaluation)
+    with pytest.raises(ValueError) as info:
+        if power:
+            kernel_power_bound(D, 2, CROSS, value, 0.5)
+        else:
+            d_kernel(GRID, CROSS, value, 0.5)
+    assert str(info.value) == f"M must be finite and > 0, got {value:g}"
+
+
+def test_split_tail_refuses_a_nan_level(monkeypatch):
+    # it used to report the reference level e^{-m} as 0.0
+    C = compose_C(GRID, CROSS)
+    monkeypatch.setattr(kernels, "potential_on_grid", fail_on_evaluation)
+    with pytest.raises(ValueError) as info:
+        split_tail(C, CROSS, math.nan)
+    assert str(info.value) == "m must not be NaN"
+
+
+@pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_count_level_refused_before_any_grid_or_factor(monkeypatch, level):
+    # NaN used to reach a SuperLU factor of H - nan I, and +inf counted every
+    # eigenvalue of each box from the factor of H - inf I
+    def fail(*args, **kwargs):
+        raise AssertionError("built a grid, operator or factor before refusing the level")
+
+    for name in ("Grid", "hamiltonian", "_ldlt"):
+        monkeypatch.setattr(operators, name, fail)
+    V = parse_potential("x1^2", 1)
+    for call in (lambda: check_spectrum_inputs(1, (4.0, 6.0), 0.1, 3, (1.0, level)),
+                 lambda: spectrum_study(V, (4.0, 6.0), 0.1, 3, count_levels=(1.0, level))):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == f"count level must be finite, got {level:g}"
+
+
+@pytest.mark.parametrize("distances", [(-2.0, 5.0, 10.0), (math.nan, 5.0, 10.0),
+                                       (0.0, 5.0, math.inf)],
+                         ids=["negative", "nan", "inf"])
+def test_decay_fit_distances_refused_before_any_quadrature(monkeypatch, distances):
+    # (-2, 5, 10) used to fit exponent nan and constant nan
+    monkeypatch.setattr(sublevel, "local_measure", fail_on_evaluation)
+    with pytest.raises(ValueError) as info:
+        decay_fit(CROSS, 1.0, 1.0, (1.0, 0.0), distances)
+    assert str(info.value) == f"distances must be finite and >= 0, got {list(distances)}"
+
+
+def test_decay_fit_takes_distance_zero():
+    fit = decay_fit(parse_potential("0", 2), 1.0, 1.0, (1.0, 0.0), (0.0, 1.0, 2.0),
+                    budget=10_000)
+    assert fit.distances == (0.0, 1.0, 2.0) and fit.exponent == 0.0
