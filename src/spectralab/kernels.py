@@ -25,7 +25,9 @@ of the dense `values`:
   that form, truncated_convolution the same form with a lattice cutoff
   (entries at larger lattice offsets are 0), and multiply_function of
   either multiplies the scale.  hs_diagnostics takes the row and column
-  sums of K^2 from the factor and forms only the masked columns;
+  sums of K^2 and the HS norm from the factor, the singular values in the
+  factor's eigenbasis, and the domination excess over chunks of the masked
+  columns, so it never holds the N x |mask| block;
   domination_check forms only the nonzero columns of its C; operator_norm
   runs ARPACK on the Gram map at every size, through k1 (one n x n product
   per axis, O(N n)) when no cutoff is held and through the dense values
@@ -56,7 +58,7 @@ from functools import cached_property, reduce
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from .linalg import expm_sym, singular_values
+from .linalg import expm_sym, singular_values, symmetric_singular_values
 from .operators import Grid, _second_difference, potential_on_grid
 from .potentials import PotentialExpr
 from .rng import derived_rng
@@ -89,6 +91,20 @@ MAX_KERNEL_POWER = 30
 # criterion-7 kernel sequence take 97 Gram products in all at 10 (147 at
 # ARPACK's default of 20), each within 7e-16 of the SVD value.
 NORM_BASIS = 10
+# Eigenvalue products of the heat factor below this share of the largest are
+# left out of hs_diagnostics' singular values.  By Weyl's inequality each
+# weighted value then moves by at most w * KRON_EIGEN_FLOOR * ||f||_2^nu *
+# max |scale| (_kron_singular_values), which for heat_matrix kernels is about
+# KRON_EIGEN_FLOOR times ||w K||, below the SVD's own roundoff of 1.1e-16
+# times it.  The README box keeps 715 (gaussian-kernel) and 485
+# (expm-of-laplacian) of its 6400 rows.
+KRON_EIGEN_FLOOR = 1e-17
+# Entries of one column chunk of hs_diagnostics' domination excess (2 MB per
+# kernel).  Every chunk size gives the same excess, a maximum of the same
+# entries, in about the same time (2**14 to 2**22 entries measured alike);
+# the two chunks held at once are a third of the N x |mask| block at the
+# bench box and a twentieth at the README box.
+HS_CHUNK_ENTRIES = 2**18
 
 
 def _require_finite(entries: np.ndarray) -> None:
@@ -453,6 +469,51 @@ def _dominating_heat_kernel(grid: Grid, s: float, mode: str) -> KernelMatrix:
     return KernelMatrix._kronecker(grid, factor, np.ones(grid.size))
 
 
+def _kron_singular_values(factor: np.ndarray, nu: int, scale: np.ndarray,
+                          cols: np.ndarray) -> np.ndarray:
+    """Singular values of (f (x) ... (x) f)[:, cols] diag(scale[cols]) for a
+    symmetric n x n factor f, sorted descending, cols.size of them.
+
+    With f = U Lambda U^T (one eigh), U (x) ... (x) U is orthogonal, so they
+    are the singular values of B = (Lambda (x) ... (x) Lambda)
+    (U (x) ... (x) U)^T[:, cols] diag(scale[cols]) (Van Loan 2000).  The rows
+    of B whose eigenvalue product |lambda_a1 ... lambda_anu| falls below
+    KRON_EIGEN_FLOOR times the largest, ||f||_2^nu, are dropped, and the
+    missing values are zeros.  The dropped rows form a block E with
+    ||E||_2 <= KRON_EIGEN_FLOOR ||f||_2^nu max |scale[cols]|, since a block of
+    an orthogonal matrix has norm <= 1; by Weyl's inequality for singular
+    values, |sigma_i(B) - sigma_i(B with E zeroed)| <= ||E||_2, so each value
+    moves by at most that bound.  B is formed on the kept rows only, one
+    per-axis gather U^T[a_axis, c_axis] at a time.
+    """
+    lam, U = np.linalg.eigh(factor)
+    n = lam.size
+    weights = reduce(np.multiply.outer, [np.abs(lam)] * nu).ravel()
+    keep = np.flatnonzero(weights >= KRON_EIGEN_FLOOR * np.max(weights))
+    gathers = zip(np.unravel_index(keep, (n,) * nu), np.unravel_index(cols, (n,) * nu))
+    B = reduce(np.multiply, (U.T[np.ix_(a, c)] for a, c in gathers))
+    B *= weights[keep, None]
+    B *= scale[cols]
+    sv = np.zeros(cols.size)
+    sv[:min(keep.size, cols.size)] = singular_values(B)
+    return sv
+
+
+def _largest_excess(K: KernelMatrix, dominating: KernelMatrix, cols: np.ndarray) -> float:
+    """max of |K| - dominating over the columns cols (0.0 when there are
+    none), formed HS_CHUNK_ENTRIES entries of each kernel at a time."""
+    step = max(1, HS_CHUNK_ENTRIES // K.grid.size)
+    excess = -math.inf if cols.size else 0.0
+    for start in range(0, cols.size, step):
+        chunk = cols[start:start + step]
+        # |K| - dominating on this chunk, in the two arrays formed for it
+        gap = K._columns(chunk)
+        np.abs(gap, out=gap)
+        gap -= dominating._columns(chunk)
+        excess = max(excess, float(np.max(gap)))
+    return excess
+
+
 def hs_diagnostics(K: KernelMatrix, mask, s: float = 1.0,
                    mode: str = "gaussian-kernel") -> CompactnessDiagnostics:
     """Compactness evidence for the masked operator K chi.
@@ -464,12 +525,24 @@ def hs_diagnostics(K: KernelMatrix, mask, s: float = 1.0,
     of K and their gap, the sup-bound estimate of the HS norm, and the
     sharper Gaussian-mass estimate HS^2 <= |f|_{L2}^2 * |masked region|.
 
-    Only the N x |mask| masked columns are formed.  K^2 is separable like K,
-    so its row sums are one Kronecker apply of factor^2 to scale^2, and its
-    column sums the Kronecker product of the 1-D column sums times scale^2.
-    A kernel not in Kronecker form, or cut at a lattice offset, is refused.
+    The N x |mask| block K chi is never held.  K^2 is separable like K, so
+    its row sums are one Kronecker apply of factor^2 to scale^2, its column
+    sums the Kronecker product of the 1-D column sums times scale^2, and
+    HS^2 = w * (the column sums over the mask).  The singular values are
+    taken in the factor's eigenbasis (_kron_singular_values); each weighted
+    value mu_i = w sigma_i is within w * KRON_EIGEN_FLOOR * ||factor||_2^nu *
+    max |scale| over the mask of mu_i(K chi).  For heat_matrix kernels that
+    is at most KRON_EIGEN_FLOOR in expm-of-laplacian mode (a factor of norm
+    < 1, scale 1/w), and (1 + h / sqrt(4 pi s))^nu KRON_EIGEN_FLOOR in
+    gaussian-kernel mode (the factor's norm is at most its largest row sum,
+    1 + sqrt(4 pi s) / h).
+    The domination excess is taken over chunks of HS_CHUNK_ENTRIES entries
+    of the masked columns of K and of the dominating kernel.  A kernel not
+    in Kronecker form, cut at a lattice offset, or with a factor that is
+    not exactly symmetric is refused.
     """
-    if K._factor is None or K._cutoff is not None:
+    factor = K._factor
+    if factor is None or K._cutoff is not None or not np.array_equal(factor, factor.T):
         raise ValueError("hs_diagnostics needs a heat_matrix kernel")
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != (K.grid.size,):
@@ -477,20 +550,17 @@ def hs_diagnostics(K: KernelMatrix, mask, s: float = 1.0,
     w = K.weight
     nu = K.grid.nu
     cols = np.flatnonzero(mask)
-    masked = K._columns(cols)
-    hs2 = w * w * float(np.sum(masked**2))
-    sv = w * singular_values(masked)
 
-    coef = _heat_peak(nu, s)
-    dominating = _dominating_heat_kernel(K.grid, s, mode)._columns(cols)
-    # |K chi| - dominating, in the two arrays already held
-    gap = np.subtract(np.abs(masked, out=masked), dominating, out=masked)
-    excess = float(np.max(gap)) if cols.size else 0.0
-
-    factor_sq, scale_sq = K._factor**2, K._scale**2
+    factor_sq, scale_sq = factor**2, K._scale**2
     row_sums = w * _kron_apply(factor_sq, nu, scale_sq)
     col_sums = w * (reduce(np.multiply.outer, [np.sum(factor_sq, axis=0)] * nu).ravel()
                     * scale_sq)
+    hs2 = w * float(np.sum(col_sums[cols]))
+    sv = w * _kron_singular_values(factor, nu, K._scale, cols)
+
+    coef = _heat_peak(nu, s)
+    excess = _largest_excess(K, _dominating_heat_kernel(K.grid, s, mode), cols)
+
     row_bound = float(np.max(row_sums))
     col_bound = float(np.max(col_sums))
     mass = gaussian_squared_mass(nu, s)
@@ -567,6 +637,8 @@ def domination_check(C_MR: KernelMatrix, D: KernelMatrix) -> CompactnessDiagnost
 
     Only the nonzero columns of C are formed, and the product w C^T C lives
     on their block; the block U is D's index together with those columns.
+    The product is symmetric by construction, so its singular values are
+    the |eigenvalues| of its lower triangle (symmetric_singular_values).
     """
     if C_MR.grid != D.grid:
         raise ValueError("grid mismatch between the kernels")
@@ -594,7 +666,7 @@ def domination_check(C_MR: KernelMatrix, D: KernelMatrix) -> CompactnessDiagnost
     dominated = float(np.max(P_U - c * D_U,
                              initial=0.0 if U.size < D.grid.size else -np.inf))
 
-    sv = C_MR.weight * singular_values(P)
+    sv = C_MR.weight * symmetric_singular_values(P)
     hs = C_MR.weight * float(np.linalg.norm(P, "fro"))
     checks = (
         _bound("support-containment", off_max, 0.0, tol_support),
@@ -616,6 +688,10 @@ def kernel_power_bound(D: KernelMatrix, k: int, V: PotentialExpr, M: float,
 
     Everything is computed on the block U of the nonzero rows and columns
     of D together with the sublevel points (see the module docstring).
+    When D's block is exactly symmetric, as d_kernel's is, so is D^k, and
+    its singular values on the sublevel points are the |eigenvalues| of the
+    lower triangle there (symmetric_singular_values); any other D takes a
+    full SVD.
     The reach 2kR is refused, before any product, when the lattice rule
     refuses it or its ball volume, a reported constant, is beyond float
     range (sublevel.check_ball_volume), and so is an M that is not finite
@@ -631,6 +707,7 @@ def kernel_power_bound(D: KernelMatrix, k: int, V: PotentialExpr, M: float,
     check_ball_volume("2kR", grid.nu, radius)
     chi_all = potential_on_grid(grid, V) < M
     index, block = D._on_block()
+    symmetric = np.array_equal(block, block.T)
     reached = chi_all.copy()
     reached[index[np.any(block, axis=0) | np.any(block, axis=1)]] = True
     U = np.flatnonzero(reached)
@@ -641,7 +718,8 @@ def kernel_power_bound(D: KernelMatrix, k: int, V: PotentialExpr, M: float,
         P *= w
     hs2 = w * w * float(np.sum(P**2))
     inside = chi_all[U]
-    sv = w * singular_values(P[np.ix_(inside, inside)])
+    spectrum = symmetric_singular_values if symmetric else singular_values
+    sv = w * spectrum(P[np.ix_(inside, inside)])
 
     chi = inside.astype(float)
     at = _coordinates(grid, U)

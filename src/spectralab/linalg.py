@@ -31,6 +31,7 @@ __all__ = [
     "LanczosResult",
     "as_symmetric",
     "singular_values",
+    "symmetric_singular_values",
     "spectral_norm",
     "expm_sym",
     "compound_matrix",
@@ -90,6 +91,15 @@ def singular_values(A) -> np.ndarray:
     if A.size == 0:
         return np.zeros(0)
     return np.linalg.svd(A, compute_uv=False)
+
+
+def symmetric_singular_values(A) -> np.ndarray:
+    """Singular values of a symmetric matrix, sorted descending: the
+    |eigenvalues| of the matrix read from its lower triangle."""
+    A = _as_matrix(A)
+    if A.size == 0:
+        return np.zeros(0)
+    return np.sort(np.abs(np.linalg.eigvalsh(A)))[::-1]
 
 
 def spectral_norm(A) -> float:

@@ -27,6 +27,7 @@ from spectralab.cli import (
     resolve_config,
     smallest_admissible_power,
 )
+from spectralab.operators import RESIDUAL_TOLERANCE
 from spectralab.potentials import parse_potential
 from spectralab.sublevel import Region, measure, thinness
 
@@ -604,6 +605,37 @@ class TestReproducibility:
                 payloads.append({p.name: p.read_bytes() for p in out.iterdir()
                                  if not p.name.endswith("-manifest.json")})
             assert payloads[0] and payloads[0] == payloads[1], args[0]
+
+    def test_spectrum_values_across_blas_threads_at_nu_3(self, tmp_path):
+        # The matvec path's Lanczos sums take their BLAS reductions in
+        # another order at 2 threads, so the bytes differ: eigenvalues by up
+        # to 8.3e-15 relative, drift by 8.7e-15, residuals at their own
+        # roundoff.  The verdict, the checks, every other key and each
+        # eigenvalue within 1e-12 relative (so each drift within 2e-12 of
+        # the largest eigenvalue) agree.
+        args = ("spectrum", "--potential", "x1^2+x2^2+x3^2", "--nu", "3",
+                "--L", "2,3", "--h", "0.25", "--k", "5", "--seed", "0")
+        results = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads-{threads}"
+            proc = run_cli_process(*args, "--output-dir", str(out),
+                                   OPENBLAS_NUM_THREADS=threads)
+            manifest = read_json(out / "spectrum-manifest.json")
+            results.append((proc.returncode, manifest["verdict"], manifest["checks"],
+                            read_json(out / "spectrum-report.json")))
+        (code_a, verdict_a, checks_a, a), (code_b, verdict_b, checks_b, b) = results
+        assert code_a == code_b == 0
+        assert verdict_a == verdict_b == a["verdict"] == b["verdict"]
+        assert checks_a == checks_b
+        values = [np.asarray(r.pop("eigenvalues")) for r in (a, b)]
+        drifts = [np.asarray(r.pop("drift")) for r in (a, b)]
+        residuals = [np.asarray(r.pop("residuals")) for r in (a, b)]
+        assert values[0].shape == values[1].shape == residuals[0].shape == residuals[1].shape
+        assert np.all(np.abs(values[0] - values[1]) <= 1e-12 * np.abs(values[0]))
+        assert drifts[0].shape == drifts[1].shape
+        assert np.max(np.abs(drifts[0] - drifts[1])) <= 2e-12 * np.max(np.abs(values[0]))
+        assert np.all(np.concatenate(residuals) <= RESIDUAL_TOLERANCE)
+        assert a == b
 
     def test_kernel_payloads_across_blas_threads(self, tmp_path):
         # Only the singular values differ between thread counts, at roundoff

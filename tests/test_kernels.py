@@ -9,6 +9,9 @@ Oracle routes kept independent of the code under test:
 - the ARPACK operator norm is compared with a full SVD;
 - the support-restricted kernel_power_bound and domination_check are
   compared with their dense N x N formulas, written out here;
+- hs_diagnostics' singular values, taken in the heat factor's eigenbasis,
+  are compared with a full SVD of the formed masked block, and its
+  domination excess with the formed block's;
 - the Dirichlet heat kernel of the expm-of-laplacian mode is compared with
   the infinite-lattice kernel written as a Fourier integral;
 - the Gaussian heat kernel built from its 1-D factor is compared with the
@@ -344,6 +347,31 @@ class TestHsDiagnostics:
         g = Grid(1, 1.0, 0.5)
         with pytest.raises(ValueError, match="mask length"):
             hs_diagnostics(heat_matrix(g, 1.0), np.ones(3, bool))
+
+    @pytest.mark.parametrize("h, blocks", [(0.16, 1.5), (0.1, 0.6)])
+    def test_allocation_peak_in_blocks(self, h, blocks):
+        # the bench box (2500 points, 600 of them masked) and the README box
+        # (6400 and 1520); a block is the N x |mask| masked block, which is
+        # never held.  The eigenbasis block of the kept rows, one gather and
+        # two column chunks of the domination excess make the peak: it reads
+        # 0.70 and 0.47 blocks at the bench box, 0.34 and 0.23 at the README
+        # box (gaussian-kernel and expm-of-laplacian).
+        g = Grid(2, 4.0, h)
+        mask = potential_on_grid(g, CROSS) < 1.0
+        block = g.size * np.count_nonzero(mask) * 8
+        for mode in MODES:
+            hs_diagnostics(heat_matrix(Grid(2, 1.0, 0.25), 1.0, mode),
+                           np.ones(64, bool), 1.0, mode)   # imports done
+            K = heat_matrix(g, 1.0, mode)
+            tracemalloc.start()
+            try:
+                held = tracemalloc.get_traced_memory()[0]
+                hs_diagnostics(K, mask, 1.0, mode)
+                peak = tracemalloc.get_traced_memory()[1] - held
+            finally:
+                tracemalloc.stop()
+            assert unformed(K)
+            assert peak <= blocks * block, (mode, peak / block)
 
 
 class TestTruncatedConvolution:
@@ -1042,3 +1070,135 @@ class TestPrivateForms:
         for K in (KernelMatrix(g, heat.values), truncated_convolution(g, 1.0, 5.0)[0]):
             with pytest.raises(ValueError, match="heat_matrix kernel"):
                 hs_diagnostics(K, mask)
+
+
+def dense_masked_spectrum(K, mask):
+    """w * the singular values of the formed N x |mask| block K chi."""
+    if not mask.any():
+        return np.zeros(0)
+    return K.weight * np.linalg.svd(K.values[:, mask], compute_uv=False)
+
+
+def weyl_bound(K, mask, floor):
+    """hs_diagnostics' bound on how far dropping eigenbasis rows below
+    `floor` times the largest moves each weighted singular value:
+    w * floor * ||factor||_2^nu * max |scale| over the mask."""
+    top = float(np.max(np.abs(np.linalg.eigh(K._factor)[0])))
+    return K.weight * floor * top**K.grid.nu * float(np.max(np.abs(K._scale[mask])))
+
+
+def kept_rows(K, floor):
+    lam = np.abs(np.linalg.eigh(K._factor)[0])   # the eigenvalues the code drops by
+    products = kron_power(lam[None, :], K.grid.nu).ravel()
+    return int(np.count_nonzero(products >= floor * np.max(products)))
+
+
+STRUCTURED_GRIDS = [(1, 4.0, 0.1), (2, 2.0, 0.125), (3, 1.0, 0.2)]
+
+
+def structured_masks(g):
+    rng = derived_rng(31, "structured-mask")
+    return {"empty": np.zeros(g.size, bool),
+            "single": np.arange(g.size) == g.size // 3,
+            "every": np.ones(g.size, bool),
+            "random": rng.random(g.size) < 0.3}
+
+
+class TestStructuredSpectra:
+    @pytest.mark.parametrize("nu, L, h", STRUCTURED_GRIDS)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_hs_singular_values_match_the_dense_svd(self, nu, L, h, mode):
+        # within 1e-14 sigma_max (the largest gap reads 3.2e-15), at a short
+        # time, where few rows drop, and at s = 1, where most of them do
+        g = Grid(nu, L, h)
+        for s in (0.05, 1.0):
+            K = heat_matrix(g, s, mode)
+            signed = multiply_function(K, derived_rng(32, "signed").standard_normal(g.size))
+            for kernel in (K, signed):
+                for name, mask in structured_masks(g).items():
+                    diag = hs_diagnostics(kernel, mask, s, mode)
+                    expected = dense_masked_spectrum(kernel, mask)
+                    got = diag.singular_values
+                    assert got.shape == expected.shape, name
+                    if expected.size:
+                        assert np.max(np.abs(got - expected)) <= 1e-14 * expected[0], name
+                        assert np.all(np.diff(got) <= 0.0) and np.all(got >= 0.0)
+                    dense_hs2 = g.weight**2 * float(np.sum(kernel.values[:, mask] ** 2))
+                    assert abs(diag.hs_norm**2 - dense_hs2) <= 1e-14 * max(dense_hs2, 1e-300)
+
+    def test_fewer_kept_rows_than_masked_columns_pad_with_zeros(self):
+        g = Grid(2, 2.0, 0.125)
+        K = heat_matrix(g, 1.0)
+        mask = np.ones(g.size, bool)
+        kept = kept_rows(K, kernels.KRON_EIGEN_FLOOR)
+        assert kept < mask.sum()
+        sv = hs_diagnostics(K, mask).singular_values
+        assert sv.shape == (g.size,)
+        assert np.all(sv[:kept] > 0.0) and np.all(sv[kept:] == 0.0)
+        expected = dense_masked_spectrum(K, mask)
+        # the padded zeros stand for values below roundoff of sigma_max
+        assert np.max(expected[kept:]) <= 1e-14 * expected[0]
+
+    @pytest.mark.parametrize("floor", [kernels.KRON_EIGEN_FLOOR, 1e-8, 1e-4])
+    def test_dropped_rows_move_each_value_within_the_weyl_bound(self, monkeypatch, floor):
+        # raised floors drop rows that matter, so the values move by more
+        # than roundoff, yet within the docstring's bound
+        monkeypatch.setattr(kernels, "KRON_EIGEN_FLOOR", floor)
+        g = Grid(2, 2.0, 0.125)
+        scale = derived_rng(33, "weyl").standard_normal(g.size)
+        moved = []
+        for mode in MODES:
+            K = multiply_function(heat_matrix(g, 0.3, mode), scale)
+            for mask in structured_masks(g).values():
+                if not mask.any():
+                    continue
+                expected = dense_masked_spectrum(K, mask)
+                gap = np.max(np.abs(hs_diagnostics(K, mask, 0.3, mode).singular_values
+                                    - expected))
+                assert gap <= weyl_bound(K, mask, floor) + 1e-14 * expected[0]
+                moved.append(gap / expected[0])
+        assert (max(moved) > 1e-12) == (floor > 1e-9)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_chunked_excess_equals_the_formed_blocks(self, monkeypatch, mode):
+        # bit for bit, for one column per chunk, a few chunks and one chunk;
+        # the expm-of-laplacian excess is negative
+        g = Grid(2, 2.0, 0.125)
+        mask = potential_on_grid(g, CROSS) < 1.0
+        K = heat_matrix(g, 0.5, mode)
+        dominating = kernels._dominating_heat_kernel(g, 0.5, mode)
+        expected = float(np.max(np.abs(K.values[:, mask]) - dominating.values[:, mask]))
+        assert (expected < 0.0) == (mode == "expm-of-laplacian")
+        for entries in (1, 7 * g.size, kernels.HS_CHUNK_ENTRIES):
+            monkeypatch.setattr(kernels, "HS_CHUNK_ENTRIES", entries)
+            assert hs_diagnostics(heat_matrix(g, 0.5, mode), mask, 0.5,
+                                  mode).checks[0].lhs == expected
+
+    def test_a_factor_that_is_not_symmetric_is_refused(self):
+        g = Grid(2, 1.0, 0.25)
+        factor = heat_matrix(g, 1.0)._factor.copy()
+        factor[0, 1] += 1e-12
+        K = KernelMatrix._kronecker(g, factor, np.ones(g.size))
+        with pytest.raises(ValueError, match="heat_matrix kernel"):
+            hs_diagnostics(K, np.ones(g.size, bool))
+
+    def test_power_spectrum_symmetric_and_not(self, monkeypatch):
+        # d_kernel's exact 0/1 block and a random symmetric block take
+        # eigvalsh; a random non-symmetric block takes the SVD.  All three
+        # match dense_power_bound.
+        g = Grid(2, 1.5, 0.25)
+        rng = derived_rng(34, "power-symmetry")
+        A = rng.standard_normal((g.size, g.size))
+        symmetric = (KernelMatrix(g, A + A.T), d_kernel(g, DISC, 1.0, 0.25))
+        for kernel in symmetric:
+            with monkeypatch.context() as patch:
+                patch.setattr(kernels, "singular_values", refuse_call)
+                TestSupportRestrictedMatchesDense.check_power(kernel, 3, DISC, 1.0, 0.25)
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels, "symmetric_singular_values", refuse_call)
+            TestSupportRestrictedMatchesDense.check_power(KernelMatrix(g, A), 3, DISC,
+                                                          1.0, 0.25)
+
+
+def refuse_call(*args):
+    raise AssertionError("this spectrum route must not run")

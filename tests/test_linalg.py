@@ -3,7 +3,8 @@
 Independent oracle routes used here:
   - scipy.linalg.expm (Pade scaling-and-squaring) cross-checks expm_sym,
     which goes through the eigendecomposition instead;
-  - Gram-matrix eigenvalues cross-check singular_values (SVD route);
+  - Gram-matrix eigenvalues cross-check singular_values (SVD route), and
+    the SVD cross-checks symmetric_singular_values (eigvalsh route);
   - products of singular values cross-check compound-matrix norms;
   - the analytic discrete sine-mode eigenvalues check Lanczos on the 1-d
     second-difference matrix.
@@ -21,6 +22,7 @@ from spectralab.linalg import (
     lanczos_extremal,
     singular_values,
     spectral_norm,
+    symmetric_singular_values,
 )
 
 
@@ -89,6 +91,21 @@ def test_singular_values_match_gram_oracle():
     oracle = np.sqrt(np.clip(gram_eigs, 0.0, None))
     assert np.allclose(mu, oracle, rtol=1e-10, atol=1e-12)
     assert np.all(np.diff(mu) <= 0) and np.all(mu >= 0)
+
+
+def test_symmetric_singular_values_match_the_svd():
+    rng = np.random.default_rng(5)
+    A = random_symmetric(rng, 9)
+    mu = symmetric_singular_values(A)
+    assert np.allclose(mu, np.linalg.svd(A, compute_uv=False), rtol=0.0,
+                       atol=1e-14 * mu[0])
+    assert np.all(np.diff(mu) <= 0) and np.all(mu >= 0)
+    # only the lower triangle is read
+    upper = np.triu(rng.standard_normal((9, 9)), 1)
+    np.testing.assert_array_equal(symmetric_singular_values(np.tril(A) + upper), mu)
+    assert symmetric_singular_values(np.zeros((0, 0))).size == 0
+    with pytest.raises(ValueError, match="non-finite"):
+        symmetric_singular_values(np.full((2, 2), np.nan))
 
 
 def test_min_max_random_subspaces_upper_bound_mu_n():
