@@ -20,7 +20,10 @@ Exit codes: 0 when all enabled checks pass (verdicts such as
 2 on usage or configuration errors ("configuration error: ...", including a
 flag or config key that the subcommand does not read) and on numerical
 failures found during the run ("run failed: ..."); a failed run removes the
-output directory again if it created it.
+output directory again if it created it.  Each runner returns its
+manifest check records and a description of its first failed check;
+execute alone turns that description into the exit code 1 and the one
+"FAILED check: ..." line.
 """
 
 from __future__ import annotations
@@ -283,7 +286,7 @@ def _run_spectrum(config: RunConfig, out: Path):
     files = [write_json(out / "spectrum-report.json", payload),
              write_eigenvalue_csv(out / "spectrum-eigenvalues.csv", report)]
     files += emit_plot_data("spectrum", report, out)
-    return 0, [], report.verdict, files
+    return [], "", report.verdict, files
 
 
 def _run_sublevel(config: RunConfig, out: Path):
@@ -298,7 +301,7 @@ def _run_sublevel(config: RunConfig, out: Path):
         "estimate": to_jsonable(est),
     }
     files = [write_json(out / "sublevel-report.json", payload)]
-    return 0, [], "", files
+    return [], "", "", files
 
 
 def _run_thinness(config: RunConfig, out: Path):
@@ -308,7 +311,7 @@ def _run_thinness(config: RunConfig, out: Path):
     files = [write_json(out / "thinness-report.json", report),
              write_thinness_csv(out / "thinness-partial-integrals.csv", report)]
     files += emit_plot_data("thinness", report, out)
-    return 0, [], report.verdict, files
+    return [], "", report.verdict, files
 
 
 def _run_inequalities(config: RunConfig, out: Path):
@@ -327,13 +330,8 @@ def _run_inequalities(config: RunConfig, out: Path):
              write_summary_csv(out / "inequalities-summary.csv", rows)]
     checks = [{"name": row["name"], "passed": row["pass_rate"] == 1.0}
               for row in rows]
-    code = 0
-    if failures:
-        first = failures[0]
-        print(f"FAILED check: {first.name} (inputs {first.inputs})",
-              file=sys.stderr)
-        code = 1
-    return code, checks, "", files
+    failure = f"{failures[0].name} (inputs {failures[0].inputs})" if failures else ""
+    return checks, failure, "", files
 
 
 def _run_heat_diagnostics(config: RunConfig, out: Path):
@@ -344,7 +342,7 @@ def _run_heat_diagnostics(config: RunConfig, out: Path):
     diag = hs_diagnostics(kernel, mask, config.s, config.mode)
     files = [write_json(out / "heat-diagnostics-report.json", diag)]
     files += emit_plot_data("heat-diagnostics", diag, out)
-    return _diagnostic_exit(diag), _diagnostic_checks(diag), "", files
+    return *_diagnostic_checks(diag), "", files
 
 
 def _run_kernel_power(config: RunConfig, out: Path):
@@ -354,22 +352,16 @@ def _run_kernel_power(config: RunConfig, out: Path):
     diag = kernel_power_bound(D, config.k, V, config.M, config.R)
     files = [write_json(out / "kernel-power-report.json", diag)]
     files += emit_plot_data("kernel-power", diag, out)
-    return _diagnostic_exit(diag), _diagnostic_checks(diag), "", files
+    return *_diagnostic_checks(diag), "", files
 
 
-def _diagnostic_checks(diag) -> list:
-    return [{"name": check.name, "passed": check.passed}
-            for check in diag.checks]
-
-
-def _diagnostic_exit(diag) -> int:
-    for check in diag.checks:
-        if not check.passed:
-            print(f"FAILED check: {check.name} "
-                  f"(lhs {check.lhs!r} > rhs {check.rhs!r} + tol {check.tol!r})",
-                  file=sys.stderr)
-            return 1
-    return 0
+def _diagnostic_checks(diag) -> tuple:
+    """The manifest records of diag's checks and a description of the first
+    that failed ("" when all passed)."""
+    records = [{"name": c.name, "passed": c.passed} for c in diag.checks]
+    failed = [f"{c.name} (lhs {c.lhs!r} > rhs {c.rhs!r} + tol {c.tol!r})"
+              for c in diag.checks if not c.passed]
+    return records, failed[0] if failed else ""
 
 
 _RUNNERS = {
@@ -388,7 +380,7 @@ def execute(config: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     started = time.time()
     try:
-        code, checks, verdict, files = _RUNNERS[config.subcommand](config, out)
+        checks, failure, verdict, files = _RUNNERS[config.subcommand](config, out)
     except BaseException:
         for directory in created:  # innermost first; rmdir spares any file
             try:
@@ -414,9 +406,11 @@ def execute(config: RunConfig) -> int:
         files=inventory,
     )
     write_manifest(out / f"{config.subcommand}-manifest.json", manifest)
-    label = verdict if verdict else ("ok" if code == 0 else "failed")
+    if failure:
+        print(f"FAILED check: {failure}", file=sys.stderr)
+    label = verdict if verdict else ("failed" if failure else "ok")
     print(f"{config.subcommand}: {label} ({len(inventory)} files in {out})")
-    return code
+    return 1 if failure else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

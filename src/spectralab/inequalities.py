@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    _as_matrix,
     _expm_from_eigh,
     as_symmetric,
     compound_matrix,
@@ -153,11 +154,8 @@ class _Pair:
 
 
 def _one(M) -> np.ndarray:
-    """A single matrix as a stack of one."""
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2:
-        raise ValueError(f"expected a 2-d array, got shape {M.shape}")
-    return M[None]
+    """A single matrix (linalg._as_matrix) as a stack of one."""
+    return _as_matrix(M)[None]
 
 
 def _segal_sides(pair: _Pair, form: str) -> tuple:

@@ -24,10 +24,12 @@ of the dense `values`:
   (Van Loan, "The ubiquitous Kronecker product", 2000).  heat_matrix returns
   that form, truncated_convolution the same form with a lattice cutoff
   (entries at larger lattice offsets are 0), and multiply_function of
-  either multiplies the scale.  hs_diagnostics takes the row and column
-  sums of K^2 and the HS norm from the factor, the singular values in the
-  factor's eigenbasis, and the domination excess over chunks of the masked
-  columns, so it never holds the N x |mask| block;
+  either multiplies the scale.  One builder, _gaussian_heat, forms the
+  Gaussian heat kernel for heat_matrix, for hs_diagnostics' dominating
+  kernel and, with its cutoff, for truncated_convolution.  hs_diagnostics
+  takes the row and column sums of K^2 and the HS norm from the factor, the
+  singular values in the factor's eigenbasis, and the domination excess
+  over chunks of the masked columns, so it never holds the N x |mask| block;
   domination_check forms only the nonzero columns of its C; operator_norm
   runs ARPACK on the Gram map at every size, through k1 (one n x n product
   per axis, O(N n)) when no cutoff is held and through the dense values
@@ -302,10 +304,14 @@ def _heat_peak(nu: int, s: float) -> float:
     return (4.0 * math.pi * s) ** (-nu / 2.0)
 
 
-def _gaussian_factor(grid: Grid, s: float) -> np.ndarray:
-    """One axis of the Gaussian heat kernel: exp(-(x_i - x_j)^2 / 4s)."""
+def _gaussian_heat(grid: Grid, s: float, cutoff: int | None = None) -> KernelMatrix:
+    """The Gaussian heat kernel (4 pi s)^{-nu/2} exp(-|x - y|^2 / 4s) in
+    Kronecker form: the factor exp(-(x_i - x_j)^2 / 4s) on every axis and the
+    peak as column scale, cut at `cutoff` when one is given."""
     offsets = grid.axis[:, None] - grid.axis[None, :]
-    return np.exp(-(offsets * offsets) / (4.0 * s))
+    factor = np.exp(-(offsets * offsets) / (4.0 * s))
+    peak = np.full(grid.size, _heat_peak(grid.nu, s))
+    return KernelMatrix._kronecker(grid, factor, peak, cutoff)
 
 
 def _kron_lines(factor: np.ndarray, nu: int, picks: np.ndarray) -> np.ndarray:
@@ -379,15 +385,12 @@ def heat_matrix(grid: Grid, s: float = 1.0, mode: str = "gaussian-kernel") -> Ke
     """
     s = check_positive("s", s)
     if mode == "gaussian-kernel":
-        factor = _gaussian_factor(grid, s)
-        scale = _heat_peak(grid.nu, s)
-    elif mode == "expm-of-laplacian":
-        # exactly symmetric, so the formed values are too
-        factor = expm_sym(_second_difference(grid.points_per_axis, grid.spacing).toarray(), -s)
-        scale = 1.0 / grid.weight
-    else:
+        return _gaussian_heat(grid, s)
+    if mode != "expm-of-laplacian":
         raise ValueError(f"unknown mode {mode!r}")
-    return KernelMatrix._kronecker(grid, factor, np.full(grid.size, scale))
+    # exactly symmetric, so the formed values are too
+    factor = expm_sym(_second_difference(grid.points_per_axis, grid.spacing).toarray(), -s)
+    return KernelMatrix._kronecker(grid, factor, np.full(grid.size, 1.0 / grid.weight))
 
 
 def compose_C(grid: Grid, V: PotentialExpr, s: float = 1.0,
@@ -452,15 +455,14 @@ class CompactnessDiagnostics:
 def _dominating_heat_kernel(grid: Grid, s: float, mode: str) -> KernelMatrix:
     """A heat kernel that bounds heat_matrix(grid, s, mode), in Kronecker form.
 
-    The gaussian-kernel mode is bounded by the Gaussian itself, built from
-    the same 1-D factor as heat_matrix, so the bound is an equality.  The
+    The gaussian-kernel mode is bounded by the Gaussian itself, built by the
+    same _gaussian_heat as heat_matrix, so the bound is an equality.  The
     Dirichlet semigroup of expm-of-laplacian is bounded, by domain
     monotonicity, by the heat kernel of the infinite lattice h Z^nu:
     prod_a (1/h) e^{-2s/h^2} I_{|n_a|}(2s/h^2) at lattice offset n.
     """
     if mode == "gaussian-kernel":
-        return KernelMatrix._kronecker(grid, _gaussian_factor(grid, s),
-                                       np.full(grid.size, _heat_peak(grid.nu, s)))
+        return _gaussian_heat(grid, s)
     from scipy.special import ive  # only this mode needs it
 
     n = grid.points_per_axis
@@ -593,12 +595,11 @@ def truncated_convolution(grid: Grid, s: float, R: float):
     analytic mass beyond it in closed form -- and upper-bounds |heat - F_R|
     in operator norm by the Schur test, since every discarded entry shows up
     in the lattice sum.  The lattice rule refuses a non-finite or negative
-    R, and check_positive refuses R = 0.
+    R, and check_positive refuses R = 0, then a bad s.
     """
     cutoff = _lattice_cutoff(grid, R)
     check_positive("R", R)
-    heat = heat_matrix(grid, s)
-    F = KernelMatrix._kronecker(grid, heat._factor, heat._scale, cutoff)
+    F = _gaussian_heat(grid, check_positive("s", s), cutoff)
 
     h = grid.spacing
     n = grid.points_per_axis

@@ -13,7 +13,9 @@ box-stabilization evidence: a truncated box always has discrete spectrum,
 so discreteness claims rest on eigenvalues that stop moving as the box
 grows, and on counts N(level) that stay bounded.  check_spectrum_inputs
 holds every rule on a study's inputs; spectrum_study and cli both call it
-before any count or solve.
+before any count or solve.  SparseOperator's exact symmetry check runs once
+per Hamiltonian: hamiltonian adds V to the Laplacian's unchecked CSR matrix
+(_laplacian_csr, which discrete_laplacian wraps too) and checks H alone.
 """
 
 from __future__ import annotations
@@ -140,15 +142,20 @@ def _second_difference(n: int, h: float) -> sparse.csr_matrix:
     return sparse.diags([off, main, off], offsets=(-1, 0, 1), format="csr")
 
 
-def discrete_laplacian(grid: Grid) -> SparseOperator:
-    """Dirichlet finite-difference Laplacian (positive semidefinite)."""
+def _laplacian_csr(grid: Grid) -> sparse.csr_matrix:
+    """The Dirichlet Laplacian's CSR matrix, not yet checked for symmetry."""
     T = _second_difference(grid.points_per_axis, grid.spacing)
     total = T
     # kronsum(A, T) = I (x) A + T (x) I; every axis has the same T, so the
     # fold gives the sum over axes of T acting on that axis alone
     for _ in range(grid.nu - 1):
         total = sparse.kronsum(total, T, format="csr")
-    return SparseOperator(grid.size, total)
+    return total
+
+
+def discrete_laplacian(grid: Grid) -> SparseOperator:
+    """Dirichlet finite-difference Laplacian (positive semidefinite)."""
+    return SparseOperator(grid.size, _laplacian_csr(grid))
 
 
 def potential_on_grid(grid: Grid, V: PotentialExpr) -> np.ndarray:
@@ -161,11 +168,11 @@ def potential_on_grid(grid: Grid, V: PotentialExpr) -> np.ndarray:
 
 
 def hamiltonian(grid: Grid, V: PotentialExpr) -> SparseOperator:
-    """H = discrete Laplacian + multiplication by V at the cell centers."""
+    """H = discrete Laplacian + multiplication by V at the cell centers; the
+    SparseOperator of H is the one symmetry check on the way."""
     values = guard_values(V, potential_on_grid(grid, V), "at a grid point",
                           finite=True)
-    lap = discrete_laplacian(grid)
-    H = lap.matrix + sparse.diags(values, format="csr")
+    H = _laplacian_csr(grid) + sparse.diags(values, format="csr")
     return SparseOperator(grid.size, H.tocsr())
 
 

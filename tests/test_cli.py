@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from spectralab import cli
 from spectralab.cli import (
     build_parser,
     main,
@@ -27,6 +28,8 @@ from spectralab.cli import (
     resolve_config,
     smallest_admissible_power,
 )
+from spectralab.inequalities import InequalityReport
+from spectralab.kernels import BoundCheck, CompactnessDiagnostics
 from spectralab.operators import RESIDUAL_TOLERANCE
 from spectralab.potentials import parse_potential
 from spectralab.sublevel import Region, measure, thinness
@@ -348,6 +351,46 @@ class TestExitCodes:
         report = read_json(tmp_path / "thinness-report.json")
         assert report["verdict"] in ("convergent-evidence",
                                      "divergent-evidence", "inconclusive")
+
+
+class TestFailedCheckExit:
+    """A failed check ends a run with exit 1 and one stderr line naming the
+    first failure, whichever runner found it; the manifest records every
+    check."""
+
+    def test_failed_kernel_check(self, tmp_path, capsys, monkeypatch):
+        checks = (BoundCheck("row-column-gap", 0.0, 0.0, 1e-12, True),
+                  BoundCheck("pointwise-domination", 2.0, 1.0, 0.5, False),
+                  BoundCheck("hs-vs-sup-bound", 3.0, 1.0, 0.25, False))
+        diag = CompactnessDiagnostics(np.array([1.0, 0.5]), 1.25, checks, {})
+        monkeypatch.setattr(cli, "hs_diagnostics", lambda *args, **kwargs: diag)
+        code = run_cli("heat-diagnostics", "--potential", WELL, "--L", "1",
+                       "--h", "0.25", "--output-dir", str(tmp_path))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "FAILED check: pointwise-domination (lhs 2.0 > rhs 1.0 + tol 0.5)\n")
+        manifest = read_json(tmp_path / "heat-diagnostics-manifest.json")
+        assert manifest["checks"] == [{"name": c.name, "passed": c.passed}
+                                      for c in checks]
+
+    def test_failed_inequality(self, tmp_path, capsys, monkeypatch):
+        reports = [
+            InequalityReport("segal", 1.0, 2.0, 1.0, True, 1e-10,
+                             {"seed": 1, "dimension": 2}),
+            InequalityReport("golden-thompson", 3.0, 2.0, -1.0, False, 1e-10,
+                             {"seed": 2, "dimension": 3}),
+            InequalityReport("golden-thompson", 4.0, 2.0, -2.0, False, 1e-10,
+                             {"seed": 5, "dimension": 3}),
+        ]
+        monkeypatch.setattr(cli, "inequality_batch", lambda **kwargs: reports)
+        code = run_cli("inequalities", "--trials", "2", "--dim", "3",
+                       "--output-dir", str(tmp_path))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "FAILED check: golden-thompson (inputs {'seed': 2, 'dimension': 3})\n")
+        manifest = read_json(tmp_path / "inequalities-manifest.json")
+        assert manifest["checks"] == [{"name": "segal", "passed": True},
+                                      {"name": "golden-thompson", "passed": False}]
 
 
 class TestFieldTable:

@@ -1,0 +1,120 @@
+"""The paper's witnesses in one table.
+
+The theorem: if V >= 0 and |{V < M}| is finite for every M, then -Laplacian
++ V has purely discrete spectrum; its extensions cover potentials such as
+x1^2*x2^2, whose sublevel sets have infinite measure.  Each potential below
+gets three rows of evidence, all at M = 1 and h = 0.1 on 2-D boxes:
+
+- drift: the lowest five eigenvalues of the boxes L = 4 and 6 (spectrum_study)
+  stop moving, or do not;
+- thinness: the partial integrals of the local-measure power
+  (sublevel.thinness) converge or diverge, as degeneracy_direction predicts
+  (a direction along which V is constant leaves an infinite strip);
+- kernel: HS^2 of chi_{V<1} e^{Laplacian} divided by the Gaussian's squared
+  L2 mass, at L = 5, 10, 20, 40.  It is the grid measure of {V < 1} in the
+  box, less what the heat kernel loses at the walls, so it stays bounded
+  exactly when that measure does.  HS^2 comes from the masked column sums
+  of K^2, with K's 1-D Gaussian factor written out here; one cross-check
+  ties it to hs_diagnostics.
+
+Grid caveat: at fixed h the cell-centred points nearest an axis sit at
+|x_a| = h/2, so on the grid x1^2*x2^2 < M forces |x1|, |x2| < 2 sqrt(M)/h.
+Its grid sublevel set stops growing at that half-width (20 here), so only
+rows with L below it are evidence for the extension theorem.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from spectralab.kernels import gaussian_squared_mass, heat_matrix, hs_diagnostics
+from spectralab.operators import Grid, potential_on_grid, spectrum_study
+from spectralab.potentials import degeneracy_direction, parse_potential, to_polynomial
+from spectralab.sublevel import thinness
+
+M = 1.0
+H = 0.1
+S = 1.0
+KERNEL_BOXES = (5.0, 10.0, 20.0, 40.0)
+# Half-width past which the grid sublevel set of x1^2*x2^2 < M stops growing.
+CROSS_GRID_BOUND = 2.0 * math.sqrt(M) / H
+
+# potential -> (largest drift at boxes (4, 6), or None; thinness verdict;
+# HS^2 / mass at KERNEL_BOXES)
+WITNESSES = {
+    "x1^2*x2^2*(x1^2+x2^2)": (1.0889e-4, "convergent-evidence",
+                              (9.959334, 10.12, 10.12, 10.12)),
+    # boxes (4, 6) are too small for its cross-valley eigenfunctions (drift
+    # 4.7e-2); acceptance criterion 5 pins its drift at (6, 8)
+    "x1^2*x2^2": (None, "convergent-evidence",
+                  (16.089725, 21.841012, 29.841112, 30.16)),
+    "x1^2+x2^2": (4.8636e-5, "convergent-evidence",
+                  (3.159969, 3.16, 3.16, 3.16)),
+    "x1^2": (0.51533, "divergent-evidence",
+             (18.405432, 38.405561, 78.405561, 158.405561)),
+}
+DISCRETE = ("x1^2*x2^2*(x1^2+x2^2)", "x1^2*x2^2", "x1^2+x2^2")
+
+
+def masked_hs2_over_mass(V, L: float) -> float:
+    """HS^2 of chi_{V<M} e^{S Laplacian} on Grid(2, L, H) over the squared mass.
+
+    K = k1 (x) k1 with k1_ij = exp(-(x_i - x_j)^2 / 4S) / sqrt(4 pi S), so the
+    column sums of K^2 are c1 (x) c1 with c1 the column sums of k1^2, and
+    HS^2 = w^2 * (those sums over the masked columns).
+    """
+    grid = Grid(2, L, H)
+    x = grid.axis
+    k1 = np.exp(-(x[:, None] - x[None, :]) ** 2 / (4.0 * S)) / math.sqrt(4.0 * math.pi * S)
+    c1 = np.sum(k1 * k1, axis=0)
+    mask = (potential_on_grid(grid, V) < M).reshape(x.size, x.size)
+    hs2 = grid.weight**2 * float(np.sum(np.outer(c1, c1)[mask]))
+    return hs2 / gaussian_squared_mass(2, S)
+
+
+@pytest.mark.parametrize("source", [s for s, row in WITNESSES.items() if row[0] is not None])
+def test_drift_row(source):
+    expected = WITNESSES[source][0]
+    report = spectrum_study(parse_potential(source, 2), (4.0, 6.0), H, 5, seed=0)
+    drift = float(np.max(report.drift[-1]))
+    assert drift == pytest.approx(expected, rel=1e-3)
+    assert report.verdict == ("stabilized" if source in DISCRETE else "not-stabilized")
+
+
+@pytest.mark.parametrize("source", WITNESSES)
+def test_thinness_row_agrees_with_degeneracy(source):
+    V = parse_potential(source, 2)
+    report = thinness(V, M, 2.0, 1.0, (10, 20, 40, 80), budget=40_000, seed=0)
+    assert report.verdict == WITNESSES[source][1]
+    degenerate = degeneracy_direction(to_polynomial(V)).degenerate
+    assert degenerate == (report.verdict == "divergent-evidence")
+    assert degenerate == (source not in DISCRETE)
+
+
+@pytest.mark.parametrize("source", WITNESSES)
+def test_kernel_row(source):
+    rows = [masked_hs2_over_mass(parse_potential(source, 2), L) for L in KERNEL_BOXES]
+    assert rows == pytest.approx(WITNESSES[source][2], rel=1e-6)
+    if source == "x1^2":
+        # the strip |x1| < 1 fills 4L of the box: each doubling of L doubles it
+        assert all(b > 1.9 * a for a, b in zip(rows, rows[1:]))
+    elif source == "x1^2*x2^2":
+        evidence = [r for L, r in zip(KERNEL_BOXES, rows) if L < CROSS_GRID_BOUND]
+        assert len(evidence) == 2 and evidence[1] > 1.3 * evidence[0]
+    else:
+        assert rows[1:] == pytest.approx([rows[1]] * 3, rel=1e-9)
+
+
+def test_cross_grid_sublevel_set_stops_at_the_bound():
+    grid = Grid(2, 40.0, H)
+    inside = grid.points[potential_on_grid(grid, parse_potential("x1^2*x2^2", 2)) < M]
+    assert np.max(np.abs(inside)) < CROSS_GRID_BOUND
+
+
+def test_kernel_row_matches_hs_diagnostics():
+    V = parse_potential("x1^2*x2^2*(x1^2+x2^2)", 2)
+    grid = Grid(2, KERNEL_BOXES[0], H)
+    diag = hs_diagnostics(heat_matrix(grid, S), potential_on_grid(grid, V) < M, S)
+    assert diag.hs_norm**2 / gaussian_squared_mass(2, S) == pytest.approx(
+        masked_hs2_over_mass(V, KERNEL_BOXES[0]), rel=1e-12)
