@@ -58,7 +58,6 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .linalg import expm_sym, singular_values, symmetric_singular_values
 from .operators import Grid, _second_difference, potential_on_grid
@@ -255,6 +254,8 @@ def _arpack_sigma_max(matvec, rmatvec, cols: np.ndarray, size: int, seed: int) -
         embedded[cols] = x
         return rmatvec(matvec(embedded))[cols]
 
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
     v0 = derived_rng(seed, "operator-norm").standard_normal(cols.size)
     top = eigsh(LinearOperator((cols.size, cols.size), matvec=gram, dtype=float),
                 k=1, which="LA", v0=v0, ncv=min(NORM_BASIS, cols.size),
@@ -370,6 +371,14 @@ def _in_ball(cutoff: int, rows, cols) -> np.ndarray:
     return (rows[0] - cols[0]) ** 2 <= room
 
 
+def _check_heat_inputs(s, mode: str) -> float:
+    """s as a float, once it is finite and > 0 and mode is one of HEAT_MODES."""
+    s = check_positive("s", s)
+    if mode not in HEAT_MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    return s
+
+
 def heat_matrix(grid: Grid, s: float = 1.0, mode: str = "gaussian-kernel") -> KernelMatrix:
     """Heat-semigroup kernel at time s, in Kronecker form.
 
@@ -383,11 +392,9 @@ def heat_matrix(grid: Grid, s: float = 1.0, mode: str = "gaussian-kernel") -> Ke
     exponential's action.  The dense values are formed on first read, and
     only that read is held to the grid's dense-entry budget.
     """
-    s = check_positive("s", s)
+    s = _check_heat_inputs(s, mode)
     if mode == "gaussian-kernel":
         return _gaussian_heat(grid, s)
-    if mode != "expm-of-laplacian":
-        raise ValueError(f"unknown mode {mode!r}")
     # exactly symmetric, so the formed values are too
     factor = expm_sym(_second_difference(grid.points_per_axis, grid.spacing).toarray(), -s)
     return KernelMatrix._kronecker(grid, factor, np.full(grid.size, 1.0 / grid.weight))
@@ -541,8 +548,10 @@ def hs_diagnostics(K: KernelMatrix, mask, s: float = 1.0,
     The domination excess is taken over chunks of HS_CHUNK_ENTRIES entries
     of the masked columns of K and of the dominating kernel.  A kernel not
     in Kronecker form, cut at a lattice offset, or with a factor that is
-    not exactly symmetric is refused.
+    not exactly symmetric is refused, and so are s and mode where
+    heat_matrix refuses them.
     """
+    s = _check_heat_inputs(s, mode)
     factor = K._factor
     if factor is None or K._cutoff is not None or not np.array_equal(factor, factor.T):
         raise ValueError("hs_diagnostics needs a heat_matrix kernel")

@@ -13,7 +13,9 @@ life of its factor, and certifies by one exact count of the eigenvalues
 below a level (operators' Sylvester inertia count).  Otherwise, or when
 the count disagrees or cannot be made, the certificate is a deflated
 sweep pass that recovers repeated eigenvalues.  Values and residuals
-are always those of the map itself.
+are always those of the map itself.  scipy.sparse.linalg is imported
+inside the one function that runs ARPACK (_arpack_smallest), when it
+runs, so the dense routines never load it.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .rng import derived_rng
 
@@ -212,6 +213,8 @@ def _check_symmetry(matvec, dim: int, seed: int) -> None:
 
 def _arpack_smallest(apply, dim, k, v0, rng, max_iters, tol):
     """ARPACK's k smallest pairs, ascending; partial pairs if it stops early."""
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
     op = LinearOperator((dim, dim), matvec=apply, dtype=float)
     try:
         values, vectors = eigsh(op, k, which="SA", v0=v0,

@@ -16,6 +16,10 @@ holds every rule on a study's inputs; spectrum_study and cli both call it
 before any count or solve.  SparseOperator's exact symmetry check runs once
 per Hamiltonian: hamiltonian adds V to the Laplacian's unchecked CSR matrix
 (_laplacian_csr, which discrete_laplacian wraps too) and checks H alone.
+scipy.sparse and scipy.sparse.linalg are imported inside the functions that
+build, check or factor a matrix, when they run, so a process that only
+samples a potential never loads them; annotations such as sparse.csr_matrix
+stay unevaluated strings (from __future__ import annotations).
 """
 
 from __future__ import annotations
@@ -24,8 +28,6 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-import scipy.sparse as sparse
-import scipy.sparse.linalg  # noqa: F401  (registers sparse.linalg)
 
 from .linalg import MAX_EIGENPAIRS, lanczos_extremal
 from .potentials import PotentialExpr, evaluate, guard_values
@@ -125,10 +127,12 @@ class SparseOperator:
     matrix: sparse.csr_matrix = field(repr=False, compare=False)
 
     def __post_init__(self):
+        from scipy.sparse.linalg import norm
+
         if self.matrix.shape != (self.dimension, self.dimension):
             raise ValueError("matrix shape does not match the declared dimension")
-        gap = sparse.linalg.norm(self.matrix - self.matrix.T, ord=np.inf)
-        scale = sparse.linalg.norm(self.matrix, ord=np.inf)
+        gap = norm(self.matrix - self.matrix.T, ord=np.inf)
+        scale = norm(self.matrix, ord=np.inf)
         if gap > 1e-12 * max(scale, 1e-300):
             raise ValueError("matrix is not symmetric")
 
@@ -137,6 +141,8 @@ class SparseOperator:
 
 
 def _second_difference(n: int, h: float) -> sparse.csr_matrix:
+    import scipy.sparse as sparse
+
     main = np.full(n, 2.0 / h**2)
     off = np.full(n - 1, -1.0 / h**2)
     return sparse.diags([off, main, off], offsets=(-1, 0, 1), format="csr")
@@ -144,6 +150,8 @@ def _second_difference(n: int, h: float) -> sparse.csr_matrix:
 
 def _laplacian_csr(grid: Grid) -> sparse.csr_matrix:
     """The Dirichlet Laplacian's CSR matrix, not yet checked for symmetry."""
+    import scipy.sparse as sparse
+
     T = _second_difference(grid.points_per_axis, grid.spacing)
     total = T
     # kronsum(A, T) = I (x) A + T (x) I; every axis has the same T, so the
@@ -170,6 +178,8 @@ def potential_on_grid(grid: Grid, V: PotentialExpr) -> np.ndarray:
 def hamiltonian(grid: Grid, V: PotentialExpr) -> SparseOperator:
     """H = discrete Laplacian + multiplication by V at the cell centers; the
     SparseOperator of H is the one symmetry check on the way."""
+    import scipy.sparse as sparse
+
     values = guard_values(V, potential_on_grid(grid, V), "at a grid point",
                           finite=True)
     H = _laplacian_csr(grid) + sparse.diags(values, format="csr")
@@ -249,8 +259,10 @@ def _ldlt(matrix):
     equals perm_c (no row was pivoted).  The caller keeps the grid within
     FACTOR_POINT_CAP.
     """
-    return sparse.linalg.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                              diag_pivot_thresh=0, options={"SymmetricMode": True})
+    from scipy.sparse.linalg import splu
+
+    return splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0, options={"SymmetricMode": True})
 
 
 def _shifted_factor(H: SparseOperator, shift: float):
@@ -261,6 +273,8 @@ def _shifted_factor(H: SparseOperator, shift: float):
     when the factor pivoted rows.  An exactly singular factor (the shift is
     an eigenvalue to working precision) raises ValueError.
     """
+    import scipy.sparse as sparse
+
     try:
         lu = _ldlt(H.matrix - shift * sparse.identity(H.dimension, format="csr"))
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"

@@ -27,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
-from scipy.sparse.linalg import ArpackNoConvergence
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from spectralab import kernels
 from spectralab.kernels import (
@@ -116,9 +116,9 @@ class TestKernelMatrix:
             self, monkeypatch):
         g = Grid(1, 103.0, 0.1)
         values = derived_rng(17, "capped-norm").standard_normal((g.size, g.size))
-        capped = kernels.eigsh
-        monkeypatch.setattr(kernels, "eigsh",
-                            lambda *args, **kw: capped(*args, maxiter=1, **kw))
+        # operator_norm imports eigsh when it runs, so it reads the patched one
+        monkeypatch.setattr("scipy.sparse.linalg.eigsh",
+                            lambda *args, **kw: eigsh(*args, maxiter=1, **kw))
         with pytest.raises(ArpackNoConvergence):
             operator_norm(KernelMatrix(g, values))
 
@@ -347,6 +347,23 @@ class TestHsDiagnostics:
         g = Grid(1, 1.0, 0.5)
         with pytest.raises(ValueError, match="mask length"):
             hs_diagnostics(heat_matrix(g, 1.0), np.ones(3, bool))
+
+    @pytest.mark.parametrize("s", [0.0, -1.0, math.nan, math.inf])
+    def test_time_must_be_finite_and_positive(self, s):
+        g = Grid(2, 2.0, 0.25)
+        K, mask = heat_matrix(g, 1.0), np.sum(g.points**2, axis=1) < 1.0
+        with pytest.raises(ValueError, match="s must be finite and > 0"):
+            hs_diagnostics(K, mask, s)
+        # refused before the mask or the kernel is read
+        with pytest.raises(ValueError, match="s must be finite and > 0"):
+            hs_diagnostics(K, np.ones(3, bool), s)
+
+    def test_unknown_mode_is_refused(self):
+        g = Grid(2, 2.0, 0.25)
+        K, mask = heat_matrix(g, 1.0), np.sum(g.points**2, axis=1) < 1.0
+        for bad_mask in (mask, np.ones(3, bool)):
+            with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+                hs_diagnostics(K, bad_mask, 1.0, "bogus")
 
     @pytest.mark.parametrize("h, blocks", [(0.16, 1.5), (0.1, 0.6)])
     def test_allocation_peak_in_blocks(self, h, blocks):
@@ -932,9 +949,9 @@ class TestSeparableKernels:
 
     def test_factored_norm_raises_instead_of_a_partial_estimate(self, monkeypatch):
         g = Grid(2, 5.75, 0.25)
-        capped = kernels.eigsh
-        monkeypatch.setattr(kernels, "eigsh",
-                            lambda *args, **kw: capped(*args, maxiter=1, **kw))
+        # operator_norm imports eigsh when it runs, so it reads the patched one
+        monkeypatch.setattr("scipy.sparse.linalg.eigsh",
+                            lambda *args, **kw: eigsh(*args, maxiter=1, **kw))
         # at a short time the factor is nearly the identity, so the Gram
         # spectrum is the random squared scale: clustered at the top
         K = multiply_function(heat_matrix(g, 1e-3), derived_rng(22, "scale").random(g.size))
