@@ -24,9 +24,12 @@ of the dense `values`:
   (Van Loan, "The ubiquitous Kronecker product", 2000).  heat_matrix returns
   that form, truncated_convolution the same form with a lattice cutoff
   (entries at larger lattice offsets are 0), and multiply_function of
-  either multiplies the scale.  One builder, _gaussian_heat, forms the
-  Gaussian heat kernel for heat_matrix, for hs_diagnostics' dominating
-  kernel and, with its cutoff, for truncated_convolution.  hs_diagnostics
+  either multiplies the scale.  heat_matrix's kernel records its time s
+  and mode, multiply_function keeps them, and hs_diagnostics refuses a
+  kernel whose record differs from its own s and mode.  One builder,
+  _gaussian_heat, forms the Gaussian heat kernel for heat_matrix, for
+  hs_diagnostics' dominating kernel and, with its cutoff, for
+  truncated_convolution.  hs_diagnostics
   takes the row and column sums of K^2 and the HS norm from the factor, the
   singular values in the factor's eigenbasis, and the domination excess
   over chunks of the masked columns, so it never holds the N x |mask| block;
@@ -136,7 +139,7 @@ class KernelMatrix:
     def _hold_block(self, grid: Grid, index: np.ndarray, block: np.ndarray) -> None:
         _require_finite(block)
         self.grid, self._index, self._block = grid, index, block
-        self._factor = self._scale = self._cutoff = None
+        self._factor = self._scale = self._cutoff = self._heat = None
 
     @classmethod
     def _blocked(cls, grid: Grid, index: np.ndarray, block: np.ndarray) -> KernelMatrix:
@@ -148,17 +151,18 @@ class KernelMatrix:
 
     @classmethod
     def _kronecker(cls, grid: Grid, factor: np.ndarray, scale: np.ndarray,
-                   cutoff: int | None = None) -> KernelMatrix:
+                   cutoff: int | None = None, heat: tuple | None = None) -> KernelMatrix:
         """The kernel (factor (x) ... (x) factor) diag(scale), values unformed.
 
         With a cutoff, entries whose squared integer lattice offset exceeds
-        it are 0.
+        it are 0.  heat is (s, mode) when the kernel is heat_matrix(grid, s,
+        mode) or multiply_function of one; hs_diagnostics reads it.
         """
         # largest |entry| per column, formed as values are: overflows as they would
         peak = reduce(np.multiply.outer, [np.max(np.abs(factor), axis=0)] * grid.nu)
         _require_finite(peak.ravel() * np.abs(scale))
         K = cls.__new__(cls)
-        K.grid, K._factor, K._scale, K._cutoff = grid, factor, scale, cutoff
+        K.grid, K._factor, K._scale, K._cutoff, K._heat = grid, factor, scale, cutoff, heat
         K._index = K._block = None
         return K
 
@@ -234,7 +238,7 @@ def multiply_function(K: KernelMatrix, values_on_grid) -> KernelMatrix:
     if g.shape != (K.grid.size,):
         raise ValueError("function values must match the grid size")
     if K._factor is not None:
-        return KernelMatrix._kronecker(K.grid, K._factor, K._scale * g, K._cutoff)
+        return KernelMatrix._kronecker(K.grid, K._factor, K._scale * g, K._cutoff, K._heat)
     return KernelMatrix(K.grid, K.values * g[None, :])
 
 
@@ -305,14 +309,16 @@ def _heat_peak(nu: int, s: float) -> float:
     return (4.0 * math.pi * s) ** (-nu / 2.0)
 
 
-def _gaussian_heat(grid: Grid, s: float, cutoff: int | None = None) -> KernelMatrix:
+def _gaussian_heat(grid: Grid, s: float, cutoff: int | None = None,
+                   heat: tuple | None = None) -> KernelMatrix:
     """The Gaussian heat kernel (4 pi s)^{-nu/2} exp(-|x - y|^2 / 4s) in
     Kronecker form: the factor exp(-(x_i - x_j)^2 / 4s) on every axis and the
-    peak as column scale, cut at `cutoff` when one is given."""
+    peak as column scale, cut at `cutoff` when one is given; heat as for
+    KernelMatrix._kronecker."""
     offsets = grid.axis[:, None] - grid.axis[None, :]
     factor = np.exp(-(offsets * offsets) / (4.0 * s))
     peak = np.full(grid.size, _heat_peak(grid.nu, s))
-    return KernelMatrix._kronecker(grid, factor, peak, cutoff)
+    return KernelMatrix._kronecker(grid, factor, peak, cutoff, heat)
 
 
 def _kron_lines(factor: np.ndarray, nu: int, picks: np.ndarray) -> np.ndarray:
@@ -389,15 +395,17 @@ def heat_matrix(grid: Grid, s: float = 1.0, mode: str = "gaussian-kernel") -> Ke
     is exactly the peak; expm-of-laplacian takes k1 = exp(-s T) (expm_sym)
     for the 1-D Dirichlet Laplacian T (operators._second_difference) and
     scale 1/w, so that the weighted action w * K @ v is the matrix
-    exponential's action.  The dense values are formed on first read, and
-    only that read is held to the grid's dense-entry budget.
+    exponential's action.  Both factors are exactly symmetric, so the formed
+    values are too.  The kernel records s and mode for hs_diagnostics, and
+    multiply_function of it keeps them.  The dense values are formed on
+    first read, and only that read is held to the grid's dense-entry budget.
     """
     s = _check_heat_inputs(s, mode)
     if mode == "gaussian-kernel":
-        return _gaussian_heat(grid, s)
-    # exactly symmetric, so the formed values are too
+        return _gaussian_heat(grid, s, heat=(s, mode))
     factor = expm_sym(_second_difference(grid.points_per_axis, grid.spacing).toarray(), -s)
-    return KernelMatrix._kronecker(grid, factor, np.full(grid.size, 1.0 / grid.weight))
+    return KernelMatrix._kronecker(grid, factor, np.full(grid.size, 1.0 / grid.weight),
+                                   heat=(s, mode))
 
 
 def compose_C(grid: Grid, V: PotentialExpr, s: float = 1.0,
@@ -527,7 +535,8 @@ def hs_diagnostics(K: KernelMatrix, mask, s: float = 1.0,
                    mode: str = "gaussian-kernel") -> CompactnessDiagnostics:
     """Compactness evidence for the masked operator K chi.
 
-    K is the heat kernel heat_matrix(grid, s, mode).  Checks, in order:
+    K is the heat kernel heat_matrix(grid, s, mode), or multiply_function
+    of it; s and mode must be the ones it records.  Checks, in order:
     pointwise domination of |K chi| by the dominating heat kernel of that
     mode (the Gaussian at time s, an equality for gaussian-kernel; the
     infinite-lattice kernel for expm-of-laplacian), row vs column sup bounds
@@ -546,15 +555,19 @@ def hs_diagnostics(K: KernelMatrix, mask, s: float = 1.0,
     gaussian-kernel mode (the factor's norm is at most its largest row sum,
     1 + sqrt(4 pi s) / h).
     The domination excess is taken over chunks of HS_CHUNK_ENTRIES entries
-    of the masked columns of K and of the dominating kernel.  A kernel not
-    in Kronecker form, cut at a lattice offset, or with a factor that is
-    not exactly symmetric is refused, and so are s and mode where
-    heat_matrix refuses them.
+    of the masked columns of K and of the dominating kernel.  Before any
+    work it refuses s and mode where heat_matrix refuses them, a kernel
+    that records no heat time and mode (any kernel not from heat_matrix or
+    multiply_function of one), and one that records others: the
+    domination and mass checks hold only at the kernel's own s and mode.
     """
     s = _check_heat_inputs(s, mode)
-    factor = K._factor
-    if factor is None or K._cutoff is not None or not np.array_equal(factor, factor.T):
+    if K._heat is None:
         raise ValueError("hs_diagnostics needs a heat_matrix kernel")
+    if K._heat != (s, mode):
+        raise ValueError(f"kernel is heat_matrix at s = {K._heat[0]:g} in mode "
+                         f"{K._heat[1]!r}, not s = {s:g} in mode {mode!r}")
+    factor = K._factor
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != (K.grid.size,):
         raise ValueError("mask length must equal the grid size")

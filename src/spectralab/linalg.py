@@ -8,14 +8,17 @@ and the smallest eigenvalues of an opaque symmetric linear map (ARPACK's
 implicitly restarted Lanczos through scipy's eigsh, followed by a
 certificate that no lower eigenvalue was missed).  A caller that can
 factor a positive definite map hands lanczos_extremal a factor hook; the
-solver then owns the spectral transformation x -> -A^{-1} x and the whole
-life of its factor, and certifies by one exact count of the eigenvalues
-below a level (operators' Sylvester inertia count).  Otherwise, or when
-the count disagrees or cannot be made, the certificate is a deflated
-sweep pass that recovers repeated eigenvalues.  Values and residuals
-are always those of the map itself.  scipy.sparse.linalg is imported
-inside the one function that runs ARPACK (_arpack_smallest), when it
-runs, so the dense routines never load it.
+solver then owns the spectral transformation and the whole life of its
+factors, and certifies by one exact count of the eigenvalues below a level
+(operators' Sylvester inertia count).  Given a level sigma above the k
+lowest eigenvalues, one factor of A - sigma I does both: its solve finds
+every eigenvalue below sigma (_below_level) and its inertia counts them.
+Otherwise the solve runs on -A^{-1} and a second factor counts.  When the
+count disagrees or cannot be made, or without a factor hook, the
+certificate is a deflated sweep pass that recovers repeated eigenvalues.
+Values and residuals are always those of the map itself.
+scipy.sparse.linalg is imported inside the one function that runs ARPACK
+(_arpack_smallest), when it runs, so the dense routines never load it.
 """
 
 from __future__ import annotations
@@ -174,7 +177,8 @@ class LanczosResult:
     """Smallest eigenvalues of a symmetric map with true residual norms.
 
     eigenvalues are ascending, of the map given to lanczos_extremal (of H,
-    not of -H^{-1}, when a factor hook transforms it); residuals[i] =
+    not of -H^{-1} or (H - sigma I)^{-1}, when a factor hook transforms
+    it); residuals[i] =
     |A x_i - lambda_i x_i| / |x_i|, computed with matvec on every path.
     converged is False when the iteration stopped early (restart cap or
     certificate budget); partial values are kept.  After ARPACK's restart
@@ -271,8 +275,41 @@ def _certify(apply, values, vectors, k, rng, max_iters, tol, sweeps):
     return values, vectors, False, "restart budget exhausted before certification"
 
 
+def _below_level(factor, sigma: float, dim: int, k: int, wrap, seed: int,
+                 max_iters: int, tol: float):
+    """Every eigenpair of A below sigma, ascending, from one factor of
+    A - sigma I; None when that factor cannot certify them.
+
+    factor(sigma) gives the solve x -> (A - sigma I)^{-1} x and the count c
+    of eigenvalues below sigma.  With k <= c <= MAX_EIGENPAIRS and c < dim,
+    ARPACK runs with k = c on the solve (wrapped by wrap, which counts its
+    applications): its c smallest values theta = 1 / (lambda - sigma) are
+    the negative ones, one per eigenvalue below sigma, and lambda =
+    sigma + 1/theta.  The pairs are certified when ARPACK completes and all
+    c values are negative, since exactly c eigenvalues lie below sigma.  An
+    undecided count, a singular factor, a count outside that range, an
+    incomplete run or a theta >= 0 gives None, after the factor is freed.
+    The factor of an indefinite A - sigma I pivots on its diagonal only, so
+    its solve, and with it each lambda, may carry an error of about 1e-12
+    relative; lanczos_extremal reports the Rayleigh quotients on A instead.
+    """
+    try:
+        solve, count = factor(sigma)
+    except ValueError:  # sigma is an eigenvalue to working precision
+        return None
+    if count is None or not k <= count <= MAX_EIGENPAIRS or count >= dim:
+        return None
+    rng = derived_rng(seed, "lanczos-start")
+    theta, vectors, complete = _arpack_smallest(wrap(solve), dim, count,
+                                                rng.standard_normal(dim), rng, max_iters, tol)
+    if not complete or np.any(theta >= 0.0):
+        return None
+    # 1/theta falls as theta rises through the negatives
+    return sigma + 1.0 / theta[::-1], vectors[:, ::-1]
+
+
 def lanczos_extremal(matvec, dim: int, k: int, max_iters: int = 600, seed: int = 0,
-                     tol: float = 1e-12, factor=None) -> LanczosResult:
+                     tol: float = 1e-12, factor=None, sigma=None) -> LanczosResult:
     """k smallest eigenvalues of a symmetric linear map, with residuals.
 
     ARPACK's implicitly restarted Lanczos (scipy's eigsh, which="SA", at
@@ -295,9 +332,18 @@ def lanczos_extremal(matvec, dim: int, k: int, max_iters: int = 600, seed: int =
     certifies when it equals the found values below that level, and no
     sweep runs.  When the count disagrees or cannot be made, the solve
     factor is made again for the sweeps, and values and note are those of
-    the sweeps alone.  tol is ARPACK's: a Ritz pair converges once its
-    residual estimate is <= tol * |theta|, theta an eigenvalue of the map
-    it runs on (-A^{-1} with a factor).
+    the sweeps alone.
+
+    sigma, with factor, is a level believed to lie above the k lowest
+    eigenvalues (operators.spectrum_study passes the previous box's k-th
+    value plus a slack).  Then one factor of A - sigma I first solves for
+    every eigenvalue below sigma and certifies them by its own count (see
+    _below_level); the k lowest are kept, and each value is the Rayleigh
+    quotient x.Ax / x.x of its vector.  Where it cannot, the path
+    above runs as if sigma were not given, from the same start vector.
+    tol is ARPACK's: a Ritz pair converges once its residual estimate is
+    <= tol * |theta|, theta an eigenvalue of the map it runs on (-A^{-1}
+    or (A - sigma I)^{-1} with a factor).
 
     Where ARPACK cannot run (k == dim) A is assembled from dim matvecs and
     solved densely.  matvec is checked for symmetry probabilistically
@@ -332,7 +378,12 @@ def lanczos_extremal(matvec, dim: int, k: int, max_iters: int = 600, seed: int =
     _check_symmetry(apply_matvec, dim, seed)
     rng = derived_rng(seed, "lanczos-start")
     ok, note = True, ""
-    if k >= dim:
+    below = (_below_level(factor, float(sigma), dim, k, counted, seed, max_iters, tol)
+             if factor is not None and sigma is not None else None)
+    if below is not None:
+        values, vectors = below
+        found = k
+    elif k >= dim:
         A = np.column_stack([apply_matvec(e) for e in np.eye(dim)])
         values, vectors = np.linalg.eigh((A + A.T) / 2.0)
         found = k
@@ -365,7 +416,17 @@ def lanczos_extremal(matvec, dim: int, k: int, max_iters: int = 600, seed: int =
             values = -1.0 / values
 
     eigenvalues, vectors = values[:found], vectors[:, :found]
-    residuals = np.array([np.linalg.norm(apply_matvec(x) - value * x) / np.linalg.norm(x)
-                          for value, x in zip(eigenvalues, vectors.T)])
+    residuals = np.empty(found)
+    for i, x in enumerate(vectors.T):
+        y = apply_matvec(x)
+        if below is not None:
+            # the Rayleigh quotient on the map: second order in the vector's
+            # error, where sigma + 1/theta is first order in the indefinite
+            # solve's
+            eigenvalues[i] = x @ y / (x @ x)
+        residuals[i] = np.linalg.norm(y - eigenvalues[i] * x) / np.linalg.norm(x)
+    if below is not None:
+        order = np.argsort(eigenvalues, kind="stable")
+        eigenvalues, residuals = eigenvalues[order], residuals[order]
     converged = ok and eigenvalues.size == k
     return LanczosResult(eigenvalues, residuals, converged, applications, note)

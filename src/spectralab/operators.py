@@ -8,7 +8,9 @@ nonnegative and not NaN, and finite wherever they enter a Hamiltonian
 linalg.lanczos_extremal (ARPACK plus a certificate that no lower value was
 missed); for nu <= 2 within FACTOR_POINT_CAP it is handed a factor hook,
 _shifted_factor: the solve and the Sylvester inertia count of one sparse
-LDL^T factor of H - shift I.  They are reported as
+LDL^T factor of H - shift I.  spectrum_study runs the boxes smallest first
+and hands each later box a level just above the previous box's k-th value,
+so that one factor there both solves and counts.  They are reported as
 box-stabilization evidence: a truncated box always has discrete spectrum,
 so discreteness claims rest on eigenvalues that stop moving as the box
 grows, and on counts N(level) that stay bounded.  check_spectrum_inputs
@@ -48,13 +50,23 @@ __all__ = [
 SPARSE_POINT_BUDGET = 4_000_000
 DENSE_ENTRY_BUDGET = 250_000_000
 # Most grid points one sparse factor (_ldlt) may span, per nu: each cap
-# holds one inertia count to about 370 MB of peak RSS above H.  Measured at
-# each cap in a fresh process (ru_maxrss, one core), a count adds 267 MB at
-# nu = 1, 367 MB at nu = 2 and 333 MB at nu = 3.  The factor alone takes
-# 235, 242 and 204 MB of that; most of the rest is the copy of U that
-# _shifted_factor's lu.U makes to read the diagonal.
+# holds one inertia count to about 345 MB of peak RSS above H.  Measured at
+# each cap in a fresh process (ru_maxrss, one core), a count adds 291 MB at
+# nu = 1, 343 MB at nu = 2 and 337 MB at nu = 3.  The factor alone takes
+# 291, 273 and 211 MB of that; the rest (0, 70 and 126 MB) is the copy of U
+# that _shifted_factor's lu.U makes to read the diagonal, which SuperLU
+# exposes no other way.  A whole nu = 2 solve at the cap adds 445 MB, with
+# one factor at sigma or with a solve factor and a count factor alike:
+# ARPACK's Lanczos vectors come on top of the factor.
 FACTOR_POINT_CAP = {1: 640_000, 2: 262_144, 3: 32_768}
 RESIDUAL_TOLERANCE = 1e-6
+# Relative slack of a box's shift-invert level above the previous box's
+# k-th value.  On nested grids ((L2 - L1) / h an integer) H(L1) is a
+# principal submatrix of H(L2) up to the last bits of the cell centres and
+# of V there, so by Cauchy interlacing and Weyl's inequality lambda_k(L2)
+# <= lambda_k(L1) + max |delta V|; the slack covers that and the solver's
+# error in lambda_k(L1).  Where it does not, the count at the level decides.
+LEVEL_SLACK = 1e-10
 # lanczos_extremal's ARPACK tolerance for every box of spectrum_study.
 SOLVER_TOLERANCE = 3e-11
 
@@ -303,20 +315,22 @@ def _box_counts(V: PotentialExpr, L: float, h: float, levels: tuple) -> tuple:
         raise ValueError(f"L={L:g}: {exc}") from None
 
 
-def _box_spectrum(V: PotentialExpr, L: float, h: float, k: int, **solver):
+def _box_spectrum(V: PotentialExpr, L: float, h: float, k: int, sigma=None, **solver):
     """One box of spectrum_study: its kept values and residuals, and its notes.
 
     For nu <= 2 on a grid within FACTOR_POINT_CAP, lanczos_extremal gets
-    the _shifted_factor hook, so it solves through a sparse factor of H and
-    certifies by one inertia count.  For nu = 3 the factor's fill costs
-    more than the restarts it saves, so it runs on H.matvec alone.  The
-    box's Hamiltonian is freed on return.
+    the _shifted_factor hook and the level sigma (None for the first box),
+    so it solves through a sparse factor of H and certifies by its inertia
+    count: one factor at sigma when that level serves, else a solve factor
+    and a count factor.  For nu = 3 the factor's fill costs more than the
+    restarts it saves, so it runs on H.matvec alone.  The box's Hamiltonian
+    is freed on return.
     """
     grid = Grid(V.dimension, L, h)
     H = hamiltonian(grid, V)
     factor = partial(_shifted_factor, H) if grid.nu <= 2 and grid.factor_fits else None
     result = lanczos_extremal(H.matvec, grid.size, k, tol=SOLVER_TOLERANCE, factor=factor,
-                              **solver)
+                              sigma=sigma, **solver)
     values, residuals = result.eigenvalues, result.residuals
     notes = []
     if not result.converged and result.note:
@@ -342,6 +356,10 @@ def spectrum_study(V: PotentialExpr, schedule, h: float, k: int, seed: int = 0,
     |H x - lambda x| / |x| below RESIDUAL_TOLERANCE.  seed and max_iters
     are lanczos_extremal's, as is SOLVER_TOLERANCE (see _box_spectrum).
     Eigensolver shortfalls are propagated as notes with partial data.
+    Boxes run smallest first; for nu <= 2 each later box solves and
+    certifies through one factor at a level above the previous box's k-th
+    value, or through two factors when that level cannot serve (see
+    linalg.lanczos_extremal).
     Inputs go through check_spectrum_inputs before any work.  Counts come
     first, box by box, each from its own sparse factor: a count level that
     the inertia cannot decide (see _inertia_count) raises ValueError naming
@@ -351,13 +369,17 @@ def spectrum_study(V: PotentialExpr, schedule, h: float, k: int, seed: int = 0,
                                                    count_levels)
     counting = tuple(_box_counts(V, L, h, count_levels) for L in schedule)
 
-    # Largest box first: each smaller box's factor then fits in heap memory
-    # the larger one freed.  Repeated studies on boxes (3, 4) at h = 0.1
-    # peaked at 77.5 MB RSS in ascending order against 71 MB (glibc malloc).
-    # Each box's result is independent of the order (lanczos_extremal
-    # derives its start vector from seed alone).
-    boxes = [_box_spectrum(V, L, h, k, max_iters=max_iters, seed=seed)
-             for L in schedule[::-1]][::-1]
+    # Smallest box first: each box's k-th value, plus LEVEL_SLACK, is the
+    # next box's shift-invert level.  The order costs little memory (glibc
+    # malloc, peak RSS): 150 studies on boxes (3, 4) at h = 0.1 in one
+    # process peak at 73.5-73.8 MB either way, and one study on (6, 8) at
+    # 104.4 MB against 101.4 MB largest first, when each smaller box's factor
+    # fits in heap memory the larger one freed.
+    boxes, sigma = [], None
+    for L in schedule:
+        boxes.append(_box_spectrum(V, L, h, k, sigma, max_iters=max_iters, seed=seed))
+        kept = boxes[-1][0]
+        sigma = kept[-1] + LEVEL_SLACK * max(1.0, abs(kept[-1])) if kept.size == k else None
     kept_values, kept_residuals, box_notes = zip(*boxes)
     notes = [note for per_box in box_notes for note in per_box]
 

@@ -323,8 +323,8 @@ class TestHsDiagnostics:
         g = Grid(2, 4.0, 0.25)
         K = heat_matrix(g, 1.0, "expm-of-laplacian")
         mask = potential_on_grid(g, CROSS) < 1.0
-        against_gauss = hs_diagnostics(K, mask, 1.0).checks[0]
-        assert not against_gauss.passed
+        gauss = heat_matrix(g, 1.0).values
+        assert np.max(K.values[:, mask] - gauss[:, mask]) > 1e-3 * np.max(gauss)
         diag = hs_diagnostics(K, mask, 1.0, "expm-of-laplacian")
         dom = diag.checks[0]
         assert dom.name == "pointwise-domination" and dom.passed
@@ -364,6 +364,41 @@ class TestHsDiagnostics:
         for bad_mask in (mask, np.ones(3, bool)):
             with pytest.raises(ValueError, match="unknown mode 'bogus'"):
                 hs_diagnostics(K, bad_mask, 1.0, "bogus")
+
+    @pytest.mark.parametrize("s, mode", [(2.0, "gaussian-kernel"), (0.5, "gaussian-kernel"),
+                                         (1.0, "expm-of-laplacian")])
+    def test_kernel_built_at_another_time_or_mode_is_refused(self, s, mode):
+        # heat_matrix(g, 1.0) against s = 2 failed pointwise-domination and
+        # hs-vs-gaussian-mass, and against s = 0.5 pointwise-domination;
+        # each is refused before the mask is read
+        g = Grid(2, 2.0, 0.25)
+        K, mask = heat_matrix(g, 1.0), np.sum(g.points**2, axis=1) < 1.0
+        for kernel in (K, multiply_function(K, np.exp(-potential_on_grid(g, CROSS)))):
+            for bad_mask in (mask, np.ones(3, bool)):
+                with pytest.raises(ValueError, match="kernel is heat_matrix at s = 1 in mode "
+                                                     "'gaussian-kernel', not"):
+                    hs_diagnostics(kernel, bad_mask, s, mode)
+
+    def test_kernel_keeps_its_time_and_mode_through_multiply_function(self):
+        g = Grid(2, 2.0, 0.25)
+        mask = potential_on_grid(g, CROSS) < 1.0
+        damping = np.exp(-potential_on_grid(g, CROSS))
+        for mode in MODES:
+            # e^{-V} <= 1 keeps |C| under the dominating kernel; C is not
+            # symmetric, so its row and column bounds differ
+            C = multiply_function(heat_matrix(g, 0.8, mode), damping)
+            checks = {c.name: c.passed for c in hs_diagnostics(C, mask, 0.8, mode).checks}
+            assert checks["pointwise-domination"] and not checks["row-column-gap"]
+            with pytest.raises(ValueError, match="not s = 1 in mode"):
+                hs_diagnostics(C, mask, 1.0, mode)
+
+    def test_kernel_without_a_heat_record_is_refused(self):
+        g = Grid(2, 2.0, 0.25)
+        mask = np.ones(g.size, bool)
+        for K in (KernelMatrix(g, heat_matrix(g, 1.0).values),
+                  truncated_convolution(g, 1.0, 1.0)[0]):
+            with pytest.raises(ValueError, match="needs a heat_matrix kernel"):
+                hs_diagnostics(K, mask)
 
     @pytest.mark.parametrize("h, blocks", [(0.16, 1.5), (0.1, 0.6)])
     def test_allocation_peak_in_blocks(self, h, blocks):

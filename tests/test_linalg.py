@@ -310,3 +310,93 @@ def test_lanczos_guards():
         lanczos_extremal(lambda v: v, dim=100, k=31)
     with pytest.raises(ValueError, match="exceeds the dimension"):
         lanczos_extremal(lambda v: v, dim=5, k=6)
+
+
+# ------------------------------------------------- shift-invert at a level
+
+
+def diagonal_factor(diag, shifts):
+    """lanczos_extremal's factor hook for diag(diag): the exact solve of
+    diag - shift and the count below shift; each shift is appended to
+    shifts, and a shift on a diagonal entry is singular."""
+    def factor(shift):
+        shifts.append(shift)
+        if np.any(diag == shift):
+            raise ValueError("exactly singular")
+        return (lambda x: x / (diag - shift)), int(np.count_nonzero(diag < shift))
+    return factor
+
+
+def test_level_solves_and_counts_with_one_factor():
+    # sigma = 5.5 over diag(1..100): one factor, c = 5 pairs below it, the
+    # k = 3 lowest kept, no count at a second level and no sweep
+    diag = np.arange(1.0, 101.0)
+    shifts = []
+    res = lanczos_extremal(lambda v: diag * v, dim=100, k=3, seed=1,
+                           factor=diagonal_factor(diag, shifts), sigma=5.5)
+    assert shifts == [5.5]
+    assert res.converged and res.note == ""
+    np.testing.assert_allclose(res.eigenvalues, [1.0, 2.0, 3.0], rtol=1e-14, atol=0)
+    assert np.all(res.residuals <= 1e-12)
+
+
+@pytest.mark.parametrize("dim, sigma, why", [
+    (100, 2.5, "fewer than k values below sigma"),
+    (100, 40.5, "more than MAX_EIGENPAIRS values below sigma"),
+    (100, 3.0, "sigma is an eigenvalue: the factor is singular"),
+    (20, 25.0, "every value lies below sigma"),
+])
+def test_level_that_cannot_certify_runs_the_two_factor_path(dim, sigma, why):
+    # each case makes the factor at sigma, applies nothing through it, then
+    # runs exactly the path without sigma: a solve factor at 0 and a count
+    # factor
+    diag = np.arange(1.0, dim + 1.0)
+    shifts, plain_shifts = [], []
+    res = lanczos_extremal(lambda v: diag * v, dim=dim, k=3, seed=1,
+                           factor=diagonal_factor(diag, shifts), sigma=sigma)
+    plain = lanczos_extremal(lambda v: diag * v, dim=dim, k=3, seed=1,
+                             factor=diagonal_factor(diag, plain_shifts))
+    assert shifts == [sigma] + plain_shifts and len(plain_shifts) == 2, why
+    np.testing.assert_array_equal(res.eigenvalues, plain.eigenvalues)
+    np.testing.assert_array_equal(res.residuals, plain.residuals)
+    assert res.converged and res.matvec_count == plain.matvec_count
+
+
+def test_level_with_an_undecided_count_or_an_incomplete_run(monkeypatch):
+    diag = np.arange(1.0, 101.0)
+    plain = lanczos_extremal(lambda v: diag * v, dim=100, k=3, seed=1,
+                             factor=diagonal_factor(diag, []))
+    # the factor at sigma cannot count (a row-pivoted factor)
+    undecided = []
+
+    def no_count(shift):
+        solve, count = diagonal_factor(diag, undecided)(shift)
+        return solve, None if shift == 5.5 else count
+
+    res = lanczos_extremal(lambda v: diag * v, dim=100, k=3, seed=1, factor=no_count,
+                           sigma=5.5)
+    assert undecided[0] == 5.5 and len(undecided) == 3
+    np.testing.assert_array_equal(res.eigenvalues, plain.eigenvalues)
+    # ARPACK stops short on the run at sigma
+    arpack = linalg._arpack_smallest
+    runs = []
+
+    def capped_first_run(apply, dim, k, v0, rng, max_iters, tol):
+        runs.append(k)
+        values, vectors, _ = arpack(apply, dim, k, v0, rng, max_iters, tol)
+        return values, vectors, len(runs) > 1
+
+    monkeypatch.setattr(linalg, "_arpack_smallest", capped_first_run)
+    res = lanczos_extremal(lambda v: diag * v, dim=100, k=3, seed=1,
+                           factor=diagonal_factor(diag, []), sigma=5.5)
+    assert runs == [5, 3]
+    np.testing.assert_array_equal(res.eigenvalues, plain.eigenvalues)
+    np.testing.assert_array_equal(res.residuals, plain.residuals)
+
+
+def test_level_is_ignored_without_a_factor():
+    diag = np.arange(1.0, 101.0)
+    plain = lanczos_extremal(lambda v: diag * v, dim=100, k=3, seed=1)
+    res = lanczos_extremal(lambda v: diag * v, dim=100, k=3, seed=1, sigma=5.5)
+    np.testing.assert_array_equal(res.eigenvalues, plain.eigenvalues)
+    assert res.matvec_count == plain.matvec_count

@@ -10,7 +10,9 @@ Oracle routes kept independent of the code under test:
 - for V = v(x1) + w(x2), H = A (x) I + I (x) B with tridiagonal A and B, so
   the counting function is #{a_i + b_j < level} from two 1-D spectra;
 - the deflated certificate sweeps (every inertia count undecided) stand in
-  for the inertia certificate on the factor path.
+  for the inertia certificate on the factor path;
+- a box whose level cannot certify it runs exactly the path without a
+  level, so that path's values are the oracle for each fallback.
 """
 
 import math
@@ -75,6 +77,34 @@ def record(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, recorded)
     return results
+
+
+def record_factors(monkeypatch):
+    """Count operators._ldlt calls: the shapes of the matrices it factors."""
+    factors = []
+
+    def counted_ldlt(matrix):
+        factors.append(matrix.shape)
+        return _ldlt(matrix)
+
+    monkeypatch.setattr(operators, "_ldlt", counted_ldlt)
+    return factors
+
+
+def assert_as_without_levels(monkeypatch, rep, *study):
+    """rep equals spectrum_study(*study) run with no box given a level."""
+    solve = operators.lanczos_extremal
+
+    def without_level(*args, sigma=None, **kwargs):
+        return solve(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(operators, "lanczos_extremal", without_level)
+        plain = spectrum_study(*study)
+    for field in ("eigenvalues", "residuals"):
+        for a, b in zip(getattr(rep, field), getattr(plain, field)):
+            np.testing.assert_array_equal(a, b)
+    assert rep.notes == plain.notes
 
 
 def dirichlet_eigenvalues(L, h):
@@ -317,24 +347,75 @@ class TestSpectrumStudy:
                 assert abs(est.value - area(R)) <= 3 * est.std_error, (source, R)
 
     def test_shift_invert_matches_dense_eigvalsh(self, monkeypatch):
-        # nu <= 2 solves on -H^{-1} through one factor per box, and certifies
-        # by one more factor (the inertia of H - tau I)
-        factors = []
-
-        def counted_ldlt(matrix):
-            factors.append(matrix.shape)
-            return _ldlt(matrix)
-
-        monkeypatch.setattr(operators, "_ldlt", counted_ldlt)
-        for source, nu, schedule, h in (("x1^2", 1, (4.0, 6.0), 0.1),
-                                        ("x1^2*x2^2", 2, (1.5, 2.0), 0.2)):
+        # nu <= 2: the smallest box solves on -H^{-1} through one factor and
+        # certifies by one more (the inertia of H - tau I); every later box
+        # solves and counts through one factor of H - sigma I, sigma just
+        # above the previous box's k-th value.  (1.5, 1.6) at h = 0.2 is not
+        # nested, and the count alone certifies it.
+        factors = record_factors(monkeypatch)
+        sweeps = record(monkeypatch, linalg, "_certify")
+        for source, nu, schedule, h in (("x1^2", 1, (4.0, 6.0, 8.0), 0.1),
+                                        ("x1^2*x2^2", 2, (1.5, 2.0), 0.2),
+                                        ("x1^2*x2^2", 2, (1.5, 1.6), 0.2)):
             V = parse_potential(source, nu)
             factors.clear()
             rep = spectrum_study(V, schedule, h, 5)
-            assert len(factors) == 2 * len(schedule)
+            assert len(factors) == 2 + (len(schedule) - 1) and not sweeps
             for L, values in zip(schedule, rep.eigenvalues):
                 dense = np.linalg.eigvalsh(hamiltonian(Grid(nu, L, h), V).matrix.toarray())
                 np.testing.assert_allclose(values, dense[:5], rtol=1e-12, atol=0)
+
+    def test_level_below_the_kth_value_runs_the_two_factor_path(self, monkeypatch):
+        # x1^4 at h = 0.5: the L = 3 grid is not nested in the L = 2.75 one,
+        # its points sit where V is larger, and only 2 of its values lie
+        # below the smaller box's 3rd; the box makes the factor at sigma,
+        # then exactly the path without a level (two more factors)
+        V = parse_potential("x1^4", 1)
+        schedule, h, k = (2.75, 3.0), 0.5, 3
+        dense = np.linalg.eigvalsh(hamiltonian(Grid(1, 3.0, h), V).matrix.toarray())
+        factors = record_factors(monkeypatch)
+        rep = spectrum_study(V, schedule, h, k)
+        assert len(factors) == 2 + 3
+        assert _inertia_count(hamiltonian(Grid(1, 3.0, h), V),
+                              rep.eigenvalues[0][-1] * (1 + 1e-10)) == 2
+        np.testing.assert_allclose(rep.eigenvalues[1], dense[:k], rtol=1e-12, atol=0)
+        assert_as_without_levels(monkeypatch, rep, V, schedule, h, k)
+
+    def test_level_above_too_many_values_runs_the_two_factor_path(self, monkeypatch):
+        # V = 0 on (1, 8) at h = 0.1: 38 values of the larger box lie below
+        # the smaller box's 5th, more than MAX_EIGENPAIRS
+        V = parse_potential("0", 1)
+        schedule, h, k = (1.0, 8.0), 0.1, 5
+        factors = record_factors(monkeypatch)
+        rep = spectrum_study(V, schedule, h, k)
+        assert len(factors) == 2 + 3
+        level = rep.eigenvalues[0][-1] * (1 + 1e-10)
+        assert _inertia_count(hamiltonian(Grid(1, 8.0, h), V), level) == 38
+        np.testing.assert_allclose(rep.eigenvalues[1], dirichlet_eigenvalues(8.0, h)[:k],
+                                   rtol=1e-12, atol=0)
+        assert_as_without_levels(monkeypatch, rep, V, schedule, h, k)
+
+    def test_singular_factor_at_the_level_runs_the_two_factor_path(self, monkeypatch):
+        # the factor at sigma exactly singular (the hook raising ValueError)
+        V = parse_potential("x1^2*x2^2", 2)
+        schedule, h, k = (1.5, 2.0), 0.2, 5
+        solve = operators.lanczos_extremal
+        levels = []
+
+        def singular_at_sigma(*args, factor=None, sigma=None, **kwargs):
+            def hook(shift):
+                if shift == sigma:
+                    levels.append(shift)
+                    raise ValueError("no inertia count")
+                return factor(shift)
+
+            return solve(*args, factor=hook, sigma=sigma, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(operators, "lanczos_extremal", singular_at_sigma)
+            rep = spectrum_study(V, schedule, h, k)
+        assert len(levels) == 1
+        assert_as_without_levels(monkeypatch, rep, V, schedule, h, k)
 
     def test_inertia_brackets_the_showcase_values(self):
         # bench showcase boxes: nothing below lambda_1, exactly k up to lambda_k
@@ -347,21 +428,25 @@ class TestSpectrumStudy:
             assert _inertia_count(H, values[0] * (1 - 1e-6)) == 0
 
     def test_inertia_certifies_the_showcase_without_sweeps(self, monkeypatch):
-        # bench showcase boxes: the inertia count agrees, so no deflation
-        # sweep runs, and the solve takes fewer applications of -H^{-1}
+        # bench showcase boxes: the inertia counts agree, so no deflation
+        # sweep runs, three factors serve both boxes (two for L = 3, one at
+        # sigma for L = 4), and each solve takes fewer applications than
+        # the sweeps.  L = 3 solves exactly as the sweeps' first run does;
+        # L = 4 reports Rayleigh quotients, within 1e-12 of the sweeps'.
         V = parse_potential("x1^2*x2^2", 2)
         sweeps = record(monkeypatch, linalg, "_certify")
+        factors = record_factors(monkeypatch)
         solves = record(monkeypatch, operators, "lanczos_extremal")
         rep = spectrum_study(V, (3.0, 4.0), 0.1, 5)
-        assert not sweeps and len(solves) == 2
+        assert not sweeps and len(solves) == 2 and len(factors) == 3
         counted = [result.matvec_count for result in solves]
         solves.clear()
         sweeps_only(monkeypatch)
         swept = spectrum_study(V, (3.0, 4.0), 0.1, 5)
         assert len(sweeps) == 2 and len(solves) == 2
         assert all(a < b.matvec_count for a, b in zip(counted, solves))
-        for a, b in zip(rep.eigenvalues, swept.eigenvalues):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(rep.eigenvalues[0], swept.eigenvalues[0])
+        np.testing.assert_allclose(rep.eigenvalues[1], swept.eigenvalues[1], rtol=1e-12, atol=0)
         assert rep.notes == swept.notes == ()
 
     def test_missed_pair_falls_back_to_the_sweeps(self, monkeypatch):
@@ -382,17 +467,41 @@ class TestSpectrumStudy:
         V = parse_potential("x1^2*x2^2", 2)
         schedule = (1.5, 2.0)
         rep = spectrum_study(V, schedule, 0.2, 5)
-        # the largest box solves first; only its run skipped a pair
+        # the smallest box solves first; only its run skipped a pair
         assert len(sweeps) == 1 and len(runs) > 2
         for L, values in zip(schedule, rep.eigenvalues):
             dense = np.linalg.eigvalsh(hamiltonian(Grid(2, L, 0.2), V).matrix.toarray())
             np.testing.assert_allclose(values, dense[:5], rtol=1e-12, atol=0)
         assert rep.notes == ()
 
+    def test_missed_pair_at_the_level_runs_the_two_factor_path(self, monkeypatch):
+        # the run at sigma (k = c = 8 values of the L = 2 box lie below it)
+        # skips the lowest pair and ends on a positive theta, a value above
+        # sigma: the box falls back to exactly the path without a level
+        arpack = linalg._arpack_smallest
+        runs = []
+
+        def skip_lowest_at_sigma(apply, dim, k, v0, rng, max_iters, tol):
+            runs.append(k)
+            if len(runs) != 2:  # the L = 1.5 box's solve, then the fallback's
+                return arpack(apply, dim, k, v0, rng, max_iters, tol)
+            values, vectors, complete = arpack(apply, dim, k + 1, v0, rng, max_iters, tol)
+            return values[1:], vectors[:, 1:], complete
+
+        V = parse_potential("x1^2*x2^2", 2)
+        schedule, h, k = (1.5, 2.0), 0.2, 5
+        factors = record_factors(monkeypatch)
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "_arpack_smallest", skip_lowest_at_sigma)
+            rep = spectrum_study(V, schedule, h, k)
+        assert runs == [k, 8, k] and len(factors) == 2 + 3
+        assert_as_without_levels(monkeypatch, rep, V, schedule, h, k)
+
     def test_undecided_count_falls_back_to_the_sweeps(self, monkeypatch):
-        # the count's factor exactly singular (the hook raising ValueError):
-        # the box is certified by the sweeps, with the values, residuals
-        # and notes of the sweeps alone
+        # every count's factor exactly singular (the hook raising
+        # ValueError), the factor at sigma too: each box is certified by
+        # the sweeps, with the values, residuals and notes of the sweeps
+        # alone
         def singular(shift):
             if shift:  # the solve factor at shift 0 is made as usual
                 raise ValueError("no inertia count")
@@ -415,8 +524,10 @@ class TestSpectrumStudy:
     def test_bench_box_solves_only_inside_arpack(self, monkeypatch):
         # bench showcase boxes (3, 4) at h = 0.1: the symmetry probe and the
         # residuals run on H, so the factor's solve is applied only by ARPACK
-        # (41 solves per box; 52 when the probe and the residuals ran on
-        # -H^{-1}), and each residual is |H x - lambda x| / |x| exactly
+        # (41 solves per box, on -H^{-1} for L = 3 and on (H - sigma I)^{-1}
+        # for L = 4; 52 when the probe and the residuals ran on the solve),
+        # and each residual is |H x - lambda x| / |x| exactly, lambda the
+        # Rayleigh quotient of x for L = 4
         solve = operators.lanczos_extremal
         solves, matvecs = [], []
 
@@ -450,13 +561,21 @@ class TestSpectrumStudy:
         assert solves == [41, 41]
         assert matvecs == [6 + k, 6 + k]
         assert [r.matvec_count for r in results] == [41 + 6 + k] * 2
-        # the largest box solves first
-        for L, (_, vectors, _), result in zip(schedule[::-1], runs, results):
+        # the smallest box solves first; the run at sigma finds the k = 5
+        # values below it, theta ascending and so lambda descending
+        vectors = [runs[0][1], runs[1][1][:, ::-1]]
+        for L, vectors, result in zip(schedule, vectors, results):
             H = hamiltonian(Grid(2, L, h), V)
+            values = result.eigenvalues
+            if L == 4.0:
+                quotients = [x @ H.matvec(x) / (x @ x) for x in vectors.T]
+                order = np.argsort(quotients, kind="stable")
+                np.testing.assert_array_equal(values, np.take(quotients, order))
+                vectors = vectors[:, order]
             exact = [np.linalg.norm(H.matvec(x) - value * x) / np.linalg.norm(x)
-                     for value, x in zip(result.eigenvalues, vectors.T)]
+                     for value, x in zip(values, vectors.T)]
             np.testing.assert_array_equal(result.residuals, exact)
-        np.testing.assert_array_equal(rep.residuals[0], results[1].residuals)
+        np.testing.assert_array_equal(rep.residuals[1], results[1].residuals)
 
     def test_three_dimensions_solve_on_the_matvec(self, monkeypatch):
         # nu = 3 factors nothing, and its values and residuals are exactly
