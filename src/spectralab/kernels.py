@@ -63,7 +63,7 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .linalg import expm_sym, singular_values, symmetric_singular_values
-from .operators import Grid, _second_difference, potential_on_grid
+from .operators import Grid, _dirichlet_stencil, potential_on_grid
 from .potentials import PotentialExpr
 from .rng import derived_rng
 from .sublevel import ball_volume, check_ball_volume, check_positive
@@ -393,7 +393,7 @@ def heat_matrix(grid: Grid, s: float = 1.0, mode: str = "gaussian-kernel") -> Ke
     k1_ij = exp(-(x_i - x_j)^2 / 4s) and scale (4 pi s)^{-nu/2}, so K_ij =
     (4 pi s)^{-nu/2} exp(-|x_i - x_j|^2 / 4s) up to rounding and the diagonal
     is exactly the peak; expm-of-laplacian takes k1 = exp(-s T) (expm_sym)
-    for the 1-D Dirichlet Laplacian T (operators._second_difference) and
+    for the 1-D Dirichlet Laplacian T (operators._dirichlet_stencil) and
     scale 1/w, so that the weighted action w * K @ v is the matrix
     exponential's action.  Both factors are exactly symmetric, so the formed
     values are too.  The kernel records s and mode for hs_diagnostics, and
@@ -403,7 +403,8 @@ def heat_matrix(grid: Grid, s: float = 1.0, mode: str = "gaussian-kernel") -> Ke
     s = _check_heat_inputs(s, mode)
     if mode == "gaussian-kernel":
         return _gaussian_heat(grid, s, heat=(s, mode))
-    factor = expm_sym(_second_difference(grid.points_per_axis, grid.spacing).toarray(), -s)
+    main, off = _dirichlet_stencil(grid.points_per_axis, grid.spacing)
+    factor = expm_sym(np.diag(main) + np.diag(off, -1) + np.diag(off, 1), -s)
     return KernelMatrix._kronecker(grid, factor, np.full(grid.size, 1.0 / grid.weight),
                                    heat=(s, mode))
 

@@ -280,12 +280,12 @@ def _below_level(factor, sigma: float, dim: int, k: int, wrap, seed: int,
     """Every eigenpair of A below sigma, ascending, from one factor of
     A - sigma I; None when that factor cannot certify them.
 
-    factor(sigma) gives the solve x -> (A - sigma I)^{-1} x and the count c
-    of eigenvalues below sigma.  With k <= c <= MAX_EIGENPAIRS and c < dim,
-    ARPACK runs with k = c on the solve (wrapped by wrap, which counts its
-    applications): its c smallest values theta = 1 / (lambda - sigma) are
-    the negative ones, one per eigenvalue below sigma, and lambda =
-    sigma + 1/theta.  The pairs are certified when ARPACK completes and all
+    factor(sigma) gives the solve x -> (A - sigma I)^{-1} x and a call that
+    counts the c eigenvalues below sigma.  With k <= c <= MAX_EIGENPAIRS
+    and c < dim, ARPACK runs with k = c on the solve (wrapped by wrap, which
+    counts its applications): its c smallest values theta =
+    1 / (lambda - sigma) are the negative ones, one per eigenvalue below
+    sigma, and lambda = sigma + 1/theta.  The pairs are certified when ARPACK completes and all
     c values are negative, since exactly c eigenvalues lie below sigma.  An
     undecided count, a singular factor, a count outside that range, an
     incomplete run or a theta >= 0 gives None, after the factor is freed.
@@ -297,6 +297,7 @@ def _below_level(factor, sigma: float, dim: int, k: int, wrap, seed: int,
         solve, count = factor(sigma)
     except ValueError:  # sigma is an eigenvalue to working precision
         return None
+    count = count()
     if count is None or not k <= count <= MAX_EIGENPAIRS or count >= dim:
         return None
     rng = derived_rng(seed, "lanczos-start")
@@ -321,9 +322,11 @@ def lanczos_extremal(matvec, dim: int, k: int, max_iters: int = 600, seed: int =
 
     factor is for a positive definite map A (operators._box_spectrum passes
     one for nu <= 2).  factor(shift) returns the solve of a factor of
-    A - shift I and the number of eigenvalues of A below shift, or None
-    when the factor cannot tell; it raises ValueError when that factor is
-    exactly singular.  ARPACK then runs on x -> -A^{-1} x, whose smallest
+    A - shift I and its count: a call that gives the number of eigenvalues
+    of A below shift, or None when the factor cannot tell.  The count is
+    called only where it is used, so the solve factor at shift 0 never
+    pays for one.  factor raises ValueError when its factor is exactly
+    singular.  ARPACK then runs on x -> -A^{-1} x, whose smallest
     values mu = -1/lambda converge in a few restarts (the spectral
     transformation of Ericsson & Ruhe, 1980), and lambda = -1/mu is
     reported.  The solve factor is made before ARPACK allocates its
@@ -400,7 +403,7 @@ def lanczos_extremal(matvec, dim: int, k: int, max_iters: int = 600, seed: int =
             apply = None  # frees the solve factor before the count makes its own
             level = _certificate_level(float(values[-1]))
             try:
-                count = factor(-1.0 / level)[1]
+                count = factor(-1.0 / level)[1]()
             except ValueError:  # the level is an eigenvalue to working precision
                 count = None
             certified = count == int(np.count_nonzero(values < level))

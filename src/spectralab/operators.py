@@ -54,8 +54,9 @@ DENSE_ENTRY_BUDGET = 250_000_000
 # each cap in a fresh process (ru_maxrss, one core), a count adds 291 MB at
 # nu = 1, 343 MB at nu = 2 and 337 MB at nu = 3.  The factor alone takes
 # 291, 273 and 211 MB of that; the rest (0, 70 and 126 MB) is the copy of U
-# that _shifted_factor's lu.U makes to read the diagonal, which SuperLU
-# exposes no other way.  A whole nu = 2 solve at the cap adds 445 MB, with
+# that _shifted_factor's count makes (lu.U) to read the diagonal, which
+# SuperLU exposes no other way; a solve factor whose count is never called
+# makes none.  A whole nu = 2 solve at the cap adds 445 MB, with
 # one factor at sigma or with a solve factor and a count factor alike:
 # ARPACK's Lanczos vectors come on top of the factor.
 FACTOR_POINT_CAP = {1: 640_000, 2: 262_144, 3: 32_768}
@@ -152,11 +153,16 @@ class SparseOperator:
         return self.matrix @ v
 
 
+def _dirichlet_stencil(n: int, h: float) -> tuple:
+    """The 1-D Dirichlet second difference on n points of spacing h, as its
+    main diagonal and its (symmetric) off diagonal."""
+    return np.full(n, 2.0 / h**2), np.full(n - 1, -1.0 / h**2)
+
+
 def _second_difference(n: int, h: float) -> sparse.csr_matrix:
     import scipy.sparse as sparse
 
-    main = np.full(n, 2.0 / h**2)
-    off = np.full(n - 1, -1.0 / h**2)
+    main, off = _dirichlet_stencil(n, h)
     return sparse.diags([off, main, off], offsets=(-1, 0, 1), format="csr")
 
 
@@ -280,10 +286,12 @@ def _ldlt(matrix):
 def _shifted_factor(H: SparseOperator, shift: float):
     """lanczos_extremal's factor hook for H: the _ldlt factor of H - shift I.
 
-    Returns its solve and, by Sylvester's law of inertia, the count of
-    eigenvalues of H below the shift (the negative entries of D), or None
-    when the factor pivoted rows.  An exactly singular factor (the shift is
-    an eigenvalue to working precision) raises ValueError.
+    Returns its solve and its count: a call that gives, by Sylvester's law
+    of inertia, the number of eigenvalues of H below the shift (the
+    negative entries of D), or None when the factor pivoted rows.  The
+    count reads diag(U) through lu.U, a copy of all of U, so only a factor
+    whose count is called pays for it.  An exactly singular factor (the
+    shift is an eigenvalue to working precision) raises ValueError.
     """
     import scipy.sparse as sparse
 
@@ -291,14 +299,18 @@ def _shifted_factor(H: SparseOperator, shift: float):
         lu = _ldlt(H.matrix - shift * sparse.identity(H.dimension, format="csr"))
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         raise ValueError(f"no inertia count at level {shift:g}: {exc}") from None
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        return lu.solve, None
-    return lu.solve, int(np.count_nonzero(lu.U.diagonal() < 0.0))
+
+    def count():
+        if not np.array_equal(lu.perm_r, lu.perm_c):
+            return None
+        return int(np.count_nonzero(lu.U.diagonal() < 0.0))
+
+    return lu.solve, count
 
 
 def _inertia_count(H: SparseOperator, level: float) -> int:
     """Eigenvalues of H below `level` (see _shifted_factor); ValueError if undecided."""
-    count = _shifted_factor(H, level)[1]
+    count = _shifted_factor(H, level)[1]()
     if count is None:
         raise ValueError(f"no inertia count at level {level:g}: the factor pivoted rows")
     return count

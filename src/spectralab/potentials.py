@@ -304,6 +304,10 @@ def guard_values(expr: PotentialExpr, values: np.ndarray, where: str,
     sublevel set and damps exp(-V) to 0, so it passes unless `finite` is
     set, as it is for the Hamiltonian and its eigensolver.  np.min
     propagates NaN, so without `finite` one pass over the values decides.
+    A negative value is reported as the minimum of `values`; the Monte Carlo
+    samplers (sublevel.measure and the omega chunks) pass one slice of
+    their points at a time, so theirs is the minimum of the first slice
+    that fails.
     """
     low = float(np.min(values)) if values.size else 0.0
     if finite or math.isnan(low):

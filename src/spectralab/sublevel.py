@@ -12,6 +12,13 @@ then each chunk of a block's centers is one matrix product into
 column-major points in (center, pattern point) order.
 Scalar reductions use math.fsum (exact compensated summation).
 
+A draw has two phases: _shell_normals draws every normal of the stream
+before _to_shell draws any uniform.  Monte Carlo `measure` therefore holds
+the budget's normals, 8 * nu bytes per sample (16 at nu = 2), and runs the
+second phase and the membership count on one _CHUNK_POINTS slice at a
+time; its tracemalloc peak at 10^6 samples and nu = 2 is 16.5 MB.  The
+slices draw what one pass over all the rows draws, bit for bit.
+
 Every entry point checks its inputs before it draws a sample:
 check_positive refuses a height, exponent or radius that is not finite
 and > 0 (NaN and +-inf included), and check_ball_volume also refuses a
@@ -48,6 +55,10 @@ __all__ = [
 
 # fewest uniform samples of a Monte Carlo `measure`
 MONTE_CARLO_MIN_BUDGET = 1_000
+# points per membership evaluation: measure's samples and a block's omega
+# centers go in slices, whose arrays (256 KB of points at nu = 2) stay in
+# cache and are reused by the allocator from slice to slice
+_CHUNK_POINTS = 2**14
 
 
 def ball_volume(nu: int, radius: float) -> float:
@@ -119,21 +130,37 @@ def _row_norms(points: np.ndarray) -> np.ndarray:
     return np.sqrt(sq, out=sq)
 
 
-def _shell_points(nu: int, r_inner: float, r_outer: float, n: int,
-                  rng: np.random.Generator) -> np.ndarray:
-    """Uniform points in the centered shell r_inner < |x| <= r_outer.
+def _shell_normals(nu: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """The first phase of every Monte Carlo draw: n x nu standard normals,
+    with each zero row drawn again.
 
-    r_inner = 0 gives the ball, with radii r_outer * u**(1/nu).
+    The zero rows are found a _CHUNK_POINTS slice at a time, so that no
+    n-long norm array is held beside the normals.
     """
     points = rng.standard_normal((n, nu))
-    norms = _row_norms(points)
     # resample the (measure-zero) event of a zero normal vector
-    bad = np.flatnonzero(norms == 0.0)
+    bad = [np.flatnonzero(_row_norms(points[lo : lo + _CHUNK_POINTS]) == 0.0) + lo
+           for lo in range(0, n, _CHUNK_POINTS)]
+    bad = np.concatenate(bad) if bad else np.empty(0, dtype=np.intp)
     while bad.size:
         points[bad] = rng.standard_normal((bad.size, nu))
-        norms[bad] = _row_norms(points[bad])
-        bad = bad[norms[bad] == 0.0]
-    u = rng.random(n)
+        bad = bad[_row_norms(points[bad]) == 0.0]
+    return points
+
+
+def _to_shell(points: np.ndarray, r_inner: float, r_outer: float,
+              rng: np.random.Generator) -> np.ndarray:
+    """The second phase: scales each row of `points` (normals from
+    _shell_normals) in place to a uniform point in the centered shell
+    r_inner < |x| <= r_outer, drawing one uniform per row.
+
+    Run on consecutive slices of one _shell_normals array, it draws what
+    one call on the whole array draws, so the points are the same bit for
+    bit.  r_inner = 0 gives the ball, with radii r_outer * u**(1/nu).
+    """
+    nu = points.shape[1]
+    norms = _row_norms(points)
+    u = rng.random(points.shape[0])
     if r_inner == 0.0:
         radii = r_outer * u ** (1.0 / nu)
     else:
@@ -142,6 +169,13 @@ def _shell_points(nu: int, r_inner: float, r_outer: float, n: int,
         points[:, k] /= norms
         points[:, k] *= radii
     return points
+
+
+def _shell_points(nu: int, r_inner: float, r_outer: float, n: int,
+                  rng: np.random.Generator) -> np.ndarray:
+    """n uniform points in the centered shell r_inner < |x| <= r_outer: both
+    phases, the second on all n rows as one slice."""
+    return _to_shell(_shell_normals(nu, n, rng), r_inner, r_outer, rng)
 
 
 @dataclass(frozen=True)
@@ -195,7 +229,11 @@ def measure(
 
     monte-carlo: `budget` (at least MONTE_CARLO_MIN_BUDGET) uniform samples
     over the ball; std_error is the binomial standard error scaled by the
-    ball volume.  grid-quadrature: counts the cell centers of a uniform grid
+    ball volume.  It holds the budget's normals and turns them into points
+    and membership counts a _CHUNK_POINTS slice at a time; the draws and the
+    count are those of Region.sample's points.  A negative potential value
+    is refused at the first slice that holds one, with that slice's
+    minimum.  grid-quadrature: counts the cell centers of a uniform grid
     over the ball's bounding cube that lie in the ball (std_error 0);
     `budget` is the target cell count of the cube.
     """
@@ -206,9 +244,13 @@ def measure(
         if budget < MONTE_CARLO_MIN_BUDGET:
             raise ValueError(f"monte-carlo budget must be >= {MONTE_CARLO_MIN_BUDGET}")
         rng = derived_rng(seed, 0)
-        pts = region.sample(budget, rng)
-        inside = _membership(V, M, pts)
-        hits = int(np.count_nonzero(inside))
+        normals = _shell_normals(region.dimension, budget, rng)
+        center = np.asarray(region.center)
+        hits = 0
+        for lo in range(0, budget, _CHUNK_POINTS):
+            pts = _to_shell(normals[lo : lo + _CHUNK_POINTS], 0.0, region.radius, rng)
+            pts += center
+            hits += int(np.count_nonzero(_membership(V, M, pts)))
         p = hits / budget
         volume = region.volume
         value = p * volume
@@ -294,10 +336,6 @@ def decay_fit(
 # ball points per omega block: each block draws its pattern and rotations
 # from its own stream, so this size fixes the estimates
 _BLOCK_POINTS = 2**16
-# ball points per membership evaluation: a block's centers go in chunks, whose
-# arrays (256 KB of points at nu = 2) stay in cache and are reused by the
-# allocator from chunk to chunk
-_CHUNK_POINTS = 2**14
 
 
 def _rotations(draws: np.ndarray) -> np.ndarray:

@@ -100,8 +100,9 @@ def fail_on_draw(*args):
         "nu=1 constant overflows"])
 def test_ball_volume_refused_before_any_draw(monkeypatch, call, message):
     # the library used to raise a bare OverflowError from radius**nu, after
-    # the draws of the smaller annuli
-    monkeypatch.setattr(sublevel, "_shell_points", fail_on_draw)
+    # the draws of the smaller annuli; every Monte Carlo draw starts with
+    # _shell_normals, measure's streamed one as well as _shell_points
+    monkeypatch.setattr(sublevel, "_shell_normals", fail_on_draw)
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message

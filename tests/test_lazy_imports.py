@@ -1,11 +1,10 @@
 """scipy.sparse loads only in the studies that build a sparse matrix or run ARPACK.
 
 A fresh interpreter imports spectralab and its CLI, then runs tiny
-sublevel, thinness, inequalities, kernel-power and gaussian-kernel
-heat-diagnostics studies through cli.main: none of them may load
-scipy.sparse.  A tiny spectrum run in the same interpreter then
-must load it, so the check cannot pass because the module name is wrong or
-the probe never looks.
+sublevel, thinness, inequalities, kernel-power and heat-diagnostics studies
+(both heat modes) through cli.main: none of them may load scipy.sparse.  A
+tiny spectrum run in the same interpreter then must load it, so the check
+cannot pass because the module name is wrong or the probe never looks.
 """
 
 import json
@@ -21,21 +20,24 @@ import json, sys
 import spectralab, spectralab.cli
 
 out = sys.argv[1]
-runs = (
-    ("sublevel", "--potential", "x1^2+x2^2", "--M", "4", "--R", "3", "--budget", "1000"),
-    ("thinness", "--potential", "x1^2", "--nu", "2", "--M", "1", "--r", "2",
-     "--radii", "10,20,40", "--budget", "1000"),
-    ("inequalities", "--trials", "5", "--dim", "3"),
-    ("kernel-power", "--potential", "x1^2*x2^2", "--M", "1", "--R", "1", "--L", "2",
-     "--h", "0.25"),
-    ("heat-diagnostics", "--potential", "x1^2*x2^2", "--M", "1", "--L", "2", "--h", "0.25"),
-    ("spectrum", "--potential", "x1^2+x2^2", "--nu", "2", "--L", "2,3", "--h", "0.5",
-     "--k", "2"),
-)
+HEAT = ("heat-diagnostics", "--potential", "x1^2*x2^2", "--M", "1", "--L", "2", "--h", "0.25")
+runs = {
+    "sublevel": ("sublevel", "--potential", "x1^2+x2^2", "--M", "4", "--R", "3",
+                 "--budget", "1000"),
+    "thinness": ("thinness", "--potential", "x1^2", "--nu", "2", "--M", "1", "--r", "2",
+                 "--radii", "10,20,40", "--budget", "1000"),
+    "inequalities": ("inequalities", "--trials", "5", "--dim", "3"),
+    "kernel-power": ("kernel-power", "--potential", "x1^2*x2^2", "--M", "1", "--R", "1",
+                     "--L", "2", "--h", "0.25"),
+    "heat-diagnostics": HEAT,
+    "heat-diagnostics expm-of-laplacian": (*HEAT, "--mode", "expm-of-laplacian"),
+    "spectrum": ("spectrum", "--potential", "x1^2+x2^2", "--nu", "2", "--L", "2,3",
+                 "--h", "0.5", "--k", "2"),
+}
 seen = {"import": "scipy.sparse" in sys.modules}
-for args in runs:
-    code = spectralab.cli.main([*args, "--output-dir", f"{out}/{args[0]}"])
-    seen[args[0]] = (code, "scipy.sparse" in sys.modules)
+for i, (name, args) in enumerate(runs.items()):
+    code = spectralab.cli.main([*args, "--output-dir", f"{out}/{i}"])
+    seen[name] = (code, "scipy.sparse" in sys.modules)
 print(json.dumps(seen))
 """
 
@@ -52,4 +54,5 @@ def test_only_the_spectrum_study_loads_scipy_sparse(tmp_path):
                     "inequalities": [0, False],
                     "kernel-power": [0, False],
                     "heat-diagnostics": [0, False],
+                    "heat-diagnostics expm-of-laplacian": [0, False],
                     "spectrum": [0, True]}

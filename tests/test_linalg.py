@@ -317,13 +317,14 @@ def test_lanczos_guards():
 
 def diagonal_factor(diag, shifts):
     """lanczos_extremal's factor hook for diag(diag): the exact solve of
-    diag - shift and the count below shift; each shift is appended to
-    shifts, and a shift on a diagonal entry is singular."""
+    diag - shift and the call that counts below shift; each shift is
+    appended to shifts, and a shift on a diagonal entry is singular."""
     def factor(shift):
         shifts.append(shift)
         if np.any(diag == shift):
             raise ValueError("exactly singular")
-        return (lambda x: x / (diag - shift)), int(np.count_nonzero(diag < shift))
+        count = int(np.count_nonzero(diag < shift))
+        return (lambda x: x / (diag - shift)), (lambda: count)
     return factor
 
 
@@ -371,7 +372,7 @@ def test_level_with_an_undecided_count_or_an_incomplete_run(monkeypatch):
 
     def no_count(shift):
         solve, count = diagonal_factor(diag, undecided)(shift)
-        return solve, None if shift == 5.5 else count
+        return solve, (lambda: None) if shift == 5.5 else count
 
     res = lanczos_extremal(lambda v: diag * v, dim=100, k=3, seed=1, factor=no_count,
                            sigma=5.5)

@@ -48,13 +48,15 @@ def replace_count(monkeypatch, count):
     """Run spectrum_study's solves with the factor hook's count replaced.
 
     The hook keeps its solve; count(shift) stands in for the inertia count
-    (None: undecided, as for a factor that pivoted rows).
+    (None: undecided, as for a factor that pivoted rows), and raises as the
+    factor would.
     """
     solve = operators.lanczos_extremal
 
     def replaced(*args, factor=None, **kwargs):
         def hook(shift):
-            return factor(shift)[0], count(shift)
+            inner, value = factor(shift)[0], count(shift)
+            return inner, lambda: value
 
         return solve(*args, factor=hook, **kwargs)
 
@@ -89,6 +91,18 @@ def record_factors(monkeypatch):
 
     monkeypatch.setattr(operators, "_ldlt", counted_ldlt)
     return factors
+
+
+class ReadsOfU:
+    """A SuperLU factor that counts the reads of its U."""
+
+    def __init__(self, lu):
+        self.lu, self.u_reads = lu, 0
+
+    def __getattr__(self, name):
+        if name == "U":
+            self.u_reads += 1
+        return getattr(self.lu, name)
 
 
 def assert_as_without_levels(monkeypatch, rep, *study):
@@ -364,6 +378,24 @@ class TestSpectrumStudy:
             for L, values in zip(schedule, rep.eigenvalues):
                 dense = np.linalg.eigvalsh(hamiltonian(Grid(nu, L, h), V).matrix.toarray())
                 np.testing.assert_allclose(values, dense[:5], rtol=1e-12, atol=0)
+
+    def test_only_a_counted_factor_copies_u(self, monkeypatch):
+        # reading diag(U) copies all of U (70 MB at the nu = 2 cap): the
+        # first box's solve factor at shift 0 never reads it, and its count
+        # factor and the later box's factor at sigma read it once each
+        V = parse_potential("x1^2*x2^2", 2)
+        schedule, h = (1.5, 2.0), 0.2
+        factors = []
+
+        def watched_ldlt(matrix):
+            factors.append((matrix.diagonal(), ReadsOfU(_ldlt(matrix))))
+            return factors[-1][1]
+
+        monkeypatch.setattr(operators, "_ldlt", watched_ldlt)
+        spectrum_study(V, schedule, h, 5)
+        H = hamiltonian(Grid(2, schedule[0], h), V)
+        np.testing.assert_array_equal(factors[0][0], H.matrix.diagonal())
+        assert [lu.u_reads for _, lu in factors] == [0, 1, 1]
 
     def test_level_below_the_kth_value_runs_the_two_factor_path(self, monkeypatch):
         # x1^4 at h = 0.5: the L = 3 grid is not nested in the L = 2.75 one,

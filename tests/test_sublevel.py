@@ -392,25 +392,76 @@ def test_shell_points_lie_in_the_shell():
         assert np.all(ball <= 2.0)
 
 
+class ZeroRowsFirst:
+    """Generator whose first normal draw has exact zero rows."""
+
+    def __init__(self, rows):
+        self.rng = np.random.default_rng(9)
+        self.rows = rows
+        self.normal_draws = 0
+
+    def standard_normal(self, size):
+        self.normal_draws += 1
+        draw = self.rng.standard_normal(size)
+        if self.normal_draws == 1:
+            draw[self.rows] = 0.0
+        return draw
+
+    def random(self, size):
+        return self.rng.random(size)
+
+
 def test_shell_points_resample_zero_normals():
-    class ZeroFirstDraw:
-        """Generator whose first normal draw is all zeros."""
-
-        def __init__(self):
-            self.rng = np.random.default_rng(5)
-            self.normal_draws = 0
-
-        def standard_normal(self, size):
-            self.normal_draws += 1
-            return np.zeros(size) if self.normal_draws == 1 else self.rng.standard_normal(size)
-
-        def random(self, size):
-            return self.rng.random(size)
-
-    rng = ZeroFirstDraw()
+    rng = ZeroRowsFirst(slice(None))  # every row of the first draw
     radii = np.linalg.norm(sublevel._shell_points(2, 1.0, 2.0, 50, rng), axis=1)
     assert rng.normal_draws == 2
     assert np.all((radii > 1.0) & (radii <= 2.0))
+
+
+STREAM_CASES = {1: parse_potential("x1^2", 1), 2: CROSS,
+                3: parse_potential("x1^2+x2^2*x3^2", 3)}
+
+
+def one_shot_estimate(V, M, region, budget, rng):
+    """measure's value and std_error from _shell_points and _membership
+    over every point at once."""
+    pts = sublevel._shell_points(region.dimension, 0.0, region.radius, budget, rng)
+    pts += np.asarray(region.center)
+    p = int(np.count_nonzero(sublevel._membership(V, M, pts))) / budget
+    return p * region.volume, region.volume * math.sqrt(p * (1.0 - p) / budget)
+
+
+@pytest.mark.parametrize("budget", [1_000, 2**14, 2**14 + 1, 3 * 2**14 + 7])
+@pytest.mark.parametrize("nu", [1, 2, 3])
+def test_streamed_measure_matches_the_one_shot_sampler(monkeypatch, nu, budget):
+    V = STREAM_CASES[nu]
+    region = Region(tuple(0.5 * (k + 1) for k in range(nu)), 3.0)
+    est = measure(V, 1.0, region, budget=budget, seed=3)
+    assert (est.value, est.std_error) == one_shot_estimate(V, 1.0, region, budget,
+                                                           derived_rng(3, 0))
+    # zero rows in the first slice and in the last one are drawn again
+    # before any uniform, as the one-shot sampler draws them
+    rows = [0, 7, budget - 1]
+    streamed, one_shot = ZeroRowsFirst(rows), ZeroRowsFirst(rows)
+    monkeypatch.setattr(sublevel, "derived_rng", lambda *key: streamed)
+    est = measure(V, 1.0, region, budget=budget, seed=3)
+    assert streamed.normal_draws == 2
+    assert (est.value, est.std_error) == one_shot_estimate(V, 1.0, region, budget, one_shot)
+
+
+def test_measure_holds_the_normals_and_one_slice():
+    # the normals of the whole budget (16 bytes per sample at nu = 2) and
+    # one slice's points, values and flags; forming every sample at once
+    # read about 40 bytes per sample
+    budget = 2**20
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        measure(DISC, 4.0, Region((0.0, 0.0), 3.0), budget=budget)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * budget + 40 * sublevel._CHUNK_POINTS
 
 
 def test_monotonicity_in_level():
