@@ -10,8 +10,9 @@ key = value config file, then command-line flags (flags win), validates it
 fully before any computation, and writes a JSON report, CSV tables,
 two-column .dat plot series, and a manifest with content digests into the
 output directory.  Validation calls the library's own input rules
-(operators.check_spectrum_inputs, sublevel.check_radii and
-sublevel.check_ball_volume), so a run refuses what a library call would,
+(operators.check_spectrum_inputs, sublevel.check_radii,
+sublevel.check_ball_volume, sublevel.check_monte_carlo_budget and
+kernels.check_kernel_power), so a run refuses what a library call would,
 and refuses an output directory that is, or lies under, a file.
 
 Exit codes: 0 when all enabled checks pass (verdicts such as
@@ -40,7 +41,7 @@ from . import __version__
 from .inequalities import batch_summary, inequality_batch
 from .kernels import (
     HEAT_MODES,
-    MAX_KERNEL_POWER,
+    check_kernel_power,
     d_kernel,
     heat_matrix,
     hs_diagnostics,
@@ -60,9 +61,9 @@ from .reports import (
     write_thinness_csv,
 )
 from .sublevel import (
-    MONTE_CARLO_MIN_BUDGET,
     Region,
     check_ball_volume,
+    check_monte_carlo_budget,
     check_radii,
     measure,
     thinness,
@@ -256,9 +257,7 @@ def _validate(config: RunConfig, used: list) -> None:
         check_ball_volume("radius", config.nu, check_radii(config.radii)[-1])
         check_ball_volume("ell", config.nu, config.ell)
     if sub == "sublevel":
-        if config.budget < MONTE_CARLO_MIN_BUDGET:
-            raise ValueError(f"budget must be >= {MONTE_CARLO_MIN_BUDGET} "
-                             "(Monte Carlo minimum)")
+        check_monte_carlo_budget(config.budget)
         check_ball_volume("R", config.nu, config.R)
     if sub == "kernel-power":
         if 2 * config.k - 2 <= config.r:
@@ -266,9 +265,7 @@ def _validate(config: RunConfig, used: list) -> None:
                 f"k = {config.k} violates 2k - 2 > r (r = {config.r:g}); "
                 f"smallest admissible k is {smallest_admissible_power(config.r)}"
             )
-        if config.k > MAX_KERNEL_POWER:
-            raise ValueError(f"k = {config.k} exceeds the largest kernel power "
-                             f"{MAX_KERNEL_POWER} (r = {config.r:g})")
+        check_kernel_power(config.k)
         # the power bound's reach: its analytic constant is this ball's volume
         check_ball_volume("2kR", config.nu, 2.0 * config.k * config.R)
     out = Path(config.output_dir)

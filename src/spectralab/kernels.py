@@ -73,6 +73,7 @@ __all__ = [
     "BoundCheck",
     "CompactnessDiagnostics",
     "KernelMatrix",
+    "check_kernel_power",
     "compose_C",
     "d_kernel",
     "domination_check",
@@ -699,6 +700,12 @@ def domination_check(C_MR: KernelMatrix, D: KernelMatrix) -> CompactnessDiagnost
     return CompactnessDiagnostics(sv, hs, checks, {"c": c})
 
 
+def check_kernel_power(k) -> None:
+    """Refuses a kernel_power_bound power k outside 2..MAX_KERNEL_POWER."""
+    if not 2 <= k <= MAX_KERNEL_POWER:
+        raise ValueError(f"k must be in 2..{MAX_KERNEL_POWER}, got {k}")
+
+
 def kernel_power_bound(D: KernelMatrix, k: int, V: PotentialExpr, M: float,
                        R: float) -> CompactnessDiagnostics:
     """Local-measure bound on the k-th weighted power of the proximity kernel.
@@ -721,8 +728,7 @@ def kernel_power_bound(D: KernelMatrix, k: int, V: PotentialExpr, M: float,
     range (sublevel.check_ball_volume), and so is an M that is not finite
     and > 0 (sublevel.check_positive).
     """
-    if not 2 <= k <= MAX_KERNEL_POWER:
-        raise ValueError(f"k must be in 2..{MAX_KERNEL_POWER}, got {k}")
+    check_kernel_power(k)
     M = check_positive("M", M)
     grid = D.grid
     w = D.weight

@@ -46,15 +46,21 @@ SYMMETRY_TOLERANCE = 1e-12
 WEDGE_BASIS_LIMIT = 10_000
 # Most eigenpairs one lanczos_extremal call computes.
 MAX_EIGENPAIRS = 30
+# Relative slack, 1e-10 * max(1, |v|), between a computed eigenvalue v and a
+# level set beside it: _certificate_level puts one just below a found value,
+# operators.spectrum_study one just above the previous box's k-th value.
+LEVEL_SLACK = 1e-10
 # Lanczos vectors ARPACK keeps between restarts.  Its default of 20 leaves
 # the certificate sweep on the 1-d Dirichlet Laplacian at h = 1e-3 (spectral
 # width 4e6 against a lowest gap of 30) unconverged after 999 restarts.
 ARPACK_BASIS = 40
 
 
-def _as_matrix(A) -> np.ndarray:
+def _as_matrix(A, stack: bool = False) -> np.ndarray:
+    """A as a float array, once it is one matrix (or, with stack, a stack of
+    them along leading axes) with finite entries."""
     A = np.asarray(A, dtype=float)
-    if A.ndim != 2:
+    if A.ndim < 2 or (A.ndim > 2 and not stack):
         raise ValueError(f"expected a 2-d array, got shape {A.shape}")
     if A.size and not np.all(np.isfinite(A)):
         raise ValueError("matrix has non-finite entries")
@@ -67,11 +73,7 @@ def as_symmetric(A) -> np.ndarray:
     A is one square matrix or a stack of them along leading axes; each
     matrix is judged against its own largest entry.
     """
-    A = np.asarray(A, dtype=float)
-    if A.ndim < 2:
-        raise ValueError(f"expected a 2-d array, got shape {A.shape}")
-    if A.size and not np.all(np.isfinite(A)):
-        raise ValueError("matrix has non-finite entries")
+    A = _as_matrix(A, stack=True)
     if A.shape[-1] != A.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
     if A.size == 0:
@@ -233,8 +235,8 @@ def _arpack_smallest(apply, dim, k, v0, rng, max_iters, tol):
 
 
 def _certificate_level(tau: float) -> float:
-    """tau less a relative slack of 1e-10: a missed eigenvalue lies below it."""
-    return tau - 1e-10 * max(1.0, abs(tau))
+    """tau less its LEVEL_SLACK: a missed eigenvalue lies below it."""
+    return tau - LEVEL_SLACK * max(1.0, abs(tau))
 
 
 def _certify(apply, values, vectors, k, rng, max_iters, tol, sweeps):
@@ -309,6 +311,13 @@ def _below_level(factor, sigma: float, dim: int, k: int, wrap, seed: int,
     return sigma + 1.0 / theta[::-1], vectors[:, ::-1]
 
 
+def _check_eigenpairs(k) -> None:
+    """Refuses a k outside 1..MAX_EIGENPAIRS, the eigenpairs one
+    lanczos_extremal call computes."""
+    if not 1 <= k <= MAX_EIGENPAIRS:
+        raise ValueError(f"k must be between 1 and {MAX_EIGENPAIRS}, got {k}")
+
+
 def lanczos_extremal(matvec, dim: int, k: int, max_iters: int = 600, seed: int = 0,
                      tol: float = 1e-12, factor=None, sigma=None) -> LanczosResult:
     """k smallest eigenvalues of a symmetric linear map, with residuals.
@@ -339,10 +348,10 @@ def lanczos_extremal(matvec, dim: int, k: int, max_iters: int = 600, seed: int =
 
     sigma, with factor, is a level believed to lie above the k lowest
     eigenvalues (operators.spectrum_study passes the previous box's k-th
-    value plus a slack).  Then one factor of A - sigma I first solves for
-    every eigenvalue below sigma and certifies them by its own count (see
-    _below_level); the k lowest are kept, and each value is the Rayleigh
-    quotient x.Ax / x.x of its vector.  Where it cannot, the path
+    value plus its LEVEL_SLACK).  Then one factor of A - sigma I first
+    solves for every eigenvalue below sigma and certifies them by its own
+    count (see _below_level); the k lowest are kept, and each value is the
+    Rayleigh quotient x.Ax / x.x of its vector.  Where it cannot, the path
     above runs as if sigma were not given, from the same start vector.
     tol is ARPACK's: a Ritz pair converges once its residual estimate is
     <= tol * |theta|, theta an eigenvalue of the map it runs on (-A^{-1}
@@ -357,8 +366,7 @@ def lanczos_extremal(matvec, dim: int, k: int, max_iters: int = 600, seed: int =
     k = int(k)
     if dim < 1:
         raise ValueError("dimension must be >= 1")
-    if not 1 <= k <= MAX_EIGENPAIRS:
-        raise ValueError(f"k must be between 1 and {MAX_EIGENPAIRS}, got {k}")
+    _check_eigenpairs(k)
     if k > dim:
         raise ValueError(f"k = {k} exceeds the dimension {dim}")
     if max_iters < 1:

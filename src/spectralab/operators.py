@@ -17,7 +17,8 @@ grows, and on counts N(level) that stay bounded.  check_spectrum_inputs
 holds every rule on a study's inputs; spectrum_study and cli both call it
 before any count or solve.  SparseOperator's exact symmetry check runs once
 per Hamiltonian: hamiltonian adds V to the Laplacian's unchecked CSR matrix
-(_laplacian_csr, which discrete_laplacian wraps too) and checks H alone.
+(_laplacian_csr, which discrete_laplacian wraps too) and checks H alone, and
+spectrum_study builds each box's H once for its counts and its solve.
 scipy.sparse and scipy.sparse.linalg are imported inside the functions that
 build, check or factor a matrix, when they run, so a process that only
 samples a potential never loads them; annotations such as sparse.csr_matrix
@@ -31,7 +32,7 @@ from functools import partial
 
 import numpy as np
 
-from .linalg import MAX_EIGENPAIRS, lanczos_extremal
+from .linalg import LEVEL_SLACK, SYMMETRY_TOLERANCE, _check_eigenpairs, lanczos_extremal
 from .potentials import PotentialExpr, evaluate, guard_values
 from .sublevel import check_positive
 
@@ -61,13 +62,6 @@ DENSE_ENTRY_BUDGET = 250_000_000
 # ARPACK's Lanczos vectors come on top of the factor.
 FACTOR_POINT_CAP = {1: 640_000, 2: 262_144, 3: 32_768}
 RESIDUAL_TOLERANCE = 1e-6
-# Relative slack of a box's shift-invert level above the previous box's
-# k-th value.  On nested grids ((L2 - L1) / h an integer) H(L1) is a
-# principal submatrix of H(L2) up to the last bits of the cell centres and
-# of V there, so by Cauchy interlacing and Weyl's inequality lambda_k(L2)
-# <= lambda_k(L1) + max |delta V|; the slack covers that and the solver's
-# error in lambda_k(L1).  Where it does not, the count at the level decides.
-LEVEL_SLACK = 1e-10
 # lanczos_extremal's ARPACK tolerance for every box of spectrum_study.
 SOLVER_TOLERANCE = 3e-11
 
@@ -146,7 +140,7 @@ class SparseOperator:
             raise ValueError("matrix shape does not match the declared dimension")
         gap = norm(self.matrix - self.matrix.T, ord=np.inf)
         scale = norm(self.matrix, ord=np.inf)
-        if gap > 1e-12 * max(scale, 1e-300):
+        if gap > SYMMETRY_TOLERANCE * max(scale, 1e-300):
             raise ValueError("matrix is not symmetric")
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
@@ -247,14 +241,13 @@ def check_spectrum_inputs(nu: int, schedule, h: float, k: int, count_levels=()) 
     """(schedule, count_levels) as float tuples, once spectrum_study can run on them.
 
     Refuses a schedule that check_schedule refuses, k outside
-    1..MAX_EIGENPAIRS, a count level that is NaN or infinite, and then box
-    by box, smallest first: a Grid(nu, L, h) that cannot be built, k above
-    its points, and, when there are count levels, a sparse factor over
-    FACTOR_POINT_CAP.
+    1..MAX_EIGENPAIRS (linalg's rule, which lanczos_extremal applies too),
+    a count level that is NaN or infinite, and then box by box, smallest
+    first: a Grid(nu, L, h) that cannot be built, k above its points, and,
+    when there are count levels, a sparse factor over FACTOR_POINT_CAP.
     """
     schedule = check_schedule(schedule)
-    if not 1 <= k <= MAX_EIGENPAIRS:
-        raise ValueError(f"k must be between 1 and {MAX_EIGENPAIRS}, got {k}")
+    _check_eigenpairs(k)
     count_levels = tuple(float(level) for level in count_levels)
     for level in count_levels:
         if not np.isfinite(level):
@@ -316,32 +309,36 @@ def _inertia_count(H: SparseOperator, level: float) -> int:
     return count
 
 
-def _box_counts(V: PotentialExpr, L: float, h: float, levels: tuple) -> tuple:
-    """The counting function of one box at each level (see _inertia_count)."""
-    if not levels:
-        return ()
-    H = hamiltonian(Grid(V.dimension, L, h), V)
+def _box_counts(H: SparseOperator, L: float, levels: tuple) -> tuple:
+    """The counting function of the L box's H at each level (see _inertia_count)."""
     try:
         return tuple(_inertia_count(H, level) for level in levels)
     except ValueError as exc:
         raise ValueError(f"L={L:g}: {exc}") from None
 
 
-def _box_spectrum(V: PotentialExpr, L: float, h: float, k: int, sigma=None, **solver):
-    """One box of spectrum_study: its kept values and residuals, and its notes.
+def _box_operator(V: PotentialExpr, L: float, h: float) -> tuple:
+    """The L box's Hamiltonian H and lanczos_extremal's factor hook for it.
 
-    For nu <= 2 on a grid within FACTOR_POINT_CAP, lanczos_extremal gets
-    the _shifted_factor hook and the level sigma (None for the first box),
-    so it solves through a sparse factor of H and certifies by its inertia
-    count: one factor at sigma when that level serves, else a solve factor
-    and a count factor.  For nu = 3 the factor's fill costs more than the
-    restarts it saves, so it runs on H.matvec alone.  The box's Hamiltonian
-    is freed on return.
+    The hook is _shifted_factor on H for nu <= 2 on a grid within
+    FACTOR_POINT_CAP, and None otherwise: for nu = 3 the factor's fill
+    costs more than the restarts it saves.  The grid is not kept.
     """
     grid = Grid(V.dimension, L, h)
     H = hamiltonian(grid, V)
-    factor = partial(_shifted_factor, H) if grid.nu <= 2 and grid.factor_fits else None
-    result = lanczos_extremal(H.matvec, grid.size, k, tol=SOLVER_TOLERANCE, factor=factor,
+    return H, partial(_shifted_factor, H) if grid.nu <= 2 and grid.factor_fits else None
+
+
+def _box_spectrum(L: float, H: SparseOperator, factor, k: int, sigma=None, **solver):
+    """One box of spectrum_study: its kept values and residuals, and its notes.
+
+    lanczos_extremal gets the box's factor hook (see _box_operator) and
+    the level sigma (None for the first box).  With a hook it solves
+    through a sparse factor of H and certifies by its inertia count: one
+    factor at sigma when that level serves, else a solve factor and a count
+    factor.  Without one it runs on H.matvec alone.
+    """
+    result = lanczos_extremal(H.matvec, H.dimension, k, tol=SOLVER_TOLERANCE, factor=factor,
                               sigma=sigma, **solver)
     values, residuals = result.eigenvalues, result.residuals
     notes = []
@@ -372,24 +369,38 @@ def spectrum_study(V: PotentialExpr, schedule, h: float, k: int, seed: int = 0,
     certifies through one factor at a level above the previous box's k-th
     value, or through two factors when that level cannot serve (see
     linalg.lanczos_extremal).
-    Inputs go through check_spectrum_inputs before any work.  Counts come
-    first, box by box, each from its own sparse factor: a count level that
-    the inertia cannot decide (see _inertia_count) raises ValueError naming
-    the box before any solve.
+    Inputs go through check_spectrum_inputs before any work.  Each box's
+    grid and Hamiltonian are built once (_box_operator), and H serves its
+    counts and its solve.  The schedule's CSR matrices are held together
+    until the first solve, 64 bytes per point at nu = 2 (16.8 MB at
+    FACTOR_POINT_CAP, against a 273 MB factor there); each is freed when
+    the next box's solve begins.
+    Counts come first, box by box, each from its own sparse factor: a count
+    level that the inertia cannot decide (see _inertia_count) raises
+    ValueError naming the box before any solve.
     """
     schedule, count_levels = check_spectrum_inputs(V.dimension, schedule, h, k,
                                                    count_levels)
-    counting = tuple(_box_counts(V, L, h, count_levels) for L in schedule)
+    hamiltonians = [_box_operator(V, L, h) for L in schedule]
+    counting = tuple(_box_counts(H, L, count_levels)
+                     for L, (H, _) in zip(schedule, hamiltonians))
 
-    # Smallest box first: each box's k-th value, plus LEVEL_SLACK, is the
-    # next box's shift-invert level.  The order costs little memory (glibc
-    # malloc, peak RSS): 150 studies on boxes (3, 4) at h = 0.1 in one
-    # process peak at 73.5-73.8 MB either way, and one study on (6, 8) at
-    # 104.4 MB against 101.4 MB largest first, when each smaller box's factor
-    # fits in heap memory the larger one freed.
+    # Smallest box first: each box's k-th value, plus linalg.LEVEL_SLACK
+    # relative, is the next box's shift-invert level.  On nested grids
+    # ((L2 - L1) / h an integer) H(L1) is a principal submatrix of H(L2) up
+    # to the last bits of the cell centres and of V there, so by Cauchy
+    # interlacing and Weyl's inequality lambda_k(L2) <= lambda_k(L1) +
+    # max |delta V|; the slack covers that and the solver's error in
+    # lambda_k(L1).  Where it does not, the count at the level decides.
+    # The order costs little memory (glibc malloc, peak RSS): 150 studies on
+    # boxes (3, 4) at h = 0.1 in one process peak at 73.5-73.8 MB either
+    # way, and one study on (6, 8) at 104.4 MB against 101.4 MB largest
+    # first, when each smaller box's factor fits in heap memory the larger
+    # one freed.
     boxes, sigma = [], None
     for L in schedule:
-        boxes.append(_box_spectrum(V, L, h, k, sigma, max_iters=max_iters, seed=seed))
+        H, factor = hamiltonians.pop(0)  # frees the smaller box's H
+        boxes.append(_box_spectrum(L, H, factor, k, sigma, max_iters=max_iters, seed=seed))
         kept = boxes[-1][0]
         sigma = kept[-1] + LEVEL_SLACK * max(1.0, abs(kept[-1])) if kept.size == k else None
     kept_values, kept_residuals, box_notes = zip(*boxes)

@@ -2,7 +2,9 @@
 
 Payload writers are byte-deterministic for identical inputs: dict keys are
 sorted, floats go through repr (shortest round-trip form), and line endings
-are fixed to "\n".  Wall-clock time lives only in the manifest, so repeated
+are fixed to "\n".  JSON has no infinite or NaN number, so to_jsonable
+writes such a float as the string the CSV writers give it: "inf", "-inf"
+or "nan".  Wall-clock time lives only in the manifest, so repeated
 runs with the same seed produce identical payload bytes and a manifest that
 differs in the timing field alone.
 """
@@ -14,6 +16,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -36,16 +39,19 @@ __all__ = [
 
 
 def to_jsonable(obj):
-    """Recursively convert dataclasses/arrays/numpy scalars to JSON types."""
+    """Recursively convert dataclasses/arrays/numpy scalars to JSON types;
+    a float that is not finite becomes its repr ("inf", "-inf", "nan")."""
+    if isinstance(obj, float):
+        return float(obj) if math.isfinite(obj) else repr(float(obj))
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {
             f.name: to_jsonable(getattr(obj, f.name))
             for f in dataclasses.fields(obj)
         }
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
+        return to_jsonable(obj.tolist())
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
+        return to_jsonable(obj.item())
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -21,9 +21,11 @@ slices draw what one pass over all the rows draws, bit for bit.
 
 Every entry point checks its inputs before it draws a sample:
 check_positive refuses a height, exponent or radius that is not finite
-and > 0 (NaN and +-inf included), and check_ball_volume also refuses a
-radius whose nu-ball volume is beyond float range.  cli calls the same
-two rules, so a run refuses what the library refuses.
+and > 0 (NaN and +-inf included), check_ball_volume also refuses a
+radius whose nu-ball volume is beyond float range, and
+check_monte_carlo_budget refuses a Monte Carlo budget below
+MONTE_CARLO_MIN_BUDGET.  cli calls the same three rules, so a run refuses
+what the library refuses.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ __all__ = [
     "decay_fit",
     "thinness",
     "check_ball_volume",
+    "check_monte_carlo_budget",
     "check_positive",
     "check_radii",
 ]
@@ -86,6 +89,12 @@ def check_ball_volume(name: str, nu: int, radius) -> float:
                      f"float range at nu = {nu}")
 
 
+def check_monte_carlo_budget(budget) -> None:
+    """Refuses a Monte Carlo `measure` budget below MONTE_CARLO_MIN_BUDGET."""
+    if budget < MONTE_CARLO_MIN_BUDGET:
+        raise ValueError(f"monte-carlo budget must be >= {MONTE_CARLO_MIN_BUDGET}")
+
+
 @dataclass(frozen=True)
 class Region:
     """Closed ball of `radius` about `center`."""
@@ -107,11 +116,6 @@ class Region:
     @property
     def volume(self) -> float:
         return ball_volume(self.dimension, self.radius)
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        points = _shell_points(self.dimension, 0.0, self.radius, n, rng)
-        points += np.asarray(self.center)
-        return points
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
         delta = pts - np.asarray(self.center)
@@ -230,8 +234,9 @@ def measure(
     monte-carlo: `budget` (at least MONTE_CARLO_MIN_BUDGET) uniform samples
     over the ball; std_error is the binomial standard error scaled by the
     ball volume.  It holds the budget's normals and turns them into points
-    and membership counts a _CHUNK_POINTS slice at a time; the draws and the
-    count are those of Region.sample's points.  A negative potential value
+    and membership counts a _CHUNK_POINTS slice at a time; the draws are
+    those of one _shell_points call on the whole budget, moved to the
+    region's centre (see _to_shell).  A negative potential value
     is refused at the first slice that holds one, with that slice's
     minimum.  grid-quadrature: counts the cell centers of a uniform grid
     over the ball's bounding cube that lie in the ball (std_error 0);
@@ -241,8 +246,7 @@ def measure(
     if region.dimension != V.dimension:
         raise ValueError("region dimension does not match potential dimension")
     if method == "monte-carlo":
-        if budget < MONTE_CARLO_MIN_BUDGET:
-            raise ValueError(f"monte-carlo budget must be >= {MONTE_CARLO_MIN_BUDGET}")
+        check_monte_carlo_budget(budget)
         rng = derived_rng(seed, 0)
         normals = _shell_normals(region.dimension, budget, rng)
         center = np.asarray(region.center)

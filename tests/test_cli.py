@@ -254,6 +254,20 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"configuration error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("args, message", [
+        (("sublevel", "--potential", WELL, "--budget", "999"),
+         "monte-carlo budget must be >= 1000"),
+        (("kernel-power", "--potential", "x1^2*x2^2", "--M", "1", "--R", "1",
+          "--L", "2", "--h", "0.25", "--k", "2000"),
+         "k must be in 2..30, got 2000"),
+    ], ids=["budget", "kernel power"])
+    def test_refusal_is_the_library_rule(self, tmp_path, capsys, args, message):
+        # the run refuses with measure's and kernel_power_bound's own rules
+        out = tmp_path / "out"
+        assert run_cli(*args, "--output-dir", str(out)) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not out.exists()
+
     def test_invalid_config_creates_no_output_dir(self, tmp_path, capsys):
         for i, args in enumerate(INVALID_CONFIGS):
             out = tmp_path / f"case-{i}"
@@ -489,6 +503,23 @@ class TestThinnessRun:
             blob = (tmp_path / entry["name"]).read_bytes()
             assert hashlib.sha256(blob).hexdigest() == entry["sha256"]
             assert len(blob) == entry["bytes"]
+
+    def test_non_finite_tail_ratio_is_written_as_valid_json(self, tmp_path):
+        # the ring |x| = 30 has no mass below R = 20, so the one tail ratio
+        # is inf; json.dumps would write the bare token Infinity
+        def refuse(token):
+            raise ValueError(f"{token} is not JSON")
+
+        code = run_cli("thinness", "--potential", "(x1^2+x2^2-900)^2", "--nu", "2",
+                       "--M", "1", "--r", "2", "--ell", "1", "--radii", "10,20,40",
+                       "--budget", "20000", "--output-dir", str(tmp_path))
+        assert code == 0
+        for path in tmp_path.glob("*.json"):
+            json.loads(path.read_text(encoding="utf-8"), parse_constant=refuse)
+        report = read_json(tmp_path / "thinness-report.json")
+        assert report["tail_ratios"] == ["inf"]
+        rows = (tmp_path / "thinness-partial-integrals.csv").read_text().splitlines()
+        assert rows[-1].endswith(",inf")
 
     def test_matches_library_call(self, tmp_path):
         run_cli("thinness", "--potential", WELL, "--nu", "2", "--M", "2",

@@ -10,9 +10,11 @@ every module-level UPPER_CASE constant and private top-level function or
 class of the package must be read somewhere in the package or perfbench/
 (a read is a loaded name or an attribute of that name), and every top-level
 function or class of the package and every method that is not a dunder must
-be read somewhere in the package, tests/ or perfbench/.  Python calls
-dunders without a read, so the only ones the package may define are the
-construction hooks __init__ and __post_init__.
+be read somewhere in the package, tests/ or perfbench/.  A method is read
+only as an attribute (`.name`): a loaded local variable of the same name
+is not a read of it.  Python calls dunders without a read, so the only ones
+the package may define are the construction hooks __init__ and
+__post_init__.
 """
 
 import ast
@@ -97,20 +99,21 @@ def unread_definitions(modules, readers) -> list:
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 defined += [(path.name, t.id) for t in targets
                             if isinstance(t, ast.Name) and CONSTANT.fullmatch(t.id)]
-    read = read_names(readers)
+    read = set().union(*read_names(readers))
     return sorted(f"{module}: {name}" for module, name in defined if name not in read)
 
 
-def read_names(readers) -> set:
-    """Every name that a file of `readers` loads, or reads as an attribute."""
-    read = set()
+def read_names(readers) -> tuple:
+    """(loaded, attributes): the names that the files of `readers` load, and
+    the names they read as an attribute."""
+    loaded, attributes = set(), set()
     for path in readers:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
+                loaded.add(node.id)
             elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-    return read
+                attributes.add(node.attr)
+    return loaded, attributes
 
 
 def is_dunder(name: str) -> bool:
@@ -119,7 +122,8 @@ def is_dunder(name: str) -> bool:
 
 def defined_callables(modules) -> list:
     """(module, label, name) of every top-level function and class of
-    `modules` and every method of those classes."""
+    `modules` and every method of those classes; a method's label is
+    Class.name."""
     defined = []
     for path in modules:
         for node in ast.parse(path.read_text()).body:
@@ -133,10 +137,12 @@ def defined_callables(modules) -> list:
 
 def unread_callables(modules, readers) -> list:
     """The defined callables of `modules` that are not dunders and that no
-    file of `readers` reads."""
-    read = read_names(readers)
+    file of `readers` reads: a method as an attribute, any other callable
+    as a loaded name or an attribute."""
+    loaded, attributes = read_names(readers)
     return sorted(f"{module}: {label}" for module, label, name in defined_callables(modules)
-                  if not is_dunder(name) and name not in read)
+                  if not is_dunder(name) and name not in attributes
+                  and ("." in label or name not in loaded))
 
 
 def dunders_beyond_hooks(modules) -> list:
@@ -188,7 +194,9 @@ def test_scan_flags_an_unread_function_class_or_method(tmp_path):
         "class Unused:\n    pass\n"
     )
     reader = tmp_path / "reader.py"
-    reader.write_text("from sample import used, Shape\nused()\nShape().area\n")
+    # a local variable named like a method is no read of the method
+    reader.write_text("from sample import used, Shape\nused()\nShape().area\n"
+                      "scale = 2\nprint(scale)\n")
     assert unread_callables([sample], [sample, reader]) == [
         "sample.py: Shape.scale", "sample.py: Unused", "sample.py: unused"]
     assert dunders_beyond_hooks([sample]) == ["sample.py: Shape.__call__"]

@@ -18,6 +18,7 @@ import pytest
 
 from spectralab.inequalities import (
     _Pair,
+    _spectrum_match,
     batch_summary,
     compactness_proxy,
     golden_thompson,
@@ -180,6 +181,16 @@ def test_product_spectrum_rank_deficient_factor():
     assert match.passed
     assert match.cd_spectrum.size == 1
     assert match.dc_spectrum.size == 1
+
+
+def test_product_spectrum_rank_read_differently_across_orders():
+    # 3e-12 clears the cutoff 1e-12 * 2 on one side, 1e-13 does not on the
+    # other: each side keeps its own nonzero values, and the gap compares
+    # them padded with zeros (3e-12, above the entrywise 2.9e-12)
+    match = _spectrum_match(np.array([1e-13, 1.0, 2.0]), np.array([3e-12, 1.0, 2.0]), 1e-8)
+    assert match.cd_spectrum.tolist() == [1.0, 2.0]
+    assert match.dc_spectrum.tolist() == [3e-12, 1.0, 2.0]
+    assert match.max_gap == 3e-12 and match.passed
 
 
 def test_product_spectrum_diagonal_example():

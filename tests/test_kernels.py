@@ -67,6 +67,8 @@ class TestKernelMatrix:
         g = Grid(1, 1.0, 0.5)
         with pytest.raises(ValueError, match="kernel must be"):
             KernelMatrix(g, np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="function values must match the grid size"):
+            multiply_function(KernelMatrix(g, np.zeros((4, 4))), np.ones(3))
 
     def test_finite_guard(self):
         g = Grid(1, 1.0, 0.5)

@@ -305,6 +305,31 @@ def test_lanczos_partial_pairs_missing_a_lower_value(monkeypatch):
     assert np.all(res.residuals <= 1e-8)
 
 
+def test_certify_stops_without_a_certifying_sweep(monkeypatch):
+    # _certify's exits other than a sweep that finds nothing lower: the
+    # whole space already found, a sweep budget spent on missed values, and
+    # an inner run stopped at its restart cap
+    diag = np.arange(1.0, 11.0)
+    identity = np.eye(10)
+    rng = np.random.default_rng(0)
+
+    def certify(values, vectors, k, sweeps):
+        return linalg._certify(lambda x: diag * x, np.array(values), vectors, k, rng,
+                               100, 1e-12, sweeps)
+
+    values, _, certified, note = certify(diag, identity, 10, 3)
+    assert certified and note == "" and values.tolist() == diag.tolist()
+    # the one sweep finds the missed 1.0 below 2.0, and none is left to certify
+    values, _, certified, note = certify([2.0], identity[:, [1]], 1, 1)
+    assert not certified and note == "restart budget exhausted before certification"
+    np.testing.assert_allclose(values, [1.0, 2.0], rtol=0, atol=1e-10)
+    monkeypatch.setattr(linalg, "_arpack_smallest",
+                        lambda *args: (np.array([1.0]), identity[:, [0]], False))
+    values, _, certified, note = certify([2.0], identity[:, [1]], 1, 3)
+    assert not certified and note == "inner iteration cap reached"
+    assert values.tolist() == [2.0]
+
+
 def test_lanczos_guards():
     with pytest.raises(ValueError, match="k must be"):
         lanczos_extremal(lambda v: v, dim=100, k=31)

@@ -274,10 +274,13 @@ class TestSparseOperator:
 
 
 class TestSpectrumStudy:
-    def test_oscillator_stabilizes(self):
+    def test_oscillator_stabilizes(self, monkeypatch):
+        # one Hamiltonian per box serves both its counts and its solve
+        built = record(monkeypatch, operators, "hamiltonian")
         V = parse_potential("x1^2", 1)
         rep = spectrum_study(V, (8.0, 12.0), 0.05, 5,
                              count_levels=(2.0, 6.0, 10.0))
+        assert [H.dimension for H in built] == [320, 480]
         assert rep.verdict == "stabilized"
         assert rep.potential == "x1^2"
         np.testing.assert_allclose(rep.eigenvalues[-1], [1, 3, 5, 7, 9],
@@ -668,6 +671,23 @@ class TestSpectrumStudy:
         assert rep.verdict == "not-stabilized"
         assert rep.notes
         assert all(vals.size < k for vals in rep.eigenvalues)
+
+    def test_values_past_the_residual_tolerance_are_dropped_with_a_note(self, monkeypatch):
+        # the L = 6 box's 3rd residual raised past RESIDUAL_TOLERANCE: its
+        # values stop before it, and a note says how many stayed
+        solve = operators.lanczos_extremal
+
+        def loose_third(matvec, dim, k, **kwargs):
+            result = solve(matvec, dim, k, **kwargs)
+            if dim == 120:
+                result.residuals[2] = 1.0
+            return result
+
+        monkeypatch.setattr(operators, "lanczos_extremal", loose_third)
+        rep = spectrum_study(parse_potential("x1^2", 1), (4.0, 6.0), 0.1, 3)
+        assert [values.size for values in rep.eigenvalues] == [3, 2]
+        assert rep.notes == ("L=6: kept 2 of 3 eigenvalues (residual tolerance 1e-06)",)
+        assert rep.verdict == "not-stabilized"
 
     def test_requires_two_increasing_boxes(self):
         V = parse_potential("x1^2", 1)

@@ -8,6 +8,7 @@ float(cell) must reproduce the original to the last bit.
 
 import hashlib
 import json
+import math
 from csv import reader as csv_reader
 
 import numpy as np
@@ -16,6 +17,7 @@ from spectralab.kernels import BoundCheck, CompactnessDiagnostics
 from spectralab.operators import SpectrumReport
 from spectralab.reports import (
     RunManifest,
+    _format_cell,
     emit_plot_data,
     file_digest,
     to_jsonable,
@@ -95,6 +97,15 @@ class TestToJsonable:
     def test_plain_values_pass_through(self):
         for value in ("text", 7, 1.25, None, True):
             assert to_jsonable(value) == value
+
+    def test_non_finite_floats_become_their_csv_text(self):
+        # JSON has no inf or NaN: json.dumps would write Infinity and NaN
+        out = to_jsonable({"a": math.inf, "b": np.array([1.5, -np.inf, np.nan]),
+                           "c": (np.float64(np.nan), np.float32(np.inf), 2.5)})
+        assert out == {"a": "inf", "b": [1.5, "-inf", "nan"], "c": ["nan", "inf", 2.5]}
+        assert [_format_cell(v) for v in (math.inf, -math.inf, math.nan)] == \
+            ["inf", "-inf", "nan"]
+        json.dumps(out, allow_nan=False)  # must not raise
 
 
 class TestWriteJson:

@@ -93,6 +93,8 @@ def test_measure_budget_guards():
         measure(ZERO, 1.0, region, method="grid-quadrature", budget=9_999)
     with pytest.raises(ValueError):
         measure(ZERO, 1.0, region, method="simpson")
+    with pytest.raises(ValueError, match="region dimension does not match"):
+        measure(ZERO, 1.0, Region((0.0,), 1.0))
 
 
 def test_cross_ball_measures_grow_like_oracle():
@@ -147,6 +149,20 @@ def test_decay_fit_rejects_points_outside():
         decay_fit(CROSS, 1.0, 1.0, ray, [5.0, 10.0])
 
 
+@pytest.mark.parametrize("V, M, ray, distances, message", [
+    (CROSS, 1.0, (0.0, 0.0), [5.0, 10.0], "ray_direction must be nonzero"),
+    (CROSS, 1.0, (1.0, 0.0), [10.0, 5.0], "distances must be strictly increasing"),
+    # Omega_M is a disc of radius 1e-6 about the origin, and no cell centre
+    # of the 100 x 100 quadrature grid lies in it
+    (DISC, 1e-12, (1.0, 0.0), [0.0, 1.0],
+     "no sublevel mass within ell of the ray point at distance 0.0"),
+], ids=["zero ray", "decreasing", "no mass"])
+def test_decay_fit_refusals(V, M, ray, distances, message):
+    with pytest.raises(ValueError) as info:
+        decay_fit(V, M, 1.0, ray, distances, budget=10_000)
+    assert str(info.value) == message
+
+
 def test_thinness_cross_convergent():
     report = thinness(CROSS, 1.0, 2.0, 1.0, [10.0, 20.0, 40.0, 80.0], budget=120_000, sub_budget=1_000, seed=11)
     assert report.verdict == "convergent-evidence"
@@ -177,6 +193,15 @@ def test_thinness_allocation_peak_is_the_proposal_draw():
     finally:
         tracemalloc.stop()
     assert peak <= 3.0 * budget * 2 * 8
+
+
+def test_thinness_ring_is_inconclusive():
+    # the ring |x| = 30 has mass in the (20, 40) annulus alone: the tail
+    # ratios are inf (from an empty annulus) and 0, neither reading
+    ring = parse_potential("(x1^2+x2^2-900)^2", 2)
+    report = thinness(ring, 1.0, 2.0, 1.0, [10.0, 20.0, 40.0, 80.0], budget=20_000, seed=0)
+    assert report.tail_ratios == (math.inf, 0.0)
+    assert report.verdict == "inconclusive"
 
 
 def test_thinness_empty_sublevel_set():
