@@ -433,14 +433,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _join_potential(argv: list) -> list:
-    """`--potential <value>` as `--potential=<value>` when the value starts
-    with "-" (unary minus) and is not a flag, which argparse would take it for."""
-    flags = {"-h", "--help", "--config", *map(_flag, _FIELDS)}
+def _join_dash_values(argv: list) -> list:
+    """`--flag <value>` as `--flag=<value>` for every flag that takes a value,
+    when the value starts with "-" (a unary minus, a negative number) and is
+    not a flag, which argparse would take it for."""
+    takes_value = {"--config", *map(_flag, _FIELDS)}
     out = []
     for arg in argv:
-        if (out and out[-1] == "--potential" and arg.startswith("-")
-                and arg.split("=")[0] not in flags):
+        if (out and out[-1] in takes_value and arg.startswith("-")
+                and arg.split("=")[0] not in {"-h", "--help", *takes_value}):
             out[-1] += "=" + arg
         else:
             out.append(arg)
@@ -449,7 +450,7 @@ def _join_potential(argv: list) -> list:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    argv = _join_potential(sys.argv[1:] if argv is None else list(argv))
+    argv = _join_dash_values(sys.argv[1:] if argv is None else list(argv))
     try:
         flag_values = vars(parser.parse_args(argv))
     except SystemExit as exc:

@@ -41,7 +41,8 @@ of the dense `values`:
   I x I; every entry off it is an exact zero.  Kernels cut down to the
   sublevel set {V < M} vanish outside it, so d_kernel returns the proximity
   kernel on the sublevel points.  KernelMatrix(grid, values) is the block
-  over all points.
+  over all points, and multiply_function of a block-form kernel scales the
+  block's columns on the same index.
 
 kernel_power_bound and domination_check follow one block rule.  Each takes
 an increasing index set U that covers every block it reads (the sublevel
@@ -124,8 +125,8 @@ class KernelMatrix:
     points.  heat_matrix, truncated_convolution and multiply_function of
     them hold (factor (x) ... (x) factor) diag(scale), cut at a lattice
     offset for truncated_convolution; d_kernel holds a block on its sublevel
-    points.  Those form `values` on first read, after checking the grid's
-    dense-entry budget.
+    points, and multiply_function of a block the scaled block.  Those form
+    `values` on first read, after checking the grid's dense-entry budget.
     """
 
     def __init__(self, grid: Grid, values):
@@ -234,13 +235,20 @@ def _restrict(index: np.ndarray, block: np.ndarray, points: np.ndarray) -> np.nd
 
 
 def multiply_function(K: KernelMatrix, values_on_grid) -> KernelMatrix:
-    """Compose with a multiplication operator: scales columns, no weight."""
+    """Compose with a multiplication operator: scales columns, no weight.
+
+    The result keeps K's form: a Kronecker-form kernel multiplies its column
+    scale, a block-form kernel its block's columns, so no values are formed.
+    A non-finite function value is refused in either form, also at a point
+    off a block, where the entries are exact zeros.
+    """
     g = np.asarray(values_on_grid, dtype=float)
     if g.shape != (K.grid.size,):
         raise ValueError("function values must match the grid size")
+    _require_finite(g)
     if K._factor is not None:
         return KernelMatrix._kronecker(K.grid, K._factor, K._scale * g, K._cutoff, K._heat)
-    return KernelMatrix(K.grid, K.values * g[None, :])
+    return KernelMatrix._blocked(K.grid, K._index, K._block * g[K._index])
 
 
 def _arpack_sigma_max(matvec, rmatvec, cols: np.ndarray, size: int, seed: int) -> float:
@@ -488,6 +496,31 @@ def _dominating_heat_kernel(grid: Grid, s: float, mode: str) -> KernelMatrix:
     return KernelMatrix._kronecker(grid, factor, np.ones(grid.size))
 
 
+def _lattice_heat_mass(grid: Grid, s: float, mode: str) -> float:
+    """Column L2 mass on h Z^nu of the dominating heat kernel of `mode`: at
+    least w * sum_i K(x_i, x_j)^2 for every column j of heat_matrix(grid, s,
+    mode), since every grid offset is a lattice offset.
+
+    It is a product over the axes.  For gaussian-kernel each axis gives
+    sqrt(2 pi s) / (4 pi s) times theta = h sum_n exp(-n^2 h^2 / 2s) /
+    sqrt(2 pi s) = 1 + 2 sum_{k>=1} exp(-2 pi^2 s k^2 / h^2) (Poisson
+    summation), so the mass is gaussian_squared_mass times theta^nu; the
+    side whose exponent is at least pi is summed to k = 7, and the next
+    term is below 1e-87.  For expm-of-laplacian each axis gives h sum_n
+    (ive(n, 2s/h^2) / h)^2 = ive(0, 4s/h^2) / h, since sum_n I_n(x)^2 =
+    I_0(2x).
+    """
+    h = grid.spacing
+    if mode == "expm-of-laplacian":
+        from scipy.special import ive  # only this mode needs it
+
+        return float(ive(0, 4.0 * s / h**2) / h) ** grid.nu
+    a = 2.0 * math.pi**2 * s / h**2  # and pi^2 / a = h^2 / 2s
+    e, front = (a, 1.0) if a >= math.pi else (math.pi**2 / a, h / math.sqrt(2.0 * math.pi * s))
+    theta = front * (1.0 + 2.0 * math.fsum(math.exp(-e * k * k) for k in range(1, 8)))
+    return gaussian_squared_mass(grid.nu, s) * theta**grid.nu
+
+
 def _kron_singular_values(factor: np.ndarray, nu: int, scale: np.ndarray,
                           cols: np.ndarray) -> np.ndarray:
     """Singular values of (f (x) ... (x) f)[:, cols] diag(scale[cols]) for a
@@ -543,7 +576,11 @@ def hs_diagnostics(K: KernelMatrix, mask, s: float = 1.0,
     mode (the Gaussian at time s, an equality for gaussian-kernel; the
     infinite-lattice kernel for expm-of-laplacian), row vs column sup bounds
     of K and their gap, the sup-bound estimate of the HS norm, and the
-    sharper Gaussian-mass estimate HS^2 <= |f|_{L2}^2 * |masked region|.
+    sharper mass estimate HS^2 <= m * |masked region|, m the dominating
+    kernel's column L2 mass on the lattice h Z^nu (_lattice_heat_mass,
+    reported as gaussian_mass).  The continuum Gaussian mass |f|_{L2}^2
+    is no bound once s is small against h^2: a lattice column of the
+    Gaussian then holds more mass than the continuum one.
 
     The N x |mask| block K chi is never held.  K^2 is separable like K, so
     its row sums are one Kronecker apply of factor^2 to scale^2, its column
@@ -589,7 +626,7 @@ def hs_diagnostics(K: KernelMatrix, mask, s: float = 1.0,
 
     row_bound = float(np.max(row_sums))
     col_bound = float(np.max(col_sums))
-    mass = gaussian_squared_mass(nu, s)
+    mass = _lattice_heat_mass(K.grid, s, mode)
     region_measure = w * cols.size
 
     checks = (

@@ -279,21 +279,19 @@ def _certify(apply, values, vectors, k, rng, max_iters, tol, sweeps):
 
 def _below_level(factor, sigma: float, dim: int, k: int, wrap, seed: int,
                  max_iters: int, tol: float):
-    """Every eigenpair of A below sigma, ascending, from one factor of
-    A - sigma I; None when that factor cannot certify them.
+    """The eigenvectors of every eigenvalue of A below sigma, as columns in
+    ascending order of the eigenvalues, from one factor of A - sigma I; None
+    when that factor cannot certify them.
 
     factor(sigma) gives the solve x -> (A - sigma I)^{-1} x and a call that
     counts the c eigenvalues below sigma.  With k <= c <= MAX_EIGENPAIRS
     and c < dim, ARPACK runs with k = c on the solve (wrapped by wrap, which
     counts its applications): its c smallest values theta =
     1 / (lambda - sigma) are the negative ones, one per eigenvalue below
-    sigma, and lambda = sigma + 1/theta.  The pairs are certified when ARPACK completes and all
-    c values are negative, since exactly c eigenvalues lie below sigma.  An
+    sigma.  The vectors are certified when ARPACK completes and all c
+    values are negative, since exactly c eigenvalues lie below sigma.  An
     undecided count, a singular factor, a count outside that range, an
     incomplete run or a theta >= 0 gives None, after the factor is freed.
-    The factor of an indefinite A - sigma I pivots on its diagonal only, so
-    its solve, and with it each lambda, may carry an error of about 1e-12
-    relative; lanczos_extremal reports the Rayleigh quotients on A instead.
     """
     try:
         solve, count = factor(sigma)
@@ -307,8 +305,8 @@ def _below_level(factor, sigma: float, dim: int, k: int, wrap, seed: int,
                                                 rng.standard_normal(dim), rng, max_iters, tol)
     if not complete or np.any(theta >= 0.0):
         return None
-    # 1/theta falls as theta rises through the negatives
-    return sigma + 1.0 / theta[::-1], vectors[:, ::-1]
+    # lambda = sigma + 1/theta falls as theta rises through the negatives
+    return vectors[:, ::-1]
 
 
 def _check_eigenpairs(k) -> None:
@@ -392,8 +390,7 @@ def lanczos_extremal(matvec, dim: int, k: int, max_iters: int = 600, seed: int =
     below = (_below_level(factor, float(sigma), dim, k, counted, seed, max_iters, tol)
              if factor is not None and sigma is not None else None)
     if below is not None:
-        values, vectors = below
-        found = k
+        vectors, found = below, k
     elif k >= dim:
         A = np.column_stack([apply_matvec(e) for e in np.eye(dim)])
         values, vectors = np.linalg.eigh((A + A.T) / 2.0)
@@ -426,14 +423,15 @@ def lanczos_extremal(matvec, dim: int, k: int, max_iters: int = 600, seed: int =
         if factor is not None:
             values = -1.0 / values
 
-    eigenvalues, vectors = values[:found], vectors[:, :found]
+    vectors = vectors[:, :found]
+    eigenvalues = np.empty(found) if below is not None else values[:found]
     residuals = np.empty(found)
     for i, x in enumerate(vectors.T):
         y = apply_matvec(x)
         if below is not None:
             # the Rayleigh quotient on the map: second order in the vector's
             # error, where sigma + 1/theta is first order in the indefinite
-            # solve's
+            # solve's, whose factor pivots on its diagonal only
             eigenvalues[i] = x @ y / (x @ x)
         residuals[i] = np.linalg.norm(y - eigenvalues[i] * x) / np.linalg.norm(x)
     if below is not None:

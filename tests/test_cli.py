@@ -331,6 +331,25 @@ class TestExitCodes:
                        "--output-dir", str(out)) == 2
         assert not out.exists()
 
+    def test_any_flag_value_may_start_with_a_dash(self, tmp_path):
+        # --count-levels -1,5 was a usage error: "expected one argument"
+        args = ("--potential", "x1^2", "--nu", "1", "--L", "3,4", "--h", "0.1")
+        joined, spaced = tmp_path / "joined", tmp_path / "spaced"
+        assert run_cli("spectrum", *args, "--count-levels=-1,5",
+                       "--output-dir", str(joined)) == 0
+        assert run_cli("spectrum", *args, "--count-levels", "-1,5",
+                       "--output-dir", str(spaced)) == 0
+        name = "spectrum-report.json"
+        assert (spaced / name).read_bytes() == (joined / name).read_bytes()
+        report = read_json(spaced / name)
+        assert report["count_levels"] == [-1.0, 5.0] and report["counting"][0][0] == 0
+        # a negative value is still checked, and a flag is still a flag
+        assert run_cli("thinness", "--potential", "x1^2", "--M", "-1",
+                       "--output-dir", str(tmp_path / "refused")) == 2
+        assert run_cli("spectrum", *args, "--count-levels", "--k", "3",
+                       "--output-dir", str(tmp_path / "missing")) == 2
+        assert not (tmp_path / "refused").exists() and not (tmp_path / "missing").exists()
+
     def test_kernel_power_guard_is_two(self, tmp_path, capsys):
         code = run_cli("kernel-power", "--potential", WELL, "--M", "1",
                        "--R", "1", "--r", "2", "--k", "2",
@@ -518,6 +537,7 @@ class TestThinnessRun:
             json.loads(path.read_text(encoding="utf-8"), parse_constant=refuse)
         report = read_json(tmp_path / "thinness-report.json")
         assert report["tail_ratios"] == ["inf"]
+        assert report["verdict"] == "inconclusive"  # a verdict needs two ratios
         rows = (tmp_path / "thinness-partial-integrals.csv").read_text().splitlines()
         assert rows[-1].endswith(",inf")
 
@@ -623,6 +643,18 @@ class TestHeatDiagnosticsRun:
         domination = report["checks"][0]
         assert domination["name"] == "pointwise-domination"
         assert domination["lhs"] <= domination["tol"]
+
+
+    @pytest.mark.parametrize("s, mode", [("0.01", "expm-of-laplacian"),
+                                         ("0.001", "gaussian-kernel")])
+    def test_mass_check_at_small_s_passes(self, tmp_path, s, mode):
+        # both failed hs-vs-gaussian-mass (exit 1) against the continuum mass
+        code = run_cli("heat-diagnostics", "--potential", "x1^2*x2^2", "--M", "1",
+                       "--L", "3", "--h", "0.1", "--s", s, "--mode", mode,
+                       "--output-dir", str(tmp_path))
+        assert code == 0
+        checks = read_json(tmp_path / "heat-diagnostics-report.json")["checks"]
+        assert all(c["passed"] for c in checks)
 
 
 class TestKernelPowerRun:

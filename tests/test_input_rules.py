@@ -101,7 +101,7 @@ def fail_on_draw(*args):
 def test_ball_volume_refused_before_any_draw(monkeypatch, call, message):
     # the library used to raise a bare OverflowError from radius**nu, after
     # the draws of the smaller annuli; every Monte Carlo draw starts with
-    # _shell_normals, measure's streamed one as well as _shell_points
+    # the _shell_normals call of _shell_points, the one sampler
     monkeypatch.setattr(sublevel, "_shell_normals", fail_on_draw)
     with pytest.raises(ValueError) as info:
         call()

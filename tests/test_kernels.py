@@ -89,6 +89,32 @@ class TestKernelMatrix:
         np.testing.assert_allclose(g.weight * (K.values @ delta), direct.values,
                                    rtol=0.0, atol=1e-15)
 
+    def test_multiply_function_keeps_the_block_form(self, monkeypatch):
+        # a d_kernel and a dense kernel scale their blocks' columns: the
+        # entries and the norm are those of the dense product, bit for bit,
+        # and no dense entry budget is checked on the way
+        g = Grid(2, 2.5, 0.25)
+        func = derived_rng(24, "scale").standard_normal(g.size)
+        for K in (d_kernel(g, CROSS, 1.0, 1.0), random_kernel(g, 24)):
+            dense = KernelMatrix(g, K.values * func[None, :])
+            with monkeypatch.context() as patch:
+                patch.setattr(Grid, "require_dense_budget", lambda grid: pytest.fail(
+                    "multiply_function checked the dense entry budget"))
+                out = multiply_function(K, func)
+            assert out._index is K._index and "values" not in vars(out)
+            np.testing.assert_array_equal(out._block, K._block * func[K._index])
+            np.testing.assert_array_equal(out.values, dense.values)
+            assert operator_norm(out) == operator_norm(dense)
+        # a non-finite value is refused off the block too, as it was when the
+        # product was formed densely (0 * inf is nan)
+        D = d_kernel(g, CROSS, 1.0, 1.0)
+        off = np.setdiff1d(np.arange(g.size), D._index)
+        assert off.size
+        for bad in (np.inf, np.nan):
+            func[off[0]] = bad
+            with pytest.raises(ValueError, match="finite"):
+                multiply_function(D, func)
+
     def test_operator_norm_small_matches_numpy_svd(self):
         g = Grid(1, 2.0, 0.1)
         K = random_kernel(g, 8)
@@ -299,6 +325,51 @@ class TestHsDiagnostics:
         assert mass.passed
         assert mass.rhs == pytest.approx(
             gaussian_squared_mass(2, 1.0) * g.weight * mask.sum(), rel=1e-14)
+
+    @pytest.mark.parametrize("s, mode", [(0.01, "expm-of-laplacian"),
+                                         (0.001, "gaussian-kernel")])
+    def test_mass_check_holds_when_s_is_small_against_h_squared(self, s, mode):
+        # against the continuum Gaussian mass these read lhs 54.07 > rhs
+        # 50.93 and 832.5 > 509.3: a lattice column holds more than it
+        g = Grid(2, 3.0, 0.1)
+        mask = potential_on_grid(g, CROSS) < 1.0
+        diag = hs_diagnostics(heat_matrix(g, s, mode), mask, s, mode)
+        mass = {c.name: c for c in diag.checks}["hs-vs-gaussian-mass"]
+        assert mass.lhs > gaussian_squared_mass(2, s) * g.weight * mask.sum()
+        assert mass.lhs <= mass.rhs and diag.all_passed()
+        assert diag.constants["gaussian_mass"] == kernels._lattice_heat_mass(g, s, mode)
+
+    @pytest.mark.parametrize("mode", kernels.HEAT_MODES)
+    @pytest.mark.parametrize("nu, h", [(1, 0.1), (1, 0.25), (2, 0.1), (2, 0.25)])
+    def test_lattice_mass_bounds_every_column(self, nu, h, mode):
+        g = Grid(nu, 1.0, h)
+        for s in (0.001, 0.003, 0.01, 0.1, 1.0):
+            K = heat_matrix(g, s, mode)
+            columns = g.weight * np.sum(K.values**2, axis=0)
+            assert np.max(columns) <= kernels._lattice_heat_mass(g, s, mode) * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("h, s", [(0.1, 0.001), (0.1, 0.00159), (0.1, 0.0016),
+                                      (0.25, 0.01), (0.1, 0.01), (0.1, 1.0)])
+    def test_lattice_mass_against_long_lattice_sums(self, h, s):
+        # theta's two sides meet where 2 pi^2 s / h^2 = pi (s = 0.0015915 at
+        # h = 0.1); each mode against its sum over 8001 lattice offsets
+        from scipy.special import ive
+
+        g, n = Grid(1, 1.0, h), np.arange(-4000, 4001)
+        theta = h * math.fsum(np.exp(-(n * h) ** 2 / (2.0 * s))) / math.sqrt(2.0 * math.pi * s)
+        assert kernels._lattice_heat_mass(g, s, "gaussian-kernel") == pytest.approx(
+            gaussian_squared_mass(1, s) * theta, rel=1e-14)
+        per_offset = ive(np.abs(n), 2.0 * s / h**2) / h
+        assert kernels._lattice_heat_mass(g, s, "expm-of-laplacian") == pytest.approx(
+            h * math.fsum(per_offset**2), rel=1e-14)
+
+    def test_lattice_mass_is_the_gaussian_mass_at_the_run_settings(self):
+        # theta rounds to 1.0 at s = 1 and h = 0.1 (README) or 0.16 (bench)
+        for h in (0.1, 0.16):
+            for nu in (1, 2):
+                g = Grid(nu, 2.0, h)
+                assert kernels._lattice_heat_mass(g, 1.0, "gaussian-kernel") == \
+                    gaussian_squared_mass(nu, 1.0)
 
     def test_sup_bounds_are_the_squared_row_and_column_sums(self):
         # against exactly rounded sums (math.fsum) over each row and column

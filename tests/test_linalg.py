@@ -366,6 +366,16 @@ def test_level_solves_and_counts_with_one_factor():
     assert np.all(res.residuals <= 1e-12)
 
 
+def test_level_gives_the_vectors_below_it_and_no_eigenvalues():
+    # diag(1..100) below sigma = 5.5: the five unit vectors e_0..e_4 (up to
+    # sign), one column each, in ascending order of their eigenvalues
+    diag = np.arange(1.0, 101.0)
+    vectors = linalg._below_level(diagonal_factor(diag, []), 5.5, 100, 3, lambda f: f,
+                                  seed=1, max_iters=600, tol=1e-12)
+    assert isinstance(vectors, np.ndarray) and vectors.shape == (100, 5)
+    np.testing.assert_allclose(np.abs(vectors), np.eye(100)[:, :5], rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("dim, sigma, why", [
     (100, 2.5, "fewer than k values below sigma"),
     (100, 40.5, "more than MAX_EIGENPAIRS values below sigma"),

@@ -180,11 +180,12 @@ def test_thinness_strip_divergent():
 
 
 def test_thinness_allocation_peak_is_the_proposal_draw():
-    # Drawing an annulus's proposals holds the points, their norms and their
-    # radii, 2.7 arrays of budget x nu floats, and that sets the peak; the
-    # omega chunks and a group's held draws stay below it.  Whole 2**16-point
-    # blocks, evaluated while the proposals were held, read 4.6 arrays.
-    budget = 40_000
+    # An annulus's proposals hold their normals, one array of budget x nu
+    # floats, one _CHUNK_POINTS slice of points, norms and radii, and the
+    # hits kept so far; that sets the peak (1.54 arrays here), and the omega
+    # chunks and a group's held draws stay below it.  Scaling every
+    # proposal at once, with its norms and radii, read 2.9 arrays.
+    budget = 2**18
     tracemalloc.start()
     try:
         held = tracemalloc.get_traced_memory()[0]
@@ -192,7 +193,7 @@ def test_thinness_allocation_peak_is_the_proposal_draw():
         peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    assert peak <= 3.0 * budget * 2 * 8
+    assert peak <= 2.0 * budget * 2 * 8
 
 
 def test_thinness_ring_is_inconclusive():
@@ -205,10 +206,33 @@ def test_thinness_ring_is_inconclusive():
 
 
 def test_thinness_empty_sublevel_set():
+    # three radii give one tail ratio, and a verdict needs two
     empty = parse_potential("1 + x1^2", 2)
     report = thinness(empty, 0.5, 2.0, 1.0, [1.0, 2.0, 4.0], budget=10_000, sub_budget=1_000, seed=2)
-    assert report.verdict == "convergent-evidence"
+    assert report.verdict == "inconclusive"
+    assert report.tail_ratios == (0.0,)
     assert all(v == 0.0 for v in report.partial_integrals)
+
+
+def test_thinness_empty_sublevel_set_at_four_radii():
+    empty = parse_potential("1 + x1^2", 2)
+    report = thinness(empty, 0.5, 2.0, 1.0, [1.0, 2.0, 4.0, 8.0], budget=10_000,
+                      sub_budget=1_000, seed=2)
+    assert report.verdict == "convergent-evidence"
+    assert report.tail_ratios == (0.0, 0.0)
+    assert all(v == 0.0 for v in report.partial_integrals)
+
+
+@pytest.mark.parametrize("expr, ratio", [
+    ("(x1^2+x2^2-900)^2", math.inf),  # the ring |x| = 30: annuli 1 and 2 empty
+    ("x1^2", 1.93),                   # the strip, divergent at four radii
+])
+def test_thinness_reads_no_verdict_from_one_tail_ratio(expr, ratio):
+    # one ratio above 0.9 once read as divergent-evidence
+    report = thinness(parse_potential(expr, 2), 1.0, 2.0, 1.0, [10.0, 20.0, 40.0],
+                      budget=20_000, seed=0)
+    assert report.tail_ratios == pytest.approx((ratio,), rel=0.01)
+    assert report.verdict == "inconclusive"
 
 
 def test_thinness_budget_guard():
@@ -335,7 +359,7 @@ def test_omega_blocks_match_a_per_center_reference(nu):
     for b, start in enumerate(range(0, centers.shape[0], per_block)):
         block = centers[start : start + per_block]
         block_rng = derived_rng(seed, 2, annulus, "omega", b)
-        pattern = sublevel._shell_points(nu, 0.0, ell, sub_budget, block_rng)
+        pattern = shell_points(nu, 0.0, ell, sub_budget, block_rng)
         rot = sublevel._rotations(block_rng.standard_normal((block.shape[0], nu, nu)))
         for i, center in enumerate(block):
             inside = sublevel._membership(V, 1.0, pattern @ rot[i] + center)
@@ -357,7 +381,7 @@ def one_product_omega_batch(V, M, centers, ell, sub_budget, seed, annulus):
         block = centers[start : start + per_block]
         n = block.shape[0]
         rng = derived_rng(seed, 2, annulus, "omega", b)
-        pattern = sublevel._shell_points(nu, 0.0, ell, sub_budget, rng)
+        pattern = shell_points(nu, 0.0, ell, sub_budget, rng)
         q, r = np.linalg.qr(rng.standard_normal((n, nu, nu)))
         rot = q * np.copysign(1.0, np.diagonal(r, axis1=1, axis2=2))[:, None, :]
         pts = pattern @ rot.transpose(1, 0, 2).reshape(nu, n * nu)
@@ -389,6 +413,16 @@ def test_omega_blocks_equal_the_one_product_blocks(nu, count, sub_budget):
     assert np.array_equal(omega, expected)
 
 
+def shell_points(nu, r_inner, r_outer, n, rng):
+    """The slices of _shell_points, concatenated."""
+    return np.concatenate(list(sublevel._shell_points(nu, r_inner, r_outer, n, rng)))
+
+
+def one_pass_points(nu, r_inner, r_outer, n, rng):
+    """Both phases of a draw, the second on all n rows as one slice."""
+    return sublevel._to_shell(sublevel._shell_normals(nu, n, rng), r_inner, r_outer, rng)
+
+
 def test_rotations_are_orthogonal():
     rng = np.random.default_rng(9)
     for nu in (1, 2, 3):
@@ -411,9 +445,9 @@ def test_omega_blocks_raise_at_a_nan_sample_point():
 def test_shell_points_lie_in_the_shell():
     rng = np.random.default_rng(4)
     for nu in (1, 2, 3):
-        shell = np.linalg.norm(sublevel._shell_points(nu, 1.0, 2.0, 5_000, rng), axis=1)
+        shell = np.linalg.norm(shell_points(nu, 1.0, 2.0, 5_000, rng), axis=1)
         assert np.all((shell > 1.0) & (shell <= 2.0))
-        ball = np.linalg.norm(sublevel._shell_points(nu, 0.0, 2.0, 5_000, rng), axis=1)
+        ball = np.linalg.norm(shell_points(nu, 0.0, 2.0, 5_000, rng), axis=1)
         assert np.all(ball <= 2.0)
 
 
@@ -438,9 +472,46 @@ class ZeroRowsFirst:
 
 def test_shell_points_resample_zero_normals():
     rng = ZeroRowsFirst(slice(None))  # every row of the first draw
-    radii = np.linalg.norm(sublevel._shell_points(2, 1.0, 2.0, 50, rng), axis=1)
+    radii = np.linalg.norm(shell_points(2, 1.0, 2.0, 50, rng), axis=1)
     assert rng.normal_draws == 2
     assert np.all((radii > 1.0) & (radii <= 2.0))
+
+
+@pytest.mark.parametrize("n", [1, 2**14, 2**14 + 1, 3 * 2**14 + 7])
+@pytest.mark.parametrize("nu", [1, 2, 3])
+def test_shell_slices_are_one_pass_of_the_sampler(nu, n):
+    for r_inner in (0.0, 1.5):
+        slices = list(sublevel._shell_points(nu, r_inner, 2.0, n, derived_rng(6, nu)))
+        assert [len(pts) for pts in slices[:-1]] == [sublevel._CHUNK_POINTS] * (len(slices) - 1)
+        assert np.array_equal(np.concatenate(slices),
+                              one_pass_points(nu, r_inner, 2.0, n, derived_rng(6, nu)))
+
+
+def test_one_sampler_feeds_every_draw(monkeypatch):
+    # measure's samples, the thinness proposals and the omega patterns all
+    # come from _shell_points, and no other code scales a normal
+    calls, scaled = [], []
+    sampler, to_shell = sublevel._shell_points, sublevel._to_shell
+
+    def spy(nu, r_inner, r_outer, n, rng):
+        calls.append((r_inner, r_outer, n))
+        return sampler(nu, r_inner, r_outer, n, rng)
+
+    def counted(points, *args):
+        scaled.append(len(points))
+        return to_shell(points, *args)
+
+    monkeypatch.setattr(sublevel, "_shell_points", spy)
+    monkeypatch.setattr(sublevel, "_to_shell", counted)
+    measure(CROSS, 1.0, Region((0.0, 0.0), 3.0), budget=40_000)
+    assert calls == [(0.0, 3.0, 40_000)]
+    calls.clear()
+    thinness(CROSS, 1.0, 2.0, 1.0, [10.0, 20.0, 40.0], budget=5_000, sub_budget=500)
+    assert calls[0] == (0.0, 10.0, 5_000)
+    assert (10.0, 20.0, 5_000) in calls and (20.0, 40.0, 5_000) in calls
+    patterns = [c for c in calls if c[2] == 500]
+    assert patterns and all(c[:2] == (0.0, 1.0) for c in patterns)
+    assert sum(scaled) == 40_000 + sum(c[2] for c in calls)
 
 
 STREAM_CASES = {1: parse_potential("x1^2", 1), 2: CROSS,
@@ -448,9 +519,9 @@ STREAM_CASES = {1: parse_potential("x1^2", 1), 2: CROSS,
 
 
 def one_shot_estimate(V, M, region, budget, rng):
-    """measure's value and std_error from _shell_points and _membership
-    over every point at once."""
-    pts = sublevel._shell_points(region.dimension, 0.0, region.radius, budget, rng)
+    """measure's value and std_error from one pass of the sampler and
+    _membership over every point at once."""
+    pts = one_pass_points(region.dimension, 0.0, region.radius, budget, rng)
     pts += np.asarray(region.center)
     p = int(np.count_nonzero(sublevel._membership(V, M, pts))) / budget
     return p * region.volume, region.volume * math.sqrt(p * (1.0 - p) / budget)
