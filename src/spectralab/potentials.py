@@ -113,6 +113,8 @@ class _Pow(_Node):
     exponent: int  # nonnegative
 
     def eval(self, pts):
+        if isinstance(self.base, _Var):  # a column's power is a fresh array already
+            return pts[:, self.base.index - 1] ** self.exponent
         v = self.base.eval(pts)
         v **= self.exponent
         return v

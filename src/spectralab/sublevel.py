@@ -8,19 +8,21 @@ each block rotates one pattern of uniform ball points by an independent
 Haar-random matrix per center, and since a rotation maps the uniform ball
 distribution to itself, each center still sees i.i.d. uniform points.  A
 group of blocks draws first and makes all its rotations in one stacked QR;
-then each chunk of a block's centers is one matrix product into
-column-major points in (center, pattern point) order.
+then each chunk of a block's centers is one matrix product, which rotates
+and translates the pattern into column-major points in (center, pattern
+point) order.
 Scalar reductions use math.fsum (exact compensated summation).
 
 One sampler, _shell_points, makes every draw of uniform points: the Monte
 Carlo `measure` samples, the thinness proposals and the omega patterns.  A
-draw has two phases: _shell_normals draws every normal of the stream before
-_to_shell draws any uniform, and _to_shell scales one _CHUNK_POINTS slice
-at a time.  So a caller holds the normals, 8 * nu bytes per sample (16 at
-nu = 2), and one slice of points: `measure` counts each slice's membership
-(a tracemalloc peak of 16.5 MB at 10^6 samples and nu = 2) and `thinness`
-keeps each slice's hits.  The slices draw what one pass over all the rows
-draws, bit for bit.
+draw has two phases: every normal of the stream is drawn before any
+uniform, and _to_shell scales one _CHUNK_POINTS slice at a time.  A draw
+longer than one slice makes two passes over its normals, the second a
+replay from a copy of the generator, so that no pass holds more than one
+slice.  So a caller's peak does not grow with its budget: `measure` counts
+each slice's membership (a tracemalloc peak of 0.8 MB at nu = 2, at 2**15
+samples as at 2**22) and `thinness` keeps each slice's hits.  The slices
+draw what one pass over all the rows draws, bit for bit.
 
 Every entry point checks its inputs before it draws a sample:
 check_positive refuses a height, exponent or radius that is not finite
@@ -33,6 +35,7 @@ what the library refuses.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -63,7 +66,9 @@ __all__ = [
 MONTE_CARLO_MIN_BUDGET = 1_000
 # points per membership evaluation: every _shell_points draw and a block's
 # omega centers go in slices, whose arrays (256 KB of points at nu = 2)
-# stay in cache and are reused by the allocator from slice to slice
+# stay in cache.  glibc hands a freed array this large back to the OS unless
+# a larger free raised its thresholds, so the hot loops write into buffers
+# held across slices: the first pass over the normals and the omega points
 _CHUNK_POINTS = 2**14
 
 
@@ -139,19 +144,12 @@ def _row_norms(points: np.ndarray) -> np.ndarray:
 
 def _shell_normals(nu: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """The first phase of every Monte Carlo draw: n x nu standard normals,
-    with each zero row drawn again.
-
-    The zero rows are found a _CHUNK_POINTS slice at a time, so that no
-    n-long norm array is held beside the normals.
-    """
+    where the zero rows (a zero normal vector has measure zero) are drawn
+    again, in row order, after all n rows."""
     points = rng.standard_normal((n, nu))
-    # resample the (measure-zero) event of a zero normal vector
-    bad = [np.flatnonzero(_row_norms(points[lo : lo + _CHUNK_POINTS]) == 0.0) + lo
-           for lo in range(0, n, _CHUNK_POINTS)]
-    bad = np.concatenate(bad) if bad else np.empty(0, dtype=np.intp)
-    while bad.size:
-        points[bad] = rng.standard_normal((bad.size, nu))
-        bad = bad[_row_norms(points[bad]) == 0.0]
+    bad = np.flatnonzero(_row_norms(points) == 0.0)
+    if bad.size:
+        points[bad] = _shell_normals(nu, bad.size, rng)
     return points
 
 
@@ -167,11 +165,14 @@ def _to_shell(points: np.ndarray, r_inner: float, r_outer: float,
     """
     nu = points.shape[1]
     norms = _row_norms(points)
-    u = rng.random(points.shape[0])
+    radii = rng.random(points.shape[0])  # u, then the radii in place
     if r_inner == 0.0:
-        radii = r_outer * u ** (1.0 / nu)
+        radii **= 1.0 / nu
+        radii *= r_outer
     else:
-        radii = (r_inner**nu + u * (r_outer**nu - r_inner**nu)) ** (1.0 / nu)
+        radii *= r_outer**nu - r_inner**nu
+        radii += r_inner**nu
+        radii **= 1.0 / nu
     for k in range(nu):  # column by column: a row of nu is too short a loop
         points[:, k] /= norms
         points[:, k] *= radii
@@ -181,12 +182,33 @@ def _to_shell(points: np.ndarray, r_inner: float, r_outer: float,
 def _shell_points(nu: int, r_inner: float, r_outer: float, n: int,
                   rng: np.random.Generator):
     """n uniform points in the centered shell r_inner < |x| <= r_outer, as
-    consecutive _CHUNK_POINTS slices: _shell_normals draws all n rows, then
-    _to_shell scales each slice in place when it is reached.  Each slice is
-    a view into the one normals array."""
-    normals = _shell_normals(nu, n, rng)
-    for lo in range(0, n, _CHUNK_POINTS):
-        yield _to_shell(normals[lo : lo + _CHUNK_POINTS], r_inner, r_outer, rng)
+    consecutive _CHUNK_POINTS slices, the same bit for bit as _to_shell on
+    all of one _shell_normals draw.
+
+    A draw of one slice is that draw.  A longer one makes two passes over
+    its normal phase, so that it holds one slice at a time, whatever n is.
+    Pass 1 draws the normals from `rng` slice by slice only to find the
+    zero rows, then draws those again (_shell_normals), which leaves `rng`
+    where the uniforms start.  Pass 2 replays the same normals slice by slice
+    from a copy of `rng` taken before the first normal, puts the redrawn
+    rows in, and _to_shell scales each slice with uniforms from `rng`.
+    """
+    if n <= _CHUNK_POINTS:
+        yield _to_shell(_shell_normals(nu, n, rng), r_inner, r_outer, rng)
+        return
+    replay = copy.deepcopy(rng)
+    starts = range(0, n, _CHUNK_POINTS)
+    buffer, bad = np.empty((_CHUNK_POINTS, nu)), []
+    for lo in starts:
+        normals = rng.standard_normal(out=buffer[: n - lo])
+        bad.append(np.flatnonzero(_row_norms(normals) == 0.0) + lo)
+    bad = np.concatenate(bad)
+    redrawn = _shell_normals(nu, bad.size, rng)
+    for lo in starts:
+        normals = replay.standard_normal((min(_CHUNK_POINTS, n - lo), nu))
+        first, last = np.searchsorted(bad, (lo, lo + _CHUNK_POINTS))
+        normals[bad[first:last] - lo] = redrawn[first:last]
+        yield _to_shell(normals, r_inner, r_outer, rng)
 
 
 @dataclass(frozen=True)
@@ -252,10 +274,10 @@ def measure(
         raise ValueError("region dimension does not match potential dimension")
     if method == "monte-carlo":
         check_monte_carlo_budget(budget)
-        center = np.asarray(region.center)
         hits = 0
         for pts in _shell_points(region.dimension, 0.0, region.radius, budget, derived_rng(seed, 0)):
-            pts += center
+            for k, c in enumerate(region.center):  # by column, as in _to_shell
+                pts[:, k] += c
             hits += int(np.count_nonzero(_membership(V, M, pts)))
         p = hits / budget
         volume = region.volume
@@ -356,20 +378,27 @@ def _rotations(draws: np.ndarray) -> np.ndarray:
     return q * np.copysign(1.0, np.diagonal(r, axis1=1, axis2=2))[:, None, :]
 
 
-def _omega_chunk(V, M, centers, rot, pattern) -> np.ndarray:
-    """Share of its own rotation rot[i] of `pattern`, about centers[i], that
-    lies in Omega_M, for each center i."""
+def _omega_chunk(V, M, centers, rot, lifted, buffer) -> np.ndarray:
+    """Share of its own rotation rot[i] of a pattern, about centers[i], that
+    lies in Omega_M, for each center i.
+
+    `lifted` is [pattern^T; 1], so one matrix product [R_i^T | c_i] @ lifted
+    rotates and translates the pattern for every center, into `buffer`.
+    """
     n, nu = centers.shape
-    sub_budget = pattern.shape[0]
+    sub_budget = lifted.shape[1]
     # column-major points in (center, pattern point) order: row (k, i) of
     # `axes` is axis k of center i's points
-    pts = np.empty((n * sub_budget, nu), order="F")
-    axes = pts.T.reshape(nu, n, sub_budget)
-    np.matmul(rot.transpose(2, 0, 1).reshape(nu * n, nu), pattern.T,
-              out=axes.reshape(nu * n, sub_budget))
-    axes += centers.T[:, :, None]
-    inside = _membership(V, M, pts).reshape(n, sub_budget)
-    return np.count_nonzero(inside, axis=1) / sub_budget
+    axes = buffer[: nu * n * sub_budget].reshape(nu, n, sub_budget)
+    lhs = np.empty((nu, n, nu + 1))
+    lhs[:, :, :nu] = rot.transpose(2, 0, 1)
+    lhs[:, :, nu] = centers.T
+    np.matmul(lhs.reshape(nu * n, nu + 1), lifted, out=axes.reshape(nu * n, sub_budget))
+    inside = _membership(V, M, axes.reshape(nu, n * sub_budget).T).reshape(n, sub_budget)
+    # a count is at most sub_budget, below 2**32 wherever the pattern
+    # (8 * (nu + 1) bytes per point) fits; the bool-to-uint32 sum is about
+    # twice as fast as count_nonzero's bool-to-intp one
+    return np.add.reduce(inside, axis=1, dtype=np.uint32) / sub_budget
 
 
 def _omega_batch(V, M, centers, ell, sub_budget, seed, annulus) -> np.ndarray:
@@ -382,30 +411,37 @@ def _omega_batch(V, M, centers, ell, sub_budget, seed, annulus) -> np.ndarray:
     draw first, then one stacked QR turns all their Gaussians into
     rotations; a group's held draws fit in one block's points.  Each chunk
     of about _CHUNK_POINTS points is one matrix product into (center,
-    pattern point) order, so a center's membership is one contiguous run
-    whose count, over sub_budget, is its omega.
+    pattern point) order, written into one buffer that every chunk of the
+    call reuses, so a center's membership is one contiguous run whose
+    count, over sub_budget, is its omega.
     """
     count, nu = centers.shape
     vol = ball_volume(nu, ell)
     per_block = max(1, _BLOCK_POINTS // sub_budget)
     per_chunk = max(1, _CHUNK_POINTS // sub_budget)
-    per_group = max(1, per_block * sub_budget // (sub_budget + per_block * nu))
+    # a held block: its pattern with a column of ones, and its rotations
+    per_group = max(1, per_block * sub_budget * nu
+                    // (sub_budget * (nu + 1) + per_block * nu * nu))
     starts = range(0, count, per_block)
     out = np.empty(count)
+    buffer = np.empty(nu * min(per_chunk, count) * sub_budget)
     for first in range(0, len(starts), per_group):
         group = starts[first : first + per_group]
         patterns, draws = [], []
         for b, start in enumerate(group, start=first):
             rng = derived_rng(seed, 2, annulus, "omega", b)
-            patterns.append(np.concatenate(list(_shell_points(nu, 0.0, ell, sub_budget, rng))))
+            lifted = np.ones((sub_budget, nu + 1))  # [pattern | 1]
+            np.concatenate(list(_shell_points(nu, 0.0, ell, sub_budget, rng)),
+                           out=lifted[:, :nu])
+            patterns.append(lifted.T)
             draws.append(rng.standard_normal((min(per_block, count - start), nu, nu)))
         rotations = _rotations(np.concatenate(draws))
-        for start, pattern in zip(group, patterns):
+        for start, lifted in zip(group, patterns):
             stop = min(start + per_block, count)
             for lo in range(start, stop, per_chunk):
                 hi = min(lo + per_chunk, stop)
                 rot = rotations[lo - group[0] : hi - group[0]]
-                out[lo:hi] = _omega_chunk(V, M, centers[lo:hi], rot, pattern) * vol
+                out[lo:hi] = _omega_chunk(V, M, centers[lo:hi], rot, lifted, buffer) * vol
     return out
 
 

@@ -769,6 +769,28 @@ class TestReproducibility:
             assert np.max(np.abs(mu_a - mu_b)) <= 1e-15 * mu_a[0], args
             assert a == b, args
 
+    def test_sampler_payloads_across_blas_threads(self, tmp_path):
+        # The omega chunks rotate and translate their pattern in one BLAS
+        # matrix product, and `sublevel` replays its normals in slices:
+        # every payload byte and check outcome is the same at 1 and 2 threads.
+        thin = ("--nu", "2", "--M", "1", "--r", "2", "--radii", "10,20,40,80", "--seed", "0")
+        runs = (("thinness", "--potential", "x1^2", "--budget", "20000", *thin),
+                ("thinness", "--potential", "x1^2*x2^2", "--budget", "30000", *thin),
+                ("sublevel", "--potential", "x1^2+x2^2", "--nu", "2", "--M", "4",
+                 "--R", "3", "--budget", "200000", "--seed", "0"))
+        for i, args in enumerate(runs):
+            results = []
+            for threads in ("1", "2"):
+                out = tmp_path / f"{i}-threads-{threads}"
+                proc = run_cli_process(*args, "--output-dir", str(out),
+                                       OPENBLAS_NUM_THREADS=threads)
+                assert proc.returncode == 0, proc.stderr
+                manifest = read_json(out / f"{args[0]}-manifest.json")
+                results.append((manifest["checks"],
+                                {p.name: p.read_bytes() for p in out.iterdir()
+                                 if p.name != f"{args[0]}-manifest.json"}))
+            assert results[0][1] and results[0] == results[1], args
+
     def test_manifest_config_reruns_to_same_results(self, tmp_path):
         runs = (
             ("sublevel", "--potential", WELL, "--nu", "2", "--M", "4",

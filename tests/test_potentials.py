@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spectralab import potentials
 from spectralab.operators import spectrum_study
 from spectralab.potentials import (
     NEGATIVE_TOLERANCE,
@@ -85,6 +86,35 @@ def test_evaluation_leaves_the_points_alone():
         assert np.array_equal(values, evaluate(v, np.ascontiguousarray(pts)))
         values += 1.0
         assert np.array_equal(pts, before), source
+
+
+def copy_then_power(self, pts):
+    """_Pow.eval as it was: the base's values in a fresh array, then **=."""
+    v = self.base.eval(pts)
+    v **= self.exponent
+    return v
+
+
+@pytest.mark.parametrize("source, nu", [
+    ("x1^2*x2^2", 2), ("x1^2", 2), ("x1^2+x2^2", 2),    # the bench potentials
+    ("x1^0 + x2^1 - x1^3*x2^4 + x1^5", 2), ("x1^2 + x2^2*x3^2", 3),
+])
+def test_power_of_a_coordinate_equals_copy_then_power(monkeypatch, source, nu):
+    # x_i^e is the column's power, without a copy of the column first; it is
+    # numpy's same scalar power as `v **= e`, so the values agree bit for bit
+    # on row- and column-major points, and the points stay as they were
+    expr = parse_potential(source, nu)
+    pts = np.random.default_rng(5).standard_normal((10_000, nu)) * 3.0
+    pts[:4] = [[0.0] * nu, [-0.0] * nu, [1e-170] * nu, [1e40] * nu]
+    before = pts.copy()
+    got = [evaluate(expr, p) for p in (pts, np.asfortranarray(pts))]
+    assert np.array_equal(pts, before)
+    monkeypatch.setattr(potentials._Pow, "eval", copy_then_power)
+    want = evaluate(expr, pts)
+    for values in got:
+        assert np.array_equal(values, want, equal_nan=True)
+        assert np.array_equal(np.signbit(values), np.signbit(want))
+
 
 
 WHERE = "at a test point"

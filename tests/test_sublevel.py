@@ -179,12 +179,12 @@ def test_thinness_strip_divergent():
     assert all(1.5 < q < 2.5 for q in report.tail_ratios)
 
 
-def test_thinness_allocation_peak_is_the_proposal_draw():
-    # An annulus's proposals hold their normals, one array of budget x nu
-    # floats, one _CHUNK_POINTS slice of points, norms and radii, and the
-    # hits kept so far; that sets the peak (1.54 arrays here), and the omega
-    # chunks and a group's held draws stay below it.  Scaling every
-    # proposal at once, with its norms and radii, read 2.9 arrays.
+def test_thinness_allocation_peak_is_below_one_proposal_array():
+    # An annulus holds one _CHUNK_POINTS slice of its proposals at a time
+    # and the hits kept so far; the omega phase adds a group's patterns and
+    # one chunk's points.  The peak reads 0.72 arrays of budget x nu floats
+    # here; holding the proposals' normals read 1.54, and scaling every
+    # proposal at once, with its norms and radii, 2.9.
     budget = 2**18
     tracemalloc.start()
     try:
@@ -193,7 +193,7 @@ def test_thinness_allocation_peak_is_the_proposal_draw():
         peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    assert peak <= 2.0 * budget * 2 * 8
+    assert peak <= 1.0 * budget * 2 * 8
 
 
 def test_thinness_ring_is_inconclusive():
@@ -451,30 +451,41 @@ def test_shell_points_lie_in_the_shell():
         assert np.all(ball <= 2.0)
 
 
-class ZeroRowsFirst:
-    """Generator whose first normal draw has exact zero rows."""
+class ZeroRows:
+    """Generator whose normal rows at the given global indices are exact
+    zeros.  The index counts every normal row the stream has drawn, across
+    slice draws, so a copy of the double taken before the first normal
+    replays the same zeros.  It records how many normal rows it had drawn
+    at its first uniform."""
 
     def __init__(self, rows):
         self.rng = np.random.default_rng(9)
-        self.rows = rows
-        self.normal_draws = 0
+        self.rows = np.asarray(rows)
+        self.normal_rows = 0
+        self.normals_before_uniform = None
 
-    def standard_normal(self, size):
-        self.normal_draws += 1
-        draw = self.rng.standard_normal(size)
-        if self.normal_draws == 1:
-            draw[self.rows] = 0.0
+    def standard_normal(self, size=None, out=None):
+        draw = self.rng.standard_normal(size, out=out)
+        first, self.normal_rows = self.normal_rows, self.normal_rows + len(draw)
+        draw[self.rows[(self.rows >= first) & (self.rows < self.normal_rows)] - first] = 0.0
         return draw
 
     def random(self, size):
+        if self.normals_before_uniform is None:
+            self.normals_before_uniform = self.normal_rows
         return self.rng.random(size)
 
 
 def test_shell_points_resample_zero_normals():
-    rng = ZeroRowsFirst(slice(None))  # every row of the first draw
-    radii = np.linalg.norm(shell_points(2, 1.0, 2.0, 50, rng), axis=1)
-    assert rng.normal_draws == 2
-    assert np.all((radii > 1.0) & (radii <= 2.0))
+    # every row of a one-slice draw, and the first and last 50 rows of a
+    # four-slice draw, are drawn again before the first uniform; the first
+    # two of those 50 or 100 redrawn rows are zero too, and are drawn a third time
+    for n in (50, 3 * 2**14 + 7):
+        zero = np.r_[0:50, n - 50 : n] if n > 50 else np.arange(50)
+        rng = ZeroRows(np.r_[zero, n, n + 1])
+        radii = np.linalg.norm(shell_points(2, 1.0, 2.0, n, rng), axis=1)
+        assert rng.normals_before_uniform == n + zero.size + 2
+        assert np.all((radii > 1.0) & (radii <= 2.0))
 
 
 @pytest.mark.parametrize("n", [1, 2**14, 2**14 + 1, 3 * 2**14 + 7])
@@ -535,29 +546,34 @@ def test_streamed_measure_matches_the_one_shot_sampler(monkeypatch, nu, budget):
     est = measure(V, 1.0, region, budget=budget, seed=3)
     assert (est.value, est.std_error) == one_shot_estimate(V, 1.0, region, budget,
                                                            derived_rng(3, 0))
-    # zero rows in the first slice and in the last one are drawn again
-    # before any uniform, as the one-shot sampler draws them
-    rows = [0, 7, budget - 1]
-    streamed, one_shot = ZeroRowsFirst(rows), ZeroRowsFirst(rows)
+    # zero rows in the first slice, a middle one (of four at 3 * 2**14 + 7)
+    # and the last one are drawn again before any uniform, as the one-shot
+    # sampler draws them
+    rows = [0, 7, budget // 2, budget - 1]
+    streamed, one_shot = ZeroRows(rows), ZeroRows(rows)
     monkeypatch.setattr(sublevel, "derived_rng", lambda *key: streamed)
     est = measure(V, 1.0, region, budget=budget, seed=3)
-    assert streamed.normal_draws == 2
+    assert streamed.normals_before_uniform == budget + len(rows)
     assert (est.value, est.std_error) == one_shot_estimate(V, 1.0, region, budget, one_shot)
 
 
-def test_measure_holds_the_normals_and_one_slice():
-    # the normals of the whole budget (16 bytes per sample at nu = 2) and
-    # one slice's points, values and flags; forming every sample at once
-    # read about 40 bytes per sample
-    budget = 2**20
+def measure_peak(budget):
+    """tracemalloc peak of a `measure` of the unit disc, above what was held."""
     tracemalloc.start()
     try:
         held = tracemalloc.get_traced_memory()[0]
         measure(DISC, 4.0, Region((0.0, 0.0), 3.0), budget=budget)
-        peak = tracemalloc.get_traced_memory()[1] - held
+        return tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    assert peak <= 20 * budget + 40 * sublevel._CHUNK_POINTS
+
+
+def test_measure_peak_does_not_grow_with_the_budget():
+    # each pass over the normals holds one slice at a time (about 48 bytes
+    # per slice point at nu = 2), so eight times the budget may add at most
+    # one slice of points; holding the budget's normals read 16 bytes per
+    # sample more
+    assert measure_peak(2**21) <= measure_peak(2**18) + 16 * sublevel._CHUNK_POINTS
 
 
 def test_monotonicity_in_level():
