@@ -118,7 +118,8 @@ class RunConfig:
     ell: float = _field(1.0, _finite_float, ("thinness",),
                         "local-measure ball radius", "> 0")
     radii: tuple = _field((10.0, 20.0, 40.0, 80.0), _float_tuple, ("thinness",),
-                          "comma-separated radii, e.g. 10,20,40,80")
+                          "comma-separated radii, e.g. 10,20,40,80; three read "
+                          "inconclusive, a verdict needs four or more")
     L: tuple = _field((4.0,), _float_tuple, _BOX,
                       "box half-width (spectrum: comma-separated schedule)", "> 0")
     h: float = _field(0.1, _finite_float, _BOX, "grid spacing", "> 0")

@@ -14,15 +14,13 @@ point) order.
 Scalar reductions use math.fsum (exact compensated summation).
 
 One sampler, _shell_points, makes every draw of uniform points: the Monte
-Carlo `measure` samples, the thinness proposals and the omega patterns.  A
-draw has two phases: every normal of the stream is drawn before any
-uniform, and _to_shell scales one _CHUNK_POINTS slice at a time.  A draw
-longer than one slice makes two passes over its normals, the second a
-replay from a copy of the generator, so that no pass holds more than one
-slice.  So a caller's peak does not grow with its budget: `measure` counts
-each slice's membership (a tracemalloc peak of 0.8 MB at nu = 2, at 2**15
-samples as at 2**22) and `thinness` keeps each slice's hits.  The slices
-draw what one pass over all the rows draws, bit for bit.
+Carlo `measure` samples, the thinness proposals and the omega patterns.  It
+draws in _CHUNK_POINTS slices, and each slice draws its own normals, then
+its own uniforms, so a longer draw is the concatenation of its slices'
+draws and holds one slice at a time.  So a caller's peak does not grow
+with its budget: `measure` counts each slice's membership (a tracemalloc
+peak of 0.8 MB at nu = 2, at 2**15 samples as at 2**22) and `thinness`
+keeps each slice's hits.
 
 Every entry point checks its inputs before it draws a sample:
 check_positive refuses a height, exponent or radius that is not finite
@@ -35,7 +33,6 @@ what the library refuses.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
@@ -66,9 +63,11 @@ __all__ = [
 MONTE_CARLO_MIN_BUDGET = 1_000
 # points per membership evaluation: every _shell_points draw and a block's
 # omega centers go in slices, whose arrays (256 KB of points at nu = 2)
-# stay in cache.  glibc hands a freed array this large back to the OS unless
-# a larger free raised its thresholds, so the hot loops write into buffers
-# held across slices: the first pass over the normals and the omega points
+# stay in cache.  Each slice of a draw draws from the stream in turn, so
+# this length fixes every longer draw, as _BLOCK_POINTS fixes the omega
+# estimates.  glibc hands a freed array this large back to the OS unless a
+# larger free raised its thresholds, so the omega loop writes its points
+# into one buffer held across slices
 _CHUNK_POINTS = 2**14
 
 
@@ -143,9 +142,9 @@ def _row_norms(points: np.ndarray) -> np.ndarray:
 
 
 def _shell_normals(nu: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """The first phase of every Monte Carlo draw: n x nu standard normals,
-    where the zero rows (a zero normal vector has measure zero) are drawn
-    again, in row order, after all n rows."""
+    """n x nu standard normals, the directions of one slice of a draw: its
+    zero rows (a zero normal vector has measure zero) are drawn again, in
+    row order, after all n rows."""
     points = rng.standard_normal((n, nu))
     bad = np.flatnonzero(_row_norms(points) == 0.0)
     if bad.size:
@@ -155,13 +154,10 @@ def _shell_normals(nu: int, n: int, rng: np.random.Generator) -> np.ndarray:
 
 def _to_shell(points: np.ndarray, r_inner: float, r_outer: float,
               rng: np.random.Generator) -> np.ndarray:
-    """The second phase: scales each row of `points` (normals from
-    _shell_normals) in place to a uniform point in the centered shell
-    r_inner < |x| <= r_outer, drawing one uniform per row.
-
-    Run on consecutive slices of one _shell_normals array, it draws what
-    one call on the whole array draws, so the points are the same bit for
-    bit.  r_inner = 0 gives the ball, with radii r_outer * u**(1/nu).
+    """Scales each row of `points` (normals from _shell_normals) in place to
+    a uniform point in the centered shell r_inner < |x| <= r_outer, drawing
+    one uniform per row.  r_inner = 0 gives the ball, with radii
+    r_outer * u**(1/nu).
     """
     nu = points.shape[1]
     norms = _row_norms(points)
@@ -182,32 +178,10 @@ def _to_shell(points: np.ndarray, r_inner: float, r_outer: float,
 def _shell_points(nu: int, r_inner: float, r_outer: float, n: int,
                   rng: np.random.Generator):
     """n uniform points in the centered shell r_inner < |x| <= r_outer, as
-    consecutive _CHUNK_POINTS slices, the same bit for bit as _to_shell on
-    all of one _shell_normals draw.
-
-    A draw of one slice is that draw.  A longer one makes two passes over
-    its normal phase, so that it holds one slice at a time, whatever n is.
-    Pass 1 draws the normals from `rng` slice by slice only to find the
-    zero rows, then draws those again (_shell_normals), which leaves `rng`
-    where the uniforms start.  Pass 2 replays the same normals slice by slice
-    from a copy of `rng` taken before the first normal, puts the redrawn
-    rows in, and _to_shell scales each slice with uniforms from `rng`.
-    """
-    if n <= _CHUNK_POINTS:
-        yield _to_shell(_shell_normals(nu, n, rng), r_inner, r_outer, rng)
-        return
-    replay = copy.deepcopy(rng)
-    starts = range(0, n, _CHUNK_POINTS)
-    buffer, bad = np.empty((_CHUNK_POINTS, nu)), []
-    for lo in starts:
-        normals = rng.standard_normal(out=buffer[: n - lo])
-        bad.append(np.flatnonzero(_row_norms(normals) == 0.0) + lo)
-    bad = np.concatenate(bad)
-    redrawn = _shell_normals(nu, bad.size, rng)
-    for lo in starts:
-        normals = replay.standard_normal((min(_CHUNK_POINTS, n - lo), nu))
-        first, last = np.searchsorted(bad, (lo, lo + _CHUNK_POINTS))
-        normals[bad[first:last] - lo] = redrawn[first:last]
+    consecutive _CHUNK_POINTS slices: each slice is _to_shell on its own
+    _shell_normals draw from `rng`."""
+    for lo in range(0, n, _CHUNK_POINTS):
+        normals = _shell_normals(nu, min(_CHUNK_POINTS, n - lo), rng)
         yield _to_shell(normals, r_inner, r_outer, rng)
 
 

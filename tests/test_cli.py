@@ -435,6 +435,12 @@ class TestFieldTable:
         expected = {flag(name) for name in USED_FIELDS[subcommand]}
         assert listed == expected | {"--help", "--config"}
 
+    def test_radii_help_says_a_verdict_needs_four(self, capsys):
+        # three radii give one tail ratio, which reads inconclusive
+        assert run_cli("thinness", "--help") == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "three read inconclusive, a verdict needs four or more" in text
+
     @pytest.mark.parametrize("subcommand", sorted(USED_FIELDS))
     def test_unused_flag_is_a_usage_error(self, subcommand, tmp_path, capsys):
         for name in sorted(ALL_FIELDS - USED_FIELDS[subcommand]):

@@ -225,7 +225,7 @@ def test_thinness_empty_sublevel_set_at_four_radii():
 
 @pytest.mark.parametrize("expr, ratio", [
     ("(x1^2+x2^2-900)^2", math.inf),  # the ring |x| = 30: annuli 1 and 2 empty
-    ("x1^2", 1.93),                   # the strip, divergent at four radii
+    ("x1^2", 1.911),                  # the strip, divergent at four radii
 ])
 def test_thinness_reads_no_verdict_from_one_tail_ratio(expr, ratio):
     # one ratio above 0.9 once read as divergent-evidence
@@ -418,9 +418,14 @@ def shell_points(nu, r_inner, r_outer, n, rng):
     return np.concatenate(list(sublevel._shell_points(nu, r_inner, r_outer, n, rng)))
 
 
-def one_pass_points(nu, r_inner, r_outer, n, rng):
-    """Both phases of a draw, the second on all n rows as one slice."""
-    return sublevel._to_shell(sublevel._shell_normals(nu, n, rng), r_inner, r_outer, rng)
+def slice_by_slice(nu, r_inner, r_outer, n, rng):
+    """Consecutive one-slice draws from `rng`, concatenated: each slice is
+    _to_shell on its own _shell_normals draw, so a draw of at most one
+    slice is the one call _to_shell(_shell_normals(nu, n, rng), ...)."""
+    return np.concatenate([
+        sublevel._to_shell(sublevel._shell_normals(nu, min(sublevel._CHUNK_POINTS, n - lo), rng),
+                           r_inner, r_outer, rng)
+        for lo in range(0, n, sublevel._CHUNK_POINTS)])
 
 
 def test_rotations_are_orthogonal():
@@ -452,50 +457,73 @@ def test_shell_points_lie_in_the_shell():
 
 
 class ZeroRows:
-    """Generator whose normal rows at the given global indices are exact
-    zeros.  The index counts every normal row the stream has drawn, across
-    slice draws, so a copy of the double taken before the first normal
-    replays the same zeros.  It records how many normal rows it had drawn
-    at its first uniform."""
+    """Generator whose normal rows at the given indices are exact zeros.
+    The index counts every normal row the stream has drawn, across draws.
+    It logs each draw as (kind, rows, zeros placed)."""
 
     def __init__(self, rows):
         self.rng = np.random.default_rng(9)
         self.rows = np.asarray(rows)
         self.normal_rows = 0
-        self.normals_before_uniform = None
+        self.log = []
 
-    def standard_normal(self, size=None, out=None):
-        draw = self.rng.standard_normal(size, out=out)
+    def standard_normal(self, size):
+        draw = self.rng.standard_normal(size)
         first, self.normal_rows = self.normal_rows, self.normal_rows + len(draw)
-        draw[self.rows[(self.rows >= first) & (self.rows < self.normal_rows)] - first] = 0.0
+        zero = self.rows[(self.rows >= first) & (self.rows < self.normal_rows)] - first
+        draw[zero] = 0.0
+        self.log.append(("normal", len(draw), zero.size))
         return draw
 
     def random(self, size):
-        if self.normals_before_uniform is None:
-            self.normals_before_uniform = self.normal_rows
+        self.log.append(("uniform", size, 0))
         return self.rng.random(size)
 
 
+def assert_one_draw_per_slice(rng, n):
+    """Each _CHUNK_POINTS slice of an n-point draw from the ZeroRows `rng`
+    draws its normals, then its zero rows again until none is zero, then
+    one uniform per row, before the next slice draws anything."""
+    log = iter(rng.log)
+    for lo in range(0, n, sublevel._CHUNK_POINTS):
+        size = min(sublevel._CHUNK_POINTS, n - lo)
+        kind, rows, zeros = next(log)
+        assert (kind, rows) == ("normal", size)
+        while zeros:
+            kind, rows, redrawn_zeros = next(log)
+            assert (kind, rows) == ("normal", zeros)
+            zeros = redrawn_zeros
+        assert next(log)[:2] == ("uniform", size)
+    assert next(log, None) is None
+
+
 def test_shell_points_resample_zero_normals():
-    # every row of a one-slice draw, and the first and last 50 rows of a
-    # four-slice draw, are drawn again before the first uniform; the first
-    # two of those 50 or 100 redrawn rows are zero too, and are drawn a third time
-    for n in (50, 3 * 2**14 + 7):
-        zero = np.r_[0:50, n - 50 : n] if n > 50 else np.arange(50)
-        rng = ZeroRows(np.r_[zero, n, n + 1])
+    # a one-slice draw of 50 zero rows, and a four-slice draw with zeros in
+    # its first 50 rows, mid-way through slice 1 and at the last row: each
+    # slice draws its zero rows again before its first uniform, and the
+    # first two rows of the first redraw are zero too, so drawn a third time
+    C = sublevel._CHUNK_POINTS
+    for n, zero in ((50, np.r_[0:50, 50, 51]),
+                    (3 * C + 7, np.r_[0:50, C, C + 1,  # slice 0, then its redraws
+                                      C + 52 + C // 2,  # slice 1 starts at C + 52
+                                      3 * C + 59])):    # slice 3 at 3 C + 53
+        rng = ZeroRows(zero)
         radii = np.linalg.norm(shell_points(2, 1.0, 2.0, n, rng), axis=1)
-        assert rng.normals_before_uniform == n + zero.size + 2
+        assert_one_draw_per_slice(rng, n)
+        assert rng.normal_rows == n + zero.size
         assert np.all((radii > 1.0) & (radii <= 2.0))
 
 
 @pytest.mark.parametrize("n", [1, 2**14, 2**14 + 1, 3 * 2**14 + 7])
 @pytest.mark.parametrize("nu", [1, 2, 3])
 def test_shell_slices_are_one_pass_of_the_sampler(nu, n):
+    # one pass over the stream: each slice draws its own normals, then its
+    # own uniforms, and a draw of at most one slice is one such slice draw
     for r_inner in (0.0, 1.5):
         slices = list(sublevel._shell_points(nu, r_inner, 2.0, n, derived_rng(6, nu)))
         assert [len(pts) for pts in slices[:-1]] == [sublevel._CHUNK_POINTS] * (len(slices) - 1)
         assert np.array_equal(np.concatenate(slices),
-                              one_pass_points(nu, r_inner, 2.0, n, derived_rng(6, nu)))
+                              slice_by_slice(nu, r_inner, 2.0, n, derived_rng(6, nu)))
 
 
 def test_one_sampler_feeds_every_draw(monkeypatch):
@@ -530,9 +558,9 @@ STREAM_CASES = {1: parse_potential("x1^2", 1), 2: CROSS,
 
 
 def one_shot_estimate(V, M, region, budget, rng):
-    """measure's value and std_error from one pass of the sampler and
-    _membership over every point at once."""
-    pts = one_pass_points(region.dimension, 0.0, region.radius, budget, rng)
+    """measure's value and std_error from the sampler's slices, concatenated,
+    and _membership over every point at once."""
+    pts = shell_points(region.dimension, 0.0, region.radius, budget, rng)
     pts += np.asarray(region.center)
     p = int(np.count_nonzero(sublevel._membership(V, M, pts))) / budget
     return p * region.volume, region.volume * math.sqrt(p * (1.0 - p) / budget)
@@ -547,13 +575,14 @@ def test_streamed_measure_matches_the_one_shot_sampler(monkeypatch, nu, budget):
     assert (est.value, est.std_error) == one_shot_estimate(V, 1.0, region, budget,
                                                            derived_rng(3, 0))
     # zero rows in the first slice, a middle one (of four at 3 * 2**14 + 7)
-    # and the last one are drawn again before any uniform, as the one-shot
-    # sampler draws them
+    # and a late one are drawn again within their slice, before its first
+    # uniform, and the one-shot estimate over the same points agrees
     rows = [0, 7, budget // 2, budget - 1]
     streamed, one_shot = ZeroRows(rows), ZeroRows(rows)
     monkeypatch.setattr(sublevel, "derived_rng", lambda *key: streamed)
     est = measure(V, 1.0, region, budget=budget, seed=3)
-    assert streamed.normals_before_uniform == budget + len(rows)
+    assert_one_draw_per_slice(streamed, budget)
+    assert streamed.normal_rows == budget + len(rows)
     assert (est.value, est.std_error) == one_shot_estimate(V, 1.0, region, budget, one_shot)
 
 
