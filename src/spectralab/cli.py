@@ -337,7 +337,7 @@ def _run_heat_diagnostics(config: RunConfig, out: Path):
     grid = Grid(config.nu, config.L[0], config.h)
     mask = potential_on_grid(grid, V) < config.M
     kernel = heat_matrix(grid, config.s, config.mode)
-    diag = hs_diagnostics(kernel, mask, config.s, config.mode)
+    diag = hs_diagnostics(kernel, mask)
     files = [write_json(out / "heat-diagnostics-report.json", diag)]
     files += emit_plot_data("heat-diagnostics", diag, out)
     return *_diagnostic_checks(diag), "", files
@@ -347,7 +347,7 @@ def _run_kernel_power(config: RunConfig, out: Path):
     V = parse_potential(config.potential, config.nu)
     grid = Grid(config.nu, config.L[0], config.h)
     D = d_kernel(grid, V, config.M, config.R)
-    diag = kernel_power_bound(D, config.k, V, config.M, config.R)
+    diag = kernel_power_bound(D, config.k)
     files = [write_json(out / "kernel-power-report.json", diag)]
     files += emit_plot_data("kernel-power", diag, out)
     return *_diagnostic_checks(diag), "", files

@@ -25,8 +25,8 @@ of the dense `values`:
   that form, truncated_convolution the same form with a lattice cutoff
   (entries at larger lattice offsets are 0), and multiply_function of
   either multiplies the scale.  heat_matrix's kernel records its time s
-  and mode, multiply_function keeps them, and hs_diagnostics refuses a
-  kernel whose record differs from its own s and mode.  One builder,
+  and mode, multiply_function keeps them, and hs_diagnostics reads them
+  there and refuses a kernel without them.  One builder,
   _gaussian_heat, forms the Gaussian heat kernel for heat_matrix, for
   hs_diagnostics' dominating kernel and, with its cutoff, for
   truncated_convolution.  hs_diagnostics
@@ -40,16 +40,17 @@ of the dense `values`:
 - Block form.  An increasing index set I and the dense |I| x |I| block on
   I x I; every entry off it is an exact zero.  Kernels cut down to the
   sublevel set {V < M} vanish outside it, so d_kernel returns the proximity
-  kernel on the sublevel points.  KernelMatrix(grid, values) is the block
+  kernel on the sublevel points and records its R; kernel_power_bound
+  reads the sublevel points as its index and the reach from R, and refuses
+  a kernel without that record.  KernelMatrix(grid, values) is the block
   over all points, and multiply_function of a block-form kernel scales the
-  block's columns on the same index.
+  block's columns on the same index and drops R.
 
-kernel_power_bound and domination_check follow one block rule.  Each takes
-an increasing index set U that covers every block it reads (the sublevel
-points and D's nonzero rows and columns for the power, D's index and the
-product's nonzero columns for the domination), reads each kernel on U x U
-through _restrict, and counts the exact zeros off U x U, when U is not the
-whole grid, as one more entry of value 0.
+kernel_power_bound and domination_check read only blocks.  Each counts the
+exact zeros off its block, when the block is not the whole grid, as one more
+entry of value 0.  domination_check reads D's block and the product's on the
+union U of their index sets through _restrict, and refuses a D in Kronecker
+form.
 
 `values` is formed only when read, and only that read is held to the
 grid's dense-entry budget; the structured work is not.
@@ -141,14 +142,17 @@ class KernelMatrix:
     def _hold_block(self, grid: Grid, index: np.ndarray, block: np.ndarray) -> None:
         _require_finite(block)
         self.grid, self._index, self._block = grid, index, block
-        self._factor = self._scale = self._cutoff = self._heat = None
+        self._factor = self._scale = self._cutoff = self._heat = self._radius = None
 
     @classmethod
-    def _blocked(cls, grid: Grid, index: np.ndarray, block: np.ndarray) -> KernelMatrix:
+    def _blocked(cls, grid: Grid, index: np.ndarray, block: np.ndarray,
+                 radius: float | None = None) -> KernelMatrix:
         """The kernel equal to `block` on index x index (increasing point
-        indices) and 0 elsewhere, values unformed."""
+        indices) and 0 elsewhere, values unformed.  radius is R when the
+        kernel is d_kernel(grid, V, M, R); kernel_power_bound reads it."""
         K = cls.__new__(cls)
         K._hold_block(grid, index, block)
+        K._radius = radius
         return K
 
     @classmethod
@@ -165,7 +169,7 @@ class KernelMatrix:
         _require_finite(peak.ravel() * np.abs(scale))
         K = cls.__new__(cls)
         K.grid, K._factor, K._scale, K._cutoff, K._heat = grid, factor, scale, cutoff, heat
-        K._index = K._block = None
+        K._index = K._block = K._radius = None
         return K
 
     @cached_property
@@ -215,12 +219,6 @@ class KernelMatrix:
                   where=np.logical_not(inside, out=inside))
         return lines
 
-    def _on_block(self) -> tuple:
-        """(I, values[I x I]) for increasing I, with values 0 off I x I."""
-        if self._factor is None:
-            return self._index, self._block
-        return np.arange(self.grid.size), self.values
-
 
 def _restrict(index: np.ndarray, block: np.ndarray, points: np.ndarray) -> np.ndarray:
     """values[points x points] of the kernel that is `block` on index x index
@@ -238,9 +236,11 @@ def multiply_function(K: KernelMatrix, values_on_grid) -> KernelMatrix:
     """Compose with a multiplication operator: scales columns, no weight.
 
     The result keeps K's form: a Kronecker-form kernel multiplies its column
-    scale, a block-form kernel its block's columns, so no values are formed.
-    A non-finite function value is refused in either form, also at a point
-    off a block, where the entries are exact zeros.
+    scale and keeps its heat record, a block-form kernel its block's columns
+    and drops d_kernel's R, since the scaled entries are no longer the 0/1
+    proximity kernel; no values are formed.  A non-finite function value is
+    refused in either form, also at a point off a block, where the entries
+    are exact zeros.
     """
     g = np.asarray(values_on_grid, dtype=float)
     if g.shape != (K.grid.size,):
@@ -430,19 +430,20 @@ def split_tail(C: KernelMatrix, V: PotentialExpr, m: float):
 
     Returns (C_m, D_m, norms) where norms records the two operator norms
     next to the reference level e^{-m}: on the sublevel complement V >= m,
-    so every column of D_m is damped by at least e^{-m}.  A NaN m is refused.
+    so every column of D_m is damped by at least e^{-m}.  The reference is
+    e^{-m} for every m, inf where that overflows; a NaN m is refused.
     """
     if math.isnan(m):
         raise ValueError("m must not be NaN")
     chi = (potential_on_grid(C.grid, V) < m).astype(float)
     C_m = multiply_function(C, chi)
     D_m = multiply_function(C, 1.0 - chi)
-    norms = {
-        "C_m": operator_norm(C_m),
-        "D_m": operator_norm(D_m),
-        "reference": math.exp(-m) if m < 700 else 0.0,
-    }
-    return C_m, D_m, norms
+    try:
+        reference = math.exp(-m)
+    except OverflowError:
+        reference = math.inf
+    return C_m, D_m, {"C_m": operator_norm(C_m), "D_m": operator_norm(D_m),
+                      "reference": reference}
 
 
 @dataclass(frozen=True)
@@ -566,12 +567,11 @@ def _largest_excess(K: KernelMatrix, dominating: KernelMatrix, cols: np.ndarray)
     return excess
 
 
-def hs_diagnostics(K: KernelMatrix, mask, s: float = 1.0,
-                   mode: str = "gaussian-kernel") -> CompactnessDiagnostics:
+def hs_diagnostics(K: KernelMatrix, mask) -> CompactnessDiagnostics:
     """Compactness evidence for the masked operator K chi.
 
     K is the heat kernel heat_matrix(grid, s, mode), or multiply_function
-    of it; s and mode must be the ones it records.  Checks, in order:
+    of it, and s and mode are the ones it records.  Checks, in order:
     pointwise domination of |K chi| by the dominating heat kernel of that
     mode (the Gaussian at time s, an equality for gaussian-kernel; the
     infinite-lattice kernel for expm-of-laplacian), row vs column sup bounds
@@ -595,17 +595,12 @@ def hs_diagnostics(K: KernelMatrix, mask, s: float = 1.0,
     1 + sqrt(4 pi s) / h).
     The domination excess is taken over chunks of HS_CHUNK_ENTRIES entries
     of the masked columns of K and of the dominating kernel.  Before any
-    work it refuses s and mode where heat_matrix refuses them, a kernel
-    that records no heat time and mode (any kernel not from heat_matrix or
-    multiply_function of one), and one that records others: the
-    domination and mass checks hold only at the kernel's own s and mode.
+    work it refuses a kernel that records no heat time and mode (any kernel
+    not from heat_matrix or multiply_function of one).
     """
-    s = _check_heat_inputs(s, mode)
     if K._heat is None:
         raise ValueError("hs_diagnostics needs a heat_matrix kernel")
-    if K._heat != (s, mode):
-        raise ValueError(f"kernel is heat_matrix at s = {K._heat[0]:g} in mode "
-                         f"{K._heat[1]!r}, not s = {s:g} in mode {mode!r}")
+    s, mode = K._heat
     factor = K._factor
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != (K.grid.size,):
@@ -679,15 +674,16 @@ def truncated_convolution(grid: Grid, s: float, R: float):
 def d_kernel(grid: Grid, V: PotentialExpr, M: float, R: float) -> KernelMatrix:
     """0/1 proximity kernel chi(x) [|x-y| <= 2R] chi(y) on the sublevel set.
 
-    Held in block form on the sublevel points; only that block is formed.
-    M must be finite and > 0 (sublevel.check_positive).
+    Held in block form on the sublevel points, with R recorded for
+    kernel_power_bound; only that block is formed.  M must be finite and
+    > 0 (sublevel.check_positive).
     """
     M = check_positive("M", M)
     cutoff = _lattice_cutoff(grid, 2.0 * R)
     inside = np.flatnonzero(potential_on_grid(grid, V) < M)
     at = _coordinates(grid, inside)
     block = _in_ball(cutoff, [a[:, None] for a in at], at).astype(float)
-    return KernelMatrix._blocked(grid, inside, block)
+    return KernelMatrix._blocked(grid, inside, block, float(R))
 
 
 def domination_check(C_MR: KernelMatrix, D: KernelMatrix) -> CompactnessDiagnostics:
@@ -701,19 +697,21 @@ def domination_check(C_MR: KernelMatrix, D: KernelMatrix) -> CompactnessDiagnost
     on their block; the block U is D's index together with those columns.
     The product is symmetric by construction, so its singular values are
     the |eigenvalues| of its lower triangle (symmetric_singular_values).
+    A D in Kronecker form is refused rather than formed.
     """
     if C_MR.grid != D.grid:
         raise ValueError("grid mismatch between the kernels")
+    if D._factor is not None:
+        raise ValueError("domination_check needs a block-form D, such as d_kernel's")
     # the columns that can hold a nonzero entry, in increasing order
     candidates = C_MR._index if C_MR._factor is None else np.flatnonzero(C_MR._scale)
     C = C_MR._columns(candidates)
     nonzero = np.any(C, axis=0)
     cols, C = candidates[nonzero], C[:, nonzero]
     P = C_MR.weight * (C.T @ C)
-    index, block = D._on_block()
-    U = np.union1d(index, cols)
+    U = np.union1d(D._index, cols)
     P_U = _restrict(cols, P, U)
-    D_U = _restrict(index, block, U)
+    D_U = _restrict(D._index, D._block, U)
     support = D_U != 0.0
 
     off_max = float(np.max(np.abs(P_U), where=~support, initial=0.0))
@@ -743,60 +741,49 @@ def check_kernel_power(k) -> None:
         raise ValueError(f"k must be in 2..{MAX_KERNEL_POWER}, got {k}")
 
 
-def kernel_power_bound(D: KernelMatrix, k: int, V: PotentialExpr, M: float,
-                       R: float) -> CompactnessDiagnostics:
+def kernel_power_bound(D: KernelMatrix, k: int) -> CompactnessDiagnostics:
     """Local-measure bound on the k-th weighted power of the proximity kernel.
 
-    D^k(x,y) counts weighted chains of k hops of length <= 2R through the
-    sublevel set, so it is bounded by [|x-y| <= 2kR] * omega^{k-1} * chi(y)
-    with omega the grid-counting local measure of the sublevel set at radius
-    2kR -- the same argument as the continuum one, restricted to grid sums,
-    hence exact up to roundoff.  The HS norm of D^k is reported against the
-    integral bound (sup ball measure) * integral of omega^{2k-2}.
+    D is d_kernel(grid, V, M, R).  D^k(x,y) counts weighted chains of k hops
+    of length <= 2R through the sublevel set, so it is bounded by
+    [|x-y| <= 2kR] * omega^{k-1} * chi(y) with omega the grid-counting local
+    measure of the sublevel set at radius 2kR -- the same argument as the
+    continuum one, restricted to grid sums, hence exact up to roundoff.  The
+    HS norm of D^k is reported against the integral bound (sup ball measure)
+    * integral of omega^{2k-2}.
 
-    Everything is computed on the block U of the nonzero rows and columns
-    of D together with the sublevel points (see the module docstring).
-    When D's block is exactly symmetric, as d_kernel's is, so is D^k, and
-    its singular values on the sublevel points are the |eigenvalues| of the
-    lower triangle there (symmetric_singular_values); any other D takes a
-    full SVD.
-    The reach 2kR is refused, before any product, when the lattice rule
-    refuses it or its ball volume, a reported constant, is beyond float
-    range (sublevel.check_ball_volume), and so is an M that is not finite
-    and > 0 (sublevel.check_positive).
+    The sublevel set is D's index and R is D's record, so everything is
+    computed on D's block, and the entries off it are exact zeros.  That
+    block is exactly symmetric, so D^k is too, and its singular values are
+    the |eigenvalues| of its lower triangle (symmetric_singular_values).
+    Refused before any product: a kernel without d_kernel's record (a dense
+    kernel, multiply_function of a d_kernel, a Kronecker-form kernel), and a
+    reach 2kR that the lattice rule refuses or whose ball volume, a reported
+    constant, is beyond float range (sublevel.check_ball_volume).
     """
     check_kernel_power(k)
-    M = check_positive("M", M)
-    grid = D.grid
+    if D._radius is None:
+        raise ValueError("kernel_power_bound needs a d_kernel kernel")
+    grid, index = D.grid, D._index
     w = D.weight
-    radius = 2.0 * k * R
+    radius = 2.0 * k * D._radius
     cutoff = _lattice_cutoff(grid, radius)
     check_ball_volume("2kR", grid.nu, radius)
-    chi_all = potential_on_grid(grid, V) < M
-    index, block = D._on_block()
-    symmetric = np.array_equal(block, block.T)
-    reached = chi_all.copy()
-    reached[index[np.any(block, axis=0) | np.any(block, axis=1)]] = True
-    U = np.flatnonzero(reached)
-    D_U = _restrict(index, block, U)
-    P = D_U
+    P = D._block
     for _ in range(k - 1):
-        P = P @ D_U
+        P = P @ D._block
         P *= w
     hs2 = w * w * float(np.sum(P**2))
-    inside = chi_all[U]
-    spectrum = symmetric_singular_values if symmetric else singular_values
-    sv = w * spectrum(P[np.ix_(inside, inside)])
+    sv = w * symmetric_singular_values(P)
 
-    chi = inside.astype(float)
-    at = _coordinates(grid, U)
-    bound = _in_ball(cutoff, [a[:, None] for a in at], at).astype(float)
-    omega = w * (bound @ chi)   # every sublevel point lies in U: exact counts
-    bound *= (omega ** (k - 1) * chi)[None, :]
+    at = _coordinates(grid, index)
+    ball = _in_ball(cutoff, [a[:, None] for a in at], at)
+    omega = w * np.count_nonzero(ball, axis=1)   # exact counts
+    bound = ball * omega ** (k - 1)
     # the relative excess (P - bound) / max(bound, 1e-300), in place in P
     P -= bound
     P /= np.maximum(bound, 1e-300, out=bound)
-    rel_excess = float(np.max(P, initial=0.0 if U.size < grid.size else -np.inf))
+    rel_excess = float(np.max(P, initial=0.0 if index.size < grid.size else -np.inf))
     # Column counts of the lattice ball within the box peak at the central
     # point.  A column's count is a sum, over the offsets along the other
     # axes, of 1-D counts #{o : |o| <= r, 0 <= j + o < n}, and each of those
@@ -804,7 +791,7 @@ def kernel_power_bound(D: KernelMatrix, k: int, V: PotentialExpr, M: float,
     n = grid.points_per_axis
     centre = [(n - 1) // 2] * grid.nu
     ball_sup = w * float(np.count_nonzero(_in_ball(cutoff, centre, _mesh(grid, np.arange(n)))))
-    omega_integral = w * float(np.sum(omega[inside] ** (2 * k - 2)))
+    omega_integral = w * float(np.sum(omega ** (2 * k - 2)))
     hs_bound = ball_sup * omega_integral
 
     checks = (
@@ -816,6 +803,6 @@ def kernel_power_bound(D: KernelMatrix, k: int, V: PotentialExpr, M: float,
         "ball_measure_sup": ball_sup,
         "analytic_ball_volume": ball_volume(grid.nu, radius),
         "omega_integral": omega_integral,
-        "omega_max": float(np.max(omega[inside])) if inside.any() else 0.0,
+        "omega_max": float(np.max(omega, initial=0.0)),
     }
     return CompactnessDiagnostics(sv, math.sqrt(hs2), checks, constants)

@@ -336,10 +336,16 @@ def _box_spectrum(L: float, H: SparseOperator, factor, k: int, sigma=None, **sol
     the level sigma (None for the first box).  With a hook it solves
     through a sparse factor of H and certifies by its inertia count: one
     factor at sigma when that level serves, else a solve factor and a count
-    factor.  Without one it runs on H.matvec alone.
+    factor.  Without one it runs on H.matvec alone.  When the level's
+    vectors miss RESIDUAL_TOLERANCE, the box runs again without it: a sigma
+    within LEVEL_SLACK of the box's own k-th value gives a solve of norm
+    about 1/slack, whose roundoff leaves the lowest vectors inexact.
     """
-    result = lanczos_extremal(H.matvec, H.dimension, k, tol=SOLVER_TOLERANCE, factor=factor,
-                              sigma=sigma, **solver)
+    solve = partial(lanczos_extremal, H.matvec, H.dimension, k, tol=SOLVER_TOLERANCE,
+                    factor=factor, **solver)
+    result = solve(sigma=sigma)
+    if factor is not None and sigma is not None and np.any(result.residuals > RESIDUAL_TOLERANCE):
+        result = solve()
     values, residuals = result.eigenvalues, result.residuals
     notes = []
     if not result.converged and result.note:

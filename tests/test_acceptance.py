@@ -267,7 +267,7 @@ def test_criterion_7_kernel_machinery(capsys):
     # Hilbert-Schmidt bounds of the masked heat kernel within 1%
     heat = heat_matrix(grid, s)
     mask = potential_on_grid(grid, CROSS) < 1.0
-    diag = hs_diagnostics(heat, mask, s)
+    diag = hs_diagnostics(heat, mask)
     hs_ok = diag.all_passed()
 
     # discrete Gaussian mass within 1% of (2 pi s)^(nu/2) (4 pi s)^-nu
@@ -295,7 +295,7 @@ def test_criterion_7_kernel_machinery(capsys):
     # pointwise power bound at k = 3 on every grid pair
     g_small = Grid(2, 4.0, 0.25)
     D3 = d_kernel(g_small, CROSS, 1.0, 1.0)
-    power = kernel_power_bound(D3, 3, CROSS, 1.0, 1.0)
+    power = kernel_power_bound(D3, 3)
     power_ok = power.all_passed()
 
     ok = split_ok and hs_ok and mass_ok and tail_ok and dom_ok and power_ok
@@ -317,7 +317,7 @@ def test_criterion_8_compactness_decay_proxy(capsys):
     grid = Grid(2, 4.0, 0.1)
     heat = heat_matrix(grid, 1.0)
     mask = potential_on_grid(grid, CROSS) < 1.0
-    diag = hs_diagnostics(heat, mask, 1.0)
+    diag = hs_diagnostics(heat, mask)
     mu = diag.singular_values
     ratio = float(mu[39] / mu[0])
     g = compactness_proxy(mu, 40)

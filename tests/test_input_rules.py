@@ -14,6 +14,7 @@ is negative or not finite.
 
 import math
 
+import numpy as np
 import pytest
 
 from spectralab import kernels, linalg, operators, sublevel
@@ -108,15 +109,16 @@ def test_ball_volume_refused_before_any_draw(monkeypatch, call, message):
     assert str(info.value) == message
 
 
-def test_kernel_power_reach_refused_before_any_product(monkeypatch):
+class NoProduct(np.ndarray):
+    def __matmul__(self, other):
+        raise AssertionError("formed a block product before refusing the reach")
+
+
+def test_kernel_power_reach_refused_before_any_product():
     D = d_kernel(GRID, CROSS, 1.0, 1e300)
-
-    def no_restrict(*args):
-        raise AssertionError("read a block before refusing the reach")
-
-    monkeypatch.setattr("spectralab.kernels._restrict", no_restrict)
+    D._block = D._block.view(NoProduct)
     with pytest.raises(ValueError) as info:
-        kernel_power_bound(D, 3, CROSS, 1.0, 1e300)
+        kernel_power_bound(D, 3)
     assert str(info.value) == "2kR = 6e+300 gives a ball volume beyond float range at nu = 2"
 
 
@@ -181,12 +183,12 @@ def fail_on_evaluation(*args):
 @pytest.mark.parametrize("power", [False, True], ids=["d_kernel", "kernel_power_bound"])
 def test_kernel_heights_refused_before_any_evaluation(monkeypatch, power, value):
     # a NaN M used to give d_kernel an empty block, and kernel_power_bound
-    # passed both of its checks with HS norm 0
-    D = d_kernel(GRID, CROSS, 1.0, 0.5)
+    # passed both of its checks with HS norm 0.  The power bound reads its
+    # sublevel set from d_kernel's record, so d_kernel refuses its height.
     monkeypatch.setattr(kernels, "potential_on_grid", fail_on_evaluation)
     with pytest.raises(ValueError) as info:
         if power:
-            kernel_power_bound(D, 2, CROSS, value, 0.5)
+            kernel_power_bound(d_kernel(GRID, CROSS, value, 0.5), 2)
         else:
             d_kernel(GRID, CROSS, value, 0.5)
     assert str(info.value) == f"M must be finite and > 0, got {value:g}"

@@ -288,6 +288,15 @@ class TestSplitTail:
         assert norms["D_m"] <= math.exp(-1.0) * 1.001
         assert norms["reference"] == math.exp(-1.0)
 
+    def test_reference_is_e_to_the_minus_m_at_every_level(self):
+        # m = -710 used to raise OverflowError, and m >= 700 read 0.0
+        V = parse_potential("x1^2", 1)
+        C = compose_C(Grid(1, 1.0, 0.5), V)
+        for m, reference in ((-710.0, math.inf), (-700.0, math.exp(700.0)),
+                             (-math.inf, math.inf), (700.0, math.exp(-700.0)),
+                             (math.inf, 0.0)):
+            assert split_tail(C, V, m)[2]["reference"] == reference
+
 
 class TestHsDiagnostics:
     def test_empty_mask(self):
@@ -333,7 +342,7 @@ class TestHsDiagnostics:
         # 50.93 and 832.5 > 509.3: a lattice column holds more than it
         g = Grid(2, 3.0, 0.1)
         mask = potential_on_grid(g, CROSS) < 1.0
-        diag = hs_diagnostics(heat_matrix(g, s, mode), mask, s, mode)
+        diag = hs_diagnostics(heat_matrix(g, s, mode), mask)
         mass = {c.name: c for c in diag.checks}["hs-vs-gaussian-mass"]
         assert mass.lhs > gaussian_squared_mass(2, s) * g.weight * mask.sum()
         assert mass.lhs <= mass.rhs and diag.all_passed()
@@ -377,7 +386,7 @@ class TestHsDiagnostics:
         g = Grid(2, 2.0, 0.25)
         for mode in MODES:
             K = heat_matrix(g, 0.8, mode)
-            diag = hs_diagnostics(K, potential_on_grid(g, CROSS) < 1.0, 0.8, mode)
+            diag = hs_diagnostics(K, potential_on_grid(g, CROSS) < 1.0)
             squared = K.values**2
             for name, lines in (("row_bound", squared), ("column_bound", squared.T)):
                 exact = g.weight * max(math.fsum(line) for line in lines.tolist())
@@ -398,7 +407,7 @@ class TestHsDiagnostics:
         mask = potential_on_grid(g, CROSS) < 1.0
         gauss = heat_matrix(g, 1.0).values
         assert np.max(K.values[:, mask] - gauss[:, mask]) > 1e-3 * np.max(gauss)
-        diag = hs_diagnostics(K, mask, 1.0, "expm-of-laplacian")
+        diag = hs_diagnostics(K, mask)
         dom = diag.checks[0]
         assert dom.name == "pointwise-domination" and dom.passed
         assert diag.all_passed()
@@ -423,34 +432,33 @@ class TestHsDiagnostics:
 
     @pytest.mark.parametrize("s", [0.0, -1.0, math.nan, math.inf])
     def test_time_must_be_finite_and_positive(self, s):
+        # hs_diagnostics reads s from the heat record, which only heat_matrix
+        # writes, and heat_matrix refuses such an s in either mode
         g = Grid(2, 2.0, 0.25)
-        K, mask = heat_matrix(g, 1.0), np.sum(g.points**2, axis=1) < 1.0
-        with pytest.raises(ValueError, match="s must be finite and > 0"):
-            hs_diagnostics(K, mask, s)
-        # refused before the mask or the kernel is read
-        with pytest.raises(ValueError, match="s must be finite and > 0"):
-            hs_diagnostics(K, np.ones(3, bool), s)
+        for mode in MODES:
+            with pytest.raises(ValueError, match="s must be finite and > 0"):
+                heat_matrix(g, s, mode)
 
     def test_unknown_mode_is_refused(self):
-        g = Grid(2, 2.0, 0.25)
-        K, mask = heat_matrix(g, 1.0), np.sum(g.points**2, axis=1) < 1.0
-        for bad_mask in (mask, np.ones(3, bool)):
-            with pytest.raises(ValueError, match="unknown mode 'bogus'"):
-                hs_diagnostics(K, bad_mask, 1.0, "bogus")
+        # likewise for the mode of the heat record
+        with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+            heat_matrix(Grid(2, 2.0, 0.25), 1.0, "bogus")
 
     @pytest.mark.parametrize("s, mode", [(2.0, "gaussian-kernel"), (0.5, "gaussian-kernel"),
                                          (1.0, "expm-of-laplacian")])
     def test_kernel_built_at_another_time_or_mode_is_refused(self, s, mode):
-        # heat_matrix(g, 1.0) against s = 2 failed pointwise-domination and
-        # hs-vs-gaussian-mass, and against s = 0.5 pointwise-domination;
-        # each is refused before the mask is read
+        # hs_diagnostics takes no time or mode of its own, so a call naming
+        # others than the kernel's is refused by the signature; the checks
+        # run at the kernel's own (heat_matrix(g, 1.0) against s = 2 failed
+        # pointwise-domination and hs-vs-gaussian-mass)
         g = Grid(2, 2.0, 0.25)
-        K, mask = heat_matrix(g, 1.0), np.sum(g.points**2, axis=1) < 1.0
+        K, mask = heat_matrix(g, s, mode), np.sum(g.points**2, axis=1) < 1.0
         for kernel in (K, multiply_function(K, np.exp(-potential_on_grid(g, CROSS)))):
-            for bad_mask in (mask, np.ones(3, bool)):
-                with pytest.raises(ValueError, match="kernel is heat_matrix at s = 1 in mode "
-                                                     "'gaussian-kernel', not"):
-                    hs_diagnostics(kernel, bad_mask, s, mode)
+            with pytest.raises(TypeError):
+                hs_diagnostics(kernel, mask, 1.0, "gaussian-kernel")
+            diag = hs_diagnostics(kernel, mask)
+            assert diag.constants["gaussian_mass"] == kernels._lattice_heat_mass(g, s, mode)
+            assert {c.name: c.passed for c in diag.checks}["pointwise-domination"]
 
     def test_kernel_keeps_its_time_and_mode_through_multiply_function(self):
         g = Grid(2, 2.0, 0.25)
@@ -460,10 +468,11 @@ class TestHsDiagnostics:
             # e^{-V} <= 1 keeps |C| under the dominating kernel; C is not
             # symmetric, so its row and column bounds differ
             C = multiply_function(heat_matrix(g, 0.8, mode), damping)
-            checks = {c.name: c.passed for c in hs_diagnostics(C, mask, 0.8, mode).checks}
+            assert C._heat == (0.8, mode)
+            diag = hs_diagnostics(C, mask)
+            checks = {c.name: c.passed for c in diag.checks}
             assert checks["pointwise-domination"] and not checks["row-column-gap"]
-            with pytest.raises(ValueError, match="not s = 1 in mode"):
-                hs_diagnostics(C, mask, 1.0, mode)
+            assert diag.constants["gaussian_mass"] == kernels._lattice_heat_mass(g, 0.8, mode)
 
     def test_kernel_without_a_heat_record_is_refused(self):
         g = Grid(2, 2.0, 0.25)
@@ -486,12 +495,12 @@ class TestHsDiagnostics:
         block = g.size * np.count_nonzero(mask) * 8
         for mode in MODES:
             hs_diagnostics(heat_matrix(Grid(2, 1.0, 0.25), 1.0, mode),
-                           np.ones(64, bool), 1.0, mode)   # imports done
+                           np.ones(64, bool))   # imports done
             K = heat_matrix(g, 1.0, mode)
             tracemalloc.start()
             try:
                 held = tracemalloc.get_traced_memory()[0]
-                hs_diagnostics(K, mask, 1.0, mode)
+                hs_diagnostics(K, mask)
                 peak = tracemalloc.get_traced_memory()[1] - held
             finally:
                 tracemalloc.stop()
@@ -552,7 +561,7 @@ class TestTruncatedConvolution:
                 D = d_kernel(g, everywhere, 1e9, R / 2)
                 assert D._index.size == g.size
                 np.testing.assert_array_equal(D.values, mask.astype(float))
-                diag = kernel_power_bound(D, 2, everywhere, 1e9, R / 4)
+                diag = kernel_power_bound(d_kernel(g, everywhere, 1e9, R / 4), 2)
                 assert (diag.constants["ball_measure_sup"]
                         == g.weight * float(np.max(np.sum(mask, axis=0))))
 
@@ -562,9 +571,10 @@ class TestTruncatedConvolution:
             with pytest.raises(ValueError, match="radius must be finite"):
                 d_kernel(g, CROSS, 1.0, bad)
             with pytest.raises(ValueError, match="radius must be finite"):
-                kernel_power_bound(d_kernel(g, CROSS, 1.0, 0.5), 2, CROSS, 1.0, bad)
-            with pytest.raises(ValueError, match="radius must be finite"):
                 truncated_convolution(g, 1.0, bad)
+        # a finite R whose reach 2kR = 2.4e308 overflows
+        with pytest.raises(ValueError, match="radius must be finite"):
+            kernel_power_bound(d_kernel(g, CROSS, 1.0, 4e307), 3)
 
 
 class TestDKernel:
@@ -659,6 +669,15 @@ class TestDominationCheck:
         with pytest.raises(ValueError, match="grid mismatch"):
             domination_check(C, D)
 
+    def test_kronecker_form_d_is_refused(self):
+        # rather than forming its N x N values
+        g = Grid(2, 2.0, 0.25)
+        C = self.c_mr(g, CROSS, 1.0, 1.0)
+        for D in (heat_matrix(g, 1.0), truncated_convolution(g, 1.0, 2.0)[0]):
+            with pytest.raises(ValueError, match="needs a block-form D"):
+                domination_check(C, D)
+            assert unformed(D)
+
 
 class TestKernelPowerBound:
     def test_power_guard(self):
@@ -666,12 +685,23 @@ class TestKernelPowerBound:
         D = d_kernel(g, CROSS, 1.0, 1.0)
         for k in (1, 31):   # kernels.MAX_KERNEL_POWER is 30
             with pytest.raises(ValueError, match="k must be"):
-                kernel_power_bound(D, k, CROSS, 1.0, 1.0)
+                kernel_power_bound(D, k)
+
+    def test_kernel_without_a_d_kernel_record_is_refused(self):
+        # a dense kernel, multiply_function of a d_kernel (no longer 0/1)
+        # and Kronecker-form kernels, before any product
+        g = Grid(2, 2.0, 0.5)
+        D = d_kernel(g, CROSS, 1.0, 1.0)
+        assert D._radius == 1.0
+        for K in (KernelMatrix(g, D.values), multiply_function(D, np.full(g.size, 2.0)),
+                  heat_matrix(g, 1.0), truncated_convolution(g, 1.0, 1.0)[0]):
+            with pytest.raises(ValueError, match="needs a d_kernel kernel"):
+                kernel_power_bound(K, 2)
 
     def test_zero_kernel_stays_zero(self):
         g = Grid(2, 2.0, 0.5)
         D = d_kernel(g, CROSS, 1e-12, 1.0)
-        diag = kernel_power_bound(D, 3, CROSS, 1e-12, 1.0)
+        diag = kernel_power_bound(D, 3)
         assert diag.hs_norm == 0.0
         assert diag.all_passed()
 
@@ -680,7 +710,7 @@ class TestKernelPowerBound:
         V = parse_potential("(x1 - 0.5)^2 + (x2 - 0.5)^2", 2)
         D = d_kernel(g, V, 0.5, 1.0)
         assert D.values.sum() == 1.0
-        diag = kernel_power_bound(D, 3, V, 0.5, 1.0)
+        diag = kernel_power_bound(D, 3)
         # D^3 = w^2 on the single surviving cell; omega = w makes the
         # pointwise bound an equality there
         assert diag.hs_norm == pytest.approx(g.weight * g.weight**2, rel=1e-14)
@@ -690,7 +720,7 @@ class TestKernelPowerBound:
     def test_cross_pointwise_bound_is_grid_exact(self):
         g = Grid(2, 4.0, 0.25)
         D = d_kernel(g, CROSS, 1.0, 1.0)
-        diag = kernel_power_bound(D, 3, CROSS, 1.0, 1.0)
+        diag = kernel_power_bound(D, 3)
         pointwise = diag.checks[0]
         assert pointwise.name == "pointwise-power-bound"
         assert pointwise.lhs <= 1e-9
@@ -701,7 +731,7 @@ class TestKernelPowerBound:
         g = Grid(2, 2.0, 0.25)
         V = parse_potential("x1^2 + x2^2", 2)
         D = d_kernel(g, V, 1.0, 0.5)
-        diag = kernel_power_bound(D, 2, V, 1.0, 0.5)
+        diag = kernel_power_bound(D, 2)
         hs_check = {c.name: c for c in diag.checks}["hs-power-bound"]
         assert hs_check.passed
         # independent recomputation of the bound's two factors
@@ -728,7 +758,7 @@ class TestKernelPowerBound:
         tracemalloc.start()
         try:
             held = tracemalloc.get_traced_memory()[0]
-            kernel_power_bound(D, 3, CROSS, 1.0, 1.0)
+            kernel_power_bound(D, 3)
             peak = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
@@ -792,7 +822,8 @@ DISC = parse_potential("x1^2 + x2^2", 2)
 class TestSupportRestrictedMatchesDense:
     @staticmethod
     def check_power(D, k, V, M, R):
-        diag = kernel_power_bound(D, k, V, M, R)
+        # D is d_kernel(grid, V, M, R); the reference reads V, M and R
+        diag = kernel_power_bound(D, k)
         ref = dense_power_bound(D, k, V, M, R)
         pointwise, hs = diag.checks
         assert_close(pointwise.lhs, ref["rel_excess"])
@@ -817,30 +848,10 @@ class TestSupportRestrictedMatchesDense:
         assert_singular_values_close(diag.singular_values, ref["sv"])
         return diag
 
-    def test_power_random_nonsymmetric_with_zero_rows_and_columns(self):
-        for half_width in (1.5, 1.375):   # even and odd points per axis
-            g = Grid(2, half_width, 0.25)
-            rng = derived_rng(13, "sparse-power")
-            values = rng.standard_normal((g.size, g.size))
-            values[rng.random(g.size) < 0.5, :] = 0.0
-            values[:, rng.random(g.size) < 0.5] = 0.0
-            D = KernelMatrix(g, values)
-            # the disc covers points outside D's rows and columns, and D
-            # reaches points outside the disc
-            chi = potential_on_grid(g, DISC) < 1.0
-            assert np.any(chi & ~np.any(values, axis=0) & ~np.any(values, axis=1))
-            assert np.any(~chi & np.any(values, axis=0))
-            # the same entries held as a block on a subset of the points
-            index = np.flatnonzero(rng.random(g.size) < 0.7)
-            blocked = KernelMatrix._blocked(g, index, values[np.ix_(index, index)])
-            for kernel in (D, blocked):
-                for k in (2, 3):
-                    diag = self.check_power(kernel, k, DISC, 1.0, 0.25)
-                    assert not diag.checks[0].passed  # random entries break the bound
-
     def test_power_empty_support(self):
         g = Grid(2, 1.5, 0.25)
-        D = KernelMatrix(g, np.zeros((g.size, g.size)))
+        D = d_kernel(g, DISC, 1e-12, 0.5)
+        assert D._index.size == 0
         diag = self.check_power(D, 3, DISC, 1e-12, 0.5)
         assert diag.checks[0].lhs == 0.0
         assert diag.singular_values.size == 0
@@ -849,9 +860,9 @@ class TestSupportRestrictedMatchesDense:
         g = Grid(2, 1.5, 0.25)
         V = parse_potential("0", 2)
         self.check_power(d_kernel(g, V, 1.0, 0.5), 2, V, 1.0, 0.5)
-        rng = derived_rng(14, "full-power")
-        D = KernelMatrix(g, rng.random((g.size, g.size)) + 0.1)
-        self.check_power(D, 3, DISC, 1.0, 0.5)
+        D = d_kernel(g, DISC, 100.0, 0.5)
+        assert D._index.size == g.size
+        self.check_power(D, 3, DISC, 100.0, 0.5)
 
     def test_power_cross_potential(self):
         g = Grid(2, 3.0, 0.25)
@@ -1088,7 +1099,7 @@ class TestSeparableKernels:
         assert hs_diagnostics(heat, chi).all_passed()
         D = d_kernel(g, V, M, 0.15)
         assert D._block.shape == (52, 52)
-        assert kernel_power_bound(D, 3, V, M, 0.15).all_passed()
+        assert kernel_power_bound(D, 3).all_passed()
         F, _ = truncated_convolution(g, 1.0, 0.15)
         C_MR = multiply_function(F, chi.astype(float))
         dom = domination_check(C_MR, D)
@@ -1162,8 +1173,6 @@ class TestPrivateForms:
                     np.testing.assert_array_equal(got, expected)
                     # the same layout, so sums over either round alike
                     assert cols.size < 2 or got.strides == expected.strides
-                    index, block = K._on_block()
-                    np.testing.assert_array_equal(block, K.values[np.ix_(index, index)])
 
     def test_reports_do_not_depend_on_formed_values(self):
         # the benchmark's trace hooks read `values` of the kernels it sees
@@ -1176,10 +1185,8 @@ class TestPrivateForms:
                     K.values
                 return K
 
-            out = [hs_diagnostics(seen(heat_matrix(g, 1.0, mode)), chi, 1.0, mode)
-                   for mode in MODES]
-            out.append(kernel_power_bound(seen(d_kernel(g, CROSS, 1.0, 0.5)), 3,
-                                          CROSS, 1.0, 0.5))
+            out = [hs_diagnostics(seen(heat_matrix(g, 1.0, mode)), chi) for mode in MODES]
+            out.append(kernel_power_bound(seen(d_kernel(g, CROSS, 1.0, 0.5)), 3))
             F = seen(truncated_convolution(g, 1.0, 1.0)[0])
             out.append(domination_check(seen(multiply_function(F, chi.astype(float))),
                                         seen(d_kernel(g, CROSS, 1.0, 1.0))))
@@ -1241,7 +1248,7 @@ class TestStructuredSpectra:
             signed = multiply_function(K, derived_rng(32, "signed").standard_normal(g.size))
             for kernel in (K, signed):
                 for name, mask in structured_masks(g).items():
-                    diag = hs_diagnostics(kernel, mask, s, mode)
+                    diag = hs_diagnostics(kernel, mask)
                     expected = dense_masked_spectrum(kernel, mask)
                     got = diag.singular_values
                     assert got.shape == expected.shape, name
@@ -1278,8 +1285,7 @@ class TestStructuredSpectra:
                 if not mask.any():
                     continue
                 expected = dense_masked_spectrum(K, mask)
-                gap = np.max(np.abs(hs_diagnostics(K, mask, 0.3, mode).singular_values
-                                    - expected))
+                gap = np.max(np.abs(hs_diagnostics(K, mask).singular_values - expected))
                 assert gap <= weyl_bound(K, mask, floor) + 1e-14 * expected[0]
                 moved.append(gap / expected[0])
         assert (max(moved) > 1e-12) == (floor > 1e-9)
@@ -1296,8 +1302,7 @@ class TestStructuredSpectra:
         assert (expected < 0.0) == (mode == "expm-of-laplacian")
         for entries in (1, 7 * g.size, kernels.HS_CHUNK_ENTRIES):
             monkeypatch.setattr(kernels, "HS_CHUNK_ENTRIES", entries)
-            assert hs_diagnostics(heat_matrix(g, 0.5, mode), mask, 0.5,
-                                  mode).checks[0].lhs == expected
+            assert hs_diagnostics(heat_matrix(g, 0.5, mode), mask).checks[0].lhs == expected
 
     def test_a_factor_that_is_not_symmetric_is_refused(self):
         g = Grid(2, 1.0, 0.25)
@@ -1308,21 +1313,18 @@ class TestStructuredSpectra:
             hs_diagnostics(K, np.ones(g.size, bool))
 
     def test_power_spectrum_symmetric_and_not(self, monkeypatch):
-        # d_kernel's exact 0/1 block and a random symmetric block take
-        # eigvalsh; a random non-symmetric block takes the SVD.  All three
-        # match dense_power_bound.
+        # d_kernel's exact 0/1 block takes eigvalsh and matches
+        # dense_power_bound's SVD; a random block, symmetric or not, has no
+        # d_kernel record and is refused before any spectrum
         g = Grid(2, 1.5, 0.25)
-        rng = derived_rng(34, "power-symmetry")
-        A = rng.standard_normal((g.size, g.size))
-        symmetric = (KernelMatrix(g, A + A.T), d_kernel(g, DISC, 1.0, 0.25))
-        for kernel in symmetric:
-            with monkeypatch.context() as patch:
-                patch.setattr(kernels, "singular_values", refuse_call)
-                TestSupportRestrictedMatchesDense.check_power(kernel, 3, DISC, 1.0, 0.25)
-        with monkeypatch.context() as patch:
-            patch.setattr(kernels, "symmetric_singular_values", refuse_call)
-            TestSupportRestrictedMatchesDense.check_power(KernelMatrix(g, A), 3, DISC,
-                                                          1.0, 0.25)
+        A = derived_rng(34, "power-symmetry").standard_normal((g.size, g.size))
+        monkeypatch.setattr(kernels, "singular_values", refuse_call)
+        TestSupportRestrictedMatchesDense.check_power(d_kernel(g, DISC, 1.0, 0.25), 3, DISC,
+                                                      1.0, 0.25)
+        monkeypatch.setattr(kernels, "symmetric_singular_values", refuse_call)
+        for K in (KernelMatrix(g, A + A.T), KernelMatrix(g, A)):
+            with pytest.raises(ValueError, match="needs a d_kernel kernel"):
+                kernel_power_bound(K, 3)
 
 
 def refuse_call(*args):

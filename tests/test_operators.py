@@ -273,6 +273,18 @@ class TestSparseOperator:
             SparseOperator(2, M)
 
 
+def separable_sums(grid, axes):
+    """Eigenvalues of H for V = sum_a axes[a](x_a), as the Kronecker sum of
+    the 1-D Dirichlet spectra (eigvalsh_tridiagonal), one axis per array axis."""
+    h, x = grid.spacing, grid.axis
+    off = np.full(x.size - 1, -1.0 / h**2)
+    sums = 0.0
+    for a, v in enumerate(axes):
+        spectrum = eigvalsh_tridiagonal(2.0 / h**2 + v(x), off)
+        sums = np.add.outer(sums, spectrum) if a else spectrum
+    return sums
+
+
 class TestSpectrumStudy:
     def test_oscillator_stabilizes(self, monkeypatch):
         # one Hamiltonian per box serves both its counts and its solve
@@ -326,6 +338,55 @@ class TestSpectrumStudy:
                 H = hamiltonian(grid, V)
                 counts = tuple(_inertia_count(H, level) for level in levels)
                 assert counts == oracle == expected, (source, L)
+
+    def test_three_axis_counts_match_the_kronecker_sum(self):
+        # nu = 3: H = A (x) I (x) I + I (x) B (x) I + I (x) I (x) C, so the
+        # counts are those of the sums of three 1-D spectra.  Every sum lies
+        # at least 0.0175 from each level, far above the factor's roundoff.
+        h, levels = 0.25, (4.1, 7.3, 30.0)
+        for source, axes in (("x1^2+x2^2+x3^2", (np.square,) * 3),
+                             ("x1^2", (np.square, np.zeros_like, np.zeros_like))):
+            V = parse_potential(source, 3)
+            for L in (1.5, 2.0):
+                grid = Grid(3, L, h)
+                sums = separable_sums(grid, axes).ravel()
+                assert np.min(np.abs(sums[:, None] - np.array(levels))) >= 1e-3
+                H = hamiltonian(grid, V)
+                counts = tuple(_inertia_count(H, level) for level in levels)
+                assert counts == tuple(int(np.count_nonzero(sums < level))
+                                       for level in levels), (source, L)
+
+    def test_kept_values_match_the_kronecker_sum_on_every_box(self):
+        # the first box's two-factor path and the later boxes' level path,
+        # to 1e-10 relative; the third oscillator box once kept none of its
+        # values (its level lay within LEVEL_SLACK of its own 5th value)
+        h, k, schedule = 0.2, 5, (4.0, 6.0, 8.0)
+        for source, axes in (("x1^2", (np.square, np.zeros_like)),
+                             ("x1^2+x2^2", (np.square, np.square))):
+            rep = spectrum_study(parse_potential(source, 2), schedule, h, k)
+            assert not rep.notes, source
+            for L, values in zip(schedule, rep.eigenvalues):
+                oracle = np.sort(separable_sums(Grid(2, L, h), axes).ravel())[:k]
+                assert values.shape == (k,), (source, L)
+                np.testing.assert_allclose(values, oracle, rtol=1e-10, atol=0.0)
+
+    def test_a_level_beside_the_boxs_own_kth_value_reruns_without_it(self, monkeypatch):
+        # (6, 8) at h = 0.2: the boxes agree to about 1e-15, so the L = 8
+        # level lies within LEVEL_SLACK of that box's own 5th value, and its
+        # vectors missed RESIDUAL_TOLERANCE (kept 0 of 5, not-stabilized).
+        # The box runs again without the level.
+        levels = []
+
+        def spy(*args, **kwargs):
+            levels.append(kwargs.get("sigma"))
+            return lanczos_extremal(*args, **kwargs)
+
+        monkeypatch.setattr(operators, "lanczos_extremal", spy)
+        rep = spectrum_study(parse_potential("x1^2+x2^2", 2), (6.0, 8.0), 0.2, 5)
+        assert rep.verdict == "stabilized" and not rep.notes
+        assert [values.size for values in rep.eigenvalues] == [5, 5]
+        assert max(float(np.max(r)) for r in rep.residuals) <= 1e-9
+        assert levels[0] is None and levels[1] is not None and levels[2:] == [None]
 
     def test_counts_stay_bounded_where_sublevel_sets_have_finite_measure(self):
         # The paper's main theorem on the grid: x1^2*x2^2*(x1^2+x2^2) is 0 on

@@ -12,7 +12,7 @@ import inspect
 import sys
 from pathlib import Path
 
-from spectralab import operators, potentials, sublevel
+from spectralab import kernels, linalg, operators, potentials, sublevel
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -34,6 +34,22 @@ def test_every_span_row_resolves_to_a_library_callable(monkeypatch):
             assert hasattr(owner, part), f"{span}: spectralab.{module_name}.{path}"
             owner = getattr(owner, part)
         assert callable(owner), f"{span}: spectralab.{module_name}.{path}"
+
+
+def test_arguments_the_hooks_read_keep_their_places():
+    # The counter hooks read some arguments by position when the library
+    # passes them positionally (k at args[2] of lanczos_extremal and at
+    # args[1] of kernel_power_bound, the region at args[2] of measure, the
+    # radii at args[4] of thinness) and each sampler's budget as a keyword;
+    # a reordered signature would count the wrong argument without an error.
+    for func, index, name in ((linalg.lanczos_extremal, 2, "k"),
+                              (kernels.kernel_power_bound, 1, "k"),
+                              (sublevel.measure, 2, "region"),
+                              (sublevel.thinness, 4, "radii")):
+        assert list(inspect.signature(func).parameters)[index] == name, func.__name__
+    for sampler in (sublevel.measure, sublevel.thinness):
+        budget = inspect.signature(sampler).parameters["budget"]
+        assert budget.kind in (budget.POSITIONAL_OR_KEYWORD, budget.KEYWORD_ONLY)
 
 
 def test_thinness_evaluations_split_into_proposals_and_sub_budget_balls(monkeypatch):

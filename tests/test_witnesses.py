@@ -115,6 +115,6 @@ def test_cross_grid_sublevel_set_stops_at_the_bound():
 def test_kernel_row_matches_hs_diagnostics():
     V = parse_potential("x1^2*x2^2*(x1^2+x2^2)", 2)
     grid = Grid(2, KERNEL_BOXES[0], H)
-    diag = hs_diagnostics(heat_matrix(grid, S), potential_on_grid(grid, V) < M, S)
+    diag = hs_diagnostics(heat_matrix(grid, S), potential_on_grid(grid, V) < M)
     assert diag.hs_norm**2 / gaussian_squared_mass(2, S) == pytest.approx(
         masked_hs2_over_mass(V, KERNEL_BOXES[0]), rel=1e-12)
