@@ -34,9 +34,9 @@ of the dense `values`:
   singular values in the factor's eigenbasis, and the domination excess
   over chunks of the masked columns, so it never holds the N x |mask| block;
   domination_check forms only the nonzero columns of its C; operator_norm
-  runs ARPACK on the Gram map at every size, through k1 (one n x n product
-  per axis, O(N n)) when no cutoff is held and through the dense values
-  otherwise.
+  runs a Lanczos recurrence on the Gram map at every size, through k1 (one
+  n x n product per axis, O(N n)) when no cutoff is held and through the
+  dense values otherwise.
 - Block form.  An increasing index set I and the dense |I| x |I| block on
   I x I; every entry off it is an exact zero.  Kernels cut down to the
   sublevel set {V < M} vanish outside it, so d_kernel returns the proximity
@@ -44,7 +44,9 @@ of the dense `values`:
   reads the sublevel points as its index and the reach from R, and refuses
   a kernel without that record.  KernelMatrix(grid, values) is the block
   over all points, and multiply_function of a block-form kernel scales the
-  block's columns on the same index and drops R.
+  block's columns on the same index and drops R.  A block-form kernel's
+  columns are copied from its block into zeros, and operator_norm runs on
+  the block.
 
 kernel_power_bound and domination_check read only blocks.  Each counts the
 exact zeros off its block, when the block is not the whole grid, as one more
@@ -53,7 +55,9 @@ union U of their index sets through _restrict, and refuses a D in Kronecker
 form.
 
 `values` is formed only when read, and only that read is held to the
-grid's dense-entry budget; the structured work is not.
+grid's dense-entry budget; the structured work is not.  Of the functions
+here only operator_norm reads it, of a cutoff kernel.  None of them loads
+scipy.sparse.
 """
 
 from __future__ import annotations
@@ -94,10 +98,12 @@ LATTICE_SLACK = 1e-9
 # Largest power kernel_power_bound takes.  Each step is one block product,
 # and the bound's omega^(2k - 2) overflows long before k = 2000.
 MAX_KERNEL_POWER = 30
-# Lanczos vectors ARPACK keeps for an operator norm.  The seven norms of the
-# criterion-7 kernel sequence take 97 Gram products in all at 10 (147 at
-# ARPACK's default of 20), each within 7e-16 of the SVD value.
-NORM_BASIS = 10
+# Lanczos steps operator_norm takes before it raises, one Gram product each.
+# The slowest norm measured, a random column scale on heat_matrix(Grid(2,
+# 5.75, 0.25), 1e-3) (a clustered top), takes 215 steps; a random dense
+# 2060 x 2060 kernel 113, and each norm of the criterion-7 kernel sequence
+# at most 16.  At the cap, T_j and its eigenvectors are 8 MB each.
+NORM_STEPS = 1000
 # Eigenvalue products of the heat factor below this share of the largest are
 # left out of hs_diagnostics' singular values.  By Weyl's inequality each
 # weighted value then moves by at most w * KRON_EIGEN_FLOOR * ||f||_2^nu *
@@ -192,16 +198,20 @@ class KernelMatrix:
         return self.grid.weight
 
     def _columns(self, cols: np.ndarray) -> np.ndarray:
-        """values[:, cols] for increasing indices cols.
+        """values[:, cols] for increasing indices cols, values unformed.
 
-        A Kronecker-form kernel forms these columns only, laid out
-        column-major as numpy lays out values[:, cols], so sums and products
-        over them round as they do over that copy.  A block-form kernel
-        takes them from its values, which for KernelMatrix(grid, values) are
-        the block itself.
+        The columns are formed as lines (one per col), laid out column-major
+        as numpy lays out values[:, cols], so sums and products over them
+        round as they do over that copy.  A Kronecker-form kernel forms its
+        lines from the factor, a block-form kernel copies its block's
+        columns into lines of zeros.
         """
         if self._factor is None:
-            return self.values[:, cols]
+            held = np.flatnonzero(np.isin(cols, self._index))
+            lines = np.zeros((cols.size, self.grid.size))
+            lines[np.ix_(held, self._index)] = \
+                self._block[:, np.searchsorted(self._index, cols[held])].T
+            return lines.T
         lines = _kron_lines(self._factor, self.grid.nu, cols)
         lines *= self._scale[cols, None]
         return self._cut(lines, cols).T
@@ -251,12 +261,24 @@ def multiply_function(K: KernelMatrix, values_on_grid) -> KernelMatrix:
     return KernelMatrix._blocked(K.grid, K._index, K._block * g[K._index])
 
 
-def _arpack_sigma_max(matvec, rmatvec, cols: np.ndarray, size: int, seed: int) -> float:
-    """sigma_max(M) from ARPACK's Lanczos on x -> M^T (M x).
+def _lanczos_sigma_max(matvec, rmatvec, cols: np.ndarray, size: int, seed: int) -> float:
+    """sigma_max(M) from a Lanczos recurrence on x -> M^T (M x).
 
     M has `size` columns, of which only `cols` can be nonzero; matvec and
-    rmatvec apply M and M^T.  The iteration runs over `cols` only.  Raises
-    ArpackNoConvergence rather than return an unconverged lower bound.
+    rmatvec apply M and M^T.  The three-term recurrence (Golub & Van Loan,
+    Matrix Computations, 10.1) runs over `cols` only from a start vector
+    drawn from `seed`, and keeps three vectors and the tridiagonal T_j, no
+    basis.  At steps 1..10 and then about every 10% more steps, the top
+    eigenpair (theta, s) of T_j (one np.linalg.eigh) gives the residual
+    estimate beta_j |s_j|; the recurrence stops once that is at most
+    eps/2 * theta, ARPACK's tol=0 rule.  Lost orthogonality only adds
+    copies of converged Ritz values; each converged one still lies within
+    about its estimate of an eigenvalue (Paige 1980).  Each new vector is
+    orthogonalized against the current one twice: with one pass the
+    estimate of the criterion-7 norms often stalled just above eps/2 * theta
+    while a copy formed, and took up to 2.6 times the Gram products.
+    Raises RuntimeError after NORM_STEPS steps rather than return an
+    unconverged lower bound.
     """
     embedded = np.zeros(size)
     if cols.size < 2:
@@ -267,13 +289,28 @@ def _arpack_sigma_max(matvec, rmatvec, cols: np.ndarray, size: int, seed: int) -
         embedded[cols] = x
         return rmatvec(matvec(embedded))[cols]
 
-    from scipy.sparse.linalg import LinearOperator, eigsh
-
-    v0 = derived_rng(seed, "operator-norm").standard_normal(cols.size)
-    top = eigsh(LinearOperator((cols.size, cols.size), matvec=gram, dtype=float),
-                k=1, which="LA", v0=v0, ncv=min(NORM_BASIS, cols.size),
-                return_eigenvectors=False)
-    return math.sqrt(max(float(top[0]), 0.0))
+    q = derived_rng(seed, "operator-norm").standard_normal(cols.size)
+    q /= np.linalg.norm(q)
+    previous = np.zeros(cols.size)
+    alpha, beta = [], [0.0]
+    check = 1
+    for step in range(1, NORM_STEPS + 1):
+        w = gram(q)
+        w -= beta[-1] * previous
+        alpha.append(float(q @ w))
+        w -= alpha[-1] * q
+        again = float(q @ w)   # the second pass against q
+        w -= again * q
+        alpha[-1] += again
+        beta.append(float(np.linalg.norm(w)))
+        if step == check or beta[-1] == 0.0:
+            off = beta[1:-1]
+            ritz, vectors = np.linalg.eigh(np.diag(alpha) + np.diag(off, 1) + np.diag(off, -1))
+            if beta[-1] * abs(vectors[-1, -1]) <= 0.5 * np.finfo(float).eps * abs(ritz[-1]):
+                return math.sqrt(max(float(ritz[-1]), 0.0))
+            check = min(step + max(1, step // 10), NORM_STEPS)
+        previous, q = q, w / beta[-1]
+    raise RuntimeError(f"operator norm not converged in {NORM_STEPS} Lanczos steps")
 
 
 def _kron_apply(factor: np.ndarray, nu: int, x: np.ndarray) -> np.ndarray:
@@ -288,23 +325,24 @@ def _kron_apply(factor: np.ndarray, nu: int, x: np.ndarray) -> np.ndarray:
 def operator_norm(K: KernelMatrix, seed: int = 0) -> float:
     """Operator norm w * sigma_max(K).
 
-    ARPACK's Lanczos on the Gram map K^T K over the nonzero columns, at
-    every size, converged to machine precision from a start vector drawn
-    from `seed`; ArpackNoConvergence is raised, never a partial estimate.
-    A kernel in Kronecker form without a cutoff (heat_matrix and
-    multiply_function of it) is applied through its per-axis factor and
-    column scale and its values stay unformed; any other kernel is applied
-    through its dense values.
+    A Lanczos recurrence on the Gram map K^T K over the nonzero columns
+    (_lanczos_sigma_max), at every size, converged to machine precision
+    from a start vector drawn from `seed`; RuntimeError is raised, never a
+    partial estimate.  A kernel in Kronecker form without a cutoff
+    (heat_matrix and multiply_function of it) is applied through its
+    per-axis factor and column scale, a block-form kernel through its
+    |I| x |I| block (the rows and columns off it are zero), and neither
+    forms its values; a cutoff kernel is applied through its dense values.
     """
     if K._factor is not None and K._cutoff is None:
         factor, scale, nu = K._factor, K._scale, K.grid.nu
-        top = _arpack_sigma_max(lambda x: _kron_apply(factor, nu, scale * x),
-                                lambda y: scale * _kron_apply(factor.T, nu, y),
-                                np.flatnonzero(scale), scale.size, seed)
+        top = _lanczos_sigma_max(lambda x: _kron_apply(factor, nu, scale * x),
+                                 lambda y: scale * _kron_apply(factor.T, nu, y),
+                                 np.flatnonzero(scale), scale.size, seed)
     else:
-        M = K.values
-        top = _arpack_sigma_max(lambda x: M @ x, lambda y: M.T @ y,
-                                np.flatnonzero(np.any(M, axis=0)), M.shape[1], seed)
+        M = K._block if K._factor is None else K.values
+        top = _lanczos_sigma_max(lambda x: M @ x, lambda y: M.T @ y,
+                                 np.flatnonzero(np.any(M, axis=0)), M.shape[1], seed)
     return K.weight * top
 
 

@@ -6,7 +6,7 @@ Oracle routes kept independent of the code under test:
 - Gaussian integrals have closed forms: total mass 1, squared mass
   (2 pi s)^{nu/2} (4 pi s)^{-nu}, 2-D radial tail exp(-R^2/4s);
 - 0/1 kernels are recomputed entry by entry from scratch;
-- the ARPACK operator norm is compared with a full SVD;
+- the Lanczos operator norm is compared with a full SVD;
 - the support-restricted kernel_power_bound and domination_check are
   compared with their dense N x N formulas, written out here;
 - hs_diagnostics' singular values, taken in the heat factor's eigenbasis,
@@ -27,7 +27,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from spectralab import kernels
 from spectralab.kernels import (
@@ -91,20 +90,24 @@ class TestKernelMatrix:
 
     def test_multiply_function_keeps_the_block_form(self, monkeypatch):
         # a d_kernel and a dense kernel scale their blocks' columns: the
-        # entries and the norm are those of the dense product, bit for bit,
-        # and no dense entry budget is checked on the way
+        # entries are those of the dense product, bit for bit, the norm taken
+        # on the block agrees with the dense one and the SVD, and no dense
+        # entry budget is checked on the way
         g = Grid(2, 2.5, 0.25)
         func = derived_rng(24, "scale").standard_normal(g.size)
         for K in (d_kernel(g, CROSS, 1.0, 1.0), random_kernel(g, 24)):
             dense = KernelMatrix(g, K.values * func[None, :])
             with monkeypatch.context() as patch:
                 patch.setattr(Grid, "require_dense_budget", lambda grid: pytest.fail(
-                    "multiply_function checked the dense entry budget"))
+                    "multiply_function or operator_norm checked the dense entry budget"))
                 out = multiply_function(K, func)
+                norm = operator_norm(out)
             assert out._index is K._index and "values" not in vars(out)
             np.testing.assert_array_equal(out._block, K._block * func[K._index])
             np.testing.assert_array_equal(out.values, dense.values)
-            assert operator_norm(out) == operator_norm(dense)
+            expected = g.weight * np.linalg.svd(dense.values, compute_uv=False)[0]
+            for got in (norm, operator_norm(dense)):
+                assert abs(got - expected) <= 1e-12 * expected
         # a non-finite value is refused off the block too, as it was when the
         # product was formed densely (0 * inf is nan)
         D = d_kernel(g, CROSS, 1.0, 1.0)
@@ -125,8 +128,8 @@ class TestKernelMatrix:
         rng = derived_rng(9, "power-check")
         M = rng.standard_normal((300, 180))
         expected = np.linalg.svd(M, compute_uv=False)[0]
-        got = kernels._arpack_sigma_max(lambda x: M @ x, lambda y: M.T @ y,
-                                        np.arange(180), 180, seed=3)
+        got = kernels._lanczos_sigma_max(lambda x: M @ x, lambda y: M.T @ y,
+                                         np.arange(180), 180, seed=3)
         assert abs(got - expected) <= 1e-12 * expected
 
     def test_operator_norm_above_the_svd_limit_matches_numpy_svd(self):
@@ -144,10 +147,9 @@ class TestKernelMatrix:
             self, monkeypatch):
         g = Grid(1, 103.0, 0.1)
         values = derived_rng(17, "capped-norm").standard_normal((g.size, g.size))
-        # operator_norm imports eigsh when it runs, so it reads the patched one
-        monkeypatch.setattr("scipy.sparse.linalg.eigsh",
-                            lambda *args, **kw: eigsh(*args, maxiter=1, **kw))
-        with pytest.raises(ArpackNoConvergence):
+        # the uncapped recurrence takes 113 steps on this kernel
+        monkeypatch.setattr(kernels, "NORM_STEPS", 20)
+        with pytest.raises(RuntimeError, match="not converged in 20 Lanczos steps"):
             operator_norm(KernelMatrix(g, values))
 
     def test_operator_norm_above_the_svd_limit_with_fewer_than_two_columns(self):
@@ -1068,13 +1070,12 @@ class TestSeparableKernels:
 
     def test_factored_norm_raises_instead_of_a_partial_estimate(self, monkeypatch):
         g = Grid(2, 5.75, 0.25)
-        # operator_norm imports eigsh when it runs, so it reads the patched one
-        monkeypatch.setattr("scipy.sparse.linalg.eigsh",
-                            lambda *args, **kw: eigsh(*args, maxiter=1, **kw))
         # at a short time the factor is nearly the identity, so the Gram
-        # spectrum is the random squared scale: clustered at the top
+        # spectrum is the random squared scale: clustered at the top, where
+        # the uncapped recurrence takes 215 steps
+        monkeypatch.setattr(kernels, "NORM_STEPS", 100)
         K = multiply_function(heat_matrix(g, 1e-3), derived_rng(22, "scale").random(g.size))
-        with pytest.raises(ArpackNoConvergence):
+        with pytest.raises(RuntimeError, match="not converged in 100 Lanczos steps"):
             operator_norm(K)
         assert unformed(K)
 
@@ -1152,7 +1153,8 @@ def same_report(a, b):
 class TestPrivateForms:
     def test_columns_match_the_formed_values(self):
         # every form against its own formed values, columns drawn before the
-        # values are read; radii on and between lattice shells
+        # values are read and without forming them; radii on and between
+        # lattice shells
         rng = derived_rng(25, "columns")
         for nu, L, h in ((1, 3.0, 0.25), (2, 2.0, 0.25), (3, 1.0, 0.25)):
             g = Grid(nu, L, h)
@@ -1164,11 +1166,13 @@ class TestPrivateForms:
                          lambda: truncated_convolution(g, 1.0, 5 ** 0.5 * 0.25)[0],
                          lambda: multiply_function(truncated_convolution(g, 1.0, 0.6)[0], chi),
                          lambda: d_kernel(g, V, 2.0, 0.25),
+                         lambda: multiply_function(d_kernel(g, V, 2.0, 0.25), chi - 0.5),
                          lambda: random_kernel(g, 26)):
                 for share in (0.0, 0.3, 1.0):
                     cols = np.flatnonzero(rng.random(g.size) < share)
                     K = make()
                     got = K._columns(cols)
+                    assert "values" not in vars(K)
                     expected = K.values[:, cols]
                     np.testing.assert_array_equal(got, expected)
                     # the same layout, so sums over either round alike

@@ -5,6 +5,8 @@ sublevel, thinness, inequalities, kernel-power and heat-diagnostics studies
 (both heat modes) through cli.main: none of them may load scipy.sparse.  A
 tiny spectrum run in the same interpreter then must load it, so the check
 cannot pass because the module name is wrong or the probe never looks.
+Before the studies, operator_norm runs on a Kronecker-form, a cutoff and a
+block-form kernel, its three paths, and must not load it either.
 """
 
 import json
@@ -35,6 +37,14 @@ runs = {
                  "--h", "0.5", "--k", "2"),
 }
 seen = {"import": "scipy.sparse" in sys.modules}
+grid = spectralab.Grid(2, 2.0, 0.25)
+cross = spectralab.parse_potential("x1^2*x2^2", 2)
+cutoff, _ = spectralab.truncated_convolution(grid, 1.0, 1.0)
+block = spectralab.d_kernel(grid, cross, 1.0, 1.0)
+norms = [spectralab.operator_norm(K)
+         for K in (spectralab.compose_C(grid, cross), cutoff, block)]
+paths = cutoff._cutoff is not None and block._factor is None
+seen["operator_norm"] = (paths and min(norms) > 0.0, "scipy.sparse" in sys.modules)
 for i, (name, args) in enumerate(runs.items()):
     code = spectralab.cli.main([*args, "--output-dir", f"{out}/{i}"])
     seen[name] = (code, "scipy.sparse" in sys.modules)
@@ -49,6 +59,7 @@ def test_only_the_spectrum_study_loads_scipy_sparse(tmp_path):
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
     assert seen == {"import": False,
+                    "operator_norm": [True, False],
                     "sublevel": [0, False],
                     "thinness": [0, False],
                     "inequalities": [0, False],

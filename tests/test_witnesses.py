@@ -3,7 +3,8 @@
 The theorem: if V >= 0 and |{V < M}| is finite for every M, then -Laplacian
 + V has purely discrete spectrum; its extensions cover potentials such as
 x1^2*x2^2, whose sublevel sets have infinite measure.  Each potential below
-gets three rows of evidence, all at M = 1 and h = 0.1 on 2-D boxes:
+gets four rows of evidence, all at h = 0.1 on 2-D boxes, the first three at
+M = 1:
 
 - drift: the lowest five eigenvalues of the boxes L = 4 and 6 (spectrum_study)
   stop moving, or do not;
@@ -15,7 +16,14 @@ gets three rows of evidence, all at M = 1 and h = 0.1 on 2-D boxes:
   box, less what the heat kernel loses at the walls, so it stays bounded
   exactly when that measure does.  HS^2 comes from the masked column sums
   of K^2, with K's 1-D Gaussian factor written out here; one cross-check
-  ties it to hs_diagnostics.
+  ties it to hs_diagnostics;
+- counting: N_L(E), the number of eigenvalues below E = 5.5 of the L box,
+  at L = 3, 4, 6, 8, 10, exact integers from the inertia of H - E
+  (operators._inertia_count).  The spectrum is discrete exactly when every
+  N(E) is finite: the count keeps growing with the box for x1^2 and stops
+  over the last two boxes for the others.  x1^2*x2^2 holds states out to
+  |x1| of about E in its valleys, so it stops only once L reaches about E;
+  at L = 10 the box has 40,000 points, under FACTOR_POINT_CAP.
 
 Grid caveat: at fixed h the cell-centred points nearest an axis sit at
 |x_a| = h/2, so on the grid x1^2*x2^2 < M forces |x1|, |x2| < 2 sqrt(M)/h.
@@ -29,7 +37,13 @@ import numpy as np
 import pytest
 
 from spectralab.kernels import gaussian_squared_mass, heat_matrix, hs_diagnostics
-from spectralab.operators import Grid, potential_on_grid, spectrum_study
+from spectralab.operators import (
+    Grid,
+    _inertia_count,
+    hamiltonian,
+    potential_on_grid,
+    spectrum_study,
+)
 from spectralab.potentials import degeneracy_direction, parse_potential, to_polynomial
 from spectralab.sublevel import thinness
 
@@ -37,22 +51,24 @@ M = 1.0
 H = 0.1
 S = 1.0
 KERNEL_BOXES = (5.0, 10.0, 20.0, 40.0)
+COUNT_LEVEL = 5.5
+COUNT_BOXES = (3.0, 4.0, 6.0, 8.0, 10.0)
 # Half-width past which the grid sublevel set of x1^2*x2^2 < M stops growing.
 CROSS_GRID_BOUND = 2.0 * math.sqrt(M) / H
 
 # potential -> (largest drift at boxes (4, 6), or None; thinness verdict;
-# HS^2 / mass at KERNEL_BOXES)
+# HS^2 / mass at KERNEL_BOXES; N_L(COUNT_LEVEL) at COUNT_BOXES)
 WITNESSES = {
     "x1^2*x2^2*(x1^2+x2^2)": (1.0889e-4, "convergent-evidence",
-                              (9.959334, 10.12, 10.12, 10.12)),
+                              (9.959334, 10.12, 10.12, 10.12), (4, 4, 4, 4, 4)),
     # boxes (4, 6) are too small for its cross-valley eigenfunctions (drift
     # 4.7e-2); acceptance criterion 5 pins its drift at (6, 8)
     "x1^2*x2^2": (None, "convergent-evidence",
-                  (16.089725, 21.841012, 29.841112, 30.16)),
+                  (16.089725, 21.841012, 29.841112, 30.16), (6, 8, 10, 12, 12)),
     "x1^2+x2^2": (4.8636e-5, "convergent-evidence",
-                  (3.159969, 3.16, 3.16, 3.16)),
+                  (3.159969, 3.16, 3.16, 3.16), (3, 3, 3, 3, 3)),
     "x1^2": (0.51533, "divergent-evidence",
-             (18.405432, 38.405561, 78.405561, 158.405561)),
+             (18.405432, 38.405561, 78.405561, 158.405561), (8, 10, 16, 21, 27)),
 }
 DISCRETE = ("x1^2*x2^2*(x1^2+x2^2)", "x1^2*x2^2", "x1^2+x2^2")
 
@@ -104,6 +120,18 @@ def test_kernel_row(source):
         assert len(evidence) == 2 and evidence[1] > 1.3 * evidence[0]
     else:
         assert rows[1:] == pytest.approx([rows[1]] * 3, rel=1e-9)
+
+
+@pytest.mark.parametrize("source", WITNESSES)
+def test_counting_row(source):
+    V = parse_potential(source, 2)
+    counts = tuple(_inertia_count(hamiltonian(Grid(2, L, H), V), COUNT_LEVEL)
+                   for L in COUNT_BOXES)
+    assert counts == WITNESSES[source][3]
+    if source in DISCRETE:
+        assert counts[-1] == counts[-2]
+    else:
+        assert all(b > a for a, b in zip(counts, counts[1:]))
 
 
 def test_cross_grid_sublevel_set_stops_at_the_bound():
