@@ -54,17 +54,20 @@ entry of value 0.  domination_check reads D's block and the product's on the
 union U of their index sets through _restrict, and refuses a D in Kronecker
 form.
 
-`values` is formed only when read, and only that read is held to the
-grid's dense-entry budget; the structured work is not.  Of the functions
-here only operator_norm reads it, of a cutoff kernel.  None of them loads
-scipy.sparse.
+A structured kernel's `values` is formed on every read, into an array only
+the caller holds, and only that read is held to the grid's dense-entry
+budget; the structured work is not.  No kernel keeps it, so numpy can write
+a temporary such as heat.values - F.values into its left operand's buffer.
+KernelMatrix(grid, values) returns the array it holds.  Of the functions
+here only operator_norm reads `values`, of a cutoff kernel.  None of them
+loads scipy.sparse.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -116,7 +119,8 @@ KRON_EIGEN_FLOOR = 1e-17
 # kernel).  Every chunk size gives the same excess, a maximum of the same
 # entries, in about the same time (2**14 to 2**22 entries measured alike);
 # the two chunks held at once are a third of the N x |mask| block at the
-# bench box and a twentieth at the README box.
+# bench box and a twentieth at the README box.  A cutoff kernel's lattice
+# mask is built in chunks of as many bool entries.
 HS_CHUNK_ENTRIES = 2**18
 
 
@@ -133,7 +137,8 @@ class KernelMatrix:
     them hold (factor (x) ... (x) factor) diag(scale), cut at a lattice
     offset for truncated_convolution; d_kernel holds a block on its sublevel
     points, and multiply_function of a block the scaled block.  Those form
-    `values` on first read, after checking the grid's dense-entry budget.
+    `values` on every read, after checking the grid's dense-entry budget,
+    into an array only the caller holds.
     """
 
     def __init__(self, grid: Grid, values):
@@ -178,7 +183,7 @@ class KernelMatrix:
         K._index = K._block = K._radius = None
         return K
 
-    @cached_property
+    @property
     def values(self) -> np.ndarray:
         if self._factor is None and self._index.size == self.grid.size:
             return self._block
@@ -222,11 +227,15 @@ class KernelMatrix:
         if self._cutoff is None:
             return lines
         n, nu = self.grid.points_per_axis, self.grid.nu
-        # the (line, r_1..r_nu) view: each line's point against the grid mesh
-        at = [a.reshape((-1,) + (1,) * nu) for a in _coordinates(self.grid, points)]
-        inside = _in_ball(self._cutoff, at, _mesh(self.grid, np.arange(n)))
-        np.copyto(lines.reshape((points.size,) + (n,) * nu), 0.0,
-                  where=np.logical_not(inside, out=inside))
+        mesh = _mesh(self.grid, np.arange(n))
+        step = max(1, HS_CHUNK_ENTRIES // self.grid.size)   # lines per mask chunk
+        for start in range(0, points.size, step):
+            chunk = points[start:start + step]
+            # the (line, r_1..r_nu) view: each line's point against the grid mesh
+            at = [a.reshape((-1,) + (1,) * nu) for a in _coordinates(self.grid, chunk)]
+            inside = _in_ball(self._cutoff, at, mesh)
+            np.copyto(lines[start:start + step].reshape((chunk.size,) + (n,) * nu), 0.0,
+                      where=np.logical_not(inside, out=inside))
         return lines
 
 
@@ -375,14 +384,17 @@ def _kron_lines(factor: np.ndarray, nu: int, picks: np.ndarray) -> np.ndarray:
     So L.T holds the columns `picks` of factor (x) ... (x) factor, and L for
     factor.T its rows `picks`.  Each entry is the product of its nu per-axis
     factors taken in axis order, as np.kron does, so any set of lines
-    matches the full matrix bit for bit.
+    matches the full matrix bit for bit.  L owns its buffer: each axis
+    writes its product into a new array, never a view.
     """
     n = factor.shape[0]
-    out = np.ones((picks.size, 1))
+    lines = np.ones((picks.size, 1))
     for pick_axis in np.unravel_index(picks, (n,) * nu):
-        out = np.multiply(out[:, :, None], factor.T[pick_axis][:, None, :],
-                          order="C").reshape(picks.size, out.shape[1] * n)
-    return out
+        out = np.empty((picks.size, lines.shape[1] * n))
+        np.multiply(lines[:, :, None], factor.T[pick_axis][:, None, :],
+                    out=out.reshape(picks.size, lines.shape[1], n))
+        lines = out
+    return lines
 
 
 def _lattice_cutoff(grid: Grid, radius: float) -> int:
@@ -445,7 +457,8 @@ def heat_matrix(grid: Grid, s: float = 1.0, mode: str = "gaussian-kernel") -> Ke
     exponential's action.  Both factors are exactly symmetric, so the formed
     values are too.  The kernel records s and mode for hs_diagnostics, and
     multiply_function of it keeps them.  The dense values are formed on
-    first read, and only that read is held to the grid's dense-entry budget.
+    every read, into an array only the caller holds, and only that read is
+    held to the grid's dense-entry budget.
     """
     s = _check_heat_inputs(s, mode)
     if mode == "gaussian-kernel":

@@ -19,6 +19,7 @@ Oracle routes kept independent of the code under test:
   with a full SVD, and the truncation mask with N x N integer offsets.
 """
 
+import contextlib
 import math
 import tracemalloc
 
@@ -56,6 +57,26 @@ from spectralab.sublevel import ball_volume
 CROSS = parse_potential("x1^2 * x2^2", 2)
 
 
+def traced_peak(make):
+    """tracemalloc's peak while make() runs, above what was held before, in
+    bytes."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        make()
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+def numpy_elides_temporaries():
+    """Whether numpy writes f() - x into the buffer of f()'s unreferenced
+    result.  Its temporary elision reads the C call stack to see that the
+    operand is a temporary of the interpreter, and not every build can."""
+    x = np.ones(2**17)   # 1 MB, above numpy's 256 KB elision floor
+    return traced_peak(lambda: np.ones(2**17) - x) < 1.5 * x.nbytes
+
+
 def random_kernel(grid, seed):
     rng = derived_rng(seed, "kernel")
     return KernelMatrix(grid, rng.standard_normal((grid.size, grid.size)))
@@ -88,7 +109,7 @@ class TestKernelMatrix:
         np.testing.assert_allclose(g.weight * (K.values @ delta), direct.values,
                                    rtol=0.0, atol=1e-15)
 
-    def test_multiply_function_keeps_the_block_form(self, monkeypatch):
+    def test_multiply_function_keeps_the_block_form(self):
         # a d_kernel and a dense kernel scale their blocks' columns: the
         # entries are those of the dense product, bit for bit, the norm taken
         # on the block agrees with the dense one and the SVD, and no dense
@@ -97,12 +118,10 @@ class TestKernelMatrix:
         func = derived_rng(24, "scale").standard_normal(g.size)
         for K in (d_kernel(g, CROSS, 1.0, 1.0), random_kernel(g, 24)):
             dense = KernelMatrix(g, K.values * func[None, :])
-            with monkeypatch.context() as patch:
-                patch.setattr(Grid, "require_dense_budget", lambda grid: pytest.fail(
-                    "multiply_function or operator_norm checked the dense entry budget"))
+            with forms_no_values():
                 out = multiply_function(K, func)
                 norm = operator_norm(out)
-            assert out._index is K._index and "values" not in vars(out)
+            assert out._index is K._index
             np.testing.assert_array_equal(out._block, K._block * func[K._index])
             np.testing.assert_array_equal(out.values, dense.values)
             expected = g.weight * np.linalg.svd(dense.values, compute_uv=False)[0]
@@ -499,14 +518,8 @@ class TestHsDiagnostics:
             hs_diagnostics(heat_matrix(Grid(2, 1.0, 0.25), 1.0, mode),
                            np.ones(64, bool))   # imports done
             K = heat_matrix(g, 1.0, mode)
-            tracemalloc.start()
-            try:
-                held = tracemalloc.get_traced_memory()[0]
-                hs_diagnostics(K, mask)
-                peak = tracemalloc.get_traced_memory()[1] - held
-            finally:
-                tracemalloc.stop()
-            assert unformed(K)
+            with forms_no_values():
+                peak = traced_peak(lambda: hs_diagnostics(K, mask))
             assert peak <= blocks * block, (mode, peak / block)
 
 
@@ -597,13 +610,14 @@ class TestDKernel:
         chi = potential_on_grid(g, CROSS) < 1.0
         n = g.points_per_axis
         cutoff = (2.0 / 0.5) ** 2 * (1.0 + 1e-9) + 1e-9
+        values = D.values   # formed on every read
         for i in range(g.size):
             for j in range(g.size):
                 oi = divmod(i, n)
                 oj = divmod(j, n)
                 d2 = (oi[0] - oj[0]) ** 2 + (oi[1] - oj[1]) ** 2
                 expected = 1.0 if (chi[i] and chi[j] and d2 <= cutoff) else 0.0
-                assert D.values[i, j] == expected
+                assert values[i, j] == expected
 
     def test_far_pairs_on_a_long_line_stay_outside(self):
         # two sublevel windows about 65536 cells apart, and 65536^2 = 2^32
@@ -676,9 +690,8 @@ class TestDominationCheck:
         g = Grid(2, 2.0, 0.25)
         C = self.c_mr(g, CROSS, 1.0, 1.0)
         for D in (heat_matrix(g, 1.0), truncated_convolution(g, 1.0, 2.0)[0]):
-            with pytest.raises(ValueError, match="needs a block-form D"):
+            with forms_no_values(), pytest.raises(ValueError, match="needs a block-form D"):
                 domination_check(C, D)
-            assert unformed(D)
 
 
 class TestKernelPowerBound:
@@ -757,14 +770,7 @@ class TestKernelPowerBound:
         g = Grid(2, 4.0, 0.16)
         D = d_kernel(g, CROSS, 1.0, 1.0)
         assert D._index.size == 600
-        tracemalloc.start()
-        try:
-            held = tracemalloc.get_traced_memory()[0]
-            kernel_power_bound(D, 3)
-            peak = tracemalloc.get_traced_memory()[1] - held
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3.0 * 600**2 * 8
+        assert traced_peak(lambda: kernel_power_bound(D, 3)) <= 3.0 * 600**2 * 8
 
 
 def dense_domination(C_MR, D):
@@ -956,9 +962,25 @@ def svd_norm(K):
     return K.weight * float(np.linalg.svd(K.values[:, cols], compute_uv=False)[0])
 
 
-def unformed(K):
-    """True while a Kronecker-form kernel has not formed its dense values."""
-    return "values" not in vars(K)
+@contextlib.contextmanager
+def forms_no_values():
+    """Fails the test when a Kronecker- or block-form kernel forms its dense
+    values inside: each such read of `values` checks the grid's dense-entry
+    budget first."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Grid, "require_dense_budget", lambda grid: pytest.fail(
+            "a kernel formed its dense values"))
+        yield
+
+
+def assert_formed_per_read(K):
+    """Each read of K.values forms a new array that owns its buffer, equal
+    bit for bit to the last, and K holds neither."""
+    first, second = K.values, K.values
+    assert first is not second and first.base is None and second.base is None
+    assert first.tobytes() == second.tobytes()
+    held = [a for a in vars(K).values() if isinstance(a, np.ndarray)]
+    assert not any(np.shares_memory(v, a) for v in (first, second) for a in held)
 
 
 MODES = ("gaussian-kernel", "expm-of-laplacian")
@@ -975,13 +997,13 @@ class TestSeparableKernels:
     def test_heat_records_its_factor(self):
         g = Grid(2, 2.0, 0.25)
         for mode in MODES:
-            K = heat_matrix(g, 0.8, mode)
-            assert unformed(K)
+            with forms_no_values():
+                K = heat_matrix(g, 0.8, mode)
             factor, scale = K._factor, K._scale
             assert factor.shape == (g.points_per_axis,) * 2
             dense = np.kron(factor, factor) * scale[None, :]
             np.testing.assert_allclose(dense, K.values, rtol=1e-15, atol=0.0)
-            assert not unformed(K) and K.values is K.values   # formed once, kept
+            assert_formed_per_read(K)
 
     def test_kronecker_apply_matches_the_dense_product(self):
         rng = derived_rng(24, "kron")
@@ -998,9 +1020,10 @@ class TestSeparableKernels:
         assert heat._factor is not None
         assert KernelMatrix(g, heat.values)._factor is None
         held = heat.values.copy()
-        F = truncated_convolution(g, 1.0, 1.0)[0]
+        with forms_no_values():
+            F = truncated_convolution(g, 1.0, 1.0)[0]
         # the heat factor and scale, cut past the squared lattice offset 16
-        assert F._factor is not None and F._cutoff == 16 and unformed(F)
+        assert F._factor is not None and F._cutoff == 16
         np.testing.assert_array_equal(F._scale, heat._scale)
         np.testing.assert_array_equal(heat.values, held)   # a held kernel is not cut
 
@@ -1009,8 +1032,9 @@ class TestSeparableKernels:
         heat = heat_matrix(g, 1.0, "expm-of-laplacian")
         rng = derived_rng(21, "scales")
         g1, g2 = rng.random(g.size), rng.standard_normal(g.size)
-        out = multiply_function(multiply_function(heat, g1), g2)
-        assert out._factor is heat._factor and unformed(out) and unformed(heat)
+        with forms_no_values():
+            out = multiply_function(multiply_function(heat, g1), g2)
+        assert out._factor is heat._factor
         np.testing.assert_array_equal(out._scale, heat._scale * g1 * g2)
         np.testing.assert_array_equal(heat._scale, 1.0 / g.weight)
 
@@ -1037,8 +1061,8 @@ class TestSeparableKernels:
         C = compose_C(g, V, 1.0, mode)
         supports = []
         for m in (0.0, 1e-3, 1e9):
-            C_m, D_m, norms = split_tail(C, V, m)
-            assert unformed(C) and unformed(C_m) and unformed(D_m)
+            with forms_no_values():
+                C_m, D_m, norms = split_tail(C, V, m)
             supports.append(int(np.count_nonzero(np.any(C_m.values, axis=0))))
             for piece, name in ((C_m, "C_m"), (D_m, "D_m")):
                 expected = svd_norm(piece)
@@ -1046,8 +1070,8 @@ class TestSeparableKernels:
         assert supports == [0, 1, g.size]
         signed = multiply_function(C, derived_rng(23, "scale").standard_normal(g.size))
         for K in (C, signed):
-            got = operator_norm(K)
-            assert unformed(K)
+            with forms_no_values():
+                got = operator_norm(K)
             assert abs(got - svd_norm(K)) <= 1e-12 * svd_norm(K)
 
     @pytest.mark.parametrize("nu, L, h", [(1, 103.0, 0.1), (2, 5.75, 0.25),
@@ -1060,8 +1084,8 @@ class TestSeparableKernels:
         C = compose_C(g, V, 1.0, mode)
         supports = []
         for m in (1e-3, 4.0):
-            C_m, _, norms = split_tail(C, V, m)
-            assert unformed(C_m)
+            with forms_no_values():
+                C_m, _, norms = split_tail(C, V, m)
             supports.append(int(np.count_nonzero(np.any(C_m.values, axis=0))))
             expected = svd_norm(C_m)
             assert abs(norms["C_m"] - expected) <= 1e-12 * expected
@@ -1075,18 +1099,18 @@ class TestSeparableKernels:
         # the uncapped recurrence takes 215 steps
         monkeypatch.setattr(kernels, "NORM_STEPS", 100)
         K = multiply_function(heat_matrix(g, 1e-3), derived_rng(22, "scale").random(g.size))
-        with pytest.raises(RuntimeError, match="not converged in 100 Lanczos steps"):
+        with forms_no_values(), pytest.raises(RuntimeError,
+                                              match="not converged in 100 Lanczos steps"):
             operator_norm(K)
-        assert unformed(K)
 
     def test_split_beyond_the_dense_budget_stays_unformed(self):
         # 16,900 points: N^2 = 2.86e8 entries exceed the dense-entry budget,
         # which only a read of the values is held to
         g = Grid(2, 6.5, 0.1)
-        C = compose_C(g, CROSS)
-        C_m, D_m, norms = split_tail(C, CROSS, 4.0)
+        with forms_no_values():
+            C = compose_C(g, CROSS)
+            C_m, D_m, norms = split_tail(C, CROSS, 4.0)
         assert g.size**2 > DENSE_ENTRY_BUDGET
-        assert all(unformed(K) for K in (C, C_m, D_m))
         assert 0.0 < norms["D_m"] <= math.exp(-4.0) * 1.001
 
     def test_checks_beyond_the_dense_budget_form_only_their_blocks(self):
@@ -1136,8 +1160,8 @@ def test_kronecker_form_matches_kron_fill_and_svd_property(nu, n, mode, s, chain
         func = rng.standard_normal(g.size) * (rng.random(g.size) < kept)
         K = multiply_function(K, func)
         scale = scale * func
-    norm = operator_norm(K)
-    assert unformed(K)
+    with forms_no_values():
+        norm = operator_norm(K)
     expected = kron_power(K._factor, nu) * scale[None, :]
     np.testing.assert_allclose(K.values, expected, rtol=1e-15, atol=0.0)
     top = g.weight * np.linalg.svd(expected, compute_uv=False)[0]
@@ -1151,6 +1175,38 @@ def same_report(a, b):
 
 
 class TestPrivateForms:
+    def test_values_are_formed_on_every_read(self):
+        g = Grid(2, 2.0, 0.25)
+        chi = (potential_on_grid(g, CROSS) < 1.0).astype(float)
+        F = truncated_convolution(g, 1.0, 0.6)[0]
+        D = d_kernel(g, CROSS, 1.0, 0.5)
+        for K in (F, multiply_function(F, chi), D, multiply_function(D, chi)):
+            assert_formed_per_read(K)
+
+    def test_the_detector_fails_on_a_formed_value(self):
+        g = Grid(2, 2.0, 0.25)
+        for K in (heat_matrix(g, 1.0), truncated_convolution(g, 1.0, 1.0)[0],
+                  d_kernel(g, CROSS, 1.0, 1.0)):
+            with pytest.raises(pytest.fail.Exception, match="formed its dense values"), \
+                    forms_no_values():
+                K.values
+
+    def test_criterion_7_gap_holds_two_dense_arrays(self):
+        # on the bench grid (2116 points): F's values are one N x N array,
+        # and heat.values - F.values writes into heat's, which no kernel
+        # keeps (3.1 arrays when each kernel kept its values).  The second
+        # bound needs numpy's temporary elision.  Each bound reads kernels
+        # no earlier read has touched.
+        g = Grid(2, 5.75, 0.25)
+        dense = g.size**2 * 8
+        F, _ = truncated_convolution(g, 1.0, 5.0)
+        assert traced_peak(lambda: F.values) < 1.1 * dense
+        heat = heat_matrix(g, 1.0)
+        F, _ = truncated_convolution(g, 1.0, 5.0)
+        if numpy_elides_temporaries():
+            gap = traced_peak(lambda: KernelMatrix(g, heat.values - F.values))
+            assert gap < 2.2 * dense, gap / dense
+
     def test_columns_match_the_formed_values(self):
         # every form against its own formed values, columns drawn before the
         # values are read and without forming them; radii on and between
@@ -1171,8 +1227,8 @@ class TestPrivateForms:
                 for share in (0.0, 0.3, 1.0):
                     cols = np.flatnonzero(rng.random(g.size) < share)
                     K = make()
-                    got = K._columns(cols)
-                    assert "values" not in vars(K)
+                    with forms_no_values():
+                        got = K._columns(cols)
                     expected = K.values[:, cols]
                     np.testing.assert_array_equal(got, expected)
                     # the same layout, so sums over either round alike
