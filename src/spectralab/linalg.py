@@ -46,9 +46,8 @@ SYMMETRY_TOLERANCE = 1e-12
 WEDGE_BASIS_LIMIT = 10_000
 # Most eigenpairs one lanczos_extremal call computes.
 MAX_EIGENPAIRS = 30
-# Relative slack, 1e-10 * max(1, |v|), between a computed eigenvalue v and a
-# level set beside it: _certificate_level puts one just below a found value,
-# operators.spectrum_study one just above the previous box's k-th value.
+# Relative slack, 1e-10 * max(1, |v|), between a computed eigenvalue v and
+# the level _certificate_level sets just below it.
 LEVEL_SLACK = 1e-10
 # Lanczos vectors ARPACK keeps between restarts.  Its default of 20 leaves
 # the certificate sweep on the 1-d Dirichlet Laplacian at h = 1e-3 (spectral
@@ -346,7 +345,7 @@ def lanczos_extremal(matvec, dim: int, k: int, max_iters: int = 600, seed: int =
 
     sigma, with factor, is a level believed to lie above the k lowest
     eigenvalues (operators.spectrum_study passes the previous box's k-th
-    value plus its LEVEL_SLACK).  Then one factor of A - sigma I first
+    value plus operators.LEVEL_MARGIN).  Then one factor of A - sigma I first
     solves for every eigenvalue below sigma and certifies them by its own
     count (see _below_level); the k lowest are kept, and each value is the
     Rayleigh quotient x.Ax / x.x of its vector.  Where it cannot, the path

@@ -8,14 +8,14 @@ nonnegative and not NaN, and finite wherever they enter a Hamiltonian
 linalg.lanczos_extremal (ARPACK plus a certificate that no lower value was
 missed); for nu <= 2 within FACTOR_POINT_CAP it is handed a factor hook,
 _shifted_factor: the solve and the Sylvester inertia count of one sparse
-LDL^T factor of H - shift I.  spectrum_study runs the boxes smallest first
-and hands each later box a level just above the previous box's k-th value,
-so that one factor there both solves and counts.  They are reported as
-box-stabilization evidence: a truncated box always has discrete spectrum,
-so discreteness claims rest on eigenvalues that stop moving as the box
-grows, and on counts N(level) that stay bounded.  check_spectrum_inputs
-holds every rule on a study's inputs; spectrum_study and cli both call it
-before any count or solve.  SparseOperator's exact symmetry check runs once
+LDL^T factor of H - shift I.  spectrum_study runs the boxes smallest first,
+one solver call each, and hands each later box a level LEVEL_MARGIN above
+the previous box's k-th value, so that one factor there both solves and
+counts.  They are reported as box-stabilization evidence: a truncated box
+always has discrete spectrum, so discreteness claims rest on eigenvalues
+that stop moving as the box grows, and on counts N(level) that stay
+bounded.  check_spectrum_inputs holds every rule on a study's inputs;
+spectrum_study and cli both call it before any count or solve.  SparseOperator's exact symmetry check runs once
 per Hamiltonian: hamiltonian adds V to the Laplacian's unchecked CSR matrix
 (_laplacian_csr, which discrete_laplacian wraps too) and checks H alone, and
 spectrum_study builds each box's H once for its counts and its solve.
@@ -32,7 +32,7 @@ from functools import partial
 
 import numpy as np
 
-from .linalg import LEVEL_SLACK, SYMMETRY_TOLERANCE, _check_eigenpairs, lanczos_extremal
+from .linalg import SYMMETRY_TOLERANCE, _check_eigenpairs, lanczos_extremal
 from .potentials import PotentialExpr, evaluate, guard_values
 from .sublevel import check_positive
 
@@ -62,6 +62,16 @@ DENSE_ENTRY_BUDGET = 250_000_000
 # ARPACK's Lanczos vectors come on top of the factor.
 FACTOR_POINT_CAP = {1: 640_000, 2: 262_144, 3: 32_768}
 RESIDUAL_TOLERANCE = 1e-6
+# Relative margin, 1e-3 * max(1, |v|), between the previous box's k-th value
+# v and the level sigma of the next box's solve.  (H - sigma I)^{-1} has norm
+# 1 / dist(sigma, spectrum), and its roundoff, at that scale, spoils the
+# vectors whose values lie farthest below sigma, the lowest.  Once two boxes
+# agree to rounding, a level 1e-10 above v left residuals of up to 2.9e-5,
+# 1e-6 above it 2.1e-7, and this margin 2.8e-9, over 117 studies on 2 to 3
+# boxes.  A wider level counts more values below it, and the count still
+# certifies them; above linalg.MAX_EIGENPAIRS the box takes the two-factor
+# path.
+LEVEL_MARGIN = 1e-3
 # lanczos_extremal's ARPACK tolerance for every box of spectrum_study.
 SOLVER_TOLERANCE = 3e-11
 
@@ -332,20 +342,14 @@ def _box_operator(V: PotentialExpr, L: float, h: float) -> tuple:
 def _box_spectrum(L: float, H: SparseOperator, factor, k: int, sigma=None, **solver):
     """One box of spectrum_study: its kept values and residuals, and its notes.
 
-    lanczos_extremal gets the box's factor hook (see _box_operator) and
-    the level sigma (None for the first box).  With a hook it solves
+    One lanczos_extremal call gets the box's factor hook (see _box_operator)
+    and the level sigma (None for the first box).  With a hook it solves
     through a sparse factor of H and certifies by its inertia count: one
     factor at sigma when that level serves, else a solve factor and a count
-    factor.  Without one it runs on H.matvec alone.  When the level's
-    vectors miss RESIDUAL_TOLERANCE, the box runs again without it: a sigma
-    within LEVEL_SLACK of the box's own k-th value gives a solve of norm
-    about 1/slack, whose roundoff leaves the lowest vectors inexact.
+    factor.  Without one it runs on H.matvec alone.
     """
-    solve = partial(lanczos_extremal, H.matvec, H.dimension, k, tol=SOLVER_TOLERANCE,
-                    factor=factor, **solver)
-    result = solve(sigma=sigma)
-    if factor is not None and sigma is not None and np.any(result.residuals > RESIDUAL_TOLERANCE):
-        result = solve()
+    result = lanczos_extremal(H.matvec, H.dimension, k, tol=SOLVER_TOLERANCE,
+                              factor=factor, sigma=sigma, **solver)
     values, residuals = result.eigenvalues, result.residuals
     notes = []
     if not result.converged and result.note:
@@ -371,10 +375,10 @@ def spectrum_study(V: PotentialExpr, schedule, h: float, k: int, seed: int = 0,
     |H x - lambda x| / |x| below RESIDUAL_TOLERANCE.  seed and max_iters
     are lanczos_extremal's, as is SOLVER_TOLERANCE (see _box_spectrum).
     Eigensolver shortfalls are propagated as notes with partial data.
-    Boxes run smallest first; for nu <= 2 each later box solves and
-    certifies through one factor at a level above the previous box's k-th
-    value, or through two factors when that level cannot serve (see
-    linalg.lanczos_extremal).
+    Boxes run smallest first, one lanczos_extremal call each; for nu <= 2
+    each later box solves and certifies through one factor at a level
+    LEVEL_MARGIN above the previous box's k-th value, or through two
+    factors when that level cannot serve (see linalg.lanczos_extremal).
     Inputs go through check_spectrum_inputs before any work.  Each box's
     grid and Hamiltonian are built once (_box_operator), and H serves its
     counts and its solve.  The schedule's CSR matrices are held together
@@ -391,13 +395,13 @@ def spectrum_study(V: PotentialExpr, schedule, h: float, k: int, seed: int = 0,
     counting = tuple(_box_counts(H, L, count_levels)
                      for L, (H, _) in zip(schedule, hamiltonians))
 
-    # Smallest box first: each box's k-th value, plus linalg.LEVEL_SLACK
-    # relative, is the next box's shift-invert level.  On nested grids
-    # ((L2 - L1) / h an integer) H(L1) is a principal submatrix of H(L2) up
-    # to the last bits of the cell centres and of V there, so by Cauchy
-    # interlacing and Weyl's inequality lambda_k(L2) <= lambda_k(L1) +
-    # max |delta V|; the slack covers that and the solver's error in
-    # lambda_k(L1).  Where it does not, the count at the level decides.
+    # Smallest box first: each box's k-th value, plus LEVEL_MARGIN relative,
+    # is the next box's shift-invert level.  On nested grids ((L2 - L1) / h
+    # an integer) H(L1) is a principal submatrix of H(L2) up to the last
+    # bits of the cell centres and of V there, so by Cauchy interlacing and
+    # Weyl's inequality lambda_k(L2) <= lambda_k(L1) + max |delta V|; the
+    # margin covers that and the solver's error in lambda_k(L1).  Where it
+    # does not, the count at the level decides.
     # The order costs little memory (glibc malloc, peak RSS): 150 studies on
     # boxes (3, 4) at h = 0.1 in one process peak at 73.5-73.8 MB either
     # way, and one study on (6, 8) at 104.4 MB against 101.4 MB largest
@@ -408,7 +412,7 @@ def spectrum_study(V: PotentialExpr, schedule, h: float, k: int, seed: int = 0,
         H, factor = hamiltonians.pop(0)  # frees the smaller box's H
         boxes.append(_box_spectrum(L, H, factor, k, sigma, max_iters=max_iters, seed=seed))
         kept = boxes[-1][0]
-        sigma = kept[-1] + LEVEL_SLACK * max(1.0, abs(kept[-1])) if kept.size == k else None
+        sigma = kept[-1] + LEVEL_MARGIN * max(1.0, abs(kept[-1])) if kept.size == k else None
     kept_values, kept_residuals, box_notes = zip(*boxes)
     notes = [note for per_box in box_notes for note in per_box]
 

@@ -359,7 +359,7 @@ class TestSpectrumStudy:
     def test_kept_values_match_the_kronecker_sum_on_every_box(self):
         # the first box's two-factor path and the later boxes' level path,
         # to 1e-10 relative; the third oscillator box once kept none of its
-        # values (its level lay within LEVEL_SLACK of its own 5th value)
+        # values (its level lay within 1e-10 relative of its own 5th value)
         h, k, schedule = 0.2, 5, (4.0, 6.0, 8.0)
         for source, axes in (("x1^2", (np.square, np.zeros_like)),
                              ("x1^2+x2^2", (np.square, np.square))):
@@ -370,11 +370,13 @@ class TestSpectrumStudy:
                 assert values.shape == (k,), (source, L)
                 np.testing.assert_allclose(values, oracle, rtol=1e-10, atol=0.0)
 
-    def test_a_level_beside_the_boxs_own_kth_value_reruns_without_it(self, monkeypatch):
-        # (6, 8) at h = 0.2: the boxes agree to about 1e-15, so the L = 8
-        # level lies within LEVEL_SLACK of that box's own 5th value, and its
-        # vectors missed RESIDUAL_TOLERANCE (kept 0 of 5, not-stabilized).
-        # The box runs again without the level.
+    def test_one_solver_call_per_box_keeps_every_value(self, monkeypatch):
+        # studies whose boxes agree to rounding: a level 1e-10 relative above
+        # the previous 5th value lay beside the later box's own, spoiled its
+        # lowest vectors (up to 2.9e-5 against RESIDUAL_TOLERANCE), and the
+        # sextic on (6, 8) at h = 0.2 lost its 5th value at L = 8.  At
+        # LEVEL_MARGIN the worst residual reads 1.5e-9 (that L = 8 box,
+        # where |H| is about 5e5), at a margin of 1e-6 already 1.9e-7.
         levels = []
 
         def spy(*args, **kwargs):
@@ -382,11 +384,15 @@ class TestSpectrumStudy:
             return lanczos_extremal(*args, **kwargs)
 
         monkeypatch.setattr(operators, "lanczos_extremal", spy)
-        rep = spectrum_study(parse_potential("x1^2+x2^2", 2), (6.0, 8.0), 0.2, 5)
-        assert rep.verdict == "stabilized" and not rep.notes
-        assert [values.size for values in rep.eigenvalues] == [5, 5]
-        assert max(float(np.max(r)) for r in rep.residuals) <= 1e-9
-        assert levels[0] is None and levels[1] is not None and levels[2:] == [None]
+        for source, schedule, h in (("x1^2+x2^2", (6.0, 8.0), 0.2),
+                                    ("x1^6+x2^6", (4.0, 6.0), 0.1),
+                                    ("x1^6+x2^6", (6.0, 8.0), 0.2)):
+            levels.clear()
+            rep = spectrum_study(parse_potential(source, 2), schedule, h, 5)
+            assert [level is None for level in levels] == [True] + [False] * (len(schedule) - 1)
+            assert rep.verdict == "stabilized" and not rep.notes, source
+            assert [values.size for values in rep.eigenvalues] == [5] * len(schedule)
+            assert max(float(np.max(r)) for r in rep.residuals) <= 1e-8, source
 
     def test_counts_stay_bounded_where_sublevel_sets_have_finite_measure(self):
         # The paper's main theorem on the grid: x1^2*x2^2*(x1^2+x2^2) is 0 on
@@ -427,9 +433,9 @@ class TestSpectrumStudy:
     def test_shift_invert_matches_dense_eigvalsh(self, monkeypatch):
         # nu <= 2: the smallest box solves on -H^{-1} through one factor and
         # certifies by one more (the inertia of H - tau I); every later box
-        # solves and counts through one factor of H - sigma I, sigma just
-        # above the previous box's k-th value.  (1.5, 1.6) at h = 0.2 is not
-        # nested, and the count alone certifies it.
+        # solves and counts through one factor of H - sigma I, sigma
+        # LEVEL_MARGIN above the previous box's k-th value.  (1.5, 1.6) at
+        # h = 0.2 is not nested, and the count alone certifies it.
         factors = record_factors(monkeypatch)
         sweeps = record(monkeypatch, linalg, "_certify")
         for source, nu, schedule, h in (("x1^2", 1, (4.0, 6.0, 8.0), 0.1),
@@ -462,18 +468,19 @@ class TestSpectrumStudy:
         assert [lu.u_reads for _, lu in factors] == [0, 1, 1]
 
     def test_level_below_the_kth_value_runs_the_two_factor_path(self, monkeypatch):
-        # x1^4 at h = 0.5: the L = 3 grid is not nested in the L = 2.75 one,
-        # its points sit where V is larger, and only 2 of its values lie
-        # below the smaller box's 3rd; the box makes the factor at sigma,
-        # then exactly the path without a level (two more factors)
+        # x1^4 at h = 0.5: the L = 3.25 grid is not nested in the L = 3 one,
+        # its points sit where V is larger, and only 4 of its values lie
+        # below the smaller box's 5th plus LEVEL_MARGIN (its 5th lies 1.1%
+        # above that level); the box makes the factor at sigma, then exactly
+        # the path without a level (two more factors)
         V = parse_potential("x1^4", 1)
-        schedule, h, k = (2.75, 3.0), 0.5, 3
-        dense = np.linalg.eigvalsh(hamiltonian(Grid(1, 3.0, h), V).matrix.toarray())
+        schedule, h, k = (3.0, 3.25), 0.5, 5
+        dense = np.linalg.eigvalsh(hamiltonian(Grid(1, 3.25, h), V).matrix.toarray())
         factors = record_factors(monkeypatch)
         rep = spectrum_study(V, schedule, h, k)
         assert len(factors) == 2 + 3
-        assert _inertia_count(hamiltonian(Grid(1, 3.0, h), V),
-                              rep.eigenvalues[0][-1] * (1 + 1e-10)) == 2
+        assert _inertia_count(hamiltonian(Grid(1, 3.25, h), V),
+                              rep.eigenvalues[0][-1] * (1 + operators.LEVEL_MARGIN)) == 4
         np.testing.assert_allclose(rep.eigenvalues[1], dense[:k], rtol=1e-12, atol=0)
         assert_as_without_levels(monkeypatch, rep, V, schedule, h, k)
 
@@ -485,7 +492,7 @@ class TestSpectrumStudy:
         factors = record_factors(monkeypatch)
         rep = spectrum_study(V, schedule, h, k)
         assert len(factors) == 2 + 3
-        level = rep.eigenvalues[0][-1] * (1 + 1e-10)
+        level = rep.eigenvalues[0][-1] * (1 + operators.LEVEL_MARGIN)
         assert _inertia_count(hamiltonian(Grid(1, 8.0, h), V), level) == 38
         np.testing.assert_allclose(rep.eigenvalues[1], dirichlet_eigenvalues(8.0, h)[:k],
                                    rtol=1e-12, atol=0)
