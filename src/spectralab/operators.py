@@ -15,10 +15,11 @@ counts.  They are reported as box-stabilization evidence: a truncated box
 always has discrete spectrum, so discreteness claims rest on eigenvalues
 that stop moving as the box grows, and on counts N(level) that stay
 bounded.  check_spectrum_inputs holds every rule on a study's inputs;
-spectrum_study and cli both call it before any count or solve.  SparseOperator's exact symmetry check runs once
-per Hamiltonian: hamiltonian adds V to the Laplacian's unchecked CSR matrix
-(_laplacian_csr, which discrete_laplacian wraps too) and checks H alone, and
-spectrum_study builds each box's H once for its counts and its solve.
+spectrum_study and cli both call it before any count or solve.
+SparseOperator's exact symmetry check runs once per Hamiltonian:
+hamiltonian adds V to the Laplacian's unchecked CSR matrix (_laplacian_csr,
+which discrete_laplacian wraps too) and checks H alone, and spectrum_study
+builds each box's H once for its counts and its solve.
 scipy.sparse and scipy.sparse.linalg are imported inside the functions that
 build, check or factor a matrix, when they run, so a process that only
 samples a potential never loads them; annotations such as sparse.csr_matrix
